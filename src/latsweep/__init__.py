@@ -12,7 +12,7 @@ from .assembly import (
     compatibility_matrix,
     validate_assumptions,
 )
-from .catchup import EventRecord, TimePartition, Trajectory, abstract_catchup, catchup
+from .catchup import TimePartition, abstract_catchup, catchup
 from .errors import (
     AssumptionError,
     DegenerateMetricsError,
@@ -54,5 +54,6 @@ from .sweeping import (
     recover_stress,
     safe_load_check,
 )
+from .trajectory import EventRecord, Trajectory
 
 __version__ = "0.1.0"

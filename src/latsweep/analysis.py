@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledSystem
-from .catchup import Trajectory
+from .trajectory import Trajectory
 from .errors import DegenerateMetricsError, InvalidInputError
 from .lattice import LoadSchedule
 

@@ -20,7 +20,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     nullspace_basis,
     numerical_rank,
-    pseudoinverse,
+    ranked_svd,
     weighted_gram,
 )
 
@@ -78,13 +78,12 @@ class AssembledSystem:
     G: np.ndarray                  # m x q
     F: np.ndarray                  # m x nd
     S_V: np.ndarray                # dim_v x dim_v
-    W: np.ndarray                  # m x dim_v
     dims: SystemDims
 
     def __post_init__(self):
         for name in (
             "compatibility", "directions", "reference_lengths", "U_basis",
-            "V_basis", "P_U", "P_V", "H", "G", "F", "S_V", "W",
+            "V_basis", "P_U", "P_V", "H", "G", "F", "S_V",
         ):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
@@ -177,13 +176,14 @@ def assemble(
     R = definition.constraint_matrix
     k = definition.stiffness
 
-    if numerical_rank(R, rank_tol) != q:
+    R_svd = ranked_svd(R, rank_tol, full_matrices=True)
+    if R_svd.rank != q:
         raise AssumptionError(
             "external displacement constraint matrix is rank deficient "
             "(full row rank assumption fails)"
         )
-    enhanced_eq = np.hstack([compat.T, R.T])
-    if numerical_rank(enhanced_eq, rank_tol) != nd:
+    enhanced_svd = ranked_svd(np.hstack([compat.T, R.T]), rank_tol)
+    if enhanced_svd.rank != nd:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "
             "constraint (enhanced compatibility matrix has a nontrivial kernel)"
@@ -196,25 +196,22 @@ def assemble(
             f"(m - nd + q = {dim_v})"
         )
 
-    R_pinv = pseudoinverse(R, rank_tol)
-    R0 = nullspace_basis(R, rank_tol)
-    U = compat @ R0
-    V = nullspace_basis(U.T * k[None, :], rank_tol)
+    U = compat @ R_svd.kernel()
+    UK = U.T * k[None, :]
+    V = nullspace_basis(UK, rank_tol)
     if U.shape[1] != dim_u or V.shape[1] != dim_v:
         raise AssumptionError(
             "numerical rank of the fundamental spaces disagrees with the "
             "dimension formula; tighten rank_tol or check the lattice"
         )
 
-    UK = U.T * k[None, :]
     P_U = scipy.linalg.solve(UK @ U, UK, assume_a="pos")
     S_V = weighted_gram(V, k)
     P_V = scipy.linalg.solve(S_V, V.T * k[None, :], assume_a="pos")
 
-    H = pseudoinverse(enhanced_eq, rank_tol)[:m]
-    G = V @ (P_V @ (compat @ R_pinv))
+    H = enhanced_svd.pinv()[:m]
+    G = V @ (P_V @ (compat @ R_svd.pinv()))
     F = U @ (P_U @ (H / k[:, None]))
-    W = (P_V / k[None, :]).T @ S_V
 
     return AssembledSystem(
         definition=definition,
@@ -229,7 +226,6 @@ def assemble(
         G=G,
         F=F,
         S_V=S_V,
-        W=W,
         dims=SystemDims(n, m, d, q, dim_u, dim_v),
     )
 

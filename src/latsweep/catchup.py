@@ -8,14 +8,15 @@ yield bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from .lattice import LoadSchedule
 from .projection import PolyhedralSet, WarmStart, project
-from .sweeping import MovingSetSpec, Space, SweepingState, static_set
+from .sweeping import MovingSetSpec, SweepingState, static_set
+from .trajectory import EventRecord, Trajectory
 
 #: Fraction of the elastic range within which a stress counts as sitting
 #: on a yield bound during a posteriori event detection.
@@ -45,52 +46,6 @@ class TimePartition:
     @property
     def mesh(self) -> float:
         return float(np.max(np.diff(self.points)))
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One yielding event: springs arriving at (or leaving) their bounds."""
-
-    index: int
-    time: float
-    newly_active: frozenset  # of (spring, side) with side in {"lower", "upper"}
-    newly_released: frozenset
-    sigma: np.ndarray
-    relative_velocity: np.ndarray | None = None  # set-relative velocity before the event
-
-
-@dataclass
-class Trajectory:
-    states: list[SweepingState]
-    solver: str
-    space: Space
-    events: list[EventRecord] = field(default_factory=list)
-
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
-
-    def stresses(self) -> np.ndarray:
-        return np.array([s.sigma for s in self.states])
-
-    def sweeping_values(self) -> np.ndarray:
-        return np.array([s.y for s in self.states])
-
-    @property
-    def final(self) -> SweepingState:
-        return self.states[-1]
-
-    def sigma_at(self, t: float) -> np.ndarray:
-        """Linear interpolation of the stress path (exact between events
-        for event-based trajectories)."""
-        times = self.times()
-        if t <= times[0]:
-            return self.states[0].sigma.copy()
-        if t >= times[-1]:
-            return self.states[-1].sigma.copy()
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        t0, t1 = times[idx], times[idx + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.states[idx].sigma + w * self.states[idx + 1].sigma
 
 
 def bound_activity(
@@ -157,7 +112,6 @@ def catchup(
     if state0.time != 0.0:
         raise InvalidInputError("catch-up must start at t = 0")
 
-    weight = spec.weight()
     warm = WarmStart()
     states = [state0]
     y = np.asarray(state0.y, dtype=float)
@@ -169,17 +123,15 @@ def catchup(
         poly = static_set(spec, offset_next)
         start = None
         if _same_force(f_prev, f_next):
-            shift = offset_next - offset_prev
-            start = y + (shift if spec.space is Space.FULL else spec.reduce(shift))
+            start = y + spec.reduce(offset_next - offset_prev)
         try:
-            result = project(weight, y, poly, tol=tol, start=start, warm=warm)
+            result = project(spec.weight, y, poly, tol=tol, start=start, warm=warm)
         except InfeasibleSetError as exc:
             raise SafeLoadError(
                 f"safe load condition violated at t = {t}", time=float(t)
             ) from exc
         y = result.point
-        y_full = y if spec.space is Space.FULL else spec.lift(y)
-        epsilon = y_full - offset_next
+        epsilon = spec.lift(y) - offset_next
         sigma = system.stiffness * epsilon
         states.append(SweepingState(time=float(t), y=y, sigma=sigma, epsilon=epsilon))
         offset_prev = offset_next

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catchup import EventRecord, Trajectory
 from .errors import (
     InvalidStateError,
     LatSweepError,
@@ -19,7 +18,8 @@ from .errors import (
 )
 from .lattice import LoadSchedule
 from .projection import PolyhedralSet, WarmStart, project_cone
-from .sweeping import MovingSetSpec, Space, SweepingState
+from .sweeping import MovingSetSpec, SweepingState
+from .trajectory import EventRecord, Trajectory
 
 #: Bound-activity tolerance: events land points on bounds up to
 #: arithmetic noise.
@@ -33,11 +33,6 @@ STABILIZATION_TOL = 1e-10
 TIE_TOL = 1e-12
 
 
-def _bound_values(spec: MovingSetSpec, z: np.ndarray) -> np.ndarray:
-    """The vector compared against the box bounds (identity or W rows)."""
-    return z if spec.space is Space.FULL else spec.W @ z
-
-
 def tangent_cone(
     spec: MovingSetSpec,
     z: np.ndarray,
@@ -46,41 +41,25 @@ def tangent_cone(
 ) -> PolyhedralSet:
     """Tangent cone of the frozen constraint set at ``z``.
 
-    One homogeneous inequality per bound active at ``z``: hitting a lower
-    bound leaves only outward motion (component >= 0), an upper bound only
-    inward (component <= 0).  In full space the self-stress plane rows are
-    carried along as equalities.
+    One homogeneous inequality per bound active at ``z``, in spring order
+    (the projection breaks ties by lowest row index): hitting a lower bound
+    leaves only outward motion (component >= 0), an upper bound only inward
+    (component <= 0).  The spec's equality rows are carried along.
     """
     z = np.asarray(z, dtype=float)
     lo = spec.box_lower if offset is None else spec.box_lower + offset
     hi = spec.box_upper if offset is None else spec.box_upper + offset
-    values = _bound_values(spec, z)
+    values = spec.lift(z)
     if np.max(values - hi, initial=0.0) > active_tol or np.max(lo - values, initial=0.0) > active_tol:
         raise InvalidStateError("point violates the static set beyond tolerance")
+    eq = spec.equality_rows
+    if eq is not None and np.max(np.abs(eq @ z), initial=0.0) > 1e-7 * (1 + np.abs(z).max()):
+        raise InvalidStateError("point has drifted off the self-stress plane")
 
-    rows = []
-    m = values.shape[0]
-    eye = spec.space is Space.FULL
-    for j in range(m):
-        row = None
-        if hi[j] - values[j] <= active_tol:
-            row = np.zeros(spec.n_vars) if eye else spec.W[j].copy()
-            if eye:
-                row[j] = 1.0
-        elif values[j] - lo[j] <= active_tol:
-            row = np.zeros(spec.n_vars) if eye else -spec.W[j].copy()
-            if eye:
-                row[j] = -1.0
-        if row is not None:
-            rows.append(row)
-    A = np.vstack(rows) if rows else np.zeros((0, spec.n_vars))
-    b = np.zeros(A.shape[0])
-    if spec.space is Space.FULL:
-        eq = spec.equality_rows
-        if np.max(np.abs(eq @ z), initial=0.0) > 1e-7 * (1 + np.abs(z).max()):
-            raise InvalidStateError("point has drifted off the self-stress plane")
-        return PolyhedralSet(A=A, b=b, A_eq=eq, b_eq=np.zeros(eq.shape[0]))
-    return PolyhedralSet(A=A, b=b)
+    on_upper = hi - values <= active_tol
+    springs = np.flatnonzero(on_upper | (values - lo <= active_tol))
+    A = spec.bound_rows(springs, np.where(on_upper[springs], 1.0, -1.0))
+    return PolyhedralSet(A=A, b=np.zeros(springs.size), A_eq=eq)
 
 
 def event_velocity(
@@ -98,7 +77,7 @@ def event_velocity(
     tangent cone at ``z``.
     """
     cone = tangent_cone(spec, z, active_tol, offset)
-    return project_cone(spec.weight(), -np.asarray(drive, dtype=float), cone, warm=warm).point
+    return project_cone(spec.weight, -np.asarray(drive, dtype=float), cone, warm=warm).point
 
 
 def _event_candidates(spec, z, zdot, offset, active_tol):
@@ -109,8 +88,8 @@ def _event_candidates(spec, z, zdot, offset, active_tol):
     """
     lo = spec.box_lower if offset is None else spec.box_lower + offset
     hi = spec.box_upper if offset is None else spec.box_upper + offset
-    values = _bound_values(spec, z)
-    speeds = _bound_values(spec, zdot)
+    values = spec.lift(z)
+    speeds = spec.lift(zdot)
     thresh = 1e-13 * (1.0 + np.abs(speeds).max(initial=0.0))
 
     taus = np.full(values.shape[0], np.inf)
@@ -149,7 +128,7 @@ def _weighted_norm(weight, v) -> float:
 
 def _departures(spec, candidates, zdot):
     """Active bounds the new velocity immediately moves away from."""
-    speeds = _bound_values(spec, zdot)
+    speeds = spec.lift(zdot)
     scale = 1e-9 * (1.0 + np.abs(speeds).max(initial=0.0))
     gone = set()
     for j, side in candidates:
@@ -186,7 +165,7 @@ def leapfrog(
     if state0.time != 0.0:
         raise InvalidStateError("event-based integration must start at t = 0")
 
-    weight = spec.weight()
+    weight = spec.weight
     k = system.stiffness
     breaks = [t for t in loads.rate_breakpoints() if t < horizon]
     breaks = sorted(set(breaks + [0.0]))
@@ -197,15 +176,11 @@ def leapfrog(
     warm = WarmStart()
     y = np.asarray(state0.y, dtype=float)
 
-    def to_space(vec):
-        return vec if spec.space is Space.FULL else spec.reduce(vec)
-
     def sigma_of(z, offset0):
-        z_full = z if spec.space is Space.FULL else spec.lift(z)
-        return k * (z_full - offset0)
+        return k * (spec.lift(z) - offset0)
 
     offset_init = spec.offset(loads, 0.0)
-    values0 = _bound_values(spec, y)
+    values0 = spec.lift(y)
     held: set = {
         (int(j), side)
         for side, bound in (("upper", spec.box_upper + offset_init),
@@ -214,8 +189,7 @@ def leapfrog(
     }
     for t_start, t_end in segments:
         offset0 = spec.offset(loads, t_start)
-        drive_full = spec.offset_rate(loads, t_start)
-        drive = to_space(drive_full)
+        drive = spec.reduce(spec.offset_rate(loads, t_start))
         drive_norm = _weighted_norm(weight, drive)
         z = y
         t = t_start
@@ -225,8 +199,6 @@ def leapfrog(
             y = z
             continue
 
-        lo = spec.box_lower + offset0
-        hi = spec.box_upper + offset0
         max_events = 50 * system.dims.n_springs + 100
         for _ in range(max_events):
             zdot = event_velocity(spec, z, drive, active_tol, offset0, warm=warm)
@@ -239,9 +211,6 @@ def leapfrog(
                 t = t_end
                 break
             z = z + zdot * tau
-            if spec.space is Space.FULL:
-                for j, side in hits:
-                    z[j] = hi[j] if side == "upper" else lo[j]
             t = t_next
             arrivals = frozenset(hits)
             candidates = set(held) | set(arrivals)
@@ -262,7 +231,7 @@ def leapfrog(
             states.append(
                 SweepingState(
                     time=t,
-                    y=z + to_space(spec.offset(loads, t) - offset0),
+                    y=z + spec.reduce(spec.offset(loads, t) - offset0),
                     sigma=sigma,
                     epsilon=sigma / k,
                 )
@@ -271,7 +240,7 @@ def leapfrog(
             raise LatSweepError("event iteration cap exceeded; check the model")
 
         sigma = sigma_of(z, offset0)
-        y = z + to_space(spec.offset(loads, t_end) - offset0)
+        y = z + spec.reduce(spec.offset(loads, t_end) - offset0)
         states.append(SweepingState(time=t_end, y=y.copy(), sigma=sigma, epsilon=sigma / k))
 
     # Collapse duplicate time stamps produced by events landing exactly on

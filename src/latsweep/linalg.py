@@ -6,6 +6,8 @@ Matrices are plain 2-d ``numpy`` arrays; vectors are 1-d arrays.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -26,26 +28,52 @@ def _check_matrix(A: np.ndarray, rank_tol: float) -> np.ndarray:
     return A
 
 
+@dataclass(frozen=True)
+class RankedSVD:
+    """SVD factors of one matrix with its numerical rank; singular values
+    past ``rank`` count as zero."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    rank: int
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse."""
+        r = self.rank
+        return (self.vt[:r].T / self.s[:r]) @ self.u[:, :r].T
+
+    def kernel(self) -> np.ndarray:
+        """Sign-fixed kernel basis as columns; needs ``full_matrices=True``."""
+        N = self.vt[self.rank:].T.copy()
+        for j in range(N.shape[1]):
+            if N[np.argmax(np.abs(N[:, j])), j] < 0:
+                N[:, j] = -N[:, j]
+        return N
+
+
+def _rank(s: np.ndarray, rank_tol: float) -> int:
+    return int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+
+
+def ranked_svd(
+    A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = False
+) -> RankedSVD:
+    """SVD of ``A`` with the numerical rank under a relative cutoff."""
+    A = _check_matrix(A, rank_tol)
+    u, s, vt = np.linalg.svd(A, full_matrices=full_matrices)
+    return RankedSVD(u, s, vt, _rank(s, rank_tol))
+
+
 def pseudoinverse(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff."""
-    A = _check_matrix(A, rank_tol)
-    if A.size == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, np.divide(1.0, s, where=s > 0), 0.0)
-    return (vt.T * inv) @ u.T
+    return ranked_svd(A, rank_tol).pinv()
 
 
 def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rank_tol`` times the largest one."""
     A = _check_matrix(A, rank_tol)
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return _rank(np.linalg.svd(A, compute_uv=False), rank_tol)
 
 
 def nullspace_basis(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -54,20 +82,7 @@ def nullspace_basis(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
     Returns an ``n x 0`` array when the kernel is trivial.  Columns carry a
     deterministic sign: the entry of largest magnitude is positive.
     """
-    A = _check_matrix(A, rank_tol)
-    n = A.shape[1]
-    if A.size == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(A, full_matrices=True)
-    cutoff = rank_tol * (s[0] if s.size and s[0] > 0 else 0.0)
-    rank = int(np.count_nonzero(s > cutoff)) if s.size else 0
-    N = vt[rank:].T.copy()
-    for j in range(N.shape[1]):
-        col = N[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            N[:, j] = -col
-    return N
+    return ranked_svd(A, rank_tol, full_matrices=True).kernel()
 
 
 def weighted_gram(V: np.ndarray, K: np.ndarray) -> np.ndarray:

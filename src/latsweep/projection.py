@@ -31,7 +31,10 @@ _LP_OPTIONS = {
 
 @dataclass(frozen=True)
 class PolyhedralSet:
-    """``{x : A x <= b, A_eq x = b_eq}`` with dense coefficient rows."""
+    """``{x : A x <= b, A_eq x = b_eq}`` with dense coefficient rows.
+
+    ``b_eq`` defaults to zeros when equality rows are given without it.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -49,7 +52,8 @@ class PolyhedralSet:
             )
         if self.A_eq is not None:
             A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-            b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
+            b_eq = np.zeros(A_eq.shape[0]) if self.b_eq is None else self.b_eq
+            b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
             object.__setattr__(self, "A_eq", A_eq)
             object.__setattr__(self, "b_eq", b_eq)
             if A_eq.shape[0] != b_eq.shape[0]:

@@ -1,14 +1,20 @@
 """Construction of the sweeping process: moving set, change of variables,
 safe-load check, and stress recovery, in full and reduced coordinates.
 
-The sweeping variable lives either in the spring space (dimension m, with
-the self-stress plane as an equality constraint) or in coordinates of the
-self-stress plane itself (dimension dim_v, inequalities only).
+There is one moving set, the yield box cut by the self-stress plane, seen
+in one of two bases.  In the full space the sweeping variable is a spring
+vector (dimension m): the basis is the identity and the plane enters as
+equality rows ``U^T K z = 0``.  In the reduced space it holds coordinates
+in the basis ``V`` of the plane (dimension dim_v): the box rows act through
+``V`` and there are no equality rows.  :func:`build_moving_set` is the only
+place that chooses between them; everything else goes through
+:class:`MovingSetSpec`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,27 +50,22 @@ def strain_elongations(system: AssembledSystem, axis: int) -> np.ndarray:
 class MovingSetSpec:
     """Time-independent description of the moving constraint set.
 
-    The set at time ``t`` is the yield box (after Hooke scaling) shifted by
-    ``offset(loads, t)``, intersected with the self-stress plane; in
-    reduced coordinates the plane is implicit and the box rows act through
-    ``W``.
+    The set at time ``t`` holds the points ``z`` whose spring-space image
+    ``lift(z)`` lies in the yield box (after Hooke scaling) shifted by
+    ``offset(loads, t)`` and which satisfy ``equality_rows @ z = 0``.  The
+    full space is this set in the identity basis, with the self-stress
+    plane as equality rows; the reduced space is the same set in the basis
+    ``W`` of the plane, with no equality rows.
     """
 
     system: AssembledSystem
     space: Space
     box_lower: np.ndarray          # K^-1 c^-
     box_upper: np.ndarray          # K^-1 c^+
-    equality_rows: np.ndarray | None   # U^T K (full space only)
-    W: np.ndarray | None               # bound rows (reduced space only)
+    W: np.ndarray | None           # basis of the sweeping variable; None is the identity
+    weight: np.ndarray             # inner product the process is projected in
+    equality_rows: np.ndarray | None   # U^T K in the identity basis, else None
     strain_direction: np.ndarray | None  # box translation per unit strain
-
-    @property
-    def n_vars(self) -> int:
-        return self.system.dims.n_springs if self.space is Space.FULL else self.system.dims.dim_v
-
-    def weight(self) -> np.ndarray:
-        """Weight of the inner product the process is projected in."""
-        return self.system.stiffness if self.space is Space.FULL else self.system.S_V
 
     def offset(self, loads: LoadSchedule, t: float) -> np.ndarray:
         """Translation of the yield box at time ``t`` (a vector in R^m)."""
@@ -91,12 +92,26 @@ class MovingSetSpec:
         return out
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of a full-space vector on the self-stress plane."""
-        return self.system.P_V @ v
+        """Coordinates in the basis ``W`` of a spring-space vector."""
+        return v if self.W is None else self.system.P_V @ v
 
     def lift(self, y: np.ndarray) -> np.ndarray:
-        """Full-space vector of reduced coordinates ``y``."""
-        return self.system.V_basis @ y
+        """Spring-space vector of the coordinates ``y``; compared to the box."""
+        return y if self.W is None else self.W @ y
+
+    def bound_rows(self, springs: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Rows ``signs[i] * (row springs[i] of the basis)``, one per entry."""
+        if self.W is None:
+            rows = np.zeros((springs.size, self.box_lower.size))
+            rows[np.arange(springs.size), springs] = signs
+            return rows
+        return signs[:, None] * self.W[springs]
+
+    @functools.cached_property
+    def box_rows(self) -> np.ndarray:
+        """Upper then lower bound rows ``[W; -W]`` of the static set, built once."""
+        m = self.box_lower.size
+        return self.bound_rows(np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m))
 
 
 def build_moving_set(
@@ -112,18 +127,17 @@ def build_moving_set(
         strain_direction = -(system.V_basis @ (system.P_V @ elong))
     k = system.stiffness
     if space is Space.FULL:
-        equality = system.equality_rows()
-        W = None
+        basis, weight, equality = None, k, system.equality_rows()
     else:
-        equality = None
-        W = system.W
+        basis, weight, equality = system.V_basis, system.S_V, None
     return MovingSetSpec(
         system=system,
         space=space,
         box_lower=system.lower_limits / k,
         box_upper=system.upper_limits / k,
+        W=basis,
+        weight=weight,
         equality_rows=equality,
-        W=W,
         strain_direction=strain_direction,
     )
 
@@ -135,21 +149,13 @@ def moving_set_at(spec: MovingSetSpec, t: float, loads: LoadSchedule) -> Polyhed
 
 
 def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
-    """The constraint polyhedron for a frozen box translation."""
-    upper = spec.box_upper + offset
-    lower = spec.box_lower + offset
-    b = np.concatenate([upper, -lower])
-    if spec.space is Space.FULL:
-        m = spec.system.dims.n_springs
-        A = np.vstack([np.eye(m), -np.eye(m)])
-        return PolyhedralSet(
-            A=A,
-            b=b,
-            A_eq=spec.equality_rows,
-            b_eq=np.zeros(spec.equality_rows.shape[0]),
-        )
-    A = np.vstack([spec.W, -spec.W])
-    return PolyhedralSet(A=A, b=b)
+    """The constraint polyhedron for a frozen box translation.
+
+    Its rows are the spec's own arrays, the same objects on every call, so
+    the projection kernel can keep its factorizations from step to step.
+    """
+    b = np.concatenate([spec.box_upper + offset, -(spec.box_lower + offset)])
+    return PolyhedralSet(A=spec.box_rows, b=b, A_eq=spec.equality_rows)
 
 
 @dataclass(frozen=True)
@@ -170,7 +176,9 @@ def initial_state(
     spec: MovingSetSpec | None = None,
     tol: float = INITIAL_TOL,
 ) -> SweepingState:
-    """State at t=0 from an admissible, self-equilibrated initial stress."""
+    """State at t=0 from an admissible, self-equilibrated initial stress.
+
+    ``space`` is read only to build ``spec`` when none is given."""
     sigma0 = np.asarray(sigma0, dtype=float)
     sys = system
     m = sys.dims.n_springs
@@ -200,8 +208,7 @@ def initial_state(
         )
 
     epsilon = sigma0 / sys.stiffness
-    y_full = epsilon + spec.offset(loads, 0.0)
-    y = y_full if space is Space.FULL else spec.reduce(y_full)
+    y = spec.reduce(epsilon + spec.offset(loads, 0.0))
     return SweepingState(time=0.0, y=y, sigma=sigma0, epsilon=epsilon)
 
 
@@ -216,8 +223,7 @@ def recover_stress(
     """Elastic elongations and stresses from the sweeping variable."""
     if spec is None:
         spec = build_moving_set(system, space, loads)
-    y_full = y if space is Space.FULL else spec.lift(y)
-    epsilon = y_full - spec.offset(loads, t)
+    epsilon = spec.lift(y) - spec.offset(loads, t)
     return epsilon, system.stiffness * epsilon
 
 
@@ -235,7 +241,6 @@ def safe_load_check(system: AssembledSystem, f: np.ndarray | None) -> bool:
         A=np.vstack([np.eye(m), -np.eye(m)]),
         b=np.concatenate([upper, -lower]),
         A_eq=system.U_basis.T,
-        b_eq=np.zeros(system.dims.dim_u),
     )
     try:
         find_feasible_point(poly)

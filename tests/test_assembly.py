@@ -75,6 +75,7 @@ def test_example1_dimensions(example1):
     _, _, system = example1
     assert system.dims.dim_u == 8
     assert system.dims.dim_v == 2
+    assert not hasattr(system, "W")  # reduced bound rows are V_basis itself
 
 
 def test_grid_dimensions(grid_with_hole):

@@ -164,14 +164,26 @@ def test_cli_generate_validate_roundtrip(tmp_path, capsys):
     assert "assumptions = pass" in out
 
 
+def _floppy(constraints):
+    constraints["rows"] = constraints["rows"][:2]
+    constraints["offset"] = constraints["offset"][:2]
+    constraints["rate"] = {"times": [0.0], "values": [[0.0, 0.0]]}
+
+
+def _nearly_dependent_row(constraints):
+    # rank deficient under the 1e-10 relative cutoff that assemble applies
+    constraints["rows"].append([[0, 0, 1e-11]])
+    constraints["offset"].append(0.0)
+    constraints["rate"]["values"] = [v + [0.0] for v in constraints["rate"]["values"]]
+
+
 def test_cli_validate_fails_on_floppy_network(tmp_path, capsys):
-    path, doc = example1_document(tmp_path)
-    doc["constraints"]["rows"] = doc["constraints"]["rows"][:2]
-    doc["constraints"]["offset"] = doc["constraints"]["offset"][:2]
-    doc["constraints"]["rate"] = {"times": [0.0], "values": [[0.0, 0.0]]}
-    path.write_text(json.dumps(doc))
-    assert main(["validate", str(path)]) == 1
-    assert "assumptions = FAIL" in capsys.readouterr().out
+    for break_constraints in (_floppy, _nearly_dependent_row):
+        path, doc = example1_document(tmp_path)
+        break_constraints(doc["constraints"])
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 1
+        assert "assumptions = FAIL" in capsys.readouterr().out
 
 
 def test_cli_solve_and_analyze(tmp_path, capsys):

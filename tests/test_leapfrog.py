@@ -69,6 +69,10 @@ def test_tangent_cone_on_upper_bound(example1):
         assert row[nz] == (1.0 if nz in on_upper else -1.0)
         seen.add(nz)
     assert seen == on_upper | on_lower
+    # the reduced cone at the same point: the full rows in the basis V
+    reduced = build_moving_set(system, Space.REDUCED, loads)
+    cone_v = tangent_cone(reduced, system.P_V @ z)
+    assert np.array_equal(cone_v.A, cone.A @ system.V_basis)
 
 
 def test_tangent_cone_rejects_outside_point(example1):

@@ -22,6 +22,10 @@ def penrose_residual(A, Ap):
 
 def test_pseudoinverse_identity():
     assert np.allclose(pseudoinverse(np.eye(3)), np.eye(3))
+    # a rank-deficient projector is its own pseudoinverse; its zero singular
+    # value must not be inverted
+    P = np.diag([1.0, 1.0, 0.0])
+    assert np.allclose(pseudoinverse(P), P)
 
 
 def test_pseudoinverse_selector_matrix_is_transpose():

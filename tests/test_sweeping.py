@@ -77,13 +77,16 @@ def test_moving_set_instantiation(example1):
 
 def test_moving_set_translation_for_constant_force(example1):
     _, loads, system = example1
-    spec = build_moving_set(system, Space.FULL, loads)
     t0, t1 = 0.01, 0.05
-    d0 = moving_set_at(spec, t0, loads)
-    d1 = moving_set_at(spec, t1, loads)
     shift = system.G @ (loads.r(t1) - loads.r(t0))
-    assert np.allclose(d1.b[:10] - d0.b[:10], shift)
-    assert np.allclose(d1.b[10:] - d0.b[10:], -shift)
+    for space in (Space.FULL, Space.REDUCED):
+        spec = build_moving_set(system, space, loads)
+        d0 = moving_set_at(spec, t0, loads)
+        d1 = moving_set_at(spec, t1, loads)
+        assert np.allclose(d1.b[:10] - d0.b[:10], shift)
+        assert np.allclose(d1.b[10:] - d0.b[10:], -shift)
+        # the same row arrays every time, so the projection keeps its factors
+        assert d1.A is d0.A and d1.A_eq is d0.A_eq
 
 
 def test_reduced_set_is_projection_of_full(example1):
