@@ -15,6 +15,7 @@ from .assembly import (
 from .catchup import TimePartition, abstract_catchup, catchup
 from .errors import (
     AssumptionError,
+    ConeProjectionError,
     DegenerateMetricsError,
     DegenerateSpringError,
     InfeasibleSetError,

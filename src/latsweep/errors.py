@@ -25,6 +25,13 @@ class InfeasibleSetError(LatSweepError, RuntimeError):
     """A projection target set is empty."""
 
 
+class ConeProjectionError(LatSweepError, RuntimeError):
+    """A cone projection missed its optimality conditions beyond tolerance.
+
+    Raised instead of returning a velocity that is not the projection.
+    """
+
+
 class SafeLoadError(InfeasibleSetError):
     """The yield box no longer meets the self-stress plane at some time."""
 

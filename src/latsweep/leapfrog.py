@@ -41,10 +41,10 @@ def tangent_cone(
 ) -> PolyhedralSet:
     """Tangent cone of the frozen constraint set at ``z``.
 
-    One homogeneous inequality per bound active at ``z``, in spring order
-    (the projection breaks ties by lowest row index): hitting a lower bound
-    leaves only outward motion (component >= 0), an upper bound only inward
-    (component <= 0).  The spec's equality rows are carried along.
+    One homogeneous inequality per bound active at ``z``, in spring order:
+    hitting a lower bound leaves only outward motion (component >= 0), an
+    upper bound only inward (component <= 0).  The spec's equality rows are
+    carried along.
     """
     z = np.asarray(z, dtype=float)
     lo = spec.box_lower if offset is None else spec.box_lower + offset

@@ -1,13 +1,18 @@
 """Projection onto a polyhedral set in a weighted inner product.
 
 The projection ``argmin (y-x)^T S (y-x)`` over ``{A y <= b, A_eq y = b_eq}``
-is the single numerical kernel invoked by both integrators.  It is solved
-with a primal active-set method: finite on these small dense problems,
-deterministic (ties broken by lowest row index), and warm-startable across
-time steps where the active set changes slowly.
-
+has two kernels.  :func:`project`, which the catch-up integrator calls on
+every step, is a primal active-set method: finite on these small dense
+problems, deterministic (ties broken by lowest row index), and
+warm-startable across time steps where the active set changes slowly.
 Feasible starting points, when the caller cannot supply one, come from a
 phase-1 linear program (HiGHS via scipy).
+
+:func:`project_cone`, which the event-based integrator calls for its event
+velocities, handles cones (all right-hand sides zero) by Moreau's
+decomposition: the point splits S-orthogonally into its projections onto
+the cone and onto the polar cone, and the polar part is one nonnegative
+least-squares problem in the multipliers.
 """
 
 from __future__ import annotations
@@ -16,12 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
+from scipy.optimize import linprog, lsq_linear
 
-from .errors import InfeasibleSetError, InvalidInputError, LatSweepError
+from .errors import ConeProjectionError, InfeasibleSetError, InvalidInputError, LatSweepError
 from .linalg import nullspace_basis, pseudoinverse
 
 DEFAULT_TOL = 1e-10
+
+#: Optimality tolerance of the bounded-variable least-squares solve on
+#: unit-scaled data; well under ``DEFAULT_TOL`` so the KKT check has room.
+_BVLS_TOL = 1e-14
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -131,6 +140,15 @@ def _check_weight(S: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
+def _check_point(x: np.ndarray, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise InvalidInputError(f"point has shape {x.shape}, expected ({n},)")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("point has non-finite entries")
+    return x
+
+
 def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Phase-1 solve: a point of the set, or ``InfeasibleSetError``.
 
@@ -177,7 +195,7 @@ def _nullspace_machinery(S, poly, warm):
     """Kernel basis of the equality rows plus the reduced Hessian factor.
 
     Reused across calls through the warm handle whenever the caller passes
-    the same equality-row and weight arrays (the catch-up loop does).
+    the same equality-row and weight arrays (both integrators do).
     """
     if (
         warm is not None
@@ -218,12 +236,8 @@ def project(
     solve.  ``warm`` carries the previous active set and cached equality-row
     factorizations between calls; it must not be shared across threads.
     """
-    x = np.asarray(x, dtype=float)
     n = poly.dim
-    if x.shape != (n,):
-        raise InvalidInputError(f"point has shape {x.shape}, expected ({n},)")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("point has non-finite entries")
+    x = _check_point(x, n)
     S = _check_weight(S, n)
 
     act_tol = max(tol, 1e-12)
@@ -324,15 +338,62 @@ def project_cone(
     tol: float = DEFAULT_TOL,
     warm: WarmStart | None = None,
 ) -> ProjectionResult:
-    """Projection onto a polyhedral cone (all right-hand sides zero).
+    """S-weighted projection of ``x`` onto a cone ``{A v <= 0, A_eq v = 0}``.
 
-    The origin is always feasible, so no phase-1 solve is ever needed and
-    infeasibility cannot occur.
+    In the kernel ``Z0`` of the equality rows, with ``H0 = Z0^T S Z0 = L L^T``
+    and ``xz`` the S-projection of ``x`` onto that kernel, the projection is
+    ``Z0 (xz - H0^-1 (A Z0)^T lam)`` where ``lam >= 0`` minimizes
+    ``||L^T xz - M lam||`` with ``M = L^-1 (A Z0)^T`` (Moreau's decomposition:
+    the polar part is the Euclidean projection onto the cone that the
+    columns of ``M`` generate).  The bounded-variable least-squares solve
+    stays exact when those columns are dependent, as they are when many
+    bounds turn active at once.
+
+    ``warm`` caches ``Z0`` and the factor of ``H0`` across calls with the same
+    equality-row and weight arrays.  The result is checked against the KKT
+    conditions, relative to ``||x||_S`` and per row to ``||M e_i||``: primal
+    feasibility ``A v <= 0``, complementarity ``lam . A v = 0`` and the sign
+    of the least-squares gradient.  A residual above ``tol`` raises
+    :class:`ConeProjectionError`.
     """
     if np.any(cone.b != 0.0):
         raise InvalidInputError("cone has nonzero inequality right-hand sides")
     if cone.b_eq is not None and np.any(cone.b_eq != 0.0):
         raise InvalidInputError("cone has nonzero equality right-hand sides")
-    x = np.asarray(x, dtype=float)
-    start = x if cone.contains(x, tol) else np.zeros(cone.dim)
-    return project(S, x, cone, tol=tol, start=start, warm=warm)
+    n = cone.dim
+    x = _check_point(x, n)
+    S = _check_weight(S, n)
+    A = cone.A
+    l = A.shape[0]
+
+    Sx = _weight_apply(S, x)
+    x_norm = float(np.sqrt(max(x @ Sx, 0.0)))
+    Z0, _, chol = _nullspace_machinery(S, cone, warm)
+    if x_norm == 0.0 or Z0.shape[1] == 0:
+        return ProjectionResult(np.zeros(n), tuple(range(l)), 0.0)
+
+    # Work in w = L^T u scaled by 1/||x||_S, with unit columns in M, so the
+    # least-squares tolerances and the checks below are scale-free.
+    U = chol[0]  # cho_factor's upper factor: H0 = U^T U, so L = U^T
+    d = scipy.linalg.solve_triangular(U, Z0.T @ Sx, trans="T") / x_norm
+    M = scipy.linalg.solve_triangular(U, (A @ Z0).T, trans="T")
+    col = np.linalg.norm(M, axis=0)
+    col[col == 0.0] = 1.0
+    M /= col
+    mu = lsq_linear(M, d, bounds=(0.0, np.inf), method="bvls", tol=_BVLS_TOL).x
+    r = d - M @ mu
+    v = x_norm * (Z0 @ scipy.linalg.solve_triangular(U, r))
+
+    rows = (A @ v) / (col * x_norm)
+    kkt = max(
+        np.max(rows, initial=0.0),      # primal: A v <= 0
+        abs(float(mu @ rows)),          # complementarity
+        np.max(M.T @ r, initial=0.0),   # sign of the gradient -M^T r
+    )
+    if not kkt <= tol:
+        raise ConeProjectionError(
+            f"cone projection missed its KKT conditions by {kkt:.3g} "
+            f"(tolerance {tol:.3g}, {l} rows)"
+        )
+    active = tuple(int(j) for j in np.flatnonzero(rows >= -tol))
+    return ProjectionResult(point=v, active_inequalities=active, kkt_residual=kkt)

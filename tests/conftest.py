@@ -29,3 +29,9 @@ def grid_with_hole():
 def periodic_patch():
     definition, loads = build_triangular_periodic(4, 4)
     return definition, loads, assemble(definition)
+
+
+@pytest.fixture(scope="session")
+def periodic_8x8():
+    definition, loads = build_triangular_periodic(8, 8)
+    return definition, loads, assemble(definition)

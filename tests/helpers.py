@@ -48,6 +48,58 @@ def projection_oracle(S, x, poly, feas_tol=1e-9):
     return best_y
 
 
+def polar_projection_oracle(S, x, cone, sign_tol=1e-9):
+    """S-projection of ``x`` onto the polar of ``{A v <= 0, A_eq v = 0}``.
+
+    The polar cone is ``{S^-1 (A^T lam + A_eq^T mu) : lam >= 0}``.  Every
+    subset of the rows spans a candidate least-squares point; those with
+    nonnegative ``lam`` are members, and by Caratheodory the nearest member
+    is among them.  Independent of the cone projection under test.
+    """
+    A = cone.A
+    S2 = np.diag(S) if np.ndim(S) == 1 else np.asarray(S)
+    S_inv = np.linalg.inv(S2)
+    best_obj, best_p = None, None
+    for r in range(A.shape[0] + 1):
+        for J in combinations(range(A.shape[0]), r):
+            blocks = [A[list(J)]] + ([cone.A_eq] if cone.A_eq is not None else [])
+            G = np.vstack(blocks)
+            if G.shape[0]:
+                c, *_ = np.linalg.lstsq(G @ S_inv @ G.T, G @ x, rcond=None)
+                if np.any(c[:r] < -sign_tol):
+                    continue
+                p = S_inv @ G.T @ c
+            else:
+                p = np.zeros_like(x)
+            obj = float((x - p) @ S2 @ (x - p))
+            if best_obj is None or obj < best_obj - 1e-15:
+                best_obj, best_p = obj, p
+    return best_p
+
+
+def random_cone_problem(rng, with_equalities, diagonal):
+    """A cone with more rows than dimensions, some duplicated or dependent.
+
+    Returns ``(S, x, cone)`` with ``n <= 4`` and at most 7 rows: random
+    generators, a positively scaled duplicate, a nonnegative combination
+    of two rows, and a combination with mixed signs.
+    """
+    n = int(rng.integers(2, 5))
+    rows = list(rng.standard_normal((int(rng.integers(1, n + 1)), n)))
+    i, j = rng.integers(0, len(rows), 2)
+    rows.append(rng.uniform(0.5, 2.0) * rows[i])
+    rows.append(rng.uniform(0.1, 1.0) * rows[i] + rng.uniform(0.1, 1.0) * rows[j])
+    rows.append(rows[i] - rng.uniform(0.1, 1.0) * rows[j])
+    while len(rows) <= n:
+        rows.append(rng.standard_normal(n))
+    A = np.array(rows)[rng.permutation(len(rows))]
+    A_eq = rng.standard_normal((1, n)) if with_equalities else None
+    cone = PolyhedralSet(A=A, b=np.zeros(A.shape[0]), A_eq=A_eq)
+    x = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
+    S = random_spd(rng, n, diag_probability=1.0 if diagonal else 0.0)
+    return S, x, cone
+
+
 def random_spd(rng, n, diag_probability=0.5):
     """Random weight: sometimes diagonal, sometimes a full SPD matrix."""
     if rng.random() < diag_probability:

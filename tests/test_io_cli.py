@@ -217,6 +217,22 @@ def test_cli_spaces_agree(tmp_path):
     assert np.abs(outs["full"] - outs["reduced"]).max() <= 1e-8
 
 
+def test_cli_cone_projection_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # an event velocity that misses its KKT conditions is a runtime error,
+    # never a silently wrong trajectory
+    from types import SimpleNamespace
+
+    net = tmp_path / "ex1.json"
+    main(["generate", "example1", "--out", str(net)])
+    monkeypatch.setattr(
+        "latsweep.projection.lsq_linear",
+        lambda M, d, **kwargs: SimpleNamespace(x=np.zeros(M.shape[1])),
+    )
+    code = main(["solve", str(net), "--solver", "leapfrog", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "cone projection missed its KKT conditions" in capsys.readouterr().err
+
+
 def test_cli_deterministic_output(tmp_path):
     net = tmp_path / "ex1.json"
     main(["generate", "example1", "--out", str(net)])

@@ -3,7 +3,7 @@ import pytest
 
 from latsweep.catchup import TimePartition, catchup
 from latsweep.errors import InvalidStateError, UnsupportedLoadError
-from latsweep.generators import example1_prestressed_stress
+from latsweep.generators import build_triangular_periodic, example1_prestressed_stress
 from latsweep.lattice import LatticeDefinition, LoadSchedule
 from latsweep.leapfrog import event_velocity, leapfrog, next_event_time, tangent_cone
 from latsweep.projection import project
@@ -243,3 +243,59 @@ def test_event_sigma_on_bounds(example1):
         for j, side in event.newly_active:
             bound = definition.upper_limits[j] if side == "upper" else definition.lower_limits[j]
             assert event.sigma[j] == pytest.approx(bound, abs=1e-9)
+
+
+def _run_leapfrog(system, loads, space):
+    spec = build_moving_set(system, space, loads)
+    state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, space, spec)
+    return leapfrog(system, spec, state0, loads)
+
+
+def test_relabelled_periodic_12x12_matches_original_events():
+    # This spring numbering of the 12x12 patch once ran the event-velocity
+    # projection into its iteration cap; the event sets must not depend on
+    # the numbering.
+    definition, loads = build_triangular_periodic(12, 12)
+    perm = np.random.default_rng(2).permutation(definition.n_springs)
+    assert perm.size == 432
+    d = definition
+    relabelled = LatticeDefinition(
+        incidence=d.incidence[:, perm],
+        reference_coords=d.reference_coords,
+        dimension=d.dimension,
+        stiffness=d.stiffness[perm],
+        lower_limits=d.lower_limits[perm],
+        upper_limits=d.upper_limits[perm],
+        constraint_matrix=d.constraint_matrix,
+        edge_shifts=d.edge_shifts[perm],
+        box_lengths=d.box_lengths,
+        volume=d.volume,
+    )
+    systems = assemble(definition), assemble(relabelled)
+    for space in (Space.REDUCED, Space.FULL):
+        original, permuted = (_run_leapfrog(system, loads, space) for system in systems)
+        assert len(permuted.events) == len(original.events) >= 2
+        for a, b in zip(original.events, permuted.events):
+            assert b.time == pytest.approx(a.time, rel=1e-9)
+            assert {(int(perm[j]), side) for j, side in b.newly_active} == a.newly_active
+            assert {(int(perm[j]), side) for j, side in b.newly_released} == a.newly_released
+
+
+@pytest.mark.parametrize("network", ["periodic_8x8", "grid_with_hole"])
+def test_event_velocity_full_equals_reduced(network, request):
+    # At every event the full-space velocity is the reduced one seen
+    # through the basis V (relative to the drive: the velocity itself
+    # vanishes once the stresses stabilize).
+    _, loads, system = request.getfixturevalue(network)
+    reduced = build_moving_set(system, Space.REDUCED, loads)
+    full = build_moving_set(system, Space.FULL, loads)
+    traj = _run_leapfrog(system, loads, Space.REDUCED)
+    assert traj.events
+    for event in traj.events:
+        y = next(s.y for s in traj.states if s.time == event.time)
+        offset = reduced.offset(loads, event.time)
+        rate = reduced.offset_rate(loads, event.time)
+        v_red = event_velocity(reduced, y, reduced.reduce(rate), offset=offset)
+        v_full = event_velocity(full, reduced.lift(y), full.reduce(rate), offset=offset)
+        gap = np.linalg.norm(v_full - system.V_basis @ v_red)
+        assert gap <= 1e-12 * np.linalg.norm(rate)

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from latsweep.errors import InfeasibleSetError, InvalidInputError
+from latsweep.errors import ConeProjectionError, InfeasibleSetError, InvalidInputError
+from latsweep.leapfrog import leapfrog, tangent_cone
+from latsweep.linalg import numerical_rank
 from latsweep.projection import (
     PolyhedralSet,
     WarmStart,
@@ -9,8 +13,15 @@ from latsweep.projection import (
     project,
     project_cone,
 )
+from latsweep.sweeping import Space, build_moving_set, initial_state
 
-from helpers import projection_oracle, random_projection_problem, random_spd
+from helpers import (
+    polar_projection_oracle,
+    projection_oracle,
+    random_cone_problem,
+    random_projection_problem,
+    random_spd,
+)
 
 
 def unit_box(n):
@@ -108,6 +119,70 @@ def test_cone_rejects_nonzero_rhs():
     bad = PolyhedralSet(A=np.eye(2), b=np.array([1.0, 0.0]))
     with pytest.raises(InvalidInputError):
         project_cone(np.ones(2), np.zeros(2), bad)
+
+
+@pytest.mark.parametrize("with_equalities", [False, True])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_cone_oracle_moreau_and_row_order(with_equalities, diagonal):
+    # more rows than dimensions, with duplicated and dependent rows
+    rng = np.random.default_rng(12 + 2 * with_equalities + diagonal)
+    for _ in range(50):
+        S, x, cone = random_cone_problem(rng, with_equalities, diagonal)
+        scale = 1e-9 * (1 + np.linalg.norm(x))
+        v = project_cone(S, x, cone).point
+        assert np.linalg.norm(v - projection_oracle(S, x, cone)) <= scale
+        # Moreau: x splits into its projections onto the cone and its
+        # polar, and the two parts are S-orthogonal
+        polar = polar_projection_oracle(S, x, cone)
+        assert np.linalg.norm(x - v - polar) <= scale
+        Sv = S * v if np.ndim(S) == 1 else S @ v
+        assert abs(Sv @ polar) <= scale * (1 + np.linalg.norm(x))
+        order = rng.permutation(cone.n_inequalities)
+        shuffled = PolyhedralSet(A=cone.A[order], b=cone.b, A_eq=cone.A_eq)
+        w = project_cone(S, x, shuffled).point
+        assert np.linalg.norm(w - v) <= 1e-12 * (1 + np.linalg.norm(x))
+
+
+def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
+    # At the first event of the periodic 8x8 patch 64 springs arrive at
+    # once; their rows in the 66-dimensional reduced space have rank 58, so
+    # the multipliers are not unique and the solve must still be exact
+    # whatever the row order and whatever orthonormal basis of the plane
+    # (a relabelling of the springs changes both).
+    _, loads, system = periodic_8x8
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, Space.REDUCED, spec)
+    traj = leapfrog(system, spec, state0, loads)
+    t = traj.events[0].time
+    y = next(s.y for s in traj.states if s.time == t)
+    cone = tangent_cone(spec, y, offset=spec.offset(loads, t))
+    assert cone.A.shape == (64, 66) and numerical_rank(cone.A) == 58
+    S = spec.weight
+    x = -spec.reduce(spec.offset_rate(loads, t))
+    reference = project(S, x, cone, start=np.zeros(66)).point  # the active-set kernel
+    scale = 1e-12 * s_norm(S, x)
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        order = rng.permutation(64)
+        Q, _ = np.linalg.qr(rng.standard_normal((66, 66)))
+        rotated = PolyhedralSet(A=cone.A[order] @ Q, b=cone.b)
+        res = project_cone(Q.T @ S @ Q, Q.T @ x, rotated)
+        assert s_norm(S, Q @ res.point - reference) <= scale
+        assert res.kkt_residual <= 1e-12
+
+
+def test_cone_solve_missing_kkt_raises(monkeypatch):
+    # a least-squares solve that returns wrong multipliers is caught by the
+    # KKT check instead of yielding a point outside the cone
+    cone = PolyhedralSet(A=np.array([[0.0, 1.0], [1.0, 1.0]]), b=np.zeros(2))
+    x = np.array([1.0, 1.0])
+    assert project_cone(np.ones(2), x, cone).kkt_residual <= 1e-12
+    monkeypatch.setattr(
+        "latsweep.projection.lsq_linear",
+        lambda M, d, **kwargs: SimpleNamespace(x=np.zeros(M.shape[1])),
+    )
+    with pytest.raises(ConeProjectionError):
+        project_cone(np.ones(2), x, cone)
 
 
 def test_oracle_equivalence_bulk():
