@@ -200,8 +200,8 @@ def leapfrog(
             continue
 
         max_events = 50 * system.dims.n_springs + 100
+        zdot = event_velocity(spec, z, drive, active_tol, offset0, warm=warm)
         for _ in range(max_events):
-            zdot = event_velocity(spec, z, drive, active_tol, offset0, warm=warm)
             if _weighted_norm(weight, zdot) <= stabilization_tol * drive_norm:
                 break  # the stresses have stabilized for this segment
             tau, hits = _event_candidates(spec, z, zdot, offset0, active_tol)
@@ -236,6 +236,7 @@ def leapfrog(
                     epsilon=sigma / k,
                 )
             )
+            zdot = post_velocity  # the next step starts from the same z
         else:
             raise LatSweepError("event iteration cap exceeded; check the model")
 

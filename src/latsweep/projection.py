@@ -1,12 +1,17 @@
 """Projection onto a polyhedral set in a weighted inner product.
 
 The projection ``argmin (y-x)^T S (y-x)`` over ``{A y <= b, A_eq y = b_eq}``
-has two kernels.  :func:`project`, which the catch-up integrator calls on
-every step, is a primal active-set method: finite on these small dense
-problems, deterministic (ties broken by lowest row index), and
-warm-startable across time steps where the active set changes slowly.
-Feasible starting points, when the caller cannot supply one, come from a
-phase-1 linear program (HiGHS via scipy).
+has two kernels, which share one change of coordinates: in the kernel
+``Z0`` of the equality rows, with ``Z0^T S Z0 = U^T U`` factored once per
+solve, ``v -> U^-T Z0^T v`` turns the S-geometry into the Euclidean one.
+
+:func:`project`, which the catch-up integrator calls on every step, is a
+primal active-set method: finite on these small dense problems,
+deterministic (ties broken by lowest row index), and warm-startable across
+time steps where the active set changes slowly.  Its working-set steps are
+least-squares solves against the few whitened active rows (the range-space
+form).  Feasible starting points, when the caller cannot supply one, come
+from a phase-1 linear program (HiGHS via scipy).
 
 :func:`project_cone`, which the event-based integrator calls for its event
 velocities, handles cones (all right-hand sides zero) by Moreau's
@@ -105,6 +110,22 @@ class ProjectionResult:
     kkt_residual: float
 
 
+@dataclass(frozen=True)
+class _Whitening:
+    """``v -> U^-T Z0^T v`` and back, where ``Z0^T S Z0 = U^T U``."""
+
+    Z0: np.ndarray
+    U: np.ndarray
+
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        """``U^-T Z0^T v`` for a vector or for the columns of a matrix."""
+        return scipy.linalg.solve_triangular(self.U, self.Z0.T @ v, trans="T")
+
+    def back(self, w: np.ndarray) -> np.ndarray:
+        """``Z0 U^-1 w``: a whitened gradient back as a step in ``y``."""
+        return self.Z0 @ scipy.linalg.solve_triangular(self.U, w)
+
+
 @dataclass
 class WarmStart:
     """Single-owner handle carrying hints between consecutive projections."""
@@ -112,9 +133,7 @@ class WarmStart:
     active: tuple[int, ...] | None = None
     _eq_ref: object = field(default=None, repr=False)
     _s_ref: object = field(default=None, repr=False)
-    _Z0: np.ndarray | None = field(default=None, repr=False)
-    _H0: np.ndarray | None = field(default=None, repr=False)
-    _H0_chol: object = field(default=None, repr=False)
+    _white: _Whitening | None = field(default=None, repr=False)
 
 
 def _weight_apply(S: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -125,18 +144,19 @@ def _weight_apply(S: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _check_weight(S: np.ndarray, n: int) -> np.ndarray:
     S = np.asarray(S, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise InvalidInputError("weight has non-finite entries")
     if S.ndim == 1:
         if S.shape[0] != n or np.any(S <= 0):
             raise InvalidInputError("diagonal weight must be positive, length n")
     elif S.ndim == 2:
         if S.shape != (n, n):
             raise InvalidInputError(f"weight matrix must be {n}x{n}")
-        if not np.allclose(S, S.T, atol=1e-12 * (1 + np.abs(S).max())):
+        # np.allclose's predicate, without its per-call overhead
+        if not np.all(np.abs(S - S.T) <= 1e-12 * (1 + np.abs(S).max()) + 1e-5 * np.abs(S.T)):
             raise InvalidInputError("weight matrix must be symmetric")
     else:
         raise InvalidInputError("weight must be a vector or a matrix")
-    if not np.all(np.isfinite(S)):
-        raise InvalidInputError("weight has non-finite entries")
     return S
 
 
@@ -191,35 +211,31 @@ def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.nda
     return np.asarray(res.x[:n], dtype=float)
 
 
-def _nullspace_machinery(S, poly, warm):
-    """Kernel basis of the equality rows plus the reduced Hessian factor.
+def _nullspace_machinery(S, poly, warm) -> _Whitening:
+    """Kernel basis of the equality rows and the factor of ``Z0^T S Z0``.
 
     Reused across calls through the warm handle whenever the caller passes
     the same equality-row and weight arrays (both integrators do).
     """
     if (
         warm is not None
-        and warm._Z0 is not None
+        and warm._white is not None
         and warm._eq_ref is poly.A_eq
         and warm._s_ref is S
-        and warm._Z0.shape[0] == poly.dim
+        and warm._white.Z0.shape[0] == poly.dim
     ):
-        return warm._Z0, warm._H0, warm._H0_chol
-    n = poly.dim
+        return warm._white
     if poly.A_eq is None or poly.A_eq.shape[0] == 0:
-        Z0 = np.eye(n)
+        Z0 = np.eye(poly.dim)
     else:
         Z0 = nullspace_basis(poly.A_eq)
-    H0 = Z0.T @ _weight_apply(S, Z0) if Z0.shape[1] else np.zeros((0, 0))
-    H0 = 0.5 * (H0 + H0.T)
-    chol = scipy.linalg.cho_factor(H0) if H0.shape[0] else None
+    H0 = Z0.T @ _weight_apply(S, Z0)
+    white = _Whitening(Z0, scipy.linalg.cholesky(0.5 * (H0 + H0.T)))
     if warm is not None:
         warm._eq_ref = poly.A_eq
         warm._s_ref = S
-        warm._Z0 = Z0
-        warm._H0 = H0
-        warm._H0_chol = chol
-    return Z0, H0, chol
+        warm._white = white
+    return white
 
 
 def project(
@@ -235,6 +251,13 @@ def project(
     ``start``, when given and feasible within tolerance, skips the phase-1
     solve.  ``warm`` carries the previous active set and cached equality-row
     factorizations between calls; it must not be shared across threads.
+
+    Each working-set step, with the whitened gradient ``e = U^-T Z0^T S
+    (y - x)`` and active rows ``C = U^-T (A_act Z0)^T`` (one triangular solve
+    per row per call), is ``-Z0 U^-1 r`` for ``r = e + C lam`` and
+    ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
+    multipliers and ``||r||`` the stationarity residual; least squares keeps
+    dependent or duplicated active rows exact.
     """
     n = poly.dim
     x = _check_point(x, n)
@@ -249,56 +272,37 @@ def project(
     if y is None:
         y = find_feasible_point(poly, tol)
 
-    Z0, H0, H0_chol = _nullspace_machinery(S, poly, warm)
+    white = _nullspace_machinery(S, poly, warm)
     A, b = poly.A, poly.b
     l = A.shape[0]
-    Sx = _weight_apply(S, x)
 
     resid = b - A @ y if l else np.zeros(0)
     active = resid <= act_tol
     if warm is not None and warm.active is not None:
         keep = np.zeros(l, dtype=bool)
-        for j in warm.active:
-            if 0 <= j < l and resid[j] <= act_tol:
-                keep[j] = True
-        active = keep
+        keep[[j for j in warm.active if 0 <= j < l]] = True
+        active &= keep
 
-    def eqp_direction(active_mask):
-        """Step to the optimum of the working-set equality problem."""
-        if Z0.shape[1] == 0:
-            return np.zeros(n), None
-        M = A[active_mask] @ Z0 if np.any(active_mask) else np.zeros((0, Z0.shape[1]))
-        N = nullspace_basis(M) if M.shape[0] else np.eye(Z0.shape[1])
-        if N.shape[1] == 0:
-            return np.zeros(n), M
-        g = _weight_apply(S, y) - Sx
-        gz = N.T @ (Z0.T @ g)
-        if N.shape[1] == Z0.shape[1]:
-            u = scipy.linalg.cho_solve(H0_chol, -gz)
-        else:
-            Hr = N.T @ H0 @ N
-            u = scipy.linalg.solve(0.5 * (Hr + Hr.T), -gz, assume_a="pos")
-        return Z0 @ (N @ u), M
-
+    cols: dict[int, np.ndarray] = {}  # row j -> U^-T (A_j Z0)^T
     max_iter = 50 * (l + n + 10)
     kkt_stat = 0.0
     for _ in range(max_iter):
-        p, M = eqp_direction(active)
+        idx = np.flatnonzero(active)
+        for j in idx:
+            if j not in cols:
+                cols[j] = white.forward(A[j])
+        C = np.array([cols[j] for j in idx]).reshape(idx.size, white.U.shape[0]).T
+        e = white.forward(_weight_apply(S, y - x))
+        lam = np.linalg.lstsq(C, -e, rcond=None)[0]
+        r = e + C @ lam
+        p = -white.back(r)
         if np.max(np.abs(p), initial=0.0) <= tol * (1.0 + np.max(np.abs(y), initial=0.0)):
             # At the working-set optimum: check multipliers of active rows.
-            g = _weight_apply(S, y) - Sx
-            gz = Z0.T @ g
-            if M is None or M.shape[0] == 0:
-                kkt_stat = float(np.linalg.norm(gz))
-                break
-            lam, *_ = np.linalg.lstsq(M.T, -gz, rcond=None)
-            kkt_stat = float(np.linalg.norm(M.T @ lam + gz))
-            idx = np.flatnonzero(active)
-            neg = lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max())
+            kkt_stat = float(np.linalg.norm(r))
+            neg = lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(initial=0.0))
             if not np.any(neg):
                 break
-            worst = idx[np.flatnonzero(neg)[np.argmin(lam[neg])]]
-            active[worst] = False
+            active[idx[np.flatnonzero(neg)[np.argmin(lam[neg])]]] = False
             continue
         # Line search toward the working-set optimum.
         alpha = 1.0
@@ -317,9 +321,6 @@ def project(
         y = y + alpha * p
         if blocking >= 0:
             active[blocking] = True
-            # land exactly on the blocking hyperplane modulo arithmetic noise
-        else:
-            continue
     else:
         raise LatSweepError("active-set projection exceeded its iteration cap")
 
@@ -340,16 +341,15 @@ def project_cone(
 ) -> ProjectionResult:
     """S-weighted projection of ``x`` onto a cone ``{A v <= 0, A_eq v = 0}``.
 
-    In the kernel ``Z0`` of the equality rows, with ``H0 = Z0^T S Z0 = L L^T``
-    and ``xz`` the S-projection of ``x`` onto that kernel, the projection is
-    ``Z0 (xz - H0^-1 (A Z0)^T lam)`` where ``lam >= 0`` minimizes
-    ``||L^T xz - M lam||`` with ``M = L^-1 (A Z0)^T`` (Moreau's decomposition:
-    the polar part is the Euclidean projection onto the cone that the
-    columns of ``M`` generate).  The bounded-variable least-squares solve
-    stays exact when those columns are dependent, as they are when many
-    bounds turn active at once.
+    With the point and the rows whitened as in :func:`project`,
+    ``d = U^-T Z0^T S x`` and ``M = U^-T (A Z0)^T``, the projection is
+    ``Z0 U^-1 (d - M lam)`` where ``lam >= 0`` minimizes ``||d - M lam||``
+    (Moreau's decomposition: the polar part is the Euclidean projection onto
+    the cone that the columns of ``M`` generate).  The bounded-variable
+    least-squares solve stays exact when those columns are dependent, as
+    they are when many bounds turn active at once.
 
-    ``warm`` caches ``Z0`` and the factor of ``H0`` across calls with the same
+    ``warm`` caches ``Z0`` and the factor ``U`` across calls with the same
     equality-row and weight arrays.  The result is checked against the KKT
     conditions, relative to ``||x||_S`` and per row to ``||M e_i||``: primal
     feasibility ``A v <= 0``, complementarity ``lam . A v = 0`` and the sign
@@ -368,21 +368,20 @@ def project_cone(
 
     Sx = _weight_apply(S, x)
     x_norm = float(np.sqrt(max(x @ Sx, 0.0)))
-    Z0, _, chol = _nullspace_machinery(S, cone, warm)
-    if x_norm == 0.0 or Z0.shape[1] == 0:
+    white = _nullspace_machinery(S, cone, warm)
+    if x_norm == 0.0 or white.U.shape[0] == 0:
         return ProjectionResult(np.zeros(n), tuple(range(l)), 0.0)
 
-    # Work in w = L^T u scaled by 1/||x||_S, with unit columns in M, so the
-    # least-squares tolerances and the checks below are scale-free.
-    U = chol[0]  # cho_factor's upper factor: H0 = U^T U, so L = U^T
-    d = scipy.linalg.solve_triangular(U, Z0.T @ Sx, trans="T") / x_norm
-    M = scipy.linalg.solve_triangular(U, (A @ Z0).T, trans="T")
+    # Work in whitened coordinates scaled by 1/||x||_S, with unit columns in
+    # M, so the least-squares tolerances and the checks below are scale-free.
+    d = white.forward(Sx) / x_norm
+    M = white.forward(A.T)
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0
     M /= col
     mu = lsq_linear(M, d, bounds=(0.0, np.inf), method="bvls", tol=_BVLS_TOL).x
     r = d - M @ mu
-    v = x_norm * (Z0 @ scipy.linalg.solve_triangular(U, r))
+    v = x_norm * white.back(r)
 
     rows = (A @ v) / (col * x_norm)
     kkt = max(

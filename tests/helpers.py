@@ -100,6 +100,23 @@ def random_cone_problem(rng, with_equalities, diagonal):
     return S, x, cone
 
 
+def relabel_springs(definition, perm):
+    """The same lattice with new spring ``j`` being old spring ``perm[j]``."""
+    d = definition
+    return LatticeDefinition(
+        incidence=d.incidence[:, perm],
+        reference_coords=d.reference_coords,
+        dimension=d.dimension,
+        stiffness=d.stiffness[perm],
+        lower_limits=d.lower_limits[perm],
+        upper_limits=d.upper_limits[perm],
+        constraint_matrix=d.constraint_matrix,
+        edge_shifts=None if d.edge_shifts is None else d.edge_shifts[perm],
+        box_lengths=d.box_lengths,
+        volume=d.volume,
+    )
+
+
 def random_spd(rng, n, diag_probability=0.5):
     """Random weight: sometimes diagonal, sometimes a full SPD matrix."""
     if rng.random() < diag_probability:

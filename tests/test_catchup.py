@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from latsweep import projection
+from latsweep.assembly import assemble
 from latsweep.catchup import TimePartition, abstract_catchup, catchup
 from latsweep.errors import InvalidInputError, SafeLoadError
 from latsweep.lattice import LoadSchedule
+from latsweep.linalg import nullspace_basis
 from latsweep.projection import PolyhedralSet
 from latsweep.sweeping import Space, build_moving_set, initial_state
+
+from helpers import relabel_springs
 
 
 def test_partition_validation():
@@ -170,3 +175,36 @@ def test_safe_load_violation_surfaces_with_time(example1):
     with pytest.raises(SafeLoadError) as info:
         catchup(system, spec, state0, ramped, TimePartition.uniform(ramped.horizon, 20))
     assert info.value.time is not None and info.value.time > 0.0
+
+
+def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeypatch):
+    # Catch-up on the grid with its springs renumbered finds the original
+    # events, and the equality-row kernel is the only nullspace the
+    # projections compute: once per solve in full space, never per iteration.
+    definition, loads, system = grid_with_hole
+    perm = np.random.default_rng(4).permutation(definition.n_springs)
+    assert perm.size == 496
+    relabelled = assemble(relabel_springs(definition, perm))
+    part = TimePartition.uniform(loads.horizon, 200)
+    kernels = []
+
+    def counted(M):
+        kernels.append(M.shape)
+        return nullspace_basis(M)
+
+    for space in (Space.REDUCED, Space.FULL):
+        runs = []
+        for assembled in (system, relabelled):
+            spec = build_moving_set(assembled, space, loads)
+            state0 = initial_state(assembled, np.zeros(definition.n_springs), loads, space, spec)
+            kernels.clear()
+            monkeypatch.setattr(projection, "nullspace_basis", counted)
+            runs.append(catchup(assembled, spec, state0, loads, part))
+            monkeypatch.undo()
+            assert len(kernels) == (space is Space.FULL)
+        original, permuted = runs
+        assert len(permuted.events) == len(original.events) >= 3
+        for a, b in zip(original.events, permuted.events):
+            assert b.time == pytest.approx(a.time, rel=1e-9)
+            assert {(int(perm[j]), side) for j, side in b.newly_active} == a.newly_active
+            assert {(int(perm[j]), side) for j, side in b.newly_released} == a.newly_released

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from latsweep.errors import InvalidStateError, UnsupportedLoadError
 from latsweep.generators import build_triangular_periodic, example1_prestressed_stress
 from latsweep.lattice import LatticeDefinition, LoadSchedule
 from latsweep.leapfrog import event_velocity, leapfrog, next_event_time, tangent_cone
-from latsweep.projection import project
+from latsweep.projection import project, project_cone
 from latsweep.sweeping import Space, build_moving_set, initial_state
 from latsweep.assembly import assemble
+
+from helpers import relabel_springs
 
 
 @pytest.fixture(scope="module")
@@ -258,20 +262,7 @@ def test_relabelled_periodic_12x12_matches_original_events():
     definition, loads = build_triangular_periodic(12, 12)
     perm = np.random.default_rng(2).permutation(definition.n_springs)
     assert perm.size == 432
-    d = definition
-    relabelled = LatticeDefinition(
-        incidence=d.incidence[:, perm],
-        reference_coords=d.reference_coords,
-        dimension=d.dimension,
-        stiffness=d.stiffness[perm],
-        lower_limits=d.lower_limits[perm],
-        upper_limits=d.upper_limits[perm],
-        constraint_matrix=d.constraint_matrix,
-        edge_shifts=d.edge_shifts[perm],
-        box_lengths=d.box_lengths,
-        volume=d.volume,
-    )
-    systems = assemble(definition), assemble(relabelled)
+    systems = assemble(definition), assemble(relabel_springs(definition, perm))
     for space in (Space.REDUCED, Space.FULL):
         original, permuted = (_run_leapfrog(system, loads, space) for system in systems)
         assert len(permuted.events) == len(original.events) >= 2
@@ -299,3 +290,37 @@ def test_event_velocity_full_equals_reduced(network, request):
         v_full = event_velocity(full, reduced.lift(y), full.reduce(rate), offset=offset)
         gap = np.linalg.norm(v_full - system.V_basis @ v_red)
         assert gap <= 1e-12 * np.linalg.norm(rate)
+
+
+def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
+    # The velocity after a jump is the next step's velocity: one cone
+    # projection per event plus one per segment (2 events: 3, not 5).  Each
+    # carried velocity must equal a fresh projection at the event state.
+    _, loads, system = periodic_8x8
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return project_cone(*args, **kwargs)
+
+    for space in (Space.REDUCED, Space.FULL):
+        spec = build_moving_set(system, space, loads)
+        calls.clear()
+        monkeypatch.setattr(sys.modules["latsweep.leapfrog"], "project_cone", counted)
+        traj = _run_leapfrog(system, loads, space)
+        monkeypatch.undo()
+        assert len(traj.events) == 2 and len(calls) == 3
+        drive = spec.reduce(spec.offset_rate(loads, 0.0))
+        starts = [traj.states[0]] + [
+            next(s for s in traj.states if s.time == e.time) for e in traj.events
+        ]
+        for event, start in zip(traj.events, starts):
+            fresh = event_velocity(spec, start.y, drive, offset=spec.offset(loads, start.time))
+            gap = np.linalg.norm(event.relative_velocity - fresh)
+            assert gap <= 1e-12 * np.linalg.norm(drive)
+        # after the last event the point moves with the set plus the carried
+        # relative velocity up to the horizon
+        last = starts[-1]
+        fresh = event_velocity(spec, last.y, drive, offset=spec.offset(loads, last.time))
+        expected = last.y + (fresh + drive) * (traj.final.time - last.time)
+        assert np.linalg.norm(traj.final.y - expected) <= 1e-12 * (1 + np.linalg.norm(expected))

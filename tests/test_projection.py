@@ -143,6 +143,27 @@ def test_cone_oracle_moreau_and_row_order(with_equalities, diagonal):
         assert np.linalg.norm(w - v) <= 1e-12 * (1 + np.linalg.norm(x))
 
 
+@pytest.mark.parametrize("with_equalities", [False, True])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_degenerate_vertex_oracle(with_equalities, diagonal):
+    # A cone shifted to its apex c: every row, duplicated and dependent ones
+    # included and more of them than dimensions, is active at the start c.
+    rng = np.random.default_rng(30 + 2 * with_equalities + diagonal)
+    for _ in range(50):
+        S, x, cone = random_cone_problem(rng, with_equalities, diagonal)
+        c = rng.standard_normal(cone.dim)
+        b_eq = None if cone.A_eq is None else cone.A_eq @ c
+        poly = PolyhedralSet(A=cone.A, b=cone.A @ c, A_eq=cone.A_eq, b_eq=b_eq)
+        x = x + c
+        scale = 1e-9 * (1 + np.linalg.norm(x))
+        res = project(S, x, poly, start=c)
+        assert np.linalg.norm(res.point - projection_oracle(S, x, poly)) <= scale
+        assert res.kkt_residual <= scale
+        order = rng.permutation(poly.n_inequalities)
+        shuffled = PolyhedralSet(A=poly.A[order], b=poly.b[order], A_eq=poly.A_eq, b_eq=b_eq)
+        assert np.linalg.norm(project(S, x, shuffled, start=c).point - res.point) <= scale
+
+
 def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     # At the first event of the periodic 8x8 patch 64 springs arrive at
     # once; their rows in the 66-dimensional reduced space have rank 58, so
