@@ -41,6 +41,7 @@ from .projection import (
     PolyhedralSet,
     ProjectionResult,
     WarmStart,
+    Whitening,
     find_feasible_point,
     project,
     project_cone,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 import numpy as np
 
@@ -40,6 +41,18 @@ _VALIDATION_ERRORS = (
     InitialConditionError,
     UnsupportedLoadError,
 )
+
+
+_ERROR_LABELS = {VALIDATION_EXIT: "validation error", RUNTIME_EXIT: "error"}
+
+
+def _exit_code(exc: BaseException) -> int | None:
+    """Exit code of a named failure; None for anything else."""
+    if isinstance(exc, _VALIDATION_ERRORS):
+        return VALIDATION_EXIT
+    if isinstance(exc, (LatSweepError, OSError)):
+        return RUNTIME_EXIT
+    return None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,16 +178,29 @@ def _cmd_solve(args) -> int:
     if len(args.network) == 1:
         print(_solve_one(args.network[0], args, args.out))
         return 0
-    # batch mode: one worker thread per trajectory, read-only shared inputs
+    # batch mode: one worker thread per trajectory, read-only shared inputs;
+    # every network runs to its end and reports its own status
     from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
 
-    prefixes = [f"{args.out}-{Path(net).stem}" for net in args.network]
     with ThreadPoolExecutor(max_workers=min(len(args.network), 8)) as pool:
-        for line in pool.map(lambda nv: _solve_one(nv[0], args, nv[1]),
-                             zip(args.network, prefixes)):
-            print(line)
-    return 0
+        futures = [
+            pool.submit(_solve_one, net, args, f"{args.out}-{Path(net).stem}")
+            for net in args.network
+        ]
+    worst = 0
+    for net, future in zip(args.network, futures):
+        exc = future.exception()
+        if exc is None:
+            print(f"{net}: {future.result()}")
+            continue
+        code = _exit_code(exc)
+        if code is None:  # not a named failure: keep its traceback
+            traceback.print_exception(exc)
+            code = RUNTIME_EXIT
+        print(f"{net}: {_ERROR_LABELS[code]}: {exc}", file=sys.stderr)
+        worst = max(worst, code)
+    return worst
 
 
 def _cmd_analyze(args) -> int:
@@ -225,12 +251,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"latsweep: validation error: {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
     except (LatSweepError, OSError) as exc:
-        print(f"latsweep: error: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
+        code = _exit_code(exc)
+        print(f"latsweep: {_ERROR_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

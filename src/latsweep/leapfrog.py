@@ -74,9 +74,10 @@ def event_velocity(
 
     ``drive`` is the set's translation velocity in the coordinates of
     ``z``; the result is the weighted projection of ``-drive`` onto the
-    tangent cone at ``z``.
+    tangent cone at ``z``, in the spec's whitening unless ``warm`` is given.
     """
     cone = tangent_cone(spec, z, active_tol, offset)
+    warm = spec.warm_start() if warm is None else warm
     return project_cone(spec.weight, -np.asarray(drive, dtype=float), cone, warm=warm).point
 
 
@@ -173,7 +174,7 @@ def leapfrog(
 
     states = [state0]
     events: list[EventRecord] = []
-    warm = WarmStart()
+    warm = spec.warm_start()
     y = np.asarray(state0.y, dtype=float)
 
     def sigma_of(z, offset0):

@@ -1,17 +1,22 @@
 """Projection onto a polyhedral set in a weighted inner product.
 
-The projection ``argmin (y-x)^T S (y-x)`` over ``{A y <= b, A_eq y = b_eq}``
-has two kernels, which share one change of coordinates: in the kernel
-``Z0`` of the equality rows, with ``Z0^T S Z0 = U^T U`` factored once per
-solve, ``v -> U^-T Z0^T v`` turns the S-geometry into the Euclidean one.
+The projection ``argmin (y-x)^T S (y-x)`` over ``{lo <= A y <= b, A_eq y =
+b_eq}`` has two kernels, which share one change of coordinates, a
+:class:`Whitening`: in the kernel ``Z0`` of the equality rows, with ``Z0^T S
+Z0 = U^T U``, ``v -> U^-T Z0^T v`` turns the S-geometry into the Euclidean
+one.  A whitening is built and validated once per weight and equality rows
+and reused while the caller passes the same read-only arrays; a caller that
+already knows ``Z0`` (a moving set, whose equality rows have the kernel
+``V`` that assembly computed) hands it over through a :class:`WarmStart`.
 
 :func:`project`, which the catch-up integrator calls on every step, is a
-primal active-set method: finite on these small dense problems,
-deterministic (ties broken by lowest row index), and warm-startable across
-time steps where the active set changes slowly.  Its working-set steps are
-least-squares solves against the few whitened active rows (the range-space
-form).  Feasible starting points, when the caller cannot supply one, come
-from a phase-1 linear program (HiGHS via scipy).
+primal active-set method on two-sided bounds: finite on these small dense
+problems, deterministic (ties broken by lowest bound index, upper bounds
+before lower ones), and warm-startable across time steps where the active
+set changes slowly.  Its working-set steps are least-squares solves
+against the few whitened active rows (the range-space form).  Feasible
+starting points, when the caller cannot supply one, come from a phase-1
+linear program (HiGHS via scipy).
 
 :func:`project_cone`, which the event-based integrator calls for its event
 velocities, handles cones (all right-hand sides zero) by Moreau's
@@ -22,7 +27,7 @@ least-squares problem in the multipliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,25 +50,35 @@ _LP_OPTIONS = {
 
 @dataclass(frozen=True)
 class PolyhedralSet:
-    """``{x : A x <= b, A_eq x = b_eq}`` with dense coefficient rows.
+    """``{x : lower <= A x <= b, A_eq x = b_eq}`` with dense coefficient rows.
 
+    ``A`` None is the identity, ``lower`` None is no lower bound, and
     ``b_eq`` defaults to zeros when equality rows are given without it.
+    Bound ``j`` is the upper bound of row ``j``; with ``lower``, bound
+    ``rows + j`` is its lower bound.  Only the shapes and the bound vectors
+    are checked here: the coefficient rows are checked where a projection
+    or a phase-1 solve first uses them.
     """
 
-    A: np.ndarray
+    A: np.ndarray | None
     b: np.ndarray
     A_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
+    lower: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        if A.shape[0] != b.shape[0]:
-            raise InvalidInputError(
-                f"{A.shape[0]} inequality rows but {b.shape[0]} bounds"
-            )
+        if self.A is not None:
+            A = np.atleast_2d(np.asarray(self.A, dtype=float))
+            object.__setattr__(self, "A", A)
+            if A.shape[0] != b.shape[0]:
+                raise InvalidInputError(f"{A.shape[0]} inequality rows but {b.shape[0]} bounds")
+        if self.lower is not None:
+            lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
+            object.__setattr__(self, "lower", lower)
+            if lower.shape != b.shape:
+                raise InvalidInputError(f"{lower.shape[0]} lower but {b.shape[0]} upper bounds")
         if self.A_eq is not None:
             A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
             b_eq = np.zeros(A_eq.shape[0]) if self.b_eq is None else self.b_eq
@@ -74,27 +89,39 @@ class PolyhedralSet:
                 raise InvalidInputError(
                     f"{A_eq.shape[0]} equality rows but {b_eq.shape[0]} bounds"
                 )
-            if A_eq.shape[1] != A.shape[1]:
+            if A_eq.shape[1] != self.dim:
                 raise InvalidInputError("A and A_eq column counts differ")
         elif self.b_eq is not None:
             raise InvalidInputError("b_eq given without A_eq")
-        for part in (self.A, self.b, self.A_eq, self.b_eq):
+        for part in (self.b, self.lower, self.b_eq):
             if part is not None and not np.all(np.isfinite(part)):
                 raise InvalidInputError("polyhedral set has non-finite entries")
 
     @property
     def dim(self) -> int:
-        return self.A.shape[1]
+        return self.b.shape[0] if self.A is None else self.A.shape[1]
 
     @property
     def n_inequalities(self) -> int:
-        return self.A.shape[0]
+        """Number of bounds: one per row, two per row with ``lower``."""
+        return self.b.shape[0] * (1 if self.lower is None else 2)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``A x``, or ``x`` itself when ``A`` is the identity."""
+        return x if self.A is None else self.A @ x
+
+    def slack(self, x: np.ndarray) -> np.ndarray:
+        """Room left in each bound at ``x``, in bound order (negative: violated)."""
+        values = self.apply(x)
+        if self.lower is None:
+            return self.b - values
+        return np.concatenate([self.b - values, values - self.lower])
 
     def violation(self, x: np.ndarray) -> float:
         """Largest constraint violation at ``x`` (0 when inside)."""
         v = 0.0
-        if self.A.shape[0]:
-            v = max(v, float(np.max(self.A @ x - self.b)))
+        if self.b.shape[0]:
+            v = max(v, float(-np.min(self.slack(x))))
         if self.A_eq is not None and self.A_eq.shape[0]:
             v = max(v, float(np.max(np.abs(self.A_eq @ x - self.b_eq))))
         return v
@@ -110,30 +137,79 @@ class ProjectionResult:
     kkt_residual: float
 
 
-@dataclass(frozen=True)
-class _Whitening:
-    """``v -> U^-T Z0^T v`` and back, where ``Z0^T S Z0 = U^T U``."""
+def _check_finite(*parts) -> None:
+    for part in parts:
+        if part is not None and not np.all(np.isfinite(part)):
+            raise InvalidInputError("polyhedral set has non-finite entries")
 
-    Z0: np.ndarray
+
+def _read_only(*parts) -> bool:
+    return all(p is None or not p.flags.writeable for p in parts)
+
+
+@dataclass(frozen=True)
+class Whitening:
+    """``v -> U^-T Z0^T v`` and back, for one weight and one set of equality rows.
+
+    ``Z0`` spans the kernel of the equality rows ``A_eq`` (None when there
+    are none: the identity) and ``Z0^T S Z0 = U^T U``.  ``S`` and ``A_eq``
+    are the arrays it was built and validated for, compared by identity.
+    """
+
+    S: np.ndarray
+    A_eq: np.ndarray | None
+    Z0: np.ndarray | None
     U: np.ndarray
+
+    @classmethod
+    def build(cls, S, A_eq, n: int, Z0: np.ndarray | None = None) -> "Whitening":
+        """Validate ``S`` and ``A_eq`` and factor; ``Z0`` is the kernel of
+        ``A_eq`` when the caller already has it, else one SVD finds it."""
+        S = _check_weight(S, n)
+        _check_finite(A_eq)
+        if Z0 is None and A_eq is not None and A_eq.shape[0]:
+            Z0 = nullspace_basis(A_eq)
+        H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
+        H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
+        return cls(S, A_eq, Z0, scipy.linalg.cholesky(H0))
+
+    def fits(self, S, A_eq) -> bool:
+        """Whether this whitening belongs to these read-only arrays."""
+        return self.S is S and self.A_eq is A_eq and _read_only(S, A_eq)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """``U^-T Z0^T v`` for a vector or for the columns of a matrix."""
-        return scipy.linalg.solve_triangular(self.U, self.Z0.T @ v, trans="T")
+        v = v if self.Z0 is None else self.Z0.T @ v
+        return scipy.linalg.solve_triangular(self.U, v, trans="T")
 
     def back(self, w: np.ndarray) -> np.ndarray:
         """``Z0 U^-1 w``: a whitened gradient back as a step in ``y``."""
-        return self.Z0 @ scipy.linalg.solve_triangular(self.U, w)
+        step = scipy.linalg.solve_triangular(self.U, w)
+        return step if self.Z0 is None else self.Z0 @ step
+
+    def rows(self, A: np.ndarray | None) -> np.ndarray:
+        """Whitened rows ``U^-T (A Z0)^T`` as columns, in one triangular
+        solve; ``A`` None is the identity."""
+        _check_finite(A)
+        if A is not None:
+            return self.forward(A.T)
+        ZT = np.eye(self.U.shape[0]) if self.Z0 is None else self.Z0.T
+        return scipy.linalg.solve_triangular(self.U, ZT, trans="T")
 
 
 @dataclass
 class WarmStart:
-    """Single-owner handle carrying hints between consecutive projections."""
+    """Single-owner handle carrying hints between consecutive projections.
+
+    ``active`` is the last active set.  ``white`` and ``rows`` (the
+    inequality-row array and its whitened rows) are reused while the caller
+    passes the same read-only arrays, and rebuilt otherwise; a caller that
+    already holds them seeds them here.
+    """
 
     active: tuple[int, ...] | None = None
-    _eq_ref: object = field(default=None, repr=False)
-    _s_ref: object = field(default=None, repr=False)
-    _white: _Whitening | None = field(default=None, repr=False)
+    white: Whitening | None = None
+    rows: tuple[np.ndarray | None, np.ndarray] | None = None
 
 
 def _weight_apply(S: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,34 +248,42 @@ def _check_point(x: np.ndarray, n: int) -> np.ndarray:
 def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Phase-1 solve: a point of the set, or ``InfeasibleSetError``.
 
-    Minimizes the largest inequality violation subject to the equality rows;
-    the set is declared empty when the optimum exceeds ``tol``.
+    With the identity map the bounds are the variable bounds of one linear
+    program under the equality rows.  Otherwise it minimizes the largest
+    bound violation subject to the equality rows, and the set is declared
+    empty when the optimum exceeds ``tol``.
     """
+    _check_finite(poly.A, poly.A_eq)
     n = poly.dim
-    l = poly.n_inequalities
-    if l == 0:
-        if poly.A_eq is None:
-            return np.zeros(n)
-        x = pseudoinverse(poly.A_eq) @ poly.b_eq
-        if np.max(np.abs(poly.A_eq @ x - poly.b_eq), initial=0.0) > max(tol, 1e-9):
-            raise InfeasibleSetError("equality constraints are inconsistent")
-        return x
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([poly.A, -np.ones((l, 1))])
-    if poly.A_eq is not None:
-        A_eq = np.hstack([poly.A_eq, np.zeros((poly.A_eq.shape[0], 1))])
-        b_eq = poly.b_eq
+    A_eq = poly.A_eq
+    if poly.A is None:
+        lower = np.full(n, -np.inf) if poly.lower is None else poly.lower
+        c, A_ub, b_ub, bounds = np.zeros(n), None, None, np.column_stack([lower, poly.b])
     else:
-        A_eq = None
-        b_eq = None
-    bounds = [(None, None)] * n + [(0, None)]
+        A_ub, b_ub = poly.A, poly.b
+        if poly.lower is not None:
+            A_ub, b_ub = np.vstack([A_ub, -A_ub]), np.concatenate([b_ub, -poly.lower])
+        l = A_ub.shape[0]
+        if l == 0:
+            if A_eq is None:
+                return np.zeros(n)
+            x = pseudoinverse(A_eq) @ poly.b_eq
+            if np.max(np.abs(A_eq @ x - poly.b_eq), initial=0.0) > max(tol, 1e-9):
+                raise InfeasibleSetError("equality constraints are inconsistent")
+            return x
+        # one more variable, the violation v >= 0: A y - v <= b
+        c = np.zeros(n + 1)
+        c[-1] = 1.0
+        A_ub = np.hstack([A_ub, -np.ones((l, 1))])
+        if A_eq is not None:
+            A_eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
+        bounds = [(None, None)] * n + [(0, None)]
     res = linprog(
         c,
         A_ub=A_ub,
-        b_ub=poly.b,
+        b_ub=b_ub,
         A_eq=A_eq,
-        b_eq=b_eq,
+        b_eq=poly.b_eq,
         bounds=bounds,
         method="highs",
         options=_LP_OPTIONS,
@@ -211,31 +295,26 @@ def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.nda
     return np.asarray(res.x[:n], dtype=float)
 
 
-def _nullspace_machinery(S, poly, warm) -> _Whitening:
-    """Kernel basis of the equality rows and the factor of ``Z0^T S Z0``.
-
-    Reused across calls through the warm handle whenever the caller passes
-    the same equality-row and weight arrays (both integrators do).
-    """
-    if (
-        warm is not None
-        and warm._white is not None
-        and warm._eq_ref is poly.A_eq
-        and warm._s_ref is S
-        and warm._white.Z0.shape[0] == poly.dim
-    ):
-        return warm._white
-    if poly.A_eq is None or poly.A_eq.shape[0] == 0:
-        Z0 = np.eye(poly.dim)
-    else:
-        Z0 = nullspace_basis(poly.A_eq)
-    H0 = Z0.T @ _weight_apply(S, Z0)
-    white = _Whitening(Z0, scipy.linalg.cholesky(0.5 * (H0 + H0.T)))
+def _whitening(S, poly: PolyhedralSet, warm: WarmStart | None) -> Whitening:
+    """The warm handle's whitening when it fits, else a new one (kept there)."""
+    if warm is not None and warm.white is not None and warm.white.fits(S, poly.A_eq):
+        return warm.white
+    white = Whitening.build(S, poly.A_eq, poly.dim)
     if warm is not None:
-        warm._eq_ref = poly.A_eq
-        warm._s_ref = S
-        warm._white = white
+        warm.white, warm.rows = white, None
     return white
+
+
+def _whitened_rows(white: Whitening, poly: PolyhedralSet, warm: WarmStart | None) -> np.ndarray:
+    """The warm handle's whitened rows when they fit, else new ones (kept there)."""
+    if warm is not None and warm.rows is not None:
+        A, rows = warm.rows
+        if A is poly.A and _read_only(A):
+            return rows
+    rows = white.rows(poly.A)
+    if warm is not None:
+        warm.rows = (poly.A, rows)
+    return rows
 
 
 def project(
@@ -249,19 +328,21 @@ def project(
     """S-weighted projection of ``x`` onto ``poly``.
 
     ``start``, when given and feasible within tolerance, skips the phase-1
-    solve.  ``warm`` carries the previous active set and cached equality-row
-    factorizations between calls; it must not be shared across threads.
+    solve.  ``warm`` carries the previous active set, the whitening and the
+    whitened rows between calls; it must not be shared across threads.
 
     Each working-set step, with the whitened gradient ``e = U^-T Z0^T S
-    (y - x)`` and active rows ``C = U^-T (A_act Z0)^T`` (one triangular solve
-    per row per call), is ``-Z0 U^-1 r`` for ``r = e + C lam`` and
+    (y - x)`` and active bounds as the columns ``C`` of ``U^-T (A Z0)^T``
+    (negated for lower bounds), is ``-Z0 U^-1 r`` for ``r = e + C lam`` and
     ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
     multipliers and ``||r||`` the stationarity residual; least squares keeps
     dependent or duplicated active rows exact.
     """
     n = poly.dim
     x = _check_point(x, n)
-    S = _check_weight(S, n)
+    white = _whitening(S, poly, warm)
+    M = _whitened_rows(white, poly, warm)
+    S = white.S
 
     act_tol = max(tol, 1e-12)
     y = None
@@ -272,26 +353,22 @@ def project(
     if y is None:
         y = find_feasible_point(poly, tol)
 
-    white = _nullspace_machinery(S, poly, warm)
-    A, b = poly.A, poly.b
-    l = A.shape[0]
-
-    resid = b - A @ y if l else np.zeros(0)
-    active = resid <= act_tol
+    rows = poly.b.shape[0]
+    l = poly.n_inequalities
+    two_sided = poly.lower is not None
+    active = poly.slack(y) <= act_tol
     if warm is not None and warm.active is not None:
         keep = np.zeros(l, dtype=bool)
         keep[[j for j in warm.active if 0 <= j < l]] = True
         active &= keep
 
-    cols: dict[int, np.ndarray] = {}  # row j -> U^-T (A_j Z0)^T
     max_iter = 50 * (l + n + 10)
     kkt_stat = 0.0
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
-        for j in idx:
-            if j not in cols:
-                cols[j] = white.forward(A[j])
-        C = np.array([cols[j] for j in idx]).reshape(idx.size, white.U.shape[0]).T
+        lower = idx >= rows
+        C = M[:, np.where(lower, idx - rows, idx)]
+        C[:, lower] *= -1.0
         e = white.forward(_weight_apply(S, y - x))
         lam = np.linalg.lstsq(C, -e, rcond=None)[0]
         r = e + C @ lam
@@ -308,8 +385,10 @@ def project(
         alpha = 1.0
         blocking = -1
         if l:
-            Ap = A @ p
-            room = np.maximum(b - A @ y, 0.0)
+            Ap = poly.apply(p)
+            if two_sided:
+                Ap = np.concatenate([Ap, -Ap])
+            room = np.maximum(poly.slack(y), 0.0)
             candidates = ~active & (Ap > 1e-14 * (1.0 + np.abs(Ap).max()))
             if np.any(candidates):
                 ratios = np.full(l, np.inf)
@@ -324,8 +403,8 @@ def project(
     else:
         raise LatSweepError("active-set projection exceeded its iteration cap")
 
-    resid = b - A @ y if l else np.zeros(0)
-    act_idx = tuple(int(j) for j in np.flatnonzero(resid <= act_tol * (1.0 + np.abs(b))))
+    bound = np.abs(np.concatenate([poly.b, poly.lower]) if two_sided else poly.b)
+    act_idx = tuple(int(j) for j in np.flatnonzero(poly.slack(y) <= act_tol * (1.0 + bound)))
     if warm is not None:
         warm.active = act_idx
     kkt = max(kkt_stat, poly.violation(y))
@@ -349,33 +428,34 @@ def project_cone(
     least-squares solve stays exact when those columns are dependent, as
     they are when many bounds turn active at once.
 
-    ``warm`` caches ``Z0`` and the factor ``U`` across calls with the same
+    ``warm`` carries the whitening across calls with the same read-only
     equality-row and weight arrays.  The result is checked against the KKT
     conditions, relative to ``||x||_S`` and per row to ``||M e_i||``: primal
     feasibility ``A v <= 0``, complementarity ``lam . A v = 0`` and the sign
     of the least-squares gradient.  A residual above ``tol`` raises
     :class:`ConeProjectionError`.
     """
+    if cone.lower is not None:
+        raise InvalidInputError("cone has lower bounds")
     if np.any(cone.b != 0.0):
         raise InvalidInputError("cone has nonzero inequality right-hand sides")
     if cone.b_eq is not None and np.any(cone.b_eq != 0.0):
         raise InvalidInputError("cone has nonzero equality right-hand sides")
     n = cone.dim
     x = _check_point(x, n)
-    S = _check_weight(S, n)
-    A = cone.A
-    l = A.shape[0]
+    white = _whitening(S, cone, warm)
+    S = white.S
+    l = cone.b.shape[0]
 
     Sx = _weight_apply(S, x)
     x_norm = float(np.sqrt(max(x @ Sx, 0.0)))
-    white = _nullspace_machinery(S, cone, warm)
     if x_norm == 0.0 or white.U.shape[0] == 0:
         return ProjectionResult(np.zeros(n), tuple(range(l)), 0.0)
 
     # Work in whitened coordinates scaled by 1/||x||_S, with unit columns in
     # M, so the least-squares tolerances and the checks below are scale-free.
     d = white.forward(Sx) / x_norm
-    M = white.forward(A.T)
+    M = white.rows(cone.A)
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0
     M /= col
@@ -383,7 +463,7 @@ def project_cone(
     r = d - M @ mu
     v = x_norm * white.back(r)
 
-    rows = (A @ v) / (col * x_norm)
+    rows = cone.apply(v) / (col * x_norm)
     kkt = max(
         np.max(rows, initial=0.0),      # primal: A v <= 0
         abs(float(mu @ rows)),          # complementarity

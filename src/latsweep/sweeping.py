@@ -22,7 +22,7 @@ import numpy as np
 from .assembly import AssembledSystem
 from .errors import InitialConditionError, InfeasibleSetError, InvalidInputError
 from .lattice import LoadSchedule
-from .projection import PolyhedralSet, find_feasible_point
+from .projection import PolyhedralSet, WarmStart, Whitening, find_feasible_point
 
 #: Membership tolerance for initial conditions; small violations of the
 #: yield box (file rounding) are clamped, larger ones rejected.
@@ -108,10 +108,28 @@ class MovingSetSpec:
         return signs[:, None] * self.W[springs]
 
     @functools.cached_property
-    def box_rows(self) -> np.ndarray:
-        """Upper then lower bound rows ``[W; -W]`` of the static set, built once."""
-        m = self.box_lower.size
-        return self.bound_rows(np.tile(np.arange(m), 2), np.repeat([1.0, -1.0], m))
+    def whitening(self) -> Whitening:
+        """The projections' change of coordinates, built and validated on first use.
+
+        The kernel of the equality rows ``U^T K`` is the basis ``V`` of the
+        plane that assembly already computed, so no SVD is taken here; in
+        both spaces ``Z0^T S Z0`` is ``S_V``.
+        """
+        Z0 = None if self.equality_rows is None else self.system.V_basis
+        return Whitening.build(self.weight, self.equality_rows, self.weight.shape[0], Z0)
+
+    @functools.cached_property
+    def bound_map(self) -> np.ndarray:
+        """Whitened bound rows ``U^-T V^T`` (dim_v x m), the same in both spaces;
+        built on first use, so the event-based integrator never builds it."""
+        rows = self.whitening.rows(self.W)
+        rows.flags.writeable = False
+        return rows
+
+    def warm_start(self, bounds: bool = False) -> WarmStart:
+        """A projection handle seeded with this set's whitening and, with
+        ``bounds``, with its whitened bound map."""
+        return WarmStart(white=self.whitening, rows=(self.W, self.bound_map) if bounds else None)
 
 
 def build_moving_set(
@@ -127,7 +145,7 @@ def build_moving_set(
         strain_direction = -(system.V_basis @ (system.P_V @ elong))
     k = system.stiffness
     if space is Space.FULL:
-        basis, weight, equality = None, k, system.equality_rows()
+        basis, weight, equality = None, _frozen(k), _frozen(system.equality_rows())
     else:
         basis, weight, equality = system.V_basis, system.S_V, None
     return MovingSetSpec(
@@ -142,6 +160,12 @@ def build_moving_set(
     )
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def moving_set_at(spec: MovingSetSpec, t: float, loads: LoadSchedule) -> PolyhedralSet:
     """The constraint polyhedron at time ``t``."""
     offset = spec.offset(loads, t)
@@ -151,11 +175,17 @@ def moving_set_at(spec: MovingSetSpec, t: float, loads: LoadSchedule) -> Polyhed
 def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
     """The constraint polyhedron for a frozen box translation.
 
-    Its rows are the spec's own arrays, the same objects on every call, so
-    the projection kernel can keep its factorizations from step to step.
+    Two-sided bounds ``lower <= W z <= upper`` (``W`` None: the identity).
+    Its rows are the spec's own read-only arrays, the same objects on every
+    call, so the projection kernel keeps the spec's whitening from step to
+    step without checking them again.
     """
-    b = np.concatenate([spec.box_upper + offset, -(spec.box_lower + offset)])
-    return PolyhedralSet(A=spec.box_rows, b=b, A_eq=spec.equality_rows)
+    return PolyhedralSet(
+        A=spec.W,
+        b=spec.box_upper + offset,
+        A_eq=spec.equality_rows,
+        lower=spec.box_lower + offset,
+    )
 
 
 @dataclass(frozen=True)
@@ -231,16 +261,16 @@ def safe_load_check(system: AssembledSystem, f: np.ndarray | None) -> bool:
     """Whether a force load can be balanced within the yield limits.
 
     Feasibility of the shifted yield box intersected with the zero-balance
-    rows; solved as the feasibility phase of the projection kernel.
+    rows; solved as the feasibility phase of the projection kernel, with
+    the box as the variable bounds of its linear program.
     """
     m = system.dims.n_springs
     shift = np.zeros(m) if f is None else system.stiffness * (system.F @ np.asarray(f, dtype=float))
-    upper = system.upper_limits - shift
-    lower = system.lower_limits - shift
     poly = PolyhedralSet(
-        A=np.vstack([np.eye(m), -np.eye(m)]),
-        b=np.concatenate([upper, -lower]),
+        A=None,
+        b=system.upper_limits - shift,
         A_eq=system.U_basis.T,
+        lower=system.lower_limits - shift,
     )
     try:
         find_feasible_point(poly)

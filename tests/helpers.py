@@ -3,44 +3,52 @@
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 import scipy.spatial
 
 from latsweep.lattice import LatticeDefinition
 from latsweep.projection import PolyhedralSet
 
 
-def projection_oracle(S, x, poly, feas_tol=1e-9):
+def projection_oracle(S, x, poly, feas_tol=1e-9, candidates=None):
     """Exhaustive active-set enumeration for small projection problems.
 
-    Tries every subset of inequality rows as forced equalities, solves the
-    equality-constrained problem through its KKT system, and keeps the
-    feasible candidate with the smallest objective.  Independent of the
-    active-set solver being tested.
+    Tries every subset of the bounds (of ``candidates`` only, when given) as
+    forced equalities, solves the equality-constrained problem through its
+    KKT system in a kernel basis of the equality rows, and keeps the
+    candidate feasible for every bound with the smallest objective.  With
+    ``candidates`` that hold the true active set the answer is the
+    projection.  Independent of the active-set solver being tested.
     """
-    n = poly.dim
-    A, b = poly.A, poly.b
+    # one-sided rows A y <= b in bound order: the identity written out,
+    # lower bounds negated below the upper ones
+    A, b = (np.eye(poly.dim) if poly.A is None else poly.A), poly.b
+    if poly.lower is not None:
+        A, b = np.vstack([A, -A]), np.concatenate([b, -poly.lower])
     S2 = np.diag(S) if np.ndim(S) == 1 else np.asarray(S)
+    if poly.A_eq is None:
+        y0, N = np.zeros(poly.dim), np.eye(poly.dim)
+    else:
+        y0 = np.linalg.lstsq(poly.A_eq, poly.b_eq, rcond=None)[0]
+        if np.max(np.abs(poly.A_eq @ y0 - poly.b_eq)) > feas_tol:
+            return None
+        N = scipy.linalg.null_space(poly.A_eq)
+    # y = y0 + N w: minimize (w^T H w)/2 - g^T w subject to the forced rows
+    H = N.T @ S2 @ N
+    g = N.T @ S2 @ (x - y0)
+    AN, c = A @ N, b - A @ y0
+    k = N.shape[1]
+    rows = range(A.shape[0]) if candidates is None else sorted(set(candidates))
     best_obj, best_y = None, None
-    for r in range(A.shape[0] + 1):
-        for J in combinations(range(A.shape[0]), r):
-            blocks, rhs_parts = [], []
-            if J:
-                blocks.append(A[list(J)])
-                rhs_parts.append(b[list(J)])
-            if poly.A_eq is not None:
-                blocks.append(poly.A_eq)
-                rhs_parts.append(poly.b_eq)
-            if blocks:
-                C = np.vstack(blocks)
-                d = np.concatenate(rhs_parts)
-                kkt = np.block([[S2, C.T], [C, np.zeros((C.shape[0], C.shape[0]))]])
-                rhs = np.concatenate([S2 @ x, d])
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-                y = sol[:n]
-                if np.max(np.abs(C @ y - d), initial=0.0) > feas_tol:
-                    continue
-            else:
-                y = np.asarray(x, dtype=float)
+    for r in range(len(rows) + 1):
+        for J in combinations(rows, r):
+            J = list(J)
+            kkt = np.block([[H, AN[J].T], [AN[J], np.zeros((r, r))]])
+            sol, *_ = np.linalg.lstsq(kkt, np.concatenate([g, c[J]]), rcond=None)
+            w = sol[:k]
+            if np.max(np.abs(AN[J] @ w - c[J]), initial=0.0) > feas_tol:
+                continue
+            y = y0 + N @ w
             if np.max(A @ y - b, initial=0.0) <= feas_tol:
                 obj = float((y - x) @ S2 @ (y - x))
                 if best_obj is None or obj < best_obj - 1e-15:

@@ -7,7 +7,7 @@ from latsweep.catchup import TimePartition, abstract_catchup, catchup
 from latsweep.errors import InvalidInputError, SafeLoadError
 from latsweep.lattice import LoadSchedule
 from latsweep.linalg import nullspace_basis
-from latsweep.projection import PolyhedralSet
+from latsweep.projection import PolyhedralSet, find_feasible_point
 from latsweep.sweeping import Space, build_moving_set, initial_state
 
 from helpers import relabel_springs
@@ -179,8 +179,8 @@ def test_safe_load_violation_surfaces_with_time(example1):
 
 def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeypatch):
     # Catch-up on the grid with its springs renumbered finds the original
-    # events, and the equality-row kernel is the only nullspace the
-    # projections compute: once per solve in full space, never per iteration.
+    # events, and the projections compute no nullspace in either space: the
+    # full-space kernel of the equality rows is assembly's basis V.
     definition, loads, system = grid_with_hole
     perm = np.random.default_rng(4).permutation(definition.n_springs)
     assert perm.size == 496
@@ -201,10 +201,38 @@ def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeyp
             monkeypatch.setattr(projection, "nullspace_basis", counted)
             runs.append(catchup(assembled, spec, state0, loads, part))
             monkeypatch.undo()
-            assert len(kernels) == (space is Space.FULL)
+            assert len(kernels) == 0
         original, permuted = runs
         assert len(permuted.events) == len(original.events) >= 3
         for a, b in zip(original.events, permuted.events):
             assert b.time == pytest.approx(a.time, rel=1e-9)
             assert {(int(perm[j]), side) for j, side in b.newly_active} == a.newly_active
             assert {(int(perm[j]), side) for j, side in b.newly_released} == a.newly_released
+
+
+def test_varying_force_phase_one_every_step_spaces_agree(example1, monkeypatch):
+    # Under a force ramp no step has a feasible start, so every projection
+    # starts from the phase-1 linear program: variable bounds in full space,
+    # rows V in reduced space.  Both must give the same states.
+    definition, base, system = example1
+    loads = varying_force_loads(base, definition)
+    part = TimePartition.uniform(loads.horizon, 50)
+    phase_one = []
+
+    def counted(poly, *args, **kwargs):
+        phase_one.append(poly.A is None)
+        return find_feasible_point(poly, *args, **kwargs)
+
+    runs = {}
+    for space in (Space.REDUCED, Space.FULL):
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, np.zeros(10), loads, space, spec)
+        phase_one.clear()
+        monkeypatch.setattr(projection, "find_feasible_point", counted)
+        runs[space] = catchup(system, spec, state0, loads, part)
+        monkeypatch.undo()
+        assert phase_one == [space is Space.FULL] * 50
+    width = spec.box_upper - spec.box_lower
+    assert len(runs[Space.FULL].events) >= 2
+    for full, reduced in zip(runs[Space.FULL].states, runs[Space.REDUCED].states):
+        assert np.all(np.abs(full.y - system.V_basis @ reduced.y) <= 1e-10 * width)

@@ -268,6 +268,28 @@ def test_cli_batch_solve(tmp_path):
         assert (tmp_path / f"batch-{stem}.events.csv").exists()
 
 
+def test_cli_batch_isolates_a_failing_network(tmp_path, capsys):
+    # A floppy network fails alone: the good network's outputs are complete,
+    # each network reports its own status, and the exit code is the worst.
+    good = tmp_path / "good.json"
+    main(["generate", "example1", "--out", str(good)])
+    _, doc = example1_document(tmp_path)
+    _floppy(doc["constraints"])
+    bad = tmp_path / "floppy.json"
+    bad.write_text(json.dumps(doc))
+    single = tmp_path / "single"
+    assert main(["solve", str(good), "--out", str(single)]) == 0
+    capsys.readouterr()
+    prefix = tmp_path / "batch"
+    assert main(["solve", str(bad), str(good), "--out", str(prefix)]) == 1
+    out, err = capsys.readouterr()
+    assert f"{good}: wrote" in out
+    assert f"{bad}: validation error" in err
+    for suffix in (".csv", ".events.csv"):
+        assert (tmp_path / f"batch-good{suffix}").read_bytes() == (tmp_path / f"single{suffix}").read_bytes()
+        assert not (tmp_path / f"batch-floppy{suffix}").exists()
+
+
 def test_cli_check_safe_load(tmp_path, capsys):
     net = tmp_path / "ex1.json"
     main(["generate", "example1", "--out", str(net)])

@@ -8,6 +8,8 @@ from latsweep.errors import InvalidStateError, UnsupportedLoadError
 from latsweep.generators import build_triangular_periodic, example1_prestressed_stress
 from latsweep.lattice import LatticeDefinition, LoadSchedule
 from latsweep.leapfrog import event_velocity, leapfrog, next_event_time, tangent_cone
+from latsweep import projection
+from latsweep.linalg import nullspace_basis
 from latsweep.projection import project, project_cone
 from latsweep.sweeping import Space, build_moving_set, initial_state
 from latsweep.assembly import assemble
@@ -324,3 +326,20 @@ def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
         fresh = event_velocity(spec, last.y, drive, offset=spec.offset(loads, last.time))
         expected = last.y + (fresh + drive) * (traj.final.time - last.time)
         assert np.linalg.norm(traj.final.y - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
+
+
+def test_grid_leapfrog_full_space_takes_no_nullspace(grid_with_hole, monkeypatch):
+    # The event velocities work in the kernel of the equality rows, and in
+    # full space that kernel is assembly's basis V: no projection takes it
+    # again by an SVD.
+    _, loads, system = grid_with_hole
+    kernels = []
+
+    def counted(M):
+        kernels.append(M.shape)
+        return nullspace_basis(M)
+
+    monkeypatch.setattr(projection, "nullspace_basis", counted)
+    traj = _run_leapfrog(system, loads, Space.FULL)
+    assert len(traj.events) >= 3
+    assert len(kernels) == 0

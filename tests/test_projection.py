@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from latsweep.catchup import TimePartition, catchup
 from latsweep.errors import ConeProjectionError, InfeasibleSetError, InvalidInputError
 from latsweep.leapfrog import leapfrog, tangent_cone
 from latsweep.linalg import numerical_rank
@@ -13,7 +14,7 @@ from latsweep.projection import (
     project,
     project_cone,
 )
-from latsweep.sweeping import Space, build_moving_set, initial_state
+from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
 
 from helpers import (
     polar_projection_oracle,
@@ -216,6 +217,29 @@ def test_oracle_equivalence_bulk():
         assert np.linalg.norm(res.point - oracle) <= 1e-9 * (1 + np.linalg.norm(x))
 
 
+@pytest.mark.parametrize("identity", [False, True])
+def test_two_sided_oracle_bulk(identity):
+    # lo <= B y <= hi through a random map or the identity, with and without
+    # an equality row, from phase 1: the result and the phase-1 point both
+    # respect the lower bounds, and the result is the oracle's
+    rng = np.random.default_rng(44 + identity)
+    for _ in range(30):
+        S, x, poly = random_projection_problem(rng)
+        interior = find_feasible_point(poly)
+        B = None if identity else poly.A
+        values = interior if identity else B @ interior
+        lo = values - rng.uniform(0.05, 0.5, values.size)
+        hi = values + rng.uniform(0.05, 0.5, values.size)
+        two = PolyhedralSet(A=B, b=hi, A_eq=poly.A_eq, b_eq=poly.b_eq, lower=lo)
+        assert two.contains(find_feasible_point(two), tol=1e-9)
+        res = project(S, x, two)
+        assert np.linalg.norm(res.point - projection_oracle(S, x, two)) <= 1e-9 * (1 + np.linalg.norm(x))
+        assert res.kkt_residual <= 1e-9 * (1 + np.linalg.norm(x))
+    crossed = PolyhedralSet(A=None, b=np.ones(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1), lower=np.full(2, 0.8))
+    with pytest.raises(InfeasibleSetError):
+        find_feasible_point(crossed)
+
+
 def test_idempotence():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -293,3 +317,48 @@ def test_kkt_residual_reported_small():
         S, x, poly = random_projection_problem(rng)
         res = project(S, x, poly)
         assert res.kkt_residual <= 1e-7 * (1 + np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("space", [Space.REDUCED, Space.FULL])
+def test_two_sided_grid_set_oracle(grid_with_hole, space):
+    # The catch-up kernel on the grid's moving set, lo <= W z <= hi (W the
+    # identity or V) with the self-stress plane as equality rows in full
+    # space: random box offsets along the plane, starts with bounds active,
+    # random points (off the plane in full space), with and without the
+    # active-set hint, against the enumeration oracle.  Its candidate
+    # bounds hold every bound active at the start or at the answer and
+    # every bound the unconstrained minimizer violates.
+    definition, loads, system = grid_with_hole
+    V = system.V_basis
+    spec = build_moving_set(system, space, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+    traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
+    assert not any(a.flags.writeable for a in (spec.weight, spec.bound_map, V))
+    width = spec.box_upper - spec.box_lower
+    rng = np.random.default_rng(5)
+    hinted_counts = []
+    for state in traj.states[10::20]:
+        offset = spec.offset(loads, state.time)
+        for scale in (0.05, 0.2):
+            shift = V @ rng.standard_normal(V.shape[1]) * 0.02 * width
+            poly = static_set(spec, offset + shift)
+            start = state.y + spec.reduce(shift)
+            x = start + spec.reduce(rng.standard_normal(definition.n_springs) * scale * width)
+            hinted = tuple(np.flatnonzero(poly.slack(start) <= 1e-9 * np.tile(width, 2)))
+            hinted_counts.append(len(hinted))
+            on_plane = V @ (system.P_V @ spec.lift(x))
+            violated = np.flatnonzero(np.concatenate([
+                on_plane - (spec.box_upper + offset + shift),
+                spec.box_lower + offset + shift - on_plane,
+            ]) > 0)
+            for warm in (None, spec.warm_start(bounds=True)):
+                if warm is not None:
+                    warm.active = hinted
+                res = project(spec.weight, x, poly, start=start, warm=warm)
+                candidates = set(hinted) | set(res.active_inequalities) | set(violated.tolist())
+                assert len(candidates) <= 8
+                oracle = projection_oracle(spec.weight, x, poly, candidates=candidates)
+                scale_tol = 1e-9 * (1 + np.linalg.norm(x))
+                assert np.linalg.norm(res.point - oracle) <= scale_tol
+                assert res.kkt_residual <= scale_tol
+    assert max(hinted_counts) >= 3

@@ -68,9 +68,9 @@ def test_moving_set_instantiation(example1):
     offset = system.G @ loads.r(0.0)
     expected_upper = definition.upper_limits / definition.stiffness + offset
     expected_lower = definition.lower_limits / definition.stiffness + offset
-    assert np.allclose(poly.b[:m], expected_upper)
-    assert np.allclose(poly.b[m:], -expected_lower)
-    assert np.allclose(poly.A[:m], np.eye(m))
+    assert np.allclose(poly.b, expected_upper)
+    assert np.allclose(poly.lower, expected_lower)
+    assert poly.A is None and poly.n_inequalities == 2 * m  # the identity map
     assert poly.A_eq.shape == (8, 10)
     assert np.allclose(poly.b_eq, 0.0)
 
@@ -83,8 +83,8 @@ def test_moving_set_translation_for_constant_force(example1):
         spec = build_moving_set(system, space, loads)
         d0 = moving_set_at(spec, t0, loads)
         d1 = moving_set_at(spec, t1, loads)
-        assert np.allclose(d1.b[:10] - d0.b[:10], shift)
-        assert np.allclose(d1.b[10:] - d0.b[10:], -shift)
+        assert np.allclose(d1.b - d0.b, shift)
+        assert np.allclose(d1.lower - d0.lower, shift)
         # the same row arrays every time, so the projection keeps its factors
         assert d1.A is d0.A and d1.A_eq is d0.A_eq
 
