@@ -41,7 +41,6 @@ from .projection import (
     PolyhedralSet,
     ProjectionResult,
     WarmStart,
-    Whitening,
     find_feasible_point,
     project,
     project_cone,

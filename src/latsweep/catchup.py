@@ -112,7 +112,7 @@ def catchup(
     if state0.time != 0.0:
         raise InvalidInputError("catch-up must start at t = 0")
 
-    warm = spec.warm_start(bounds=True)
+    warm = spec.warm_start()
     states = [state0]
     y = np.asarray(state0.y, dtype=float)
     offset_prev = spec.offset(loads, 0.0)

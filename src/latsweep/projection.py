@@ -5,9 +5,11 @@ b_eq}`` has two kernels, which share one change of coordinates, a
 :class:`Whitening`: in the kernel ``Z0`` of the equality rows, with ``Z0^T S
 Z0 = U^T U``, ``v -> U^-T Z0^T v`` turns the S-geometry into the Euclidean
 one.  A whitening is built and validated once per weight and equality rows
-and reused while the caller passes the same read-only arrays; a caller that
-already knows ``Z0`` (a moving set, whose equality rows have the kernel
-``V`` that assembly computed) hands it over through a :class:`WarmStart`.
+and reused while the caller passes the same arrays (read-only ones by
+identity alone, writable ones while they hold the values it was built
+from); a caller that already knows ``Z0`` (a moving set, whose equality
+rows have the kernel ``V`` that assembly computed) hands it over through a
+:class:`WarmStart`.
 
 :func:`project`, which the catch-up integrator calls on every step, is a
 primal active-set method on two-sided bounds: finite on these small dense
@@ -27,7 +29,7 @@ least-squares problem in the multipliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -143,8 +145,15 @@ def _check_finite(*parts) -> None:
             raise InvalidInputError("polyhedral set has non-finite entries")
 
 
-def _read_only(*parts) -> bool:
-    return all(p is None or not p.flags.writeable for p in parts)
+def _snapshot(a: np.ndarray | None) -> np.ndarray | None:
+    """A copy of a writable array, kept to tell later whether it changed."""
+    return a.copy() if a is not None and a.flags.writeable else None
+
+
+def _unchanged(a, ref, snap) -> bool:
+    """Whether ``a`` is the array ``ref`` a cache was built from and, when
+    that array is writable, still holds the values ``snap`` it held then."""
+    return a is ref and (snap is None or np.array_equal(a, snap))
 
 
 @dataclass(frozen=True)
@@ -153,13 +162,16 @@ class Whitening:
 
     ``Z0`` spans the kernel of the equality rows ``A_eq`` (None when there
     are none: the identity) and ``Z0^T S Z0 = U^T U``.  ``S`` and ``A_eq``
-    are the arrays it was built and validated for, compared by identity.
+    are the arrays it was built and validated for; ``S_copy`` and
+    ``A_eq_copy`` hold their values when they are writable.
     """
 
     S: np.ndarray
     A_eq: np.ndarray | None
     Z0: np.ndarray | None
     U: np.ndarray
+    S_copy: np.ndarray | None = field(default=None, repr=False)
+    A_eq_copy: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, S, A_eq, n: int, Z0: np.ndarray | None = None) -> "Whitening":
@@ -171,11 +183,11 @@ class Whitening:
             Z0 = nullspace_basis(A_eq)
         H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
         H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
-        return cls(S, A_eq, Z0, scipy.linalg.cholesky(H0))
+        return cls(S, A_eq, Z0, scipy.linalg.cholesky(H0), _snapshot(S), _snapshot(A_eq))
 
     def fits(self, S, A_eq) -> bool:
-        """Whether this whitening belongs to these read-only arrays."""
-        return self.S is S and self.A_eq is A_eq and _read_only(S, A_eq)
+        """Whether this whitening was built from these arrays, unchanged since."""
+        return _unchanged(S, self.S, self.S_copy) and _unchanged(A_eq, self.A_eq, self.A_eq_copy)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
         """``U^-T Z0^T v`` for a vector or for the columns of a matrix."""
@@ -202,14 +214,15 @@ class WarmStart:
     """Single-owner handle carrying hints between consecutive projections.
 
     ``active`` is the last active set.  ``white`` and ``rows`` (the
-    inequality-row array and its whitened rows) are reused while the caller
-    passes the same read-only arrays, and rebuilt otherwise; a caller that
-    already holds them seeds them here.
+    inequality-row array, a copy of it when it is writable, and its
+    whitened rows) are reused while the caller passes the same arrays
+    unchanged, and rebuilt otherwise; a caller that already holds the
+    whitening seeds it here.
     """
 
     active: tuple[int, ...] | None = None
     white: Whitening | None = None
-    rows: tuple[np.ndarray | None, np.ndarray] | None = None
+    rows: tuple[np.ndarray | None, np.ndarray | None, np.ndarray] | None = None
 
 
 def _weight_apply(S: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -248,17 +261,25 @@ def _check_point(x: np.ndarray, n: int) -> np.ndarray:
 def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Phase-1 solve: a point of the set, or ``InfeasibleSetError``.
 
-    With the identity map the bounds are the variable bounds of one linear
-    program under the equality rows.  Otherwise it minimizes the largest
-    bound violation subject to the equality rows, and the set is declared
-    empty when the optimum exceeds ``tol``.
+    The set is declared empty when its smallest largest bound violation,
+    subject to the equality rows, exceeds ``tau = max(tol, 1e-9)``.  With
+    the identity map the bounds are the variable bounds of one linear
+    program; when that is empty to the solver's own tolerance, it is solved
+    once more with the bounds widened by ``tau``, which the equality rows
+    meet exactly when that smallest violation is within ``tau``.
+    Otherwise the violation is one more variable, minimized.
     """
     _check_finite(poly.A, poly.A_eq)
     n = poly.dim
     A_eq = poly.A_eq
+    tau = max(tol, 1e-9)
     if poly.A is None:
         lower = np.full(n, -np.inf) if poly.lower is None else poly.lower
-        c, A_ub, b_ub, bounds = np.zeros(n), None, None, np.column_stack([lower, poly.b])
+        for widen in (0.0, tau):
+            res = _phase_one(np.zeros(n), None, None, A_eq, poly.b_eq,
+                             np.column_stack([lower - widen, poly.b + widen]))
+            if res.status != 2:
+                break
     else:
         A_ub, b_ub = poly.A, poly.b
         if poly.lower is not None:
@@ -268,7 +289,7 @@ def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.nda
             if A_eq is None:
                 return np.zeros(n)
             x = pseudoinverse(A_eq) @ poly.b_eq
-            if np.max(np.abs(A_eq @ x - poly.b_eq), initial=0.0) > max(tol, 1e-9):
+            if np.max(np.abs(A_eq @ x - poly.b_eq), initial=0.0) > tau:
                 raise InfeasibleSetError("equality constraints are inconsistent")
             return x
         # one more variable, the violation v >= 0: A y - v <= b
@@ -277,26 +298,30 @@ def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.nda
         A_ub = np.hstack([A_ub, -np.ones((l, 1))])
         if A_eq is not None:
             A_eq = np.hstack([A_eq, np.zeros((A_eq.shape[0], 1))])
-        bounds = [(None, None)] * n + [(0, None)]
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=poly.b_eq,
-        bounds=bounds,
-        method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status == 2 or (res.status == 0 and res.fun > max(tol, 1e-9)):
+        res = _phase_one(c, A_ub, b_ub, A_eq, poly.b_eq, [(None, None)] * n + [(0, None)])
+    if res.status == 2 or (res.status == 0 and res.fun > tau):
         raise InfeasibleSetError("polyhedral set is empty")
     if res.status != 0:
         raise LatSweepError(f"phase-1 linear program failed: {res.message}")
     return np.asarray(res.x[:n], dtype=float)
 
 
+def _phase_one(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    return linprog(
+        c,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=bounds,
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+
+
 def _whitening(S, poly: PolyhedralSet, warm: WarmStart | None) -> Whitening:
     """The warm handle's whitening when it fits, else a new one (kept there)."""
+    S = np.asarray(S, dtype=float)
     if warm is not None and warm.white is not None and warm.white.fits(S, poly.A_eq):
         return warm.white
     white = Whitening.build(S, poly.A_eq, poly.dim)
@@ -308,12 +333,12 @@ def _whitening(S, poly: PolyhedralSet, warm: WarmStart | None) -> Whitening:
 def _whitened_rows(white: Whitening, poly: PolyhedralSet, warm: WarmStart | None) -> np.ndarray:
     """The warm handle's whitened rows when they fit, else new ones (kept there)."""
     if warm is not None and warm.rows is not None:
-        A, rows = warm.rows
-        if A is poly.A and _read_only(A):
+        A, A_copy, rows = warm.rows
+        if _unchanged(poly.A, A, A_copy):
             return rows
     rows = white.rows(poly.A)
     if warm is not None:
-        warm.rows = (poly.A, rows)
+        warm.rows = (poly.A, _snapshot(poly.A), rows)
     return rows
 
 
@@ -428,8 +453,8 @@ def project_cone(
     least-squares solve stays exact when those columns are dependent, as
     they are when many bounds turn active at once.
 
-    ``warm`` carries the whitening across calls with the same read-only
-    equality-row and weight arrays.  The result is checked against the KKT
+    ``warm`` carries the whitening across calls with the same equality-row
+    and weight arrays.  The result is checked against the KKT
     conditions, relative to ``||x||_S`` and per row to ``||M e_i||``: primal
     feasibility ``A v <= 0``, complementarity ``lam . A v = 0`` and the sign
     of the least-squares gradient.  A residual above ``tol`` raises

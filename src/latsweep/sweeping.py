@@ -118,18 +118,9 @@ class MovingSetSpec:
         Z0 = None if self.equality_rows is None else self.system.V_basis
         return Whitening.build(self.weight, self.equality_rows, self.weight.shape[0], Z0)
 
-    @functools.cached_property
-    def bound_map(self) -> np.ndarray:
-        """Whitened bound rows ``U^-T V^T`` (dim_v x m), the same in both spaces;
-        built on first use, so the event-based integrator never builds it."""
-        rows = self.whitening.rows(self.W)
-        rows.flags.writeable = False
-        return rows
-
-    def warm_start(self, bounds: bool = False) -> WarmStart:
-        """A projection handle seeded with this set's whitening and, with
-        ``bounds``, with its whitened bound map."""
-        return WarmStart(white=self.whitening, rows=(self.W, self.bound_map) if bounds else None)
+    def warm_start(self) -> WarmStart:
+        """A projection handle seeded with this set's whitening."""
+        return WarmStart(white=self.whitening)
 
 
 def build_moving_set(
@@ -145,7 +136,7 @@ def build_moving_set(
         strain_direction = -(system.V_basis @ (system.P_V @ elong))
     k = system.stiffness
     if space is Space.FULL:
-        basis, weight, equality = None, _frozen(k), _frozen(system.equality_rows())
+        basis, weight, equality = None, k, _frozen(system.equality_rows())
     else:
         basis, weight, equality = system.V_basis, system.S_V, None
     return MovingSetSpec(
@@ -177,8 +168,8 @@ def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
 
     Two-sided bounds ``lower <= W z <= upper`` (``W`` None: the identity).
     Its rows are the spec's own read-only arrays, the same objects on every
-    call, so the projection kernel keeps the spec's whitening from step to
-    step without checking them again.
+    call, so the projection kernel keeps the spec's whitening and its
+    whitened rows from step to step without checking them again.
     """
     return PolyhedralSet(
         A=spec.W,

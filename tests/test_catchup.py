@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from latsweep import projection
 from latsweep.assembly import assemble
 from latsweep.catchup import TimePartition, abstract_catchup, catchup
-from latsweep.errors import InvalidInputError, SafeLoadError
+from latsweep.errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from latsweep.lattice import LoadSchedule
 from latsweep.linalg import nullspace_basis
-from latsweep.projection import PolyhedralSet, find_feasible_point
-from latsweep.sweeping import Space, build_moving_set, initial_state
+from latsweep.projection import PolyhedralSet, find_feasible_point, project
+from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
 
 from helpers import relabel_springs
 
@@ -175,6 +176,99 @@ def test_safe_load_violation_surfaces_with_time(example1):
     with pytest.raises(SafeLoadError) as info:
         catchup(system, spec, state0, ramped, TimePartition.uniform(ramped.horizon, 20))
     assert info.value.time is not None and info.value.time > 0.0
+
+
+def test_abstract_catchup_whitens_writable_arrays_once(monkeypatch):
+    # A set provider that hands back the same writable rows and weight on
+    # every step gets one nullspace and one whitening of its rows per run,
+    # and the same iterates as cold projections.
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((6, 4))
+    A_eq = rng.standard_normal((1, 4))
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    S = (Q * rng.uniform(0.5, 2.0, 4)) @ Q.T
+    S = 0.5 * (S + S.T)
+    drift = rng.standard_normal(6)
+
+    def provider(t):
+        return PolyhedralSet(A=A, b=1.0 + t * drift, A_eq=A_eq, lower=-1.0 + t * drift)
+
+    kernels, whitened = [], []
+
+    def counted_kernel(M):
+        kernels.append(M.shape)
+        return nullspace_basis(M)
+
+    def counted_rows(white, rows):
+        whitened.append(rows is A)
+        return rows_of(white, rows)
+
+    rows_of = projection.Whitening.rows
+    monkeypatch.setattr(projection, "nullspace_basis", counted_kernel)
+    monkeypatch.setattr(projection.Whitening, "rows", counted_rows)
+    part = TimePartition.uniform(0.5, 20)
+    path = abstract_catchup(S, provider, np.zeros(4), part)
+    assert len(kernels) == 1
+    assert whitened == [True]
+    monkeypatch.undo()
+    for i, t in enumerate(part.points[1:]):
+        cold = project(S, path[i], provider(float(t))).point
+        assert np.allclose(path[i + 1], cold, atol=1e-10)
+
+
+def test_phase_one_at_the_safe_load_limit_spaces_agree(example1):
+    # Just past the safe-load limit the smallest largest box violation v on
+    # the self-stress plane is tiny.  Phase 1 declares the set empty when v
+    # exceeds max(tol, 1e-9), whether the box enters as the variable bounds
+    # of its linear program (full space) or as rows V (reduced space).
+    definition, loads, system = example1
+    V = system.V_basis
+    m, d = V.shape
+    direction = -system.F @ np.random.default_rng(3).standard_normal(definition.n_dof)
+    specs = {space: build_moving_set(system, space, loads) for space in Space}
+    lo, hi = specs[Space.FULL].box_lower, specs[Space.FULL].box_upper
+    rows = np.vstack([np.hstack([V, -np.ones((m, 1))]), np.hstack([-V, -np.ones((m, 1))])])
+
+    def violation(s):
+        res = linprog(
+            np.r_[np.zeros(d), 1.0],
+            A_ub=rows,
+            b_ub=np.concatenate([hi + s * direction, -(lo + s * direction)]),
+            bounds=[(None, None)] * d + [(0, None)],
+            method="highs",
+        )
+        return res.fun
+
+    # the largest feasible offset s* along the direction, then v linear past it
+    res = linprog(
+        np.r_[np.zeros(d), -1.0],
+        A_ub=np.vstack([np.hstack([V, -direction[:, None]]), np.hstack([-V, direction[:, None]])]),
+        b_ub=np.concatenate([hi, -lo]),
+        bounds=[(None, None)] * (d + 1),
+        method="highs",
+    )
+    s1, s2 = 1.01 * res.x[-1], 1.02 * res.x[-1]
+    v1, v2 = violation(s1), violation(s2)
+    slope = (v2 - v1) / (s2 - s1)
+    assert v1 > 0 and abs(v2 - 2 * v1) <= 1e-3 * v1
+
+    def verdicts(v, tol=1e-10):
+        offset = (s1 + (v - v1) / slope) * direction
+        out = []
+        for spec in specs.values():
+            poly = static_set(spec, offset)
+            try:
+                y = find_feasible_point(poly, tol)
+            except InfeasibleSetError:
+                out.append(False)
+            else:
+                assert poly.violation(y) <= 1.01 * max(tol, 1e-9)
+                out.append(True)
+        return out
+
+    assert verdicts(5e-10) == [True, True]
+    assert verdicts(3e-9) == [False, False]
+    assert verdicts(3e-9, tol=1e-8) == [True, True]
 
 
 def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeypatch):

@@ -302,6 +302,33 @@ def test_warm_start_consistency():
         assert np.allclose(hot, cold, atol=1e-10)
 
 
+def test_warm_handle_follows_writable_arrays_changed_in_place():
+    # A warm handle keeps its whitening and whitened rows while the caller
+    # passes the same writable arrays, but not once their values change.
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        S, x, poly = random_projection_problem(rng)
+        S = np.asarray(S, dtype=float)
+        warm = WarmStart()
+        project(S, x, poly, warm=warm)
+        for a in (S, poly.A, poly.A_eq):
+            if a is None:
+                continue
+            if a is S and a.ndim == 1:
+                a *= rng.uniform(0.5, 2.0, a.shape)
+            elif a is S:
+                a += np.diag(rng.uniform(0.5, 2.0, x.size))
+            else:
+                a += 0.5 * rng.standard_normal(a.shape)
+            x = x + 0.3 * rng.standard_normal(x.shape)
+            try:
+                cold = project(S, x, poly).point
+            except InfeasibleSetError:
+                continue
+            hot = project(S, x, poly, warm=warm).point
+            assert np.allclose(hot, cold, atol=1e-10)
+
+
 def test_degenerate_duplicate_rows():
     # duplicated active rows exercise the pseudoinverse equality solves
     A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -333,7 +360,7 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
     spec = build_moving_set(system, space, loads)
     state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
     traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
-    assert not any(a.flags.writeable for a in (spec.weight, spec.bound_map, V))
+    assert not any(a.flags.writeable for a in (spec.weight, V))
     width = spec.box_upper - spec.box_lower
     rng = np.random.default_rng(5)
     hinted_counts = []
@@ -351,7 +378,7 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
                 on_plane - (spec.box_upper + offset + shift),
                 spec.box_lower + offset + shift - on_plane,
             ]) > 0)
-            for warm in (None, spec.warm_start(bounds=True)):
+            for warm in (None, spec.warm_start()):
                 if warm is not None:
                     warm.active = hinted
                 res = project(spec.weight, x, poly, start=start, warm=warm)
