@@ -9,6 +9,7 @@ moving set.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,8 @@ from .errors import AssumptionError, DegenerateSpringError
 from .lattice import LatticeDefinition
 from .linalg import (
     DEFAULT_RANK_TOL,
-    nullspace_basis,
     numerical_rank,
+    orthonormal_columns,
     ranked_svd,
     weighted_gram,
 )
@@ -70,24 +71,33 @@ class AssembledSystem:
     compatibility: np.ndarray      # m x nd, linearized elongation map
     directions: np.ndarray         # m x d, unit vectors terminus -> origin
     reference_lengths: np.ndarray  # m
-    U_basis: np.ndarray            # m x dim_u
-    V_basis: np.ndarray            # m x dim_v, orthonormal columns
-    P_U: np.ndarray                # dim_u x m
-    P_V: np.ndarray                # dim_v x m
-    H: np.ndarray                  # m x nd
-    G: np.ndarray                  # m x q
-    F: np.ndarray                  # m x nd
-    S_V: np.ndarray                # dim_v x dim_v
+    U_basis: np.ndarray            # m x dim_u, C times the kernel of R
+    V_basis: np.ndarray            # m x dim_v, orthonormal columns spanning
+                                   # K^-1 times the spring block of ker [C^T R^T]
+    P_V: np.ndarray                # dim_v x m, S_V^-1 V^T K
+    H: np.ndarray                  # m x nd, top block of pinv [C^T R^T]
+    G: np.ndarray                  # m x q, V P_V C pinv(R)
+    F: np.ndarray                  # m x nd, (I - V P_V) K^-1 H
+    S_V: np.ndarray                # dim_v x dim_v, V^T K V
     dims: SystemDims
 
     def __post_init__(self):
         for name in (
             "compatibility", "directions", "reference_lengths", "U_basis",
-            "V_basis", "P_U", "P_V", "H", "G", "F", "S_V",
+            "V_basis", "P_V", "H", "G", "F", "S_V",
         ):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def P_U(self) -> np.ndarray:
+        """``(U^T K U)^-1 U^T K`` (dim_u x m), built on first use only:
+        ``U P_U = I - V P_V``, so no solve needs it."""
+        UK = self.equality_rows()
+        P_U = scipy.linalg.solve(UK @ self.U_basis, UK, assume_a="pos")
+        P_U.flags.writeable = False
+        return P_U
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -182,7 +192,9 @@ def assemble(
             "external displacement constraint matrix is rank deficient "
             "(full row rank assumption fails)"
         )
-    enhanced_svd = ranked_svd(np.hstack([compat.T, R.T]), rank_tol)
+    # One full SVD of the enhanced equilibrium matrix [C^T R^T] gives the
+    # rank check, H (the top block of its pseudoinverse) and its kernel.
+    enhanced_svd = ranked_svd(np.hstack([compat.T, R.T]), rank_tol, full_matrices=True)
     if enhanced_svd.rank != nd:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "
@@ -195,23 +207,25 @@ def assemble(
             "lattice is statically determinate: no self-stress states "
             f"(m - nd + q = {dim_v})"
         )
-
+    H = enhanced_svd.pinv(m)
+    # The kernel holds the constrained self-stresses [s; lambda]: C^T s +
+    # R^T lambda = 0, i.e. s is orthogonal to U = C ker(R).  Their spring
+    # blocks s = K v therefore span K V, and R's full row rank makes that
+    # block of full column rank.
+    V = orthonormal_columns(enhanced_svd.kernel()[:m] / k[:, None])
+    # Release each factor once used: the full factors are the largest arrays here.
+    del enhanced_svd
     U = compat @ R_svd.kernel()
-    UK = U.T * k[None, :]
-    V = nullspace_basis(UK, rank_tol)
-    if U.shape[1] != dim_u or V.shape[1] != dim_v:
-        raise AssumptionError(
-            "numerical rank of the fundamental spaces disagrees with the "
-            "dimension formula; tighten rank_tol or check the lattice"
-        )
+    G_R = compat @ R_svd.pinv()
+    del R_svd
 
-    P_U = scipy.linalg.solve(UK @ U, UK, assume_a="pos")
     S_V = weighted_gram(V, k)
     P_V = scipy.linalg.solve(S_V, V.T * k[None, :], assume_a="pos")
-
-    H = enhanced_svd.pinv()[:m]
-    G = V @ (P_V @ (compat @ R_svd.pinv()))
-    F = U @ (P_U @ (H / k[:, None]))
+    G = V @ (P_V @ G_R)
+    # U P_U + V P_V = I, so the K-orthogonal projection onto the
+    # elongation space needs no P_U.
+    HK = H / k[:, None]
+    F = HK - V @ (P_V @ HK)
 
     return AssembledSystem(
         definition=definition,
@@ -220,7 +234,6 @@ def assemble(
         reference_lengths=lengths,
         U_basis=U,
         V_basis=V,
-        P_U=P_U,
         P_V=P_V,
         H=H,
         G=G,

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import validate_assumptions
+from .assembly import compatibility_matrix
 from .errors import InvalidInputError
 from .lattice import LatticeDefinition, LoadSchedule
+from .linalg import numerical_rank
 
 #: Reference basis of the two self-stress directions of the toy truss,
 #: fixed numerically so that prestressed demo runs are reproducible
@@ -39,12 +40,15 @@ DEFAULT_GRID_HOLE = (
 
 
 def _checked(definition: LatticeDefinition) -> LatticeDefinition:
-    report = validate_assumptions(definition)
-    if not report.kinematically_determinate:
+    """The two determinacy checks of :func:`validate_assumptions`, from the
+    one rank they need: that of the enhanced compatibility matrix."""
+    compat, _, _ = compatibility_matrix(definition)
+    rank = numerical_rank(np.vstack([compat, definition.constraint_matrix]))
+    if rank != definition.n_dof:
         raise InvalidInputError(
             "generated lattice is not kinematically determinate"
         )
-    if report.constrained_self_stress_states <= 0:
+    if definition.n_springs + definition.n_constraints - rank <= 0:
         raise InvalidInputError("generated lattice has no self-stress states")
     return definition
 

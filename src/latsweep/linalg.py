@@ -38,18 +38,29 @@ class RankedSVD:
     vt: np.ndarray
     rank: int
 
-    def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse."""
+    def pinv(self, n_rows: int | None = None) -> np.ndarray:
+        """Moore-Penrose pseudoinverse, or only its first ``n_rows`` rows."""
         r = self.rank
-        return (self.vt[:r].T / self.s[:r]) @ self.u[:, :r].T
+        return (self.vt[:r, :n_rows].T / self.s[:r]) @ self.u[:, :r].T
 
     def kernel(self) -> np.ndarray:
         """Sign-fixed kernel basis as columns; needs ``full_matrices=True``."""
-        N = self.vt[self.rank:].T.copy()
-        for j in range(N.shape[1]):
-            if N[np.argmax(np.abs(N[:, j])), j] < 0:
-                N[:, j] = -N[:, j]
-        return N
+        return fix_signs(self.vt[self.rank:].T.copy())
+
+
+def fix_signs(N: np.ndarray) -> np.ndarray:
+    """Flip columns of ``N`` in place so that each one's entry of largest
+    magnitude is positive (the first such entry on ties); returns ``N``."""
+    if N.size:
+        top = N[np.argmax(np.abs(N), axis=0), np.arange(N.shape[1])]
+        N[:, top < 0] *= -1.0
+    return N
+
+
+def orthonormal_columns(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of the columns of a full-column-rank
+    ``A``, by thin QR, with the sign rule of :meth:`RankedSVD.kernel`."""
+    return fix_signs(np.linalg.qr(A)[0])
 
 
 def _rank(s: np.ndarray, rank_tol: float) -> int:

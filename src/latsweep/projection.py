@@ -174,15 +174,21 @@ class Whitening:
     A_eq_copy: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, S, A_eq, n: int, Z0: np.ndarray | None = None) -> "Whitening":
+    def build(
+        cls, S, A_eq, n: int, Z0: np.ndarray | None = None, gram: np.ndarray | None = None
+    ) -> "Whitening":
         """Validate ``S`` and ``A_eq`` and factor; ``Z0`` is the kernel of
-        ``A_eq`` when the caller already has it, else one SVD finds it."""
+        ``A_eq`` when the caller already has it, else one SVD finds it, and
+        ``gram`` is ``Z0^T S Z0`` when the caller already has that."""
         S = _check_weight(S, n)
         _check_finite(A_eq)
         if Z0 is None and A_eq is not None and A_eq.shape[0]:
             Z0 = nullspace_basis(A_eq)
-        H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
-        H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
+        if gram is not None:
+            H0 = gram
+        else:
+            H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
+            H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
         return cls(S, A_eq, Z0, scipy.linalg.cholesky(H0), _snapshot(S), _snapshot(A_eq))
 
     def fits(self, S, A_eq) -> bool:

@@ -112,11 +112,13 @@ class MovingSetSpec:
         """The projections' change of coordinates, built and validated on first use.
 
         The kernel of the equality rows ``U^T K`` is the basis ``V`` of the
-        plane that assembly already computed, so no SVD is taken here; in
-        both spaces ``Z0^T S Z0`` is ``S_V``.
+        plane that assembly already computed, and in both spaces ``Z0^T S
+        Z0`` is assembly's ``S_V``, so neither is computed again here.
         """
         Z0 = None if self.equality_rows is None else self.system.V_basis
-        return Whitening.build(self.weight, self.equality_rows, self.weight.shape[0], Z0)
+        return Whitening.build(
+            self.weight, self.equality_rows, self.weight.shape[0], Z0, gram=self.system.S_V
+        )
 
     def warm_start(self) -> WarmStart:
         """A projection handle seeded with this set's whitening."""

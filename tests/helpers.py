@@ -108,6 +108,19 @@ def random_cone_problem(rng, with_equalities, diagonal):
     return S, x, cone
 
 
+def counted_svd(monkeypatch) -> list:
+    """Shapes of the ``numpy.linalg.svd`` calls made from here on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def relabel_springs(definition, perm):
     """The same lattice with new spring ``j`` being old spring ``perm[j]``."""
     d = definition

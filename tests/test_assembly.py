@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from latsweep.assembly import (
     assemble,
@@ -8,10 +11,22 @@ from latsweep.assembly import (
     validate_assumptions,
 )
 from latsweep.errors import AssumptionError, DegenerateSpringError
-from latsweep.generators import EXAMPLE1_SELF_STRESS_BASIS
+from latsweep.catchup import TimePartition, catchup
+from latsweep.generators import (
+    EXAMPLE1_SELF_STRESS_BASIS,
+    build_example1,
+    build_tri_grid_with_hole,
+)
 from latsweep.lattice import LatticeDefinition
+from latsweep.leapfrog import leapfrog
+from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_check
 
-from helpers import braced_square_frame, random_small_lattice, triangle_lattice as triangle
+from helpers import (
+    braced_square_frame,
+    counted_svd,
+    random_small_lattice,
+    triangle_lattice as triangle,
+)
 
 
 def single_spring(coords=(0.0, 0.0, 1.0, 0.0)):
@@ -198,3 +213,57 @@ def test_determinacy_iff_all_loads_resolvable():
             resolvable = numerical_rank(np.hstack([compat.T, R.T])) == d.n_dof
             report = validate_assumptions(d)
             assert resolvable == report.kinematically_determinate
+
+
+def test_assemble_takes_two_svds(monkeypatch, example1, grid_with_hole):
+    # one of R for U and G, one of [C^T R^T] for the rank check, H and V
+    calls = counted_svd(monkeypatch)
+    for definition, _, _ in (example1, grid_with_hole):
+        calls.clear()
+        assemble(definition)
+        assert len(calls) == 2
+
+
+@pytest.fixture(scope="module")
+def weighted_grid():
+    """The grid with hole under non-uniform stiffness."""
+    definition, _ = build_tri_grid_with_hole()
+    stiffness = np.random.default_rng(5).uniform(0.5, 2, 496)
+    return assemble(dataclasses.replace(definition, stiffness=stiffness))
+
+
+def test_weighted_grid_basis_is_orthonormal_and_stiffness_orthogonal(weighted_grid):
+    system = weighted_grid
+    V, k = system.V_basis, system.stiffness
+    assert np.abs(V.T @ V - np.eye(system.dims.dim_v)).max() <= 1e-12
+    assert np.abs(system.U_basis.T @ (k[:, None] * V)).max() <= 1e-10
+
+
+def test_weighted_grid_projector_matches_nullspace_reference(weighted_grid):
+    system = weighted_grid
+    k = system.stiffness
+    N = scipy.linalg.null_space(system.U_basis.T * k)
+    reference = N @ np.linalg.solve(N.T @ (k[:, None] * N), N.T * k)
+    assert np.abs(basis_independent_projector(system) - reference).max() <= 1e-10
+
+
+def test_weighted_grid_force_map_matches_elongation_projection(weighted_grid):
+    system = weighted_grid
+    U, k = system.U_basis, system.stiffness
+    UK = U.T * k
+    reference = U @ np.linalg.solve(UK @ U, UK @ (system.H / k[:, None]))
+    assert np.abs(system.F - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+def test_elongation_projector_is_lazy_and_read_only():
+    definition, loads = build_example1()
+    system = assemble(definition)
+    for space in (Space.FULL, Space.REDUCED):
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, np.zeros(10), loads, space, spec)
+        leapfrog(system, spec, state0, loads)
+        catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
+    safe_load_check(system, np.ones(system.dims.n_nodes * system.dims.dimension))
+    assert "P_U" not in vars(system)
+    assert not system.P_U.flags.writeable
+    assert system.P_U is system.P_U

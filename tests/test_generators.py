@@ -13,6 +13,8 @@ from latsweep.generators import (
     example1_prestressed_stress,
 )
 
+from helpers import counted_svd
+
 
 def test_example1_fixed_parameters():
     definition, loads = build_example1()
@@ -95,3 +97,11 @@ def test_periodic_counts_and_shifts():
 def test_periodic_requires_even_rows():
     with pytest.raises(InvalidInputError, match="even"):
         build_triangular_periodic(4, 3)
+
+
+def test_generators_check_rank_with_one_svd(monkeypatch):
+    calls = counted_svd(monkeypatch)
+    for build in (build_example1, build_tri_grid_with_hole, lambda: build_triangular_periodic(4, 4)):
+        calls.clear()
+        build()
+        assert len(calls) == 1

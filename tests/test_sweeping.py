@@ -3,6 +3,7 @@ import pytest
 
 from latsweep.errors import InitialConditionError
 from latsweep.generators import example1_prestressed_stress
+from latsweep import projection
 from latsweep.projection import project
 from latsweep.sweeping import (
     Space,
@@ -132,3 +133,18 @@ def test_zero_displacement_gives_zero_stress(example1):
     y = system.G @ loads.r(0.2 * loads.horizon) - 0.0
     eps, sigma = recover_stress(system, y, 0.2 * loads.horizon, loads, Space.FULL, spec)
     assert np.allclose(sigma, 0.0, atol=1e-15)
+
+
+def test_full_and_reduced_space_share_the_whitening_factor(grid_with_hole, monkeypatch):
+    # both spaces factor assembly's S_V, so the factors agree exactly and
+    # neither forms Z0^T K Z0 again
+    _, loads, system = grid_with_hole
+
+    def no_weight_apply(S, v):
+        raise AssertionError("whitening recomputed the Gram matrix of the plane")
+
+    monkeypatch.setattr(projection, "_weight_apply", no_weight_apply)
+    full = build_moving_set(system, Space.FULL, loads).whitening
+    reduced = build_moving_set(system, Space.REDUCED, loads).whitening
+    assert full.Z0 is system.V_basis and reduced.Z0 is None
+    assert np.array_equal(full.U, reduced.U)
