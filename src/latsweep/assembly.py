@@ -13,12 +13,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AssumptionError, DegenerateSpringError
 from .lattice import LatticeDefinition
 from .linalg import (
     DEFAULT_RANK_TOL,
+    RankedSVD,
+    inverse_cholesky_factor,
     numerical_rank,
     orthonormal_columns,
     ranked_svd,
@@ -75,16 +76,16 @@ class AssembledSystem:
     V_basis: np.ndarray            # m x dim_v, orthonormal columns spanning
                                    # K^-1 times the spring block of ker [C^T R^T]
     P_V: np.ndarray                # dim_v x m, S_V^-1 V^T K
-    H: np.ndarray                  # m x nd, top block of pinv [C^T R^T]
     G: np.ndarray                  # m x q, V P_V C pinv(R)
     F: np.ndarray                  # m x nd, (I - V P_V) K^-1 H
     S_V: np.ndarray                # dim_v x dim_v, V^T K V
+    S_V_inv_factor: np.ndarray     # dim_v x dim_v, upper T with T^T S_V T = I
     dims: SystemDims
 
     def __post_init__(self):
         for name in (
             "compatibility", "directions", "reference_lengths", "U_basis",
-            "V_basis", "P_V", "H", "G", "F", "S_V",
+            "V_basis", "P_V", "G", "F", "S_V", "S_V_inv_factor",
         ):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
@@ -94,10 +95,20 @@ class AssembledSystem:
     def P_U(self) -> np.ndarray:
         """``(U^T K U)^-1 U^T K`` (dim_u x m), built on first use only:
         ``U P_U = I - V P_V``, so no solve needs it."""
-        UK = self.equality_rows()
-        P_U = scipy.linalg.solve(UK @ self.U_basis, UK, assume_a="pos")
+        T = inverse_cholesky_factor(weighted_gram(self.U_basis, self.stiffness))
+        P_U = T @ (T.T @ self.equality_rows())
         P_U.flags.writeable = False
         return P_U
+
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """The top ``m`` rows of ``pinv [C^T R^T]`` (m x nd), built on first
+        use only: ``F`` is built from it, and no solve reads it."""
+        A = np.hstack([self.compatibility.T, self.definition.constraint_matrix.T])
+        # assemble checked that A has full row rank: no singular value is cut
+        H = RankedSVD(*np.linalg.svd(A, full_matrices=False), A.shape[0]).pinv(self.dims.n_springs)
+        H.flags.writeable = False
+        return H
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -207,7 +218,8 @@ def assemble(
             "lattice is statically determinate: no self-stress states "
             f"(m - nd + q = {dim_v})"
         )
-    H = enhanced_svd.pinv(m)
+    # F starts as H, the top block of the pseudoinverse, and is built in place.
+    F = enhanced_svd.pinv(m)
     # The kernel holds the constrained self-stresses [s; lambda]: C^T s +
     # R^T lambda = 0, i.e. s is orthogonal to U = C ker(R).  Their spring
     # blocks s = K v therefore span K V, and R's full row rank makes that
@@ -220,12 +232,15 @@ def assemble(
     del R_svd
 
     S_V = weighted_gram(V, k)
-    P_V = scipy.linalg.solve(S_V, V.T * k[None, :], assume_a="pos")
+    # The inverse T of S_V's upper Cholesky factor makes S_V^-1 = T T^T two
+    # products, and the same T whitens the moving set in either space.
+    T = inverse_cholesky_factor(S_V)
+    P_V = T @ (T.T @ (V.T * k[None, :]))
     G = V @ (P_V @ G_R)
     # U P_U + V P_V = I, so the K-orthogonal projection onto the
-    # elongation space needs no P_U.
-    HK = H / k[:, None]
-    F = HK - V @ (P_V @ HK)
+    # elongation space needs no P_U: F = (I - V P_V) K^-1 H.
+    F /= k[:, None]
+    F -= V @ (P_V @ F)
 
     return AssembledSystem(
         definition=definition,
@@ -235,10 +250,10 @@ def assemble(
         U_basis=U,
         V_basis=V,
         P_V=P_V,
-        H=H,
         G=G,
         F=F,
         S_V=S_V,
+        S_V_inv_factor=T,
         dims=SystemDims(n, m, d, q, dim_u, dim_v),
     )
 

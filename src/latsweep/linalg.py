@@ -1,6 +1,8 @@
-"""Dense-matrix utilities: pseudoinverse, rank, nullspaces, weighted Gram.
+"""Dense-matrix utilities: pseudoinverse, rank, nullspaces, weighted Gram,
+inverse Cholesky factor.
 
-Everything is SVD-based so rank-deficient matrices are handled uniformly.
+Everything but the Cholesky factor is SVD-based, so rank-deficient
+matrices are handled uniformly.
 Matrices are plain 2-d ``numpy`` arrays; vectors are 1-d arrays.
 """
 
@@ -94,6 +96,17 @@ def nullspace_basis(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
     deterministic sign: the entry of largest magnitude is positive.
     """
     return ranked_svd(A, rank_tol, full_matrices=True).kernel()
+
+
+def inverse_cholesky_factor(S: np.ndarray) -> np.ndarray:
+    """``U^-1`` for the upper Cholesky factor ``U`` of a symmetric positive
+    definite ``S = U^T U``: upper triangular, ``U^-T S U^-1 = I`` and
+    ``S^-1 = U^-1 U^-T``, so solves with ``S`` become products.
+
+    The LU factorization behind ``numpy.linalg.inv`` takes no pivots on a
+    triangular matrix, so the inverse is one back substitution per column.
+    """
+    return np.linalg.inv(np.linalg.cholesky(S).T)
 
 
 def weighted_gram(V: np.ndarray, K: np.ndarray) -> np.ndarray:

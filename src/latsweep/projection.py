@@ -4,12 +4,19 @@ The projection ``argmin (y-x)^T S (y-x)`` over ``{lo <= A y <= b, A_eq y =
 b_eq}`` has two kernels, which share one change of coordinates, a
 :class:`Whitening`: in the kernel ``Z0`` of the equality rows, with ``Z0^T S
 Z0 = U^T U``, ``v -> U^-T Z0^T v`` turns the S-geometry into the Euclidean
-one.  A whitening is built and validated once per weight and equality rows
-and reused while the caller passes the same arrays (read-only ones by
-identity alone, writable ones while they hold the values it was built
-from); a caller that already knows ``Z0`` (a moving set, whose equality
-rows have the kernel ``V`` that assembly computed) hands it over through a
-:class:`WarmStart`.
+one.  The whitening keeps the inverse factor ``U^-1``, so it is applied by
+matrix products alone.  It is built and validated once per weight and
+equality rows and reused while the caller passes the same arrays
+(read-only ones by identity alone, writable ones while they hold the values
+it was built from); a caller that already knows ``Z0`` and ``U^-1`` (a
+moving set: its equality rows have the kernel ``V`` that assembly computed,
+and ``Z0^T S Z0`` is assembly's ``S_V`` in either space) hands them over.
+
+Every dense factorization here goes through NumPy's LAPACK.  NumPy and
+scipy wheels each bundle their own OpenBLAS, and a solve path that switches
+between the two thread pools pays each time for waking the idle one; scipy
+serves only the two solvers it alone has, HiGHS and bounded-variable least
+squares (whose own least-squares solves call NumPy).
 
 :func:`project`, which the catch-up integrator calls on every step, is a
 primal active-set method on two-sided bounds: finite on these small dense
@@ -24,7 +31,8 @@ linear program (HiGHS via scipy).
 velocities, handles cones (all right-hand sides zero) by Moreau's
 decomposition: the point splits S-orthogonally into its projections onto
 the cone and onto the polar cone, and the polar part is one nonnegative
-least-squares problem in the multipliers.
+least-squares problem in the multipliers (bounded-variable least squares
+via scipy).
 """
 
 from __future__ import annotations
@@ -32,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linprog, lsq_linear
 
 from .errors import ConeProjectionError, InfeasibleSetError, InvalidInputError, LatSweepError
-from .linalg import nullspace_basis, pseudoinverse
+from .linalg import inverse_cholesky_factor, nullspace_basis, pseudoinverse
 
 DEFAULT_TOL = 1e-10
 
@@ -161,35 +168,38 @@ class Whitening:
     """``v -> U^-T Z0^T v`` and back, for one weight and one set of equality rows.
 
     ``Z0`` spans the kernel of the equality rows ``A_eq`` (None when there
-    are none: the identity) and ``Z0^T S Z0 = U^T U``.  ``S`` and ``A_eq``
-    are the arrays it was built and validated for; ``S_copy`` and
-    ``A_eq_copy`` hold their values when they are writable.
+    are none: the identity) and ``Z0^T S Z0 = U^T U`` with ``U`` upper
+    triangular.  Only the inverse factor ``U_inv`` is kept, so each
+    direction is a product with ``U_inv`` (transposed going forward) and
+    with ``Z0``, with no triangular solve.  ``S`` and ``A_eq`` are the
+    arrays it was built and validated for; ``S_copy`` and ``A_eq_copy``
+    hold their values when they are writable.
     """
 
     S: np.ndarray
     A_eq: np.ndarray | None
     Z0: np.ndarray | None
-    U: np.ndarray
+    U_inv: np.ndarray
     S_copy: np.ndarray | None = field(default=None, repr=False)
     A_eq_copy: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(
-        cls, S, A_eq, n: int, Z0: np.ndarray | None = None, gram: np.ndarray | None = None
+        cls, S, A_eq, n: int, Z0: np.ndarray | None = None, U_inv: np.ndarray | None = None
     ) -> "Whitening":
         """Validate ``S`` and ``A_eq`` and factor; ``Z0`` is the kernel of
         ``A_eq`` when the caller already has it, else one SVD finds it, and
-        ``gram`` is ``Z0^T S Z0`` when the caller already has that."""
+        ``U_inv`` is the inverse Cholesky factor of ``Z0^T S Z0`` when the
+        caller already has that."""
         S = _check_weight(S, n)
         _check_finite(A_eq)
         if Z0 is None and A_eq is not None and A_eq.shape[0]:
             Z0 = nullspace_basis(A_eq)
-        if gram is not None:
-            H0 = gram
-        else:
+        if U_inv is None:
             H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
             H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
-        return cls(S, A_eq, Z0, scipy.linalg.cholesky(H0), _snapshot(S), _snapshot(A_eq))
+            U_inv = inverse_cholesky_factor(H0)
+        return cls(S, A_eq, Z0, U_inv, _snapshot(S), _snapshot(A_eq))
 
     def fits(self, S, A_eq) -> bool:
         """Whether this whitening was built from these arrays, unchanged since."""
@@ -198,21 +208,20 @@ class Whitening:
     def forward(self, v: np.ndarray) -> np.ndarray:
         """``U^-T Z0^T v`` for a vector or for the columns of a matrix."""
         v = v if self.Z0 is None else self.Z0.T @ v
-        return scipy.linalg.solve_triangular(self.U, v, trans="T")
+        return self.U_inv.T @ v
 
     def back(self, w: np.ndarray) -> np.ndarray:
         """``Z0 U^-1 w``: a whitened gradient back as a step in ``y``."""
-        step = scipy.linalg.solve_triangular(self.U, w)
+        step = self.U_inv @ w
         return step if self.Z0 is None else self.Z0 @ step
 
     def rows(self, A: np.ndarray | None) -> np.ndarray:
-        """Whitened rows ``U^-T (A Z0)^T`` as columns, in one triangular
-        solve; ``A`` None is the identity."""
+        """Whitened rows ``U^-T (A Z0)^T`` as columns, a new array; ``A``
+        None is the identity."""
         _check_finite(A)
         if A is not None:
             return self.forward(A.T)
-        ZT = np.eye(self.U.shape[0]) if self.Z0 is None else self.Z0.T
-        return scipy.linalg.solve_triangular(self.U, ZT, trans="T")
+        return self.U_inv.T.copy() if self.Z0 is None else (self.Z0 @ self.U_inv).T
 
 
 @dataclass
@@ -480,7 +489,7 @@ def project_cone(
 
     Sx = _weight_apply(S, x)
     x_norm = float(np.sqrt(max(x @ Sx, 0.0)))
-    if x_norm == 0.0 or white.U.shape[0] == 0:
+    if x_norm == 0.0 or white.U_inv.shape[0] == 0:
         return ProjectionResult(np.zeros(n), tuple(range(l)), 0.0)
 
     # Work in whitened coordinates scaled by 1/||x||_S, with unit columns in

@@ -113,11 +113,13 @@ class MovingSetSpec:
 
         The kernel of the equality rows ``U^T K`` is the basis ``V`` of the
         plane that assembly already computed, and in both spaces ``Z0^T S
-        Z0`` is assembly's ``S_V``, so neither is computed again here.
+        Z0`` is assembly's ``S_V``, whose inverse Cholesky factor assembly
+        also keeps, so nothing is factored here.
         """
         Z0 = None if self.equality_rows is None else self.system.V_basis
         return Whitening.build(
-            self.weight, self.equality_rows, self.weight.shape[0], Z0, gram=self.system.S_V
+            self.weight, self.equality_rows, self.weight.shape[0], Z0,
+            U_inv=self.system.S_V_inv_factor,
         )
 
     def warm_start(self) -> WarmStart:

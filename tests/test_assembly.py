@@ -264,6 +264,7 @@ def test_elongation_projector_is_lazy_and_read_only():
         leapfrog(system, spec, state0, loads)
         catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
     safe_load_check(system, np.ones(system.dims.n_nodes * system.dims.dimension))
-    assert "P_U" not in vars(system)
-    assert not system.P_U.flags.writeable
-    assert system.P_U is system.P_U
+    for name in ("P_U", "H"):
+        assert name not in vars(system)
+        assert not getattr(system, name).flags.writeable
+        assert getattr(system, name) is getattr(system, name)

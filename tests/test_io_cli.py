@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from latsweep import cli
 from latsweep.assembly import assemble
 from latsweep.cli import main
 from latsweep.errors import SchemaError
@@ -306,3 +308,43 @@ def test_cli_usage_errors_exit_64(capsys):
 def test_cli_missing_file_is_validation_error(capsys):
     assert main(["validate", "/nonexistent/never.json"]) == 2
     capsys.readouterr()
+
+
+def test_cli_solve_factors_with_numpy_once_per_assembly(tmp_path, monkeypatch):
+    # One BLAS pool serves the solve path: no call reaches scipy.linalg, and
+    # the one Cholesky factor of S_V per assembly whitens every moving set,
+    # so none is taken while building the set or solving.
+    example1, periodic = tmp_path / "ex1.json", tmp_path / "per.json"
+    main(["generate", "example1", "--out", str(example1)])
+    main(["generate", "periodic", "--cells-x", "4", "--cells-y", "4", "--out", str(periodic)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve path called scipy.linalg")
+
+    for name in dir(scipy.linalg):
+        obj = getattr(scipy.linalg, name)
+        if not name.startswith("_") and callable(obj) and not isinstance(obj, type):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+    log = []
+    cholesky, assemble_ = np.linalg.cholesky, cli.assemble
+
+    def counted_cholesky(a, *args, **kwargs):
+        log.append("cholesky")
+        return cholesky(a, *args, **kwargs)
+
+    def logged_assemble(*args, **kwargs):
+        log.append("assemble")
+        system = assemble_(*args, **kwargs)
+        log.append("assembled")
+        return system
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(cli, "assemble", logged_assemble)
+    runs = [(example1, solver) for solver in ("leapfrog", "catchup")] + [(periodic, "leapfrog")]
+    for net, solver in runs:
+        for space in ("full", "reduced"):
+            log.clear()
+            code = main(["solve", str(net), "--solver", solver, "--space", space,
+                         "--mesh", "1e-3", "--out", str(tmp_path / "run")])
+            assert code == 0
+            assert log == ["assemble", "cholesky", "assembled"], (net.name, solver, space)

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -5,7 +6,11 @@ import pytest
 
 from latsweep.catchup import TimePartition, catchup
 from latsweep.errors import InvalidStateError, UnsupportedLoadError
-from latsweep.generators import build_triangular_periodic, example1_prestressed_stress
+from latsweep.generators import (
+    build_tri_grid_with_hole,
+    build_triangular_periodic,
+    example1_prestressed_stress,
+)
 from latsweep.lattice import LatticeDefinition, LoadSchedule
 from latsweep.leapfrog import event_velocity, leapfrog, next_event_time, tangent_cone
 from latsweep import projection
@@ -343,3 +348,26 @@ def test_grid_leapfrog_full_space_takes_no_nullspace(grid_with_hole, monkeypatch
     traj = _run_leapfrog(system, loads, Space.FULL)
     assert len(traj.events) >= 3
     assert len(kernels) == 0
+
+
+def test_spaces_agree_at_high_stiffness_contrast():
+    # Stiffness over six decades makes S_V = V^T K V ill-conditioned: a
+    # P_V formed from a Cholesky factor of S_V keeps the two spaces' event
+    # times 6e-11 apart, where an LU solve for it moves them 5e-9 apart.
+    # The limits scale with k, so the yield strains are the grid's own.
+    definition, loads = build_tri_grid_with_hole()
+    k = 10 ** np.random.default_rng(11).uniform(-3, 3, definition.n_springs)
+    scale = k / definition.stiffness
+    definition = dataclasses.replace(
+        definition,
+        stiffness=k,
+        lower_limits=definition.lower_limits * scale,
+        upper_limits=definition.upper_limits * scale,
+    )
+    system = assemble(definition)
+    full, reduced = (_run_leapfrog(system, loads, space) for space in (Space.FULL, Space.REDUCED))
+    assert len(full.events) == len(reduced.events) >= 5
+    for a, b in zip(full.events, reduced.events):
+        assert a.newly_active == b.newly_active
+        assert a.newly_released == b.newly_released
+        assert abs(a.time - b.time) <= 2e-10 * b.time
