@@ -151,7 +151,7 @@ def metrics_from_curve(
     """Macroscopic metrics from sampled stress-strain data and event times.
 
     Stiffness is the pre-first-event slope of the loading-direction stress
-    over time; the yield strength comes from the conventional 0.2%%
+    over time; the yield strength comes from the conventional 0.2%
     strain-offset construction, interpolated linearly between samples.
     """
     times = np.asarray(times, dtype=float)

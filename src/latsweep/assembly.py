@@ -17,7 +17,6 @@ import numpy as np
 from .errors import AssumptionError, DegenerateSpringError
 from .lattice import LatticeDefinition
 from .linalg import (
-    DEFAULT_RANK_TOL,
     RankedSVD,
     inverse_cholesky_factor,
     numerical_rank,
@@ -155,9 +154,7 @@ def compatibility_matrix(
     return compat, directions, lengths
 
 
-def validate_assumptions(
-    definition: LatticeDefinition, rank_tol: float = DEFAULT_RANK_TOL
-) -> RigidityReport:
+def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
     """Rigidity diagnostics; never raises on a failed assumption."""
     compat, _, _ = compatibility_matrix(definition)
     n, m = definition.incidence.shape
@@ -166,11 +163,11 @@ def validate_assumptions(
     q = definition.n_constraints
     R = definition.constraint_matrix
 
-    rank_compat = numerical_rank(compat, rank_tol)
+    rank_compat = numerical_rank(compat)
     zero_modes = nd - rank_compat
     self_stress = m - rank_compat
     enhanced_compat = np.vstack([compat, R]) if q else compat
-    rank_enhanced = numerical_rank(enhanced_compat, rank_tol)
+    rank_enhanced = numerical_rank(enhanced_compat)
     constrained_zero_modes = nd - rank_enhanced
     constrained_self_stress = (m + q) - rank_enhanced
     return RigidityReport(
@@ -185,9 +182,7 @@ def validate_assumptions(
     )
 
 
-def assemble(
-    definition: LatticeDefinition, rank_tol: float = DEFAULT_RANK_TOL
-) -> AssembledSystem:
+def assemble(definition: LatticeDefinition) -> AssembledSystem:
     """Build all time-independent matrices, checking the standing assumptions."""
     compat, directions, lengths = compatibility_matrix(definition)
     n, m = definition.incidence.shape
@@ -197,7 +192,7 @@ def assemble(
     R = definition.constraint_matrix
     k = definition.stiffness
 
-    R_svd = ranked_svd(R, rank_tol, full_matrices=True)
+    R_svd = ranked_svd(R, full_matrices=True)
     if R_svd.rank != q:
         raise AssumptionError(
             "external displacement constraint matrix is rank deficient "
@@ -205,7 +200,7 @@ def assemble(
         )
     # One full SVD of the enhanced equilibrium matrix [C^T R^T] gives the
     # rank check, H (the top block of its pseudoinverse) and its kernel.
-    enhanced_svd = ranked_svd(np.hstack([compat.T, R.T]), rank_tol, full_matrices=True)
+    enhanced_svd = ranked_svd(np.hstack([compat.T, R.T]), full_matrices=True)
     if enhanced_svd.rank != nd:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "

@@ -69,11 +69,9 @@ def detect_events(
     states: list[SweepingState],
     lower: np.ndarray,
     upper: np.ndarray,
-    event_tol: np.ndarray | None = None,
 ) -> list[EventRecord]:
     """A posteriori yield events: steps where new springs reach a bound."""
-    if event_tol is None:
-        event_tol = EVENT_TOL_FRACTION * (upper - lower)
+    event_tol = EVENT_TOL_FRACTION * (upper - lower)
     events = []
     previous = bound_activity(states[0].sigma, lower, upper, event_tol)
     for state in states[1:]:

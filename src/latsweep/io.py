@@ -68,6 +68,10 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
 
     if _need(doc, "format", "") != FORMAT_NAME:
         raise SchemaError(f"unknown format {doc['format']!r}", field="format")
+    if doc.get("version", FORMAT_VERSION) != FORMAT_VERSION:
+        raise SchemaError(
+            f"unsupported version {doc['version']!r} (expected {FORMAT_VERSION})", field="version"
+        )
     meta = _need(doc, "meta", "")
     d = _need(meta, "dimension", "meta", int)
     if d not in (1, 2, 3):

@@ -36,7 +36,6 @@ TIE_TOL = 1e-12
 def tangent_cone(
     spec: MovingSetSpec,
     z: np.ndarray,
-    active_tol: float = ACTIVE_TOL,
     offset: np.ndarray | None = None,
 ) -> PolyhedralSet:
     """Tangent cone of the frozen constraint set at ``z``.
@@ -50,14 +49,14 @@ def tangent_cone(
     lo = spec.box_lower if offset is None else spec.box_lower + offset
     hi = spec.box_upper if offset is None else spec.box_upper + offset
     values = spec.lift(z)
-    if np.max(values - hi, initial=0.0) > active_tol or np.max(lo - values, initial=0.0) > active_tol:
+    if np.max(values - hi, initial=0.0) > ACTIVE_TOL or np.max(lo - values, initial=0.0) > ACTIVE_TOL:
         raise InvalidStateError("point violates the static set beyond tolerance")
     eq = spec.equality_rows
     if eq is not None and np.max(np.abs(eq @ z), initial=0.0) > 1e-7 * (1 + np.abs(z).max()):
         raise InvalidStateError("point has drifted off the self-stress plane")
 
-    on_upper = hi - values <= active_tol
-    springs = np.flatnonzero(on_upper | (values - lo <= active_tol))
+    on_upper = hi - values <= ACTIVE_TOL
+    springs = np.flatnonzero(on_upper | (values - lo <= ACTIVE_TOL))
     A = spec.bound_rows(springs, np.where(on_upper[springs], 1.0, -1.0))
     return PolyhedralSet(A=A, b=np.zeros(springs.size), A_eq=eq)
 
@@ -66,7 +65,6 @@ def event_velocity(
     spec: MovingSetSpec,
     z: np.ndarray,
     drive: np.ndarray,
-    active_tol: float = ACTIVE_TOL,
     offset: np.ndarray | None = None,
     warm: WarmStart | None = None,
 ) -> np.ndarray:
@@ -76,12 +74,12 @@ def event_velocity(
     ``z``; the result is the weighted projection of ``-drive`` onto the
     tangent cone at ``z``, in the spec's whitening unless ``warm`` is given.
     """
-    cone = tangent_cone(spec, z, active_tol, offset)
+    cone = tangent_cone(spec, z, offset)
     warm = spec.warm_start() if warm is None else warm
     return project_cone(spec.weight, -np.asarray(drive, dtype=float), cone, warm=warm).point
 
 
-def _event_candidates(spec, z, zdot, offset, active_tol):
+def _event_candidates(spec, z, zdot, offset):
     """Earliest time a currently inactive bound is reached, with ties.
 
     Returns ``(tau, [(spring, side), ...])`` or ``(None, [])`` when no
@@ -95,10 +93,10 @@ def _event_candidates(spec, z, zdot, offset, active_tol):
 
     taus = np.full(values.shape[0], np.inf)
     sides = np.empty(values.shape[0], dtype=object)
-    up = (speeds > thresh) & (hi - values > active_tol)
+    up = (speeds > thresh) & (hi - values > ACTIVE_TOL)
     taus[up] = (hi[up] - values[up]) / speeds[up]
     sides[up] = "upper"
-    down = (speeds < -thresh) & (values - lo > active_tol)
+    down = (speeds < -thresh) & (values - lo > ACTIVE_TOL)
     taus[down] = (lo[down] - values[down]) / speeds[down]
     sides[down] = "lower"
 
@@ -114,11 +112,10 @@ def next_event_time(
     spec: MovingSetSpec,
     z: np.ndarray,
     zdot: np.ndarray,
-    active_tol: float = ACTIVE_TOL,
     offset: np.ndarray | None = None,
 ) -> float | None:
     """Time until a currently inactive bound becomes active along ``zdot``."""
-    tau, _ = _event_candidates(spec, np.asarray(z, float), np.asarray(zdot, float), offset, active_tol)
+    tau, _ = _event_candidates(spec, np.asarray(z, float), np.asarray(zdot, float), offset)
     return tau
 
 
@@ -146,8 +143,6 @@ def leapfrog(
     state0: SweepingState,
     loads: LoadSchedule,
     horizon: float | None = None,
-    active_tol: float = ACTIVE_TOL,
-    stabilization_tol: float = STABILIZATION_TOL,
 ) -> Trajectory:
     """Integrate by jumping between yield events.
 
@@ -186,7 +181,7 @@ def leapfrog(
         (int(j), side)
         for side, bound in (("upper", spec.box_upper + offset_init),
                             ("lower", spec.box_lower + offset_init))
-        for j in np.flatnonzero(np.abs(values0 - bound) <= active_tol)
+        for j in np.flatnonzero(np.abs(values0 - bound) <= ACTIVE_TOL)
     }
     for t_start, t_end in segments:
         offset0 = spec.offset(loads, t_start)
@@ -201,11 +196,11 @@ def leapfrog(
             continue
 
         max_events = 50 * system.dims.n_springs + 100
-        zdot = event_velocity(spec, z, drive, active_tol, offset0, warm=warm)
+        zdot = event_velocity(spec, z, drive, offset0, warm=warm)
         for _ in range(max_events):
-            if _weighted_norm(weight, zdot) <= stabilization_tol * drive_norm:
+            if _weighted_norm(weight, zdot) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
-            tau, hits = _event_candidates(spec, z, zdot, offset0, active_tol)
+            tau, hits = _event_candidates(spec, z, zdot, offset0)
             t_next = t + tau if tau is not None else np.inf
             if tau is None or t_next > t_end - 1e-15 * max(1.0, t_end):
                 z = z + zdot * (t_end - t)
@@ -215,7 +210,7 @@ def leapfrog(
             t = t_next
             arrivals = frozenset(hits)
             candidates = set(held) | set(arrivals)
-            post_velocity = event_velocity(spec, z, drive, active_tol, offset0, warm=warm)
+            post_velocity = event_velocity(spec, z, drive, offset0, warm=warm)
             gone = _departures(spec, candidates, post_velocity)
             held = candidates - gone
             sigma = sigma_of(z, offset0)

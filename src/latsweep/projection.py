@@ -1,38 +1,31 @@
 """Projection onto a polyhedral set in a weighted inner product.
 
 The projection ``argmin (y-x)^T S (y-x)`` over ``{lo <= A y <= b, A_eq y =
-b_eq}`` has two kernels, which share one change of coordinates, a
-:class:`Whitening`: in the kernel ``Z0`` of the equality rows, with ``Z0^T S
-Z0 = U^T U``, ``v -> U^-T Z0^T v`` turns the S-geometry into the Euclidean
-one.  The whitening keeps the inverse factor ``U^-1``, so it is applied by
-matrix products alone.  It is built and validated once per weight and
-equality rows and reused while the caller passes the same arrays
-(read-only ones by identity alone, writable ones while they hold the values
-it was built from); a caller that already knows ``Z0`` and ``U^-1`` (a
-moving set: its equality rows have the kernel ``V`` that assembly computed,
-and ``Z0^T S Z0`` is assembly's ``S_V`` in either space) hands them over.
+b_eq}`` is computed in one change of coordinates, a :class:`Whitening`: in
+the kernel ``Z0`` of the equality rows, with ``Z0^T S Z0 = U^T U``, ``v ->
+U^-T Z0^T v`` turns the S-geometry into the Euclidean one.  The whitening
+keeps the inverse factor ``U^-1``, so it is applied by matrix products
+alone.  It is built and validated once per weight and equality rows and
+reused while the caller passes the same arrays (read-only ones by identity
+alone, writable ones while they hold the values it was built from); a
+caller that already knows ``Z0`` and ``U^-1`` (a moving set: its equality
+rows have the kernel ``V`` that assembly computed, and ``Z0^T S Z0`` is
+assembly's ``S_V`` in either space) hands them over.
 
 Every dense factorization here goes through NumPy's LAPACK.  NumPy and
 scipy wheels each bundle their own OpenBLAS, and a solve path that switches
 between the two thread pools pays each time for waking the idle one; scipy
-serves only the two solvers it alone has, HiGHS and bounded-variable least
-squares (whose own least-squares solves call NumPy).
+serves only HiGHS, for phase 1.
 
-:func:`project`, which the catch-up integrator calls on every step, is a
-primal active-set method on two-sided bounds: finite on these small dense
-problems, deterministic (ties broken by lowest bound index, upper bounds
-before lower ones), and warm-startable across time steps where the active
-set changes slowly.  Its working-set steps are least-squares solves
-against the few whitened active rows (the range-space form).  Feasible
-starting points, when the caller cannot supply one, come from a phase-1
-linear program (HiGHS via scipy).
-
-:func:`project_cone`, which the event-based integrator calls for its event
-velocities, handles cones (all right-hand sides zero) by Moreau's
-decomposition: the point splits S-orthogonally into its projections onto
-the cone and onto the polar cone, and the polar part is one nonnegative
-least-squares problem in the multipliers (bounded-variable least squares
-via scipy).
+One kernel, a primal active-set method on two-sided bounds, serves both
+integrators: finite on these small dense problems, deterministic (ties
+broken by lowest bound index, upper bounds before lower ones), and
+warm-startable across time steps where the active set changes slowly.  Its
+working-set steps are least-squares solves against the few whitened active
+rows (the range-space form).  :func:`project`, for catch-up steps, starts
+from a point the caller supplies or from a phase-1 linear program (HiGHS
+via scipy); :func:`project_cone`, for event velocities, starts at the
+cone's apex, which lies in every cone, and checks its result.
 """
 
 from __future__ import annotations
@@ -40,16 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, lsq_linear
+from scipy.optimize import linprog
 
 from .errors import ConeProjectionError, InfeasibleSetError, InvalidInputError, LatSweepError
 from .linalg import inverse_cholesky_factor, nullspace_basis, pseudoinverse
 
 DEFAULT_TOL = 1e-10
-
-#: Optimality tolerance of the bounded-variable least-squares solve on
-#: unit-scaled data; well under ``DEFAULT_TOL`` so the KKT check has room.
-_BVLS_TOL = 1e-14
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -370,19 +359,11 @@ def project(
     ``start``, when given and feasible within tolerance, skips the phase-1
     solve.  ``warm`` carries the previous active set, the whitening and the
     whitened rows between calls; it must not be shared across threads.
-
-    Each working-set step, with the whitened gradient ``e = U^-T Z0^T S
-    (y - x)`` and active bounds as the columns ``C`` of ``U^-T (A Z0)^T``
-    (negated for lower bounds), is ``-Z0 U^-1 r`` for ``r = e + C lam`` and
-    ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
-    multipliers and ``||r||`` the stationarity residual; least squares keeps
-    dependent or duplicated active rows exact.
     """
     n = poly.dim
     x = _check_point(x, n)
     white = _whitening(S, poly, warm)
     M = _whitened_rows(white, poly, warm)
-    S = white.S
 
     act_tol = max(tol, 1e-12)
     y = None
@@ -393,32 +374,55 @@ def project(
     if y is None:
         y = find_feasible_point(poly, tol)
 
+    active = poly.slack(y) <= act_tol
+    if warm is not None and warm.active is not None:
+        keep = np.zeros(poly.n_inequalities, dtype=bool)
+        keep[[j for j in warm.active if 0 <= j < keep.size]] = True
+        active &= keep
+    y, _, _, kkt_stat = _active_set(white, M, poly, x, y, active, tol)
+
+    bound = np.abs(poly.b if poly.lower is None else np.concatenate([poly.b, poly.lower]))
+    act_idx = tuple(int(j) for j in np.flatnonzero(poly.slack(y) <= act_tol * (1.0 + bound)))
+    if warm is not None:
+        warm.active = act_idx
+    kkt = max(kkt_stat, poly.violation(y))
+    return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
+
+
+def _active_set(white: Whitening, M, poly: PolyhedralSet, x, y, active, tol: float):
+    """The primal active-set loop of both projections, from the feasible ``y``.
+
+    ``M`` holds the whitened rows ``U^-T (A Z0)^T`` as columns, and
+    ``active`` (changed in place) the starting working set.  Each
+    working-set step, with the whitened gradient ``e = U^-T Z0^T S (y -
+    x)`` and the active bounds as the columns ``C`` of ``M`` (negated for
+    lower bounds), is ``-Z0 U^-1 r`` for ``r = e + C lam`` and ``lam =
+    lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
+    multipliers and ``||r||`` the stationarity residual; least squares
+    keeps dependent or duplicated active rows exact.  Returns the point,
+    the final working set, its multipliers and ``||r||``.
+    """
+    S = white.S
+    n = poly.dim
     rows = poly.b.shape[0]
     l = poly.n_inequalities
     two_sided = poly.lower is not None
-    active = poly.slack(y) <= act_tol
-    if warm is not None and warm.active is not None:
-        keep = np.zeros(l, dtype=bool)
-        keep[[j for j in warm.active if 0 <= j < l]] = True
-        active &= keep
-
-    max_iter = 50 * (l + n + 10)
-    kkt_stat = 0.0
-    for _ in range(max_iter):
+    known = None
+    for _ in range(50 * (l + n + 10)):
         idx = np.flatnonzero(active)
         lower = idx >= rows
         C = M[:, np.where(lower, idx - rows, idx)]
         C[:, lower] *= -1.0
         e = white.forward(_weight_apply(S, y - x))
-        lam = np.linalg.lstsq(C, -e, rcond=None)[0]
+        lam = np.linalg.lstsq(C, -e, rcond=None)[0] if known is None else known
+        known = None
         r = e + C @ lam
         p = -white.back(r)
         if np.max(np.abs(p), initial=0.0) <= tol * (1.0 + np.max(np.abs(y), initial=0.0)):
             # At the working-set optimum: check multipliers of active rows.
-            kkt_stat = float(np.linalg.norm(r))
             neg = lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(initial=0.0))
             if not np.any(neg):
-                break
+                return y, idx, lam, float(np.linalg.norm(r))
             active[idx[np.flatnonzero(neg)[np.argmin(lam[neg])]]] = False
             continue
         # Line search toward the working-set optimum.
@@ -440,15 +444,11 @@ def project(
         y = y + alpha * p
         if blocking >= 0:
             active[blocking] = True
-    else:
-        raise LatSweepError("active-set projection exceeded its iteration cap")
-
-    bound = np.abs(np.concatenate([poly.b, poly.lower]) if two_sided else poly.b)
-    act_idx = tuple(int(j) for j in np.flatnonzero(poly.slack(y) <= act_tol * (1.0 + bound)))
-    if warm is not None:
-        warm.active = act_idx
-    kkt = max(kkt_stat, poly.violation(y))
-    return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
+        else:
+            # A full step lands on the working-set optimum, where C lam = -e
+            # holds exactly for the multipliers just found: no second solve.
+            known = lam
+    raise LatSweepError("active-set projection exceeded its iteration cap")
 
 
 def project_cone(
@@ -460,20 +460,17 @@ def project_cone(
 ) -> ProjectionResult:
     """S-weighted projection of ``x`` onto a cone ``{A v <= 0, A_eq v = 0}``.
 
-    With the point and the rows whitened as in :func:`project`,
-    ``d = U^-T Z0^T S x`` and ``M = U^-T (A Z0)^T``, the projection is
-    ``Z0 U^-1 (d - M lam)`` where ``lam >= 0`` minimizes ``||d - M lam||``
-    (Moreau's decomposition: the polar part is the Euclidean projection onto
-    the cone that the columns of ``M`` generate).  The bounded-variable
-    least-squares solve stays exact when those columns are dependent, as
-    they are when many bounds turn active at once.
+    The active-set loop of :func:`project`, started at the cone's apex (the
+    origin, which lies in every cone, so no phase 1 is needed) with every
+    row in the working set, on ``x`` scaled to unit ``||x||_S``.  ``warm``
+    lends its whitening; the cone's rows are whitened afresh and not kept.
 
-    ``warm`` carries the whitening across calls with the same equality-row
-    and weight arrays.  The result is checked against the KKT
-    conditions, relative to ``||x||_S`` and per row to ``||M e_i||``: primal
-    feasibility ``A v <= 0``, complementarity ``lam . A v = 0`` and the sign
-    of the least-squares gradient.  A residual above ``tol`` raises
-    :class:`ConeProjectionError`.
+    The result is checked against the KKT conditions, per row relative to
+    its whitened norm ``||M e_i||`` (``M = U^-T (A Z0)^T``): primal
+    feasibility ``A v <= 0``, complementarity ``lam . A v = 0``, and
+    stationarity, ``||U^-T Z0^T S (v - x) + M lam||`` recomputed from the
+    returned point, with nonnegative multipliers ``lam``.  A residual above
+    ``tol`` raises :class:`ConeProjectionError`.
     """
     if cone.lower is not None:
         raise InvalidInputError("cone has lower bounds")
@@ -487,27 +484,24 @@ def project_cone(
     S = white.S
     l = cone.b.shape[0]
 
-    Sx = _weight_apply(S, x)
-    x_norm = float(np.sqrt(max(x @ Sx, 0.0)))
+    x_norm = float(np.sqrt(max(x @ _weight_apply(S, x), 0.0)))
     if x_norm == 0.0 or white.U_inv.shape[0] == 0:
         return ProjectionResult(np.zeros(n), tuple(range(l)), 0.0)
 
-    # Work in whitened coordinates scaled by 1/||x||_S, with unit columns in
-    # M, so the least-squares tolerances and the checks below are scale-free.
-    d = white.forward(Sx) / x_norm
+    x = x / x_norm
     M = white.rows(cone.A)
+    y, idx, lam, _ = _active_set(white, M, cone, x, np.zeros(n), np.ones(l, dtype=bool), tol)
+
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0
-    M /= col
-    mu = lsq_linear(M, d, bounds=(0.0, np.inf), method="bvls", tol=_BVLS_TOL).x
-    r = d - M @ mu
-    v = x_norm * white.back(r)
-
-    rows = cone.apply(v) / (col * x_norm)
+    rows = cone.apply(y) / col
+    mu = lam * col[idx]    # the multipliers of the unit rows
+    r = white.forward(_weight_apply(S, y - x)) + M[:, idx] @ lam
     kkt = max(
-        np.max(rows, initial=0.0),      # primal: A v <= 0
-        abs(float(mu @ rows)),          # complementarity
-        np.max(M.T @ r, initial=0.0),   # sign of the gradient -M^T r
+        np.max(rows, initial=0.0),          # primal: A v <= 0
+        abs(float(mu @ rows[idx])),         # complementarity
+        float(np.linalg.norm(r)),           # stationarity
+        -np.min(mu, initial=0.0),           # nonnegative multipliers
     )
     if not kkt <= tol:
         raise ConeProjectionError(
@@ -515,4 +509,4 @@ def project_cone(
             f"(tolerance {tol:.3g}, {l} rows)"
         )
     active = tuple(int(j) for j in np.flatnonzero(rows >= -tol))
-    return ProjectionResult(point=v, active_inequalities=active, kkt_residual=kkt)
+    return ProjectionResult(point=x_norm * y, active_inequalities=active, kkt_residual=kkt)

@@ -97,6 +97,18 @@ def test_schema_error_shift_without_box(tmp_path):
         load_network(path)
 
 
+def test_schema_error_unsupported_version(tmp_path):
+    path, doc = example1_document(tmp_path)
+    doc["version"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"^version: ") as info:
+        load_network(path)
+    assert info.value.field == "version"
+    del doc["version"]  # a document without one is read as version 1
+    path.write_text(json.dumps(doc))
+    assert load_network(path)[0].n_springs == 10
+
+
 def test_schema_error_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -221,14 +233,13 @@ def test_cli_spaces_agree(tmp_path):
 
 def test_cli_cone_projection_failure_exits_2(tmp_path, capsys, monkeypatch):
     # an event velocity that misses its KKT conditions is a runtime error,
-    # never a silently wrong trajectory
-    from types import SimpleNamespace
-
+    # never a silently wrong trajectory: here the kernel leaves the negated
+    # drive unprojected, which is wrong once bounds are active
     net = tmp_path / "ex1.json"
     main(["generate", "example1", "--out", str(net)])
     monkeypatch.setattr(
-        "latsweep.projection.lsq_linear",
-        lambda M, d, **kwargs: SimpleNamespace(x=np.zeros(M.shape[1])),
+        "latsweep.projection._active_set",
+        lambda white, M, poly, x, y, active, tol: (x, np.zeros(0, dtype=int), np.zeros(0), 0.0),
     )
     code = main(["solve", str(net), "--solver", "leapfrog", "--out", str(tmp_path / "run")])
     assert code == 2
@@ -297,6 +308,21 @@ def test_cli_check_safe_load(tmp_path, capsys):
     main(["generate", "example1", "--out", str(net)])
     assert main(["check-safe-load", str(net)]) == 0
     assert "safe_load = pass" in capsys.readouterr().out
+    # A force on node 0 along x is safe up to 0.004.  Ramped to 0.01 at
+    # t = 1 it stays safe over the horizon 0.08, where the solve runs; it
+    # is unsafe once the horizon reaches t = 1.
+    path, doc = example1_document(tmp_path)
+    doc["force"] = {"times": [0.0, 1.0], "values": [[0.0] * 12, [0.01] + [0.0] * 11]}
+    path.write_text(json.dumps(doc))
+    assert main(["check-safe-load", str(path)]) == 0
+    assert "safe_load = pass" in capsys.readouterr().out
+    run = str(tmp_path / "run")
+    assert main(["solve", str(path), "--solver", "catchup", "--mesh", "1e-3", "--out", run]) == 0
+    doc["horizon"] = 1.0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check-safe-load", str(path)]) == 1
+    assert "safe_load = FAIL" in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_64(capsys):

@@ -333,6 +333,30 @@ def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
         assert np.linalg.norm(traj.final.y - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
 
 
+def test_leapfrog_takes_no_phase_one_and_no_scipy_solver(example1, periodic_8x8, monkeypatch):
+    # Each event velocity starts at its cone's apex, which lies in the cone:
+    # leapfrog runs no phase 1 and no scipy.optimize solver in either space,
+    # whether it is looked up in scipy.optimize or imported by name.
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("leapfrog called phase 1 or a scipy.optimize solver")
+
+    for name in dir(scipy.optimize):
+        obj = getattr(scipy.optimize, name)
+        if not name.startswith("_") and callable(obj) and not isinstance(obj, type):
+            monkeypatch.setattr(scipy.optimize, name, refuse)
+    for module in [m for name, m in sys.modules.items() if name.startswith("latsweep.")]:
+        for name, obj in list(vars(module).items()):
+            solver = (getattr(obj, "__module__", None) or "").startswith("scipy.optimize")
+            if solver or obj is projection.find_feasible_point:
+                monkeypatch.setattr(module, name, refuse)
+    for network in (example1, periodic_8x8):
+        _, loads, system = network
+        for space in (Space.REDUCED, Space.FULL):
+            assert len(_run_leapfrog(system, loads, space).events) >= 2
+
+
 def test_grid_leapfrog_full_space_takes_no_nullspace(grid_with_hole, monkeypatch):
     # The event velocities work in the kernel of the equality rows, and in
     # full space that kernel is assembly's basis V: no projection takes it

@@ -1,8 +1,8 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
+from latsweep import projection
 from latsweep.catchup import TimePartition, catchup
 from latsweep.errors import ConeProjectionError, InfeasibleSetError, InvalidInputError
 from latsweep.leapfrog import leapfrog, tangent_cone
@@ -181,7 +181,17 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     assert cone.A.shape == (64, 66) and numerical_rank(cone.A) == 58
     S = spec.weight
     x = -spec.reduce(spec.offset_rate(loads, t))
-    reference = project(S, x, cone, start=np.zeros(66)).point  # the active-set kernel
+    # An independent reference: Moreau's decomposition, with scipy's
+    # bounded-variable least squares on the whitened problem.  With S = L
+    # L^T and w = L^T v the cone is M^T w <= 0 for M = L^-1 A^T, and the
+    # projection is L^-T (d - M mu), where d = L^T x and mu >= 0 minimizes
+    # ||d - M mu||.
+    L = np.linalg.cholesky(S)
+    M = np.linalg.solve(L, cone.A.T)
+    M /= np.linalg.norm(M, axis=0)
+    d = L.T @ x
+    mu = lsq_linear(M, d, bounds=(0.0, np.inf), method="bvls", tol=1e-14).x
+    reference = np.linalg.solve(L.T, d - M @ mu)
     scale = 1e-12 * s_norm(S, x)
     rng = np.random.default_rng(13)
     for _ in range(200):
@@ -194,17 +204,22 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
 
 
 def test_cone_solve_missing_kkt_raises(monkeypatch):
-    # a least-squares solve that returns wrong multipliers is caught by the
-    # KKT check instead of yielding a point outside the cone
+    # A kernel that returns a wrong answer is caught by the KKT check
+    # instead of yielding a velocity that is not the projection: the point
+    # left where it was (outside the cone), or the right point, the apex,
+    # without its multipliers (not stationary).
     cone = PolyhedralSet(A=np.array([[0.0, 1.0], [1.0, 1.0]]), b=np.zeros(2))
     x = np.array([1.0, 1.0])
-    assert project_cone(np.ones(2), x, cone).kkt_residual <= 1e-12
-    monkeypatch.setattr(
-        "latsweep.projection.lsq_linear",
-        lambda M, d, **kwargs: SimpleNamespace(x=np.zeros(M.shape[1])),
-    )
-    with pytest.raises(ConeProjectionError):
-        project_cone(np.ones(2), x, cone)
+    res = project_cone(np.ones(2), x, cone)
+    assert np.allclose(res.point, 0.0, atol=1e-12) and res.kkt_residual <= 1e-12
+    none = np.zeros(0, dtype=int), np.zeros(0)
+    for wrong in (
+        lambda white, M, poly, x, y, active, tol: (x, *none, 0.0),
+        lambda white, M, poly, x, y, active, tol: (y, *none, 0.0),
+    ):
+        monkeypatch.setattr(projection, "_active_set", wrong)
+        with pytest.raises(ConeProjectionError):
+            project_cone(np.ones(2), x, cone)
 
 
 def test_oracle_equivalence_bulk():
