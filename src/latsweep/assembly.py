@@ -5,6 +5,13 @@ the bases of the elongation space (feasible stretches) and its stiffness-
 orthogonal complement (self-stress directions after Hooke scaling), and
 the coupling matrices that turn external loads into translations of the
 moving set.
+
+The checks and bases come from two factorizations.  An SVD of the
+constraint matrix ``R`` gives its kernel ``N`` and pseudoinverse.  One
+complete Householder QR of ``U = C N`` gives the determinacy check (``U``
+has full column rank, read off the triangular factor) and the self-stress
+plane (``ker U^T``, the trailing columns of the orthogonal factor).  The
+force map ``F`` and the test-only ``P_U`` and ``H`` are built on first use.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .lattice import LatticeDefinition
 from .linalg import (
     RankedSVD,
     inverse_cholesky_factor,
+    nullspace_basis,
     numerical_rank,
     orthonormal_columns,
     ranked_svd,
@@ -71,12 +79,12 @@ class AssembledSystem:
     compatibility: np.ndarray      # m x nd, linearized elongation map
     directions: np.ndarray         # m x d, unit vectors terminus -> origin
     reference_lengths: np.ndarray  # m
-    U_basis: np.ndarray            # m x dim_u, C times the kernel of R
+    U_basis: np.ndarray            # m x dim_u, C N for N the kernel of R
     V_basis: np.ndarray            # m x dim_v, orthonormal columns spanning
-                                   # K^-1 times the spring block of ker [C^T R^T]
+                                   # K^-1 ker U^T, the spring blocks of
+                                   # ker [C^T R^T] scaled by K^-1
     P_V: np.ndarray                # dim_v x m, S_V^-1 V^T K
     G: np.ndarray                  # m x q, V P_V C pinv(R)
-    F: np.ndarray                  # m x nd, (I - V P_V) K^-1 H
     S_V: np.ndarray                # dim_v x dim_v, V^T K V
     S_V_inv_factor: np.ndarray     # dim_v x dim_v, upper T with T^T S_V T = I
     dims: SystemDims
@@ -84,7 +92,7 @@ class AssembledSystem:
     def __post_init__(self):
         for name in (
             "compatibility", "directions", "reference_lengths", "U_basis",
-            "V_basis", "P_V", "G", "F", "S_V", "S_V_inv_factor",
+            "V_basis", "P_V", "G", "S_V", "S_V_inv_factor",
         ):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
@@ -100,9 +108,26 @@ class AssembledSystem:
         return P_U
 
     @functools.cached_property
+    def F(self) -> np.ndarray:
+        """``(I - V P_V) K^-1 H`` (m x nd), the elastic elongations under a
+        unit force load, built on first use only: a solve reads it only
+        under a force load.
+
+        ``U^T H = N^T`` because ``R N = 0``, so the K-orthogonal projection
+        onto the elongation space is ``F = U (U^T K U)^-1 N^T``: one solve
+        and one product, and no ``H``.  ``N`` comes from the same SVD of
+        ``R`` that assemble takes; it is not kept, as only force loads
+        need it.
+        """
+        N = nullspace_basis(self.definition.constraint_matrix)
+        F = self.U_basis @ np.linalg.solve(weighted_gram(self.U_basis, self.stiffness), N.T)
+        F.flags.writeable = False
+        return F
+
+    @functools.cached_property
     def H(self) -> np.ndarray:
         """The top ``m`` rows of ``pinv [C^T R^T]`` (m x nd), built on first
-        use only: ``F`` is built from it, and no solve reads it."""
+        use only: no solve reads it."""
         A = np.hstack([self.compatibility.T, self.definition.constraint_matrix.T])
         # assemble checked that A has full row rank: no singular value is cut
         H = RankedSVD(*np.linalg.svd(A, full_matrices=False), A.shape[0]).pinv(self.dims.n_springs)
@@ -198,33 +223,29 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
             "external displacement constraint matrix is rank deficient "
             "(full row rank assumption fails)"
         )
-    # One full SVD of the enhanced equilibrium matrix [C^T R^T] gives the
-    # rank check, H (the top block of its pseudoinverse) and its kernel.
-    enhanced_svd = ranked_svd(np.hstack([compat.T, R.T]), full_matrices=True)
-    if enhanced_svd.rank != nd:
+    U = compat @ R_svd.kernel()
+    G_R = compat @ R_svd.pinv()
+    del R_svd
+    dim_u = nd - q
+    dim_v = m - nd + q
+    # [C; R] has a trivial kernel exactly when U = C ker(R) has full column
+    # rank; the triangular factor has the singular values of U.
+    Q, RU = np.linalg.qr(U, mode="complete")
+    if numerical_rank(RU[:dim_u]) != dim_u:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "
             "constraint (enhanced compatibility matrix has a nontrivial kernel)"
         )
-    dim_u = nd - q
-    dim_v = m - nd + q
     if dim_v <= 0:
         raise AssumptionError(
             "lattice is statically determinate: no self-stress states "
             f"(m - nd + q = {dim_v})"
         )
-    # F starts as H, the top block of the pseudoinverse, and is built in place.
-    F = enhanced_svd.pinv(m)
-    # The kernel holds the constrained self-stresses [s; lambda]: C^T s +
-    # R^T lambda = 0, i.e. s is orthogonal to U = C ker(R).  Their spring
-    # blocks s = K v therefore span K V, and R's full row rank makes that
-    # block of full column rank.
-    V = orthonormal_columns(enhanced_svd.kernel()[:m] / k[:, None])
-    # Release each factor once used: the full factors are the largest arrays here.
-    del enhanced_svd
-    U = compat @ R_svd.kernel()
-    G_R = compat @ R_svd.pinv()
-    del R_svd
+    # The constrained self-stresses [s; lambda] solve C^T s + R^T lambda = 0,
+    # i.e. N^T C^T s = U^T s = 0: their spring blocks s = K v span ker U^T,
+    # the trailing columns of the complete Q.
+    V = orthonormal_columns(Q[:, dim_u:] / k[:, None])
+    del Q, RU
 
     S_V = weighted_gram(V, k)
     # The inverse T of S_V's upper Cholesky factor makes S_V^-1 = T T^T two
@@ -232,10 +253,6 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     T = inverse_cholesky_factor(S_V)
     P_V = T @ (T.T @ (V.T * k[None, :]))
     G = V @ (P_V @ G_R)
-    # U P_U + V P_V = I, so the K-orthogonal projection onto the
-    # elongation space needs no P_U: F = (I - V P_V) K^-1 H.
-    F /= k[:, None]
-    F -= V @ (P_V @ F)
 
     return AssembledSystem(
         definition=definition,
@@ -246,7 +263,6 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
         V_basis=V,
         P_V=P_V,
         G=G,
-        F=F,
         S_V=S_V,
         S_V_inv_factor=T,
         dims=SystemDims(n, m, d, q, dim_u, dim_v),

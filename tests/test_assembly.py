@@ -224,6 +224,80 @@ def test_assemble_takes_two_svds(monkeypatch, example1, grid_with_hole):
         assert len(calls) == 2
 
 
+def test_assemble_determinacy_verdict_matches_rigidity_report():
+    # assemble reads the rank of U = C ker(R), validate_assumptions that of
+    # [C; R]: the verdicts agree with pinned, partly pinned and free rotations
+    rng = np.random.default_rng(654)
+    verdicts = []
+    for _ in range(10):
+        definition = random_small_lattice(rng)
+        for rows in (4, 3, 1):
+            d = dataclasses.replace(definition, constraint_matrix=definition.constraint_matrix[:rows])
+            if d.n_springs - d.n_dof + d.n_constraints <= 0:
+                continue
+            determinate = validate_assumptions(d).kinematically_determinate
+            verdicts.append(determinate)
+            if determinate:
+                assert assemble(d).dims.dim_v > 0
+            else:
+                with pytest.raises(AssumptionError, match="not kinematically determinate"):
+                    assemble(d)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_assemble_takes_no_svd_of_the_enhanced_matrix(monkeypatch, example1, grid_with_hole):
+    # the rank check reads the triangular factor of U's QR, not [C^T R^T]
+    calls = counted_svd(monkeypatch)
+    for definition, _, _ in (example1, grid_with_hole):
+        calls.clear()
+        system = assemble(definition)
+        dim_u = system.dims.dim_u
+        assert calls == [definition.constraint_matrix.shape, (dim_u, dim_u)]
+        assert (definition.n_dof, definition.n_springs + definition.n_constraints) not in calls
+
+
+def test_solves_without_force_load_build_no_force_map():
+    definition, loads = build_tri_grid_with_hole()
+    system = assemble(definition)
+    assert loads.force_times is None
+    for space in (Space.FULL, Space.REDUCED):
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+        leapfrog(system, spec, state0, loads)
+        catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 10))
+    for name in ("F", "H", "P_U"):
+        assert name not in vars(system)
+
+
+def test_force_map_is_built_once_and_read_only():
+    definition, base = build_example1()
+    system = assemble(definition)
+    direction = np.random.default_rng(8).standard_normal(definition.n_dof)
+    loads = dataclasses.replace(
+        base,
+        force_times=np.array([0.0, base.horizon]),
+        force_values=np.vstack([np.zeros(definition.n_dof), 4e-4 * direction / np.linalg.norm(direction)]),
+    )
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 10))
+    F = vars(system)["F"]
+    assert not F.flags.writeable
+    assert system.F is F
+    assert "H" not in vars(system) and "P_U" not in vars(system)
+
+
+def test_force_map_matches_projected_pseudoinverse_at_high_stiffness_contrast():
+    # F = U (U^T K U)^-1 N^T is the K-orthogonal projection of K^-1 H onto
+    # the elongation space, here over six decades of stiffness
+    definition, _ = build_tri_grid_with_hole()
+    k = 10 ** np.random.default_rng(11).uniform(-3, 3, definition.n_springs)
+    system = assemble(dataclasses.replace(definition, stiffness=k))
+    HK = system.H / k[:, None]
+    reference = HK - system.V_basis @ (system.P_V @ HK)
+    assert np.abs(system.F - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
 @pytest.fixture(scope="module")
 def weighted_grid():
     """The grid with hole under non-uniform stiffness."""
