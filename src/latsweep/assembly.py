@@ -7,11 +7,14 @@ the coupling matrices that turn external loads into translations of the
 moving set.
 
 The checks and bases come from two factorizations.  An SVD of the
-constraint matrix ``R`` gives its kernel ``N`` and pseudoinverse.  One
+constraint matrix ``R`` gives its rank, kernel ``N`` and pseudoinverse.  One
 complete Householder QR of ``U = C N`` gives the determinacy check (``U``
 has full column rank, read off the triangular factor) and the self-stress
 plane (``ker U^T``, the trailing columns of the orthogonal factor).  The
 force map ``F`` and the test-only ``P_U`` and ``H`` are built on first use.
+Every check of the assumptions reads ``rank [C; R]`` as ``rank R + rank U``,
+each under the relative cutoff of its own matrix: no verdict moves with the
+units of ``R``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ class RigidityReport:
     statically_determinate: bool
     constrained_zero_modes: int
     constrained_self_stress_states: int
+    constraint_rank: int
 
     @property
     def mechanisms(self) -> int:
@@ -179,31 +183,35 @@ def compatibility_matrix(
     return compat, directions, lengths
 
 
+def _elongation_rank(RU: np.ndarray) -> int:
+    """``rank U`` from the triangular factor of a Householder QR of
+    ``U = C ker R``, which has the singular values of ``U``."""
+    return numerical_rank(RU[: RU.shape[1]])
+
+
 def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
     """Rigidity diagnostics; never raises on a failed assumption."""
     compat, _, _ = compatibility_matrix(definition)
-    n, m = definition.incidence.shape
-    d = definition.dimension
-    nd = n * d
-    q = definition.n_constraints
-    R = definition.constraint_matrix
+    m, nd, q = definition.n_springs, definition.n_dof, definition.n_constraints
 
     rank_compat = numerical_rank(compat)
     zero_modes = nd - rank_compat
     self_stress = m - rank_compat
-    enhanced_compat = np.vstack([compat, R]) if q else compat
-    rank_enhanced = numerical_rank(enhanced_compat)
+    # rank [C; R] = rank R + rank U by the two rank tests of assemble
+    R_svd = ranked_svd(definition.constraint_matrix, full_matrices=True)
+    rank_enhanced = R_svd.rank + _elongation_rank(np.linalg.qr(compat @ R_svd.kernel(), mode="r"))
     constrained_zero_modes = nd - rank_enhanced
     constrained_self_stress = (m + q) - rank_enhanced
     return RigidityReport(
         zero_modes=zero_modes,
         self_stress_states=self_stress,
-        rigid_motion_dim=d * (d + 1) // 2,
+        rigid_motion_dim=definition.dimension * (definition.dimension + 1) // 2,
         index_residual=zero_modes - self_stress - (nd - m),
         kinematically_determinate=constrained_zero_modes == 0,
         statically_determinate=constrained_self_stress == 0,
         constrained_zero_modes=constrained_zero_modes,
         constrained_self_stress_states=constrained_self_stress,
+        constraint_rank=R_svd.rank,
     )
 
 
@@ -228,10 +236,9 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     del R_svd
     dim_u = nd - q
     dim_v = m - nd + q
-    # [C; R] has a trivial kernel exactly when U = C ker(R) has full column
-    # rank; the triangular factor has the singular values of U.
+    # [C; R] has a trivial kernel exactly when U = C ker(R) has full column rank
     Q, RU = np.linalg.qr(U, mode="complete")
-    if numerical_rank(RU[:dim_u]) != dim_u:
+    if _elongation_rank(RU) != dim_u:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "
             "constraint (enhanced compatibility matrix has a nontrivial kernel)"

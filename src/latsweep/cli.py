@@ -27,7 +27,6 @@ from .errors import (
 from .generators import build_example1, build_tri_grid_with_hole, build_triangular_periodic
 from .io import load_network, save_network
 from .leapfrog import leapfrog
-from .linalg import numerical_rank
 from .sweeping import Space, build_moving_set, initial_state, safe_load_check
 
 USAGE_EXIT = 64
@@ -100,18 +99,15 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
+    horizon = {} if args.horizon is None else {"horizon": args.horizon}
     if args.kind == "example1":
         definition, loads = build_example1()
     elif args.kind == "grid":
-        kwargs = {"rows": args.rows, "cols": args.cols, "rate": args.rate}
-        if args.horizon is not None:
-            kwargs["horizon"] = args.horizon
-        definition, loads = build_tri_grid_with_hole(**kwargs)
+        definition, loads = build_tri_grid_with_hole(args.rows, args.cols, rate=args.rate, **horizon)
     else:
-        kwargs = {"cells_x": args.cells_x, "cells_y": args.cells_y, "strain_rate": args.rate}
-        if args.horizon is not None:
-            kwargs["horizon"] = args.horizon
-        definition, loads = build_triangular_periodic(**kwargs)
+        definition, loads = build_triangular_periodic(
+            args.cells_x, args.cells_y, strain_rate=args.rate, **horizon
+        )
     save_network(args.out, definition, loads)
     print(f"wrote {args.out}")
     return 0
@@ -138,7 +134,7 @@ def _cmd_validate(args) -> int:
     ok = (
         report.kinematically_determinate
         and not report.statically_determinate
-        and numerical_rank(definition.constraint_matrix) == q
+        and report.constraint_rank == q
     )
     print(f"assumptions = {'pass' if ok else 'FAIL'}")
     return 0 if ok else VALIDATION_EXIT
@@ -183,11 +179,13 @@ def _cmd_solve(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
     from pathlib import Path
 
+    prefixes = [f"{args.out}-{Path(net).stem}" for net in args.network]
+    shared = sorted({p for p in prefixes if prefixes.count(p) > 1})
+    if shared:  # refused before any solve: one output would overwrite another
+        print(f"latsweep: error: several networks would write {shared[0]}.csv", file=sys.stderr)
+        return USAGE_EXIT
     with ThreadPoolExecutor(max_workers=min(len(args.network), 8)) as pool:
-        futures = [
-            pool.submit(_solve_one, net, args, f"{args.out}-{Path(net).stem}")
-            for net in args.network
-        ]
+        futures = [pool.submit(_solve_one, n, args, p) for n, p in zip(args.network, prefixes)]
     worst = 0
     for net, future in zip(args.network, futures):
         exc = future.exception()

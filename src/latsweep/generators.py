@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import compatibility_matrix
+from .assembly import _elongation_rank, compatibility_matrix
 from .errors import InvalidInputError
 from .lattice import LatticeDefinition, LoadSchedule
-from .linalg import numerical_rank
 
 #: Reference basis of the two self-stress directions of the toy truss,
 #: fixed numerically so that prestressed demo runs are reproducible
@@ -40,15 +39,15 @@ DEFAULT_GRID_HOLE = (
 
 
 def _checked(definition: LatticeDefinition) -> LatticeDefinition:
-    """The two determinacy checks of :func:`validate_assumptions`, from the
-    one rank they need: that of the enhanced compatibility matrix."""
+    """The two determinacy checks of :func:`validate_assumptions`, from
+    ``rank [C; R] = rank R + rank U``.  Generated rows pin coordinates with
+    unit entries: ``rank R`` counts the pinned ones and ``U = C ker R`` is
+    ``C`` without their columns, so one values-only SVD decides both."""
     compat, _, _ = compatibility_matrix(definition)
-    rank = numerical_rank(np.vstack([compat, definition.constraint_matrix]))
-    if rank != definition.n_dof:
-        raise InvalidInputError(
-            "generated lattice is not kinematically determinate"
-        )
-    if definition.n_springs + definition.n_constraints - rank <= 0:
+    U = compat[:, ~definition.constraint_matrix.any(axis=0)]
+    if _elongation_rank(np.linalg.qr(U, mode="r")) != U.shape[1]:
+        raise InvalidInputError("generated lattice is not kinematically determinate")
+    if definition.n_springs + definition.n_constraints - definition.n_dof <= 0:
         raise InvalidInputError("generated lattice has no self-stress states")
     return definition
 

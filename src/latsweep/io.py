@@ -33,15 +33,34 @@ FORMAT_NAME = "lattice-network"
 FORMAT_VERSION = 1
 
 
-def _need(mapping, key, where, kind=None):
+def _need(mapping, key, where, kind=None, *shape):
+    """``mapping[key]``, of exactly the type ``kind`` when given (JSON's true
+    is no int); ``float`` asks for a number, or for nested lists of numbers
+    of ``shape``."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError("missing required field", field=f"{where}.{key}" if where else key)
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
-        raise SchemaError(
-            f"expected {getattr(kind, '__name__', kind)}",
-            field=f"{where}.{key}" if where else key,
-        )
+    if kind is None or (type(value) is kind and not shape):
+        return value
+    field = f"{where}.{key}" if where else key
+    if kind is float:
+        return _numbers(value, field, *shape)
+    raise SchemaError(f"expected {kind.__name__}", field=field)
+
+
+def _numbers(value, field, *shape):
+    """A number as a float, or nested lists of numbers of ``shape`` (a
+    leading ``None`` takes any length) as they are."""
+    if not shape:
+        if type(value) not in (int, float):
+            raise SchemaError("expected a number", field=field)
+        return float(value)
+    if not isinstance(value, list) or shape[0] not in (None, len(value)):
+        length = "" if shape[0] is None else f" of length {shape[0]}"
+        raise SchemaError(f"expected a list{length}", field=field)
+    if len(shape) > 1 or not all(type(v) in (int, float) for v in value):
+        for i, v in enumerate(value):
+            _numbers(v, f"{field}[{i}]", *shape[1:])
     return value
 
 
@@ -49,7 +68,7 @@ def _dense_ids(items, where):
     seen = set()
     for i, item in enumerate(items):
         ident = _need(item, "id", f"{where}[{i}]")
-        if not isinstance(ident, int) or ident < 0:
+        if type(ident) is not int or ident < 0:
             raise SchemaError("id must be a nonnegative integer", field=f"{where}[{i}].id")
         if ident in seen:
             raise SchemaError(f"duplicate id {ident}", field=f"{where}[{i}].id")
@@ -77,6 +96,7 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
     if d not in (1, 2, 3):
         raise SchemaError("dimension must be 1, 2 or 3", field="meta.dimension")
     box = meta.get("box")
+    volume = None if meta.get("volume") is None else _need(meta, "volume", "meta", float)
 
     nodes = _need(doc, "nodes", "", list)
     if not nodes:
@@ -85,10 +105,7 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
     n = len(nodes)
     coords = np.zeros((n, d))
     for i, node in enumerate(nodes):
-        c = _need(node, "coords", f"nodes[{i}]", list)
-        if len(c) != d:
-            raise SchemaError(f"expected {d} coordinates", field=f"nodes[{i}].coords")
-        coords[node["id"]] = c
+        coords[node["id"]] = _need(node, "coords", f"nodes[{i}]", float, d)
 
     springs = _need(doc, "springs", "", list)
     if not springs:
@@ -112,21 +129,22 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
         if origin == terminus:
             # self-loops cannot carry an incidence +1/-1 pair, shifted or not
             raise SchemaError("origin equals terminus", field=where)
-        stiffness[sid] = _need(spring, "stiffness", where, (int, float))
-        lower[sid] = _need(spring, "lower", where, (int, float))
-        upper[sid] = _need(spring, "upper", where, (int, float))
+        stiffness[sid] = _need(spring, "stiffness", where, float)
+        lower[sid] = _need(spring, "lower", where, float)
+        upper[sid] = _need(spring, "upper", where, float)
         if lower[sid] >= upper[sid]:
             raise SchemaError("lower limit must be below upper", field=where)
         Q[origin, sid] = 1.0
         Q[terminus, sid] = -1.0
         if "shift" in spring:
             shift = spring["shift"]
-            if len(shift) != d or any(not isinstance(s, int) for s in shift):
+            if not isinstance(shift, list) or len(shift) != d or any(type(v) is not int for v in shift):
                 raise SchemaError(f"shift must be {d} integers", field=f"{where}.shift")
             shifts[sid] = shift
             any_shift = any_shift or any(s != 0 for s in shift)
     if any_shift and box is None:
         raise SchemaError("springs carry shifts but meta.box is missing", field="meta.box")
+    box_lengths = _numbers(box, "meta.box", d) if any_shift else None
 
     constraints = _need(doc, "constraints", "")
     rows = _need(constraints, "rows", "constraints", list)
@@ -135,44 +153,29 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
         raise SchemaError("at least one constraint row required", field="constraints.rows")
     R = np.zeros((q, n * d))
     for r, row in enumerate(rows):
-        if not row:
-            raise SchemaError("empty constraint row", field=f"constraints.rows[{r}]")
-        for trip in row:
-            if len(trip) != 3:
-                raise SchemaError(
-                    "entries must be [node, axis, coefficient]",
-                    field=f"constraints.rows[{r}]",
-                )
+        where = f"constraints.rows[{r}]"
+        if not isinstance(row, list) or not row:
+            raise SchemaError("expected a non-empty list of entries", field=where)
+        for j, trip in enumerate(row):
+            if not isinstance(trip, list) or len(trip) != 3:
+                raise SchemaError("entries must be [node, axis, coefficient]", field=where)
             node, axis, coef = trip
-            if not (isinstance(node, int) and 0 <= node < n):
-                raise SchemaError(f"unknown node {node}", field=f"constraints.rows[{r}]")
-            if not (isinstance(axis, int) and 0 <= axis < d):
-                raise SchemaError(f"axis {axis} out of range", field=f"constraints.rows[{r}]")
-            R[r, node * d + axis] += float(coef)
-    offset = np.asarray(_need(constraints, "offset", "constraints", list), dtype=float)
-    if offset.shape != (q,):
-        raise SchemaError(f"offset must have length {q}", field="constraints.offset")
+            if not (type(node) is int and 0 <= node < n):
+                raise SchemaError(f"unknown node {node}", field=where)
+            if not (type(axis) is int and 0 <= axis < d):
+                raise SchemaError(f"axis {axis} out of range", field=where)
+            R[r, node * d + axis] += _numbers(coef, f"{where}[{j}]")
+    offset = _need(constraints, "offset", "constraints", float, q)
     rate = _need(constraints, "rate", "constraints")
-    rate_times = np.asarray(_need(rate, "times", "constraints.rate", list), dtype=float)
-    rate_values = np.asarray(_need(rate, "values", "constraints.rate", list), dtype=float)
-    if rate_values.ndim != 2 or rate_values.shape != (rate_times.shape[0], q):
-        raise SchemaError(
-            f"values must be {rate_times.shape[0]} rows of length {q}",
-            field="constraints.rate.values",
-        )
+    rate_times = _need(rate, "times", "constraints.rate", float, None)
+    rate_values = _need(rate, "values", "constraints.rate", float, len(rate_times), q)
 
-    horizon = _need(doc, "horizon", "", (int, float))
+    horizon = _need(doc, "horizon", "", float)
 
     force_times = force_values = None
     if doc.get("force") is not None:
-        force = doc["force"]
-        force_times = np.asarray(_need(force, "times", "force", list), dtype=float)
-        force_values = np.asarray(_need(force, "values", "force", list), dtype=float)
-        if force_values.ndim != 2 or force_values.shape != (force_times.shape[0], n * d):
-            raise SchemaError(
-                f"values must be {force_times.shape[0]} rows of length {n * d}",
-                field="force.values",
-            )
+        force_times = _need(doc["force"], "times", "force", float, None)
+        force_values = _need(doc["force"], "values", "force", float, len(force_times), n * d)
 
     strain_axis = strain_times = strain_values = None
     if doc.get("strain") is not None:
@@ -180,8 +183,8 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
         strain_axis = _need(strain, "axis", "strain", int)
         if not 0 <= strain_axis < d:
             raise SchemaError("axis out of range", field="strain.axis")
-        strain_times = np.asarray(_need(strain, "times", "strain", list), dtype=float)
-        strain_values = np.asarray(_need(strain, "values", "strain", list), dtype=float)
+        strain_times = _need(strain, "times", "strain", float, None)
+        strain_values = _need(strain, "values", "strain", float, len(strain_times))
 
     try:
         definition = LatticeDefinition(
@@ -193,15 +196,15 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
             upper_limits=upper,
             constraint_matrix=R,
             edge_shifts=shifts if any_shift else None,
-            box_lengths=np.asarray(box, dtype=float) if any_shift else None,
-            volume=meta.get("volume"),
+            box_lengths=box_lengths,
+            volume=volume,
             label=meta.get("label", ""),
         )
         loads = LoadSchedule(
             displacement_offset=offset,
             rate_times=rate_times,
             rate_values=rate_values,
-            horizon=float(horizon),
+            horizon=horizon,
             force_times=force_times,
             force_values=force_values,
             strain_axis=strain_axis,
@@ -216,31 +219,22 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
 def save_network(path, definition: LatticeDefinition, loads: LoadSchedule) -> None:
     """Write a network document; ``load_network`` round-trips all fields."""
     d = definition.dimension
-    coords = definition.node_coords()
     origins, termini = definition.spring_endpoints()
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "meta": {
             "dimension": d,
-            "box": None
-            if definition.box_lengths is None
-            else [float(v) for v in definition.box_lengths],
+            "box": None if definition.box_lengths is None else definition.box_lengths.tolist(),
             "volume": definition.volume,
             "label": definition.label,
         },
-        "nodes": [
-            {"id": i, "coords": [float(v) for v in coords[i]]}
-            for i in range(definition.n_nodes)
-        ],
+        "nodes": [{"id": i, "coords": c} for i, c in enumerate(definition.node_coords().tolist())],
         "springs": [],
         "constraints": {
             "rows": [],
-            "offset": [float(v) for v in loads.displacement_offset],
-            "rate": {
-                "times": [float(t) for t in loads.rate_times],
-                "values": [[float(v) for v in row] for row in loads.rate_values],
-            },
+            "offset": loads.displacement_offset.tolist(),
+            "rate": {"times": loads.rate_times.tolist(), "values": loads.rate_values.tolist()},
         },
         "horizon": float(loads.horizon),
     }
@@ -254,7 +248,7 @@ def save_network(path, definition: LatticeDefinition, loads: LoadSchedule) -> No
             "upper": float(definition.upper_limits[s]),
         }
         if definition.edge_shifts is not None and np.any(definition.edge_shifts[s]):
-            spring["shift"] = [int(v) for v in definition.edge_shifts[s]]
+            spring["shift"] = definition.edge_shifts[s].tolist()
         doc["springs"].append(spring)
     R = definition.constraint_matrix
     for r in range(R.shape[0]):
@@ -264,15 +258,12 @@ def save_network(path, definition: LatticeDefinition, loads: LoadSchedule) -> No
         ]
         doc["constraints"]["rows"].append(row)
     if loads.force_times is not None:
-        doc["force"] = {
-            "times": [float(t) for t in loads.force_times],
-            "values": [[float(v) for v in row] for row in loads.force_values],
-        }
+        doc["force"] = {"times": loads.force_times.tolist(), "values": loads.force_values.tolist()}
     if loads.strain_times is not None:
         doc["strain"] = {
             "axis": int(loads.strain_axis),
-            "times": [float(t) for t in loads.strain_times],
-            "values": [float(v) for v in loads.strain_values],
+            "times": loads.strain_times.tolist(),
+            "values": loads.strain_values.tolist(),
         }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1)

@@ -16,6 +16,7 @@ from latsweep.generators import (
     EXAMPLE1_SELF_STRESS_BASIS,
     build_example1,
     build_tri_grid_with_hole,
+    build_triangular_periodic,
 )
 from latsweep.lattice import LatticeDefinition
 from latsweep.leapfrog import leapfrog
@@ -216,7 +217,7 @@ def test_determinacy_iff_all_loads_resolvable():
 
 
 def test_assemble_takes_two_svds(monkeypatch, example1, grid_with_hole):
-    # one of R for U and G, one of [C^T R^T] for the rank check, H and V
+    # one of R for U and G, one values-only of U's triangle for the rank check
     calls = counted_svd(monkeypatch)
     for definition, _, _ in (example1, grid_with_hole):
         calls.clear()
@@ -225,8 +226,8 @@ def test_assemble_takes_two_svds(monkeypatch, example1, grid_with_hole):
 
 
 def test_assemble_determinacy_verdict_matches_rigidity_report():
-    # assemble reads the rank of U = C ker(R), validate_assumptions that of
-    # [C; R]: the verdicts agree with pinned, partly pinned and free rotations
+    # both read rank [C; R] as rank R + rank U for U = C ker(R): the verdicts
+    # agree with pinned, partly pinned and free rotations
     rng = np.random.default_rng(654)
     verdicts = []
     for _ in range(10):
@@ -243,6 +244,47 @@ def test_assemble_determinacy_verdict_matches_rigidity_report():
                 with pytest.raises(AssumptionError, match="not kinematically determinate"):
                     assemble(d)
     assert any(verdicts) and not all(verdicts)
+
+
+def _assemble_verdict(definition):
+    try:
+        assemble(definition)
+    except AssumptionError as exc:
+        return str(exc)
+    return "assembled"
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e8, 1e12])
+def test_assumption_verdicts_do_not_depend_on_constraint_units(scale):
+    # rank R and rank U are each taken against their own largest singular
+    # value, so R in other units changes neither counts nor verdicts
+    rng = np.random.default_rng(97)
+    lattices = [build_example1()[0], build_tri_grid_with_hole()[0]]
+    for _ in range(4):
+        definition = random_small_lattice(rng)
+        R = definition.constraint_matrix
+        lattices += [
+            dataclasses.replace(definition, constraint_matrix=R[:rows]) for rows in (4, 3, 1)
+        ]
+        lattices.append(dataclasses.replace(definition, constraint_matrix=np.vstack([R, R[:1]])))
+    verdicts = set()
+    for definition in lattices:
+        scaled = dataclasses.replace(definition, constraint_matrix=scale * definition.constraint_matrix)
+        assert validate_assumptions(scaled) == validate_assumptions(definition)
+        verdict = _assemble_verdict(definition)
+        assert _assemble_verdict(scaled) == verdict
+        verdicts.add(verdict.split(" (")[0])
+    assert len(verdicts) >= 3  # assembled, rank deficient R, not determinate
+
+
+def test_rank_tests_take_no_svd_of_the_stacked_matrix(monkeypatch):
+    calls = counted_svd(monkeypatch)
+    for build in (build_example1, build_tri_grid_with_hole, lambda: build_triangular_periodic(4, 4)):
+        calls.clear()
+        definition, _ = build()
+        validate_assumptions(definition)
+        m, q, nd = definition.n_springs, definition.n_constraints, definition.n_dof
+        assert calls and not {(m + q, nd), (nd, m + q)} & set(calls)
 
 
 def test_assemble_takes_no_svd_of_the_enhanced_matrix(monkeypatch, example1, grid_with_hole):

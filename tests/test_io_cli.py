@@ -200,6 +200,111 @@ def test_cli_validate_fails_on_floppy_network(tmp_path, capsys):
         assert "assumptions = FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_cli_validate_passes_with_constraints_in_other_units(tmp_path, capsys, scale):
+    path, doc = example1_document(tmp_path)
+    constraints = doc["constraints"]
+    for row in constraints["rows"]:
+        for entry in row:
+            entry[2] *= scale
+    constraints["offset"] = [scale * v for v in constraints["offset"]]
+    constraints["rate"]["values"] = [[scale * v for v in row] for row in constraints["rate"]["values"]]
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "kinematically_determinate = True" in out and "assumptions = pass" in out
+
+
+def _set_coords(doc):
+    doc["nodes"][2]["coords"][1] = "1.5"
+
+
+def _set_offset(doc):
+    doc["constraints"]["offset"][0] = "0"
+
+
+def _set_coefficient(doc):
+    doc["constraints"]["rows"][1][0][2] = "1"
+
+
+def _set_row_entry(doc):
+    doc["constraints"]["rows"][1] = [3]
+
+
+def _set_row(doc):
+    doc["constraints"]["rows"][1] = 3
+
+
+def _set_rate(doc):
+    doc["constraints"]["rate"]["values"][0][2] = "fast"
+
+
+def _set_force(doc):
+    doc["force"] = {"times": [0.0, 1.0], "values": [[0.0] * 12, [None] + [0.0] * 11]}
+
+
+def _set_strain(doc):
+    doc["strain"] = {"axis": 0, "times": [0.0, 0.08], "values": [0.0, "0.01"]}
+
+
+def _set_stiffness(doc):
+    doc["springs"][4]["stiffness"] = True
+
+
+def _set_horizon(doc):
+    doc["horizon"] = True
+
+
+def _set_volume(doc):
+    doc["meta"]["volume"] = "12"
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_set_coords, r"nodes\[2\]\.coords\[1\]"),
+        (_set_offset, r"constraints\.offset\[0\]"),
+        (_set_coefficient, r"constraints\.rows\[1\]\[0\]"),
+        (_set_row_entry, r"constraints\.rows\[1\]"),
+        (_set_row, r"constraints\.rows\[1\]"),
+        (_set_rate, r"constraints\.rate\.values\[0\]\[2\]"),
+        (_set_force, r"force\.values\[1\]\[0\]"),
+        (_set_strain, r"strain\.values\[1\]"),
+        (_set_stiffness, r"springs\[4\]\.stiffness"),
+        (_set_horizon, r"horizon"),
+        (_set_volume, r"meta\.volume"),
+    ],
+)
+def test_schema_error_names_field_of_a_value_that_is_no_number(tmp_path, capsys, corrupt, field):
+    path, doc = example1_document(tmp_path)
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"^{field}: "):
+        load_network(path)
+    good = tmp_path / "good.json"
+    main(["generate", "example1", "--out", str(good)])
+    capsys.readouterr()
+    assert main(["solve", str(path), "--out", str(tmp_path / "single")]) == 1
+    assert main(["solve", str(good), str(path), "--out", str(tmp_path / "batch")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: validation error: " in err and "Traceback" not in err
+
+
+def test_cli_batch_refuses_inputs_that_share_an_output_prefix(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a, b = tmp_path / "a" / "net.json", tmp_path / "b" / "net.json"
+    main(["generate", "example1", "--out", str(a)])
+    main(["generate", "periodic", "--out", str(b)])
+    capsys.readouterr()
+    prefix = tmp_path / "batch"
+    for networks in ([a, b], [a, a]):
+        assert main(["solve", *map(str, networks), "--out", str(prefix)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and f"{prefix}-net.csv" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+
 def test_cli_solve_and_analyze(tmp_path, capsys):
     net = tmp_path / "ex1.json"
     main(["generate", "example1", "--out", str(net)])
