@@ -23,6 +23,7 @@ image offsets of the terminus and require ``meta.box``.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -32,15 +33,20 @@ from .lattice import LatticeDefinition, LoadSchedule
 FORMAT_NAME = "lattice-network"
 FORMAT_VERSION = 1
 
+#: The largest float: NaN, inf (JSON reads 1e400 as inf) and an int beyond
+#: the float range all fail ``-_MAX <= v <= _MAX``.
+_MAX = sys.float_info.max
+
 
 def _need(mapping, key, where, kind=None, *shape):
     """``mapping[key]``, of exactly the type ``kind`` when given (JSON's true
-    is no int); ``float`` asks for a number, or for nested lists of numbers
-    of ``shape``."""
+    is no int); ``float`` asks for a finite number, or for nested lists of
+    them of ``shape``."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError("missing required field", field=f"{where}.{key}" if where else key)
     value = mapping[key]
-    if kind is None or (type(value) is kind and not shape):
+    if kind is None or (type(value) is kind and not shape
+                        and (kind is not float or -_MAX <= value <= _MAX)):
         return value
     field = f"{where}.{key}" if where else key
     if kind is float:
@@ -49,19 +55,28 @@ def _need(mapping, key, where, kind=None, *shape):
 
 
 def _numbers(value, field, *shape):
-    """A number as a float, or nested lists of numbers of ``shape`` (a
+    """A finite number as a float, or nested lists of them of ``shape`` (a
     leading ``None`` takes any length) as they are."""
     if not shape:
-        if type(value) not in (int, float):
-            raise SchemaError("expected a number", field=field)
+        if type(value) not in (int, float) or not -_MAX <= value <= _MAX:
+            raise SchemaError("expected a finite number", field=field)
         return float(value)
     if not isinstance(value, list) or shape[0] not in (None, len(value)):
         length = "" if shape[0] is None else f" of length {shape[0]}"
         raise SchemaError(f"expected a list{length}", field=field)
-    if len(shape) > 1 or not all(type(v) in (int, float) for v in value):
+    if len(shape) > 1 or not all(type(v) in (int, float) and -_MAX <= v <= _MAX for v in value):
         for i, v in enumerate(value):
             _numbers(v, f"{field}[{i}]", *shape[1:])
     return value
+
+
+def _times(mapping, where, from_zero=False):
+    """``mapping["times"]``: numbers that increase strictly, from 0 when ``from_zero``."""
+    times = _need(mapping, "times", where, float, None)
+    if not times or (from_zero and times[0] != 0) or any(b <= a for a, b in zip(times, times[1:])):
+        rule = "expected times that increase strictly" + " from 0" * from_zero
+        raise SchemaError(rule, field=f"{where}.times")
+    return times
 
 
 def _dense_ids(items, where):
@@ -167,14 +182,14 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
             R[r, node * d + axis] += _numbers(coef, f"{where}[{j}]")
     offset = _need(constraints, "offset", "constraints", float, q)
     rate = _need(constraints, "rate", "constraints")
-    rate_times = _need(rate, "times", "constraints.rate", float, None)
+    rate_times = _times(rate, "constraints.rate", from_zero=True)
     rate_values = _need(rate, "values", "constraints.rate", float, len(rate_times), q)
 
     horizon = _need(doc, "horizon", "", float)
 
     force_times = force_values = None
     if doc.get("force") is not None:
-        force_times = _need(doc["force"], "times", "force", float, None)
+        force_times = _times(doc["force"], "force")
         force_values = _need(doc["force"], "values", "force", float, len(force_times), n * d)
 
     strain_axis = strain_times = strain_values = None
@@ -183,7 +198,7 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
         strain_axis = _need(strain, "axis", "strain", int)
         if not 0 <= strain_axis < d:
             raise SchemaError("axis out of range", field="strain.axis")
-        strain_times = _need(strain, "times", "strain", float, None)
+        strain_times = _times(strain, "strain")
         strain_values = _need(strain, "values", "strain", float, len(strain_times))
 
     try:

@@ -33,6 +33,19 @@ STABILIZATION_TOL = 1e-10
 TIE_TOL = 1e-12
 
 
+def _bound_status(spec: MovingSetSpec, z: np.ndarray, offset: np.ndarray | None):
+    """Where ``lift(z)`` sits in the box shifted by ``offset``, per spring.
+
+    Returns the room to the upper and to the lower bound, and the masks of
+    the springs on their upper bound, on their lower bound, and outside the
+    box, each decided under ``ACTIVE_TOL``.
+    """
+    shift = 0.0 if offset is None else offset
+    values = spec.lift(z)
+    up, down = spec.box_upper + shift - values, values - (spec.box_lower + shift)
+    return up, down, up <= ACTIVE_TOL, down <= ACTIVE_TOL, (up < -ACTIVE_TOL) | (down < -ACTIVE_TOL)
+
+
 def tangent_cone(
     spec: MovingSetSpec,
     z: np.ndarray,
@@ -46,17 +59,14 @@ def tangent_cone(
     carried along.
     """
     z = np.asarray(z, dtype=float)
-    lo = spec.box_lower if offset is None else spec.box_lower + offset
-    hi = spec.box_upper if offset is None else spec.box_upper + offset
-    values = spec.lift(z)
-    if np.max(values - hi, initial=0.0) > ACTIVE_TOL or np.max(lo - values, initial=0.0) > ACTIVE_TOL:
+    _, _, on_upper, on_lower, outside = _bound_status(spec, z, offset)
+    if np.any(outside):
         raise InvalidStateError("point violates the static set beyond tolerance")
     eq = spec.equality_rows
     if eq is not None and np.max(np.abs(eq @ z), initial=0.0) > 1e-7 * (1 + np.abs(z).max()):
         raise InvalidStateError("point has drifted off the self-stress plane")
 
-    on_upper = hi - values <= ACTIVE_TOL
-    springs = np.flatnonzero(on_upper | (values - lo <= ACTIVE_TOL))
+    springs = np.flatnonzero(on_upper | on_lower)
     A = spec.bound_rows(springs, np.where(on_upper[springs], 1.0, -1.0))
     return PolyhedralSet(A=A, b=np.zeros(springs.size), A_eq=eq)
 
@@ -85,27 +95,21 @@ def _event_candidates(spec, z, zdot, offset):
     Returns ``(tau, [(spring, side), ...])`` or ``(None, [])`` when no
     bound lies ahead.
     """
-    lo = spec.box_lower if offset is None else spec.box_lower + offset
-    hi = spec.box_upper if offset is None else spec.box_upper + offset
-    values = spec.lift(z)
+    room_up, room_down, on_upper, on_lower, _ = _bound_status(spec, z, offset)
     speeds = spec.lift(zdot)
     thresh = 1e-13 * (1.0 + np.abs(speeds).max(initial=0.0))
 
-    taus = np.full(values.shape[0], np.inf)
-    sides = np.empty(values.shape[0], dtype=object)
-    up = (speeds > thresh) & (hi - values > ACTIVE_TOL)
-    taus[up] = (hi[up] - values[up]) / speeds[up]
-    sides[up] = "upper"
-    down = (speeds < -thresh) & (values - lo > ACTIVE_TOL)
-    taus[down] = (lo[down] - values[down]) / speeds[down]
-    sides[down] = "lower"
+    taus = np.full(speeds.shape[0], np.inf)
+    up = (speeds > thresh) & ~on_upper
+    taus[up] = room_up[up] / speeds[up]
+    down = (speeds < -thresh) & ~on_lower
+    taus[down] = -room_down[down] / speeds[down]
 
     tau = taus.min(initial=np.inf)
     if not np.isfinite(tau):
         return None, []
     tied = np.flatnonzero(taus <= tau * (1.0 + TIE_TOL))
-    hits = [(int(j), sides[j]) for j in tied]
-    return float(tau), hits
+    return float(tau), [(int(j), "upper" if up[j] else "lower") for j in tied]
 
 
 def next_event_time(
@@ -115,8 +119,7 @@ def next_event_time(
     offset: np.ndarray | None = None,
 ) -> float | None:
     """Time until a currently inactive bound becomes active along ``zdot``."""
-    tau, _ = _event_candidates(spec, np.asarray(z, float), np.asarray(zdot, float), offset)
-    return tau
+    return _event_candidates(spec, np.asarray(z, float), np.asarray(zdot, float), offset)[0]
 
 
 def _weighted_norm(weight, v) -> float:
@@ -128,13 +131,8 @@ def _departures(spec, candidates, zdot):
     """Active bounds the new velocity immediately moves away from."""
     speeds = spec.lift(zdot)
     scale = 1e-9 * (1.0 + np.abs(speeds).max(initial=0.0))
-    gone = set()
-    for j, side in candidates:
-        if side == "upper" and speeds[j] < -scale:
-            gone.add((j, side))
-        elif side == "lower" and speeds[j] > scale:
-            gone.add((j, side))
-    return gone
+    return {(j, side) for j, side in candidates
+            if (speeds[j] < -scale if side == "upper" else speeds[j] > scale)}
 
 
 def leapfrog(
@@ -161,7 +159,6 @@ def leapfrog(
     if state0.time != 0.0:
         raise InvalidStateError("event-based integration must start at t = 0")
 
-    weight = spec.weight
     k = system.stiffness
     breaks = [t for t in loads.rate_breakpoints() if t < horizon]
     breaks = sorted(set(breaks + [0.0]))
@@ -175,30 +172,18 @@ def leapfrog(
     def sigma_of(z, offset0):
         return k * (spec.lift(z) - offset0)
 
-    offset_init = spec.offset(loads, 0.0)
-    values0 = spec.lift(y)
-    held: set = {
-        (int(j), side)
-        for side, bound in (("upper", spec.box_upper + offset_init),
-                            ("lower", spec.box_lower + offset_init))
-        for j in np.flatnonzero(np.abs(values0 - bound) <= ACTIVE_TOL)
-    }
+    _, _, on_upper, on_lower, _ = _bound_status(spec, y, spec.offset(loads, 0.0))
+    held: set = {(int(j), "upper") for j in np.flatnonzero(on_upper)}
+    held |= {(int(j), "lower") for j in np.flatnonzero(on_lower)}
     for t_start, t_end in segments:
         offset0 = spec.offset(loads, t_start)
         drive = spec.reduce(spec.offset_rate(loads, t_start))
-        drive_norm = _weighted_norm(weight, drive)
+        drive_norm = _weighted_norm(spec.weight, drive)
         z = y
         t = t_start
-        if drive_norm == 0.0:
-            sigma = sigma_of(z, offset0)
-            states.append(SweepingState(time=t_end, y=z.copy(), sigma=sigma, epsilon=sigma / k))
-            y = z
-            continue
-
-        max_events = 50 * system.dims.n_springs + 100
         zdot = event_velocity(spec, z, drive, offset0, warm=warm)
-        for _ in range(max_events):
-            if _weighted_norm(weight, zdot) <= STABILIZATION_TOL * drive_norm:
+        for _ in range(50 * system.dims.n_springs + 100):
+            if _weighted_norm(spec.weight, zdot) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
             tau, hits = _event_candidates(spec, z, zdot, offset0)
             t_next = t + tau if tau is not None else np.inf

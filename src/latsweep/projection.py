@@ -17,15 +17,17 @@ scipy wheels each bundle their own OpenBLAS, and a solve path that switches
 between the two thread pools pays each time for waking the idle one; scipy
 serves only HiGHS, for phase 1.
 
-One kernel, a primal active-set method on two-sided bounds, serves both
-integrators: finite on these small dense problems, deterministic (ties
+One kernel, a primal active-set method on one- or two-sided bounds, serves
+both integrators: finite on these small dense problems, deterministic (ties
 broken by lowest bound index, upper bounds before lower ones), and
-warm-startable across time steps where the active set changes slowly.  Its
-working-set steps are least-squares solves against the few whitened active
-rows (the range-space form).  :func:`project`, for catch-up steps, starts
-from a point the caller supplies or from a phase-1 linear program (HiGHS
-via scipy); :func:`project_cone`, for event velocities, starts at the
-cone's apex, which lies in every cone, and checks its result.
+warm-startable across time steps where the active set changes slowly.  It
+runs in whitened coordinates on the whitened rows ``M = U^-T (A Z0)^T`` and
+the start's slacks alone: its working-set steps are least-squares solves
+against the few signed active columns of ``M`` (the range-space form).
+:func:`project`, for catch-up steps, starts from a point the caller
+supplies or from a phase-1 linear program (HiGHS via scipy);
+:func:`project_cone`, for event velocities, starts at the cone's apex,
+which lies in every cone, and checks its result.
 """
 
 from __future__ import annotations
@@ -91,9 +93,7 @@ class PolyhedralSet:
                 raise InvalidInputError("A and A_eq column counts differ")
         elif self.b_eq is not None:
             raise InvalidInputError("b_eq given without A_eq")
-        for part in (self.b, self.lower, self.b_eq):
-            if part is not None and not np.all(np.isfinite(part)):
-                raise InvalidInputError("polyhedral set has non-finite entries")
+        _check_finite(self.b, self.lower, self.b_eq)
 
     @property
     def dim(self) -> int:
@@ -200,7 +200,7 @@ class Whitening:
         return self.U_inv.T @ v
 
     def back(self, w: np.ndarray) -> np.ndarray:
-        """``Z0 U^-1 w``: a whitened gradient back as a step in ``y``."""
+        """``Z0 U^-1 w``: a whitened step back as a step in ``y``."""
         step = self.U_inv @ w
         return step if self.Z0 is None else self.Z0 @ step
 
@@ -374,12 +374,13 @@ def project(
     if y is None:
         y = find_feasible_point(poly, tol)
 
-    active = poly.slack(y) <= act_tol
+    slack = poly.slack(y)
+    active = slack <= act_tol
     if warm is not None and warm.active is not None:
         keep = np.zeros(poly.n_inequalities, dtype=bool)
         keep[[j for j in warm.active if 0 <= j < keep.size]] = True
         active &= keep
-    y, _, _, kkt_stat = _active_set(white, M, poly, x, y, active, tol)
+    y, _, _, kkt_stat = _active_set(white, M, slack, x, y, active, tol)
 
     bound = np.abs(poly.b if poly.lower is None else np.concatenate([poly.b, poly.lower]))
     act_idx = tuple(int(j) for j in np.flatnonzero(poly.slack(y) <= act_tol * (1.0 + bound)))
@@ -389,59 +390,58 @@ def project(
     return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
 
 
-def _active_set(white: Whitening, M, poly: PolyhedralSet, x, y, active, tol: float):
-    """The primal active-set loop of both projections, from the feasible ``y``.
+def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
+    """The primal active-set loop of both projections, from the feasible ``y0``.
 
-    ``M`` holds the whitened rows ``U^-T (A Z0)^T`` as columns, and
-    ``active`` (changed in place) the starting working set.  Each
-    working-set step, with the whitened gradient ``e = U^-T Z0^T S (y -
-    x)`` and the active bounds as the columns ``C`` of ``M`` (negated for
-    lower bounds), is ``-Z0 U^-1 r`` for ``r = e + C lam`` and ``lam =
-    lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
-    multipliers and ``||r||`` the stationarity residual; least squares
-    keeps dependent or duplicated active rows exact.  Returns the point,
-    the final working set, its multipliers and ``||r||``.
+    It reads only the whitened rows ``M = U^-T (A Z0)^T``, as columns, the
+    start's room ``slack`` in each bound and the starting working set
+    ``active`` (both changed in place).  Bound ``i < cols`` is the upper
+    bound of column ``i``, bound ``cols + i`` its lower bound (the column
+    negated).  With the target whitened once, ``g = -U^-T Z0^T S (y0 - x)``,
+    each working-set step of the whitened step ``d`` from ``y0`` is ``-r``
+    for ``r = e + C lam``, ``e = d - g``, ``C`` the signed active columns and
+    ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
+    multipliers and ``||r||`` the stationarity residual; least squares keeps
+    dependent or duplicated active rows exact.  Returns the point ``y0 + Z0
+    U^-1 d``, the final working set, its multipliers and ``||r||``.
     """
-    S = white.S
-    n = poly.dim
-    rows = poly.b.shape[0]
-    l = poly.n_inequalities
-    two_sided = poly.lower is not None
+    cols = M.shape[1]
+    g = white.forward(_weight_apply(white.S, x - y0))
+    scale = 1.0 + np.max(np.abs(g), initial=0.0)
+    d = np.zeros_like(g)
     known = None
-    for _ in range(50 * (l + n + 10)):
+    for _ in range(50 * (slack.size + y0.size + 10)):
         idx = np.flatnonzero(active)
-        lower = idx >= rows
-        C = M[:, np.where(lower, idx - rows, idx)]
+        lower = idx >= cols
+        C = M[:, idx - cols * lower]
         C[:, lower] *= -1.0
-        e = white.forward(_weight_apply(S, y - x))
+        e = d - g
         lam = np.linalg.lstsq(C, -e, rcond=None)[0] if known is None else known
         known = None
         r = e + C @ lam
-        p = -white.back(r)
-        if np.max(np.abs(p), initial=0.0) <= tol * (1.0 + np.max(np.abs(y), initial=0.0)):
+        if np.max(np.abs(r), initial=0.0) <= tol * scale:
             # At the working-set optimum: check multipliers of active rows.
             neg = lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(initial=0.0))
             if not np.any(neg):
-                return y, idx, lam, float(np.linalg.norm(r))
+                return y0 + white.back(d), idx, lam, float(np.linalg.norm(r))
             active[idx[np.flatnonzero(neg)[np.argmin(lam[neg])]]] = False
             continue
-        # Line search toward the working-set optimum.
+        # Line search toward the working-set optimum: along -r the slacks of
+        # the upper bounds fall at -M^T r, those of the lower bounds at M^T r.
+        q = M.T @ r
+        fall = np.concatenate([-q, q])[: slack.size]
         alpha = 1.0
         blocking = -1
-        if l:
-            Ap = poly.apply(p)
-            if two_sided:
-                Ap = np.concatenate([Ap, -Ap])
-            room = np.maximum(poly.slack(y), 0.0)
-            candidates = ~active & (Ap > 1e-14 * (1.0 + np.abs(Ap).max()))
-            if np.any(candidates):
-                ratios = np.full(l, np.inf)
-                ratios[candidates] = room[candidates] / Ap[candidates]
-                amin = ratios.min()
-                if amin < 1.0:
-                    alpha = amin
-                    blocking = int(np.flatnonzero(ratios <= amin * (1 + 1e-12))[0])
-        y = y + alpha * p
+        candidates = ~active & (fall > 1e-14 * (1.0 + np.abs(fall).max(initial=0.0)))
+        if np.any(candidates):
+            ratios = np.full(slack.size, np.inf)
+            ratios[candidates] = np.maximum(slack[candidates], 0.0) / fall[candidates]
+            amin = ratios.min()
+            if amin < 1.0:
+                alpha = amin
+                blocking = int(np.flatnonzero(ratios <= amin * (1 + 1e-12))[0])
+        d -= alpha * r
+        slack -= alpha * fall
         if blocking >= 0:
             active[blocking] = True
         else:
@@ -481,22 +481,21 @@ def project_cone(
     n = cone.dim
     x = _check_point(x, n)
     white = _whitening(S, cone, warm)
-    S = white.S
     l = cone.b.shape[0]
 
-    x_norm = float(np.sqrt(max(x @ _weight_apply(S, x), 0.0)))
+    x_norm = float(np.sqrt(max(x @ _weight_apply(white.S, x), 0.0)))
     if x_norm == 0.0 or white.U_inv.shape[0] == 0:
         return ProjectionResult(np.zeros(n), tuple(range(l)), 0.0)
 
     x = x / x_norm
     M = white.rows(cone.A)
-    y, idx, lam, _ = _active_set(white, M, cone, x, np.zeros(n), np.ones(l, dtype=bool), tol)
+    y, idx, lam, _ = _active_set(white, M, np.zeros(l), x, np.zeros(n), np.ones(l, bool), tol)
 
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0
     rows = cone.apply(y) / col
     mu = lam * col[idx]    # the multipliers of the unit rows
-    r = white.forward(_weight_apply(S, y - x)) + M[:, idx] @ lam
+    r = white.forward(_weight_apply(white.S, y - x)) + M[:, idx] @ lam
     kkt = max(
         np.max(rows, initial=0.0),          # primal: A v <= 0
         abs(float(mu @ rows[idx])),         # complementarity

@@ -4,7 +4,9 @@ lattice sits in space.
 Each transform gives the same lattice in other coordinates: the same
 springs arrive at the same sides at the same times, and the stresses are
 the same, for both solvers and both spaces.  Spring relabelling is covered
-in ``test_leapfrog.py``; unit scaling is not yet invariant (ROADMAP item 1).
+in ``test_leapfrog.py``.  Splitting a constant-rate segment in two leaves
+the leapfrog events as they are, and so does a change of the units of
+stress by 1e3; a change by 1e-6 does not yet (ROADMAP item 1).
 """
 
 import dataclasses
@@ -49,13 +51,34 @@ def move_rigidly(definition, loads, angle, shift):
     return moved, dataclasses.replace(loads, displacement_offset=-R @ coords)
 
 
-def solve(definition, loads, solver, space):
+def split_rate_segment(loads, t):
+    """The same loads with the rate segment holding ``t`` split there in two."""
+    i = int(np.searchsorted(loads.rate_times, t))
+    return dataclasses.replace(
+        loads,
+        rate_times=np.insert(loads.rate_times, i, t),
+        rate_values=np.insert(loads.rate_values, i, loads.rate_values[i - 1], axis=0),
+    )
+
+
+def scale_stress_units(definition, loads, factor):
+    """Yield limits and displacement rate times ``factor``: the same
+    problem with stresses and elongations in other units."""
+    scaled = dataclasses.replace(
+        definition,
+        lower_limits=factor * definition.lower_limits,
+        upper_limits=factor * definition.upper_limits,
+    )
+    return scaled, dataclasses.replace(loads, rate_values=factor * loads.rate_values)
+
+
+def solve(definition, loads, solver, space, steps=CATCHUP_STEPS):
     system = assemble(definition)
     spec = build_moving_set(system, space, loads)
     state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
     if solver == "leapfrog":
         return leapfrog(system, spec, state0, loads)
-    return catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, CATCHUP_STEPS))
+    return catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, steps))
 
 
 def assert_same_trajectory(traj, reference, definition):
@@ -91,3 +114,51 @@ def test_trajectory_is_invariant(build, transform):
             assert_same_trajectory(solve(moved, moved_loads, solver, space), reference, definition)
             events += len(reference.events)
     assert events > 0
+
+
+# 0.37 of the horizon lies in the elastic phase of both lattices, 0.55
+# between their first and second events.
+@pytest.mark.parametrize("fraction", [0.37, 0.55])
+@pytest.mark.parametrize("build", [build_example1, build_tri_grid_with_hole], ids=["example1", "grid"])
+def test_leapfrog_events_do_not_see_a_split_rate_segment(build, fraction):
+    definition, loads = build()
+    split = split_rate_segment(loads, fraction * loads.horizon)
+    assert split.rate_times.size == loads.rate_times.size + 1
+    for space in (Space.FULL, Space.REDUCED):
+        reference = solve(definition, loads, "leapfrog", space).events
+        events = solve(definition, split, "leapfrog", space).events
+        assert [(e.newly_active, e.newly_released) for e in events] == [
+            (e.newly_active, e.newly_released) for e in reference
+        ]
+        assert reference
+        for event, expected in zip(events, reference):
+            assert abs(event.time - expected.time) <= 1e-10 * expected.time
+
+
+#: example1's events under its own loads: the arrivals and their times.
+EXAMPLE1_EVENTS = [
+    (frozenset({(0, "upper"), (1, "upper")}), 0.042142857142857),
+    (frozenset({(2, "lower"), (3, "lower")}), 0.055),
+]
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        1e3,
+        pytest.param(1e-6, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 1: absolute tolerances swallow an elastic range of 2e-9",
+        )),
+    ],
+)
+def test_example1_events_do_not_depend_on_stress_units(factor):
+    definition, loads = scale_stress_units(*build_example1(), factor)
+    steps = 800
+    mesh = loads.horizon / steps
+    for space in (Space.FULL, Space.REDUCED):
+        for solver, tolerance in (("leapfrog", 1e-9 * loads.horizon), ("catchup", mesh)):
+            events = solve(definition, loads, solver, space, steps).events
+            assert [e.newly_active for e in events] == [arrivals for arrivals, _ in EXAMPLE1_EVENTS]
+            for event, (_, time) in zip(events, EXAMPLE1_EVENTS):
+                assert abs(event.time - time) <= tolerance

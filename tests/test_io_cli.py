@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,51 @@ def test_schema_error_names_field_of_a_value_that_is_no_number(tmp_path, capsys,
     assert f"{path}: validation error: " in err and "Traceback" not in err
 
 
+def _set_entry(*keys, value):
+    def corrupt(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return corrupt
+
+
+# "@" stands for a literal written into the file as it is: JSON reads 1e400
+# as inf and a 401-digit integer as an int beyond the float range.
+@pytest.mark.parametrize(
+    "corrupt, literal, field",
+    [
+        (_set_entry("nodes", 2, "coords", 1, value="@"), "1e400", "nodes[2].coords[1]"),
+        (_set_entry("springs", 4, "stiffness", value="@"), "-1e400", "springs[4].stiffness"),
+        (_set_entry("constraints", "offset", 0, value="@"), "1" + "0" * 400, "constraints.offset[0]"),
+        (_set_entry("constraints", "rate", "values", 0, 2, value="@"), "NaN", "constraints.rate.values[0][2]"),
+        (_set_entry("horizon", value="@"), "Infinity", "horizon"),
+        (_set_entry("constraints", "rate", "times", value=[0.0, 0.0]), None, "constraints.rate.times"),
+        (_set_entry("constraints", "rate", "times", value=[0.5]), None, "constraints.rate.times"),
+        (_set_entry("force", value={"times": [0.0, 0.0], "values": [[0.0] * 12] * 2}), None, "force.times"),
+        (_set_entry("strain", value={"axis": 0, "times": [0.1, 0.0], "values": [0.0, 0.01]}), None, "strain.times"),
+    ],
+    ids=["coords-1e400", "stiffness-minus-1e400", "offset-401-digits", "rate-NaN", "horizon-Infinity",
+         "rate-times-repeat", "rate-times-not-from-0", "force-times-repeat", "strain-times-decrease"],
+)
+def test_schema_error_names_field_of_a_non_finite_number_or_unordered_times(
+    tmp_path, capsys, corrupt, literal, field
+):
+    # the lattice and load-schedule constructors reject these as well, but
+    # they cannot name the field
+    path, doc = example1_document(tmp_path)
+    corrupt(doc)
+    text = json.dumps(doc)
+    path.write_text(text if literal is None else text.replace('"@"', literal))
+    with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: "):
+        load_network(path)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(path) not in err and "Traceback" not in err
+    assert f"validation error: {field}: " in err
+
+
 def test_cli_batch_refuses_inputs_that_share_an_output_prefix(tmp_path, capsys):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
@@ -344,7 +390,7 @@ def test_cli_cone_projection_failure_exits_2(tmp_path, capsys, monkeypatch):
     main(["generate", "example1", "--out", str(net)])
     monkeypatch.setattr(
         "latsweep.projection._active_set",
-        lambda white, M, poly, x, y, active, tol: (x, np.zeros(0, dtype=int), np.zeros(0), 0.0),
+        lambda white, M, slack, x, y0, active, tol: (x, np.zeros(0, dtype=int), np.zeros(0), 0.0),
     )
     code = main(["solve", str(net), "--solver", "leapfrog", "--out", str(tmp_path / "run")])
     assert code == 2

@@ -93,6 +93,14 @@ def test_tangent_cone_rejects_outside_point(example1):
     z[0] = spec.box_upper[0] * 2
     with pytest.raises(InvalidStateError):
         tangent_cone(spec, z)
+    # 0 lies on the plane; the box shifted so that 0 lies beyond spring 0's
+    # upper bound only, then below its lower bound only
+    assert spec.box_lower[0] < 0 < spec.box_upper[0]
+    for bound in (spec.box_upper, spec.box_lower):
+        offset = np.zeros(10)
+        offset[0] = -2 * bound[0]
+        with pytest.raises(InvalidStateError, match="violates the static set"):
+            tangent_cone(spec, np.zeros(10), offset)
 
 
 def test_event_velocity_interior_opposes_drive(example1):

@@ -214,8 +214,8 @@ def test_cone_solve_missing_kkt_raises(monkeypatch):
     assert np.allclose(res.point, 0.0, atol=1e-12) and res.kkt_residual <= 1e-12
     none = np.zeros(0, dtype=int), np.zeros(0)
     for wrong in (
-        lambda white, M, poly, x, y, active, tol: (x, *none, 0.0),
-        lambda white, M, poly, x, y, active, tol: (y, *none, 0.0),
+        lambda white, M, slack, x, y0, active, tol: (x, *none, 0.0),
+        lambda white, M, slack, x, y0, active, tol: (y0, *none, 0.0),
     ):
         monkeypatch.setattr(projection, "_active_set", wrong)
         with pytest.raises(ConeProjectionError):
