@@ -145,6 +145,8 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
             # self-loops cannot carry an incidence +1/-1 pair, shifted or not
             raise SchemaError("origin equals terminus", field=where)
         stiffness[sid] = _need(spring, "stiffness", where, float)
+        if stiffness[sid] <= 0:
+            raise SchemaError("stiffness must be positive", field=f"{where}.stiffness")
         lower[sid] = _need(spring, "lower", where, float)
         upper[sid] = _need(spring, "upper", where, float)
         if lower[sid] >= upper[sid]:
@@ -160,6 +162,8 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
     if any_shift and box is None:
         raise SchemaError("springs carry shifts but meta.box is missing", field="meta.box")
     box_lengths = _numbers(box, "meta.box", d) if any_shift else None
+    if box_lengths is not None and min(box_lengths) <= 0:
+        raise SchemaError("box lengths must be positive", field="meta.box")
 
     constraints = _need(doc, "constraints", "")
     rows = _need(constraints, "rows", "constraints", list)
@@ -186,6 +190,8 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
     rate_values = _need(rate, "values", "constraints.rate", float, len(rate_times), q)
 
     horizon = _need(doc, "horizon", "", float)
+    if horizon <= 0:
+        raise SchemaError("horizon must be positive", field="horizon")
 
     force_times = force_values = None
     if doc.get("force") is not None:

@@ -51,12 +51,14 @@ def tangent_cone(
     z: np.ndarray,
     offset: np.ndarray | None = None,
 ) -> PolyhedralSet:
-    """Tangent cone of the frozen constraint set at ``z``.
+    """Tangent cone of the frozen constraint set at ``z``: the set itself,
+    with the bounds active at ``z`` moved to 0 and the others opened.
 
-    One homogeneous inequality per bound active at ``z``, in spring order:
-    hitting a lower bound leaves only outward motion (component >= 0), an
-    upper bound only inward (component <= 0).  The spec's equality rows are
-    carried along.
+    The cone is ``{v : W v <= 0 on the springs on their upper bound, W v >=
+    0 on those on their lower bound, equality_rows v = 0}``, the spec's own
+    map and equality rows with bounds of 0 or infinity, so no rows are
+    built per event and the projection reads the whitened map it already
+    holds.
     """
     z = np.asarray(z, dtype=float)
     _, _, on_upper, on_lower, outside = _bound_status(spec, z, offset)
@@ -65,10 +67,12 @@ def tangent_cone(
     eq = spec.equality_rows
     if eq is not None and np.max(np.abs(eq @ z), initial=0.0) > 1e-7 * (1 + np.abs(z).max()):
         raise InvalidStateError("point has drifted off the self-stress plane")
-
-    springs = np.flatnonzero(on_upper | on_lower)
-    A = spec.bound_rows(springs, np.where(on_upper[springs], 1.0, -1.0))
-    return PolyhedralSet(A=A, b=np.zeros(springs.size), A_eq=eq)
+    return PolyhedralSet(
+        A=spec.W,
+        b=np.where(on_upper, 0.0, np.inf),
+        lower=np.where(on_lower, 0.0, -np.inf),
+        A_eq=eq,
+    )
 
 
 def event_velocity(

@@ -17,17 +17,22 @@ scipy wheels each bundle their own OpenBLAS, and a solve path that switches
 between the two thread pools pays each time for waking the idle one; scipy
 serves only HiGHS, for phase 1.
 
-One kernel, a primal active-set method on one- or two-sided bounds, serves
-both integrators: finite on these small dense problems, deterministic (ties
+One kernel, a primal active-set method on two-sided bounds, serves both
+integrators: finite on these small dense problems, deterministic (ties
 broken by lowest bound index, upper bounds before lower ones), and
-warm-startable across time steps where the active set changes slowly.  It
-runs in whitened coordinates on the whitened rows ``M = U^-T (A Z0)^T`` and
-the start's slacks alone: its working-set steps are least-squares solves
-against the few signed active columns of ``M`` (the range-space form).
+warm-startable across time steps where the active set changes slowly.
+Every set has the one form ``lower <= A x <= b``, where an infinite bound
+is no bound and never enters a working set.  The kernel runs in whitened
+coordinates on the whitened rows ``M = U^-T (A Z0)^T`` and the start's
+slacks alone: its working-set steps are least-squares solves against the
+few signed active columns of ``M`` (the range-space form).
 :func:`project`, for catch-up steps, starts from a point the caller
 supplies or from a phase-1 linear program (HiGHS via scipy);
-:func:`project_cone`, for event velocities, starts at the cone's apex,
-which lies in every cone, and checks its result.
+:func:`project_cone`, for event velocities, takes the moving set itself
+with its inactive bounds opened and its active ones at 0, starts at the
+cone's apex, which lies in every cone, and checks its result.  Both read
+``M`` from the warm handle, so one moving set's bound map is whitened once
+per run.
 """
 
 from __future__ import annotations
@@ -52,12 +57,14 @@ _LP_OPTIONS = {
 class PolyhedralSet:
     """``{x : lower <= A x <= b, A_eq x = b_eq}`` with dense coefficient rows.
 
-    ``A`` None is the identity, ``lower`` None is no lower bound, and
-    ``b_eq`` defaults to zeros when equality rows are given without it.
-    Bound ``j`` is the upper bound of row ``j``; with ``lower``, bound
-    ``rows + j`` is its lower bound.  Only the shapes and the bound vectors
-    are checked here: the coefficient rows are checked where a projection
-    or a phase-1 solve first uses them.
+    Every row has two bounds, and an infinite one is no bound: ``+inf`` in
+    ``b``, ``-inf`` in ``lower``.  ``lower`` None is a vector of ``-inf``,
+    ``A`` None is the identity, and ``b_eq`` defaults to zeros when
+    equality rows are given without it.  Bound ``j`` is the upper bound of
+    row ``j`` and bound ``rows + j`` its lower bound.  A NaN bound, an upper
+    bound of ``-inf`` or a lower bound of ``+inf`` is refused.  Only the
+    shapes and the bound vectors are checked here: the coefficient rows are
+    checked where a projection or a phase-1 solve first uses them.
     """
 
     A: np.ndarray | None
@@ -74,11 +81,13 @@ class PolyhedralSet:
             object.__setattr__(self, "A", A)
             if A.shape[0] != b.shape[0]:
                 raise InvalidInputError(f"{A.shape[0]} inequality rows but {b.shape[0]} bounds")
-        if self.lower is not None:
-            lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-            object.__setattr__(self, "lower", lower)
-            if lower.shape != b.shape:
-                raise InvalidInputError(f"{lower.shape[0]} lower but {b.shape[0]} upper bounds")
+        lower = np.full(b.shape, -np.inf) if self.lower is None else self.lower
+        lower = np.atleast_1d(np.asarray(lower, dtype=float))
+        object.__setattr__(self, "lower", lower)
+        if lower.shape != b.shape:
+            raise InvalidInputError(f"{lower.shape[0]} lower but {b.shape[0]} upper bounds")
+        if np.any(np.isnan(b) | (b == -np.inf)) or np.any(np.isnan(lower) | (lower == np.inf)):
+            raise InvalidInputError("polyhedral set has a NaN or a wrong-signed infinite bound")
         if self.A_eq is not None:
             A_eq = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
             b_eq = np.zeros(A_eq.shape[0]) if self.b_eq is None else self.b_eq
@@ -93,7 +102,7 @@ class PolyhedralSet:
                 raise InvalidInputError("A and A_eq column counts differ")
         elif self.b_eq is not None:
             raise InvalidInputError("b_eq given without A_eq")
-        _check_finite(self.b, self.lower, self.b_eq)
+        _check_finite(self.b_eq)
 
     @property
     def dim(self) -> int:
@@ -101,18 +110,17 @@ class PolyhedralSet:
 
     @property
     def n_inequalities(self) -> int:
-        """Number of bounds: one per row, two per row with ``lower``."""
-        return self.b.shape[0] * (1 if self.lower is None else 2)
+        """Number of bounds, two per row; infinite ones included."""
+        return 2 * self.b.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A x``, or ``x`` itself when ``A`` is the identity."""
         return x if self.A is None else self.A @ x
 
     def slack(self, x: np.ndarray) -> np.ndarray:
-        """Room left in each bound at ``x``, in bound order (negative: violated)."""
+        """Room left in each bound at ``x``, in bound order (negative:
+        violated, ``+inf``: no bound)."""
         values = self.apply(x)
-        if self.lower is None:
-            return self.b - values
         return np.concatenate([self.b - values, values - self.lower])
 
     def violation(self, x: np.ndarray) -> float:
@@ -221,7 +229,9 @@ class WarmStart:
     inequality-row array, a copy of it when it is writable, and its
     whitened rows) are reused while the caller passes the same arrays
     unchanged, and rebuilt otherwise; a caller that already holds the
-    whitening seeds it here.
+    whitening seeds it here.  A moving set's static sets and tangent cones
+    share their rows, so one handle per run serves catch-up steps and
+    event velocities alike with one whitened bound map.
     """
 
     active: tuple[int, ...] | None = None
@@ -267,27 +277,28 @@ def find_feasible_point(poly: PolyhedralSet, tol: float = DEFAULT_TOL) -> np.nda
 
     The set is declared empty when its smallest largest bound violation,
     subject to the equality rows, exceeds ``tau = max(tol, 1e-9)``.  With
-    the identity map the bounds are the variable bounds of one linear
-    program; when that is empty to the solver's own tolerance, it is solved
-    once more with the bounds widened by ``tau``, which the equality rows
-    meet exactly when that smallest violation is within ``tau``.
-    Otherwise the violation is one more variable, minimized.
+    the identity map the bounds, infinite ones included, are the variable
+    bounds of one linear program; when that is empty to the solver's own
+    tolerance, it is solved once more with the bounds widened by ``tau``,
+    which the equality rows meet exactly when that smallest violation is
+    within ``tau``.  Otherwise the finite bounds are stacked as rows ``[A;
+    -A] y <= [b; -lower]`` and the violation is one more variable,
+    minimized.
     """
     _check_finite(poly.A, poly.A_eq)
     n = poly.dim
     A_eq = poly.A_eq
     tau = max(tol, 1e-9)
     if poly.A is None:
-        lower = np.full(n, -np.inf) if poly.lower is None else poly.lower
         for widen in (0.0, tau):
             res = _phase_one(np.zeros(n), None, None, A_eq, poly.b_eq,
-                             np.column_stack([lower - widen, poly.b + widen]))
+                             np.column_stack([poly.lower - widen, poly.b + widen]))
             if res.status != 2:
                 break
     else:
-        A_ub, b_ub = poly.A, poly.b
-        if poly.lower is not None:
-            A_ub, b_ub = np.vstack([A_ub, -A_ub]), np.concatenate([b_ub, -poly.lower])
+        b_ub = np.concatenate([poly.b, -poly.lower])
+        finite = np.isfinite(b_ub)
+        A_ub, b_ub = np.vstack([poly.A, -poly.A])[finite], b_ub[finite]
         l = A_ub.shape[0]
         if l == 0:
             if A_eq is None:
@@ -382,39 +393,48 @@ def project(
         active &= keep
     y, _, _, kkt_stat = _active_set(white, M, slack, x, y, active, tol)
 
-    bound = np.abs(poly.b if poly.lower is None else np.concatenate([poly.b, poly.lower]))
-    act_idx = tuple(int(j) for j in np.flatnonzero(poly.slack(y) <= act_tol * (1.0 + bound)))
+    bound = np.concatenate([poly.b, poly.lower])
+    on = (poly.slack(y) <= act_tol * (1.0 + np.abs(bound))) & np.isfinite(bound)
+    act_idx = tuple(int(j) for j in np.flatnonzero(on))
     if warm is not None:
         warm.active = act_idx
     kkt = max(kkt_stat, poly.violation(y))
     return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
 
 
+def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The signed columns of the bounds ``idx``: ``M_i`` for the upper bound
+    ``i``, ``-M_i`` for the lower bound ``cols + i``; a new array."""
+    cols = M.shape[1]
+    lower = idx >= cols
+    C = M[:, idx - cols * lower]
+    C[:, lower] *= -1.0
+    return C
+
+
 def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
     """The primal active-set loop of both projections, from the feasible ``y0``.
 
     It reads only the whitened rows ``M = U^-T (A Z0)^T``, as columns, the
-    start's room ``slack`` in each bound and the starting working set
-    ``active`` (both changed in place).  Bound ``i < cols`` is the upper
-    bound of column ``i``, bound ``cols + i`` its lower bound (the column
-    negated).  With the target whitened once, ``g = -U^-T Z0^T S (y0 - x)``,
-    each working-set step of the whitened step ``d`` from ``y0`` is ``-r``
-    for ``r = e + C lam``, ``e = d - g``, ``C`` the signed active columns and
+    start's room ``slack`` in each bound (``+inf`` where there is no bound,
+    which never blocks) and the starting working set ``active`` (both
+    changed in place).  Bound ``i < cols`` is the upper bound of column
+    ``i``, bound ``cols + i`` its lower bound (the column negated).  With
+    the target whitened once, ``g = -U^-T Z0^T S (y0 - x)``, each
+    working-set step of the whitened step ``d`` from ``y0`` is ``-r`` for
+    ``r = e + C lam``, ``e = d - g``, ``C`` the signed active columns and
     ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
     multipliers and ``||r||`` the stationarity residual; least squares keeps
     dependent or duplicated active rows exact.  Returns the point ``y0 + Z0
     U^-1 d``, the final working set, its multipliers and ``||r||``.
     """
-    cols = M.shape[1]
     g = white.forward(_weight_apply(white.S, x - y0))
     scale = 1.0 + np.max(np.abs(g), initial=0.0)
     d = np.zeros_like(g)
     known = None
     for _ in range(50 * (slack.size + y0.size + 10)):
         idx = np.flatnonzero(active)
-        lower = idx >= cols
-        C = M[:, idx - cols * lower]
-        C[:, lower] *= -1.0
+        C = _columns(M, idx)
         e = d - g
         lam = np.linalg.lstsq(C, -e, rcond=None)[0] if known is None else known
         known = None
@@ -429,7 +449,7 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
         # Line search toward the working-set optimum: along -r the slacks of
         # the upper bounds fall at -M^T r, those of the lower bounds at M^T r.
         q = M.T @ r
-        fall = np.concatenate([-q, q])[: slack.size]
+        fall = np.concatenate([-q, q])
         alpha = 1.0
         blocking = -1
         candidates = ~active & (fall > 1e-14 * (1.0 + np.abs(fall).max(initial=0.0)))
@@ -458,54 +478,60 @@ def project_cone(
     tol: float = DEFAULT_TOL,
     warm: WarmStart | None = None,
 ) -> ProjectionResult:
-    """S-weighted projection of ``x`` onto a cone ``{A v <= 0, A_eq v = 0}``.
+    """S-weighted projection of ``x`` onto a cone, a set whose finite bounds are 0.
 
-    The active-set loop of :func:`project`, started at the cone's apex (the
-    origin, which lies in every cone, so no phase 1 is needed) with every
-    row in the working set, on ``x`` scaled to unit ``||x||_S``.  ``warm``
-    lends its whitening; the cone's rows are whitened afresh and not kept.
+    The cone is ``{A v <= 0 on the rows where b is 0, A v >= 0 on those
+    where lower is 0, A_eq v = 0}``: a set with its inactive bounds opened
+    to infinity.  The active-set loop of :func:`project` starts at the
+    cone's apex (the origin, which lies in every cone, so no phase 1 is
+    needed) with every finite bound in its working set, on ``x`` scaled to
+    unit ``||x||_S``.  ``warm`` lends its whitening and its whitened rows,
+    which a warm handle keeps from call to call while ``A`` stays the same
+    array, so a moving set's cones whiten its bound map once.
 
-    The result is checked against the KKT conditions, per row relative to
-    its whitened norm ``||M e_i||`` (``M = U^-T (A Z0)^T``): primal
-    feasibility ``A v <= 0``, complementarity ``lam . A v = 0``, and
-    stationarity, ``||U^-T Z0^T S (v - x) + M lam||`` recomputed from the
-    returned point, with nonnegative multipliers ``lam``.  A residual above
-    ``tol`` raises :class:`ConeProjectionError`.
+    The result is checked against the KKT conditions over the finite
+    bounds, per bound relative to its whitened norm ``||M e_i||`` (``M =
+    U^-T (A Z0)^T``): primal feasibility, complementarity ``lam . A v = 0``,
+    and stationarity, ``||U^-T Z0^T S (v - x) + C lam||`` recomputed from
+    the returned point, with ``C`` the signed columns of the final working
+    set and nonnegative multipliers ``lam``.  A residual above ``tol``
+    raises :class:`ConeProjectionError`.
     """
-    if cone.lower is not None:
-        raise InvalidInputError("cone has lower bounds")
-    if np.any(cone.b != 0.0):
-        raise InvalidInputError("cone has nonzero inequality right-hand sides")
+    bounds = np.concatenate([cone.b, cone.lower])
+    held = np.isfinite(bounds)
+    if np.any(bounds[held] != 0.0):
+        raise InvalidInputError("cone has nonzero finite bounds")
     if cone.b_eq is not None and np.any(cone.b_eq != 0.0):
         raise InvalidInputError("cone has nonzero equality right-hand sides")
     n = cone.dim
     x = _check_point(x, n)
     white = _whitening(S, cone, warm)
-    l = cone.b.shape[0]
 
     x_norm = float(np.sqrt(max(x @ _weight_apply(white.S, x), 0.0)))
     if x_norm == 0.0 or white.U_inv.shape[0] == 0:
-        return ProjectionResult(np.zeros(n), tuple(range(l)), 0.0)
+        return ProjectionResult(np.zeros(n), tuple(int(j) for j in np.flatnonzero(held)), 0.0)
 
     x = x / x_norm
-    M = white.rows(cone.A)
-    y, idx, lam, _ = _active_set(white, M, np.zeros(l), x, np.zeros(n), np.ones(l, bool), tol)
+    M = _whitened_rows(white, cone, warm)
+    slack = np.where(held, 0.0, np.inf)
+    y, idx, lam, _ = _active_set(white, M, slack, x, np.zeros(n), held.copy(), tol)
 
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0
-    rows = cone.apply(y) / col
+    col = np.tile(col, 2)
+    excess = -cone.slack(y) / col    # > 0: outside, -inf: no bound
     mu = lam * col[idx]    # the multipliers of the unit rows
-    r = white.forward(_weight_apply(white.S, y - x)) + M[:, idx] @ lam
+    r = white.forward(_weight_apply(white.S, y - x)) + _columns(M, idx) @ lam
     kkt = max(
-        np.max(rows, initial=0.0),          # primal: A v <= 0
-        abs(float(mu @ rows[idx])),         # complementarity
+        np.max(excess[held], initial=0.0),  # primal feasibility
+        abs(float(mu @ excess[idx])),       # complementarity
         float(np.linalg.norm(r)),           # stationarity
         -np.min(mu, initial=0.0),           # nonnegative multipliers
     )
     if not kkt <= tol:
         raise ConeProjectionError(
             f"cone projection missed its KKT conditions by {kkt:.3g} "
-            f"(tolerance {tol:.3g}, {l} rows)"
+            f"(tolerance {tol:.3g}, {int(held.sum())} bounds)"
         )
-    active = tuple(int(j) for j in np.flatnonzero(rows >= -tol))
+    active = tuple(int(j) for j in np.flatnonzero(excess >= -tol))
     return ProjectionResult(point=x_norm * y, active_inequalities=active, kkt_residual=kkt)

@@ -99,14 +99,6 @@ class MovingSetSpec:
         """Spring-space vector of the coordinates ``y``; compared to the box."""
         return y if self.W is None else self.W @ y
 
-    def bound_rows(self, springs: np.ndarray, signs: np.ndarray) -> np.ndarray:
-        """Rows ``signs[i] * (row springs[i] of the basis)``, one per entry."""
-        if self.W is None:
-            rows = np.zeros((springs.size, self.box_lower.size))
-            rows[np.arange(springs.size), springs] = signs
-            return rows
-        return signs[:, None] * self.W[springs]
-
     @functools.cached_property
     def whitening(self) -> Whitening:
         """The projections' change of coordinates, built and validated on first use.

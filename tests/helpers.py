@@ -21,10 +21,15 @@ def projection_oracle(S, x, poly, feas_tol=1e-9, candidates=None):
     projection.  Independent of the active-set solver being tested.
     """
     # one-sided rows A y <= b in bound order: the identity written out,
-    # lower bounds negated below the upper ones
-    A, b = (np.eye(poly.dim) if poly.A is None else poly.A), poly.b
-    if poly.lower is not None:
-        A, b = np.vstack([A, -A]), np.concatenate([b, -poly.lower])
+    # lower bounds negated below the upper ones, infinite bounds dropped
+    # (candidates keep their bound numbers)
+    A = np.eye(poly.dim) if poly.A is None else poly.A
+    A, b = np.vstack([A, -A]), np.concatenate([poly.b, -poly.lower])
+    finite = np.flatnonzero(np.isfinite(b))
+    A, b = A[finite], b[finite]
+    if candidates is not None:
+        wanted = set(candidates)
+        candidates = [i for i, j in enumerate(finite) if j in wanted]
     S2 = np.diag(S) if np.ndim(S) == 1 else np.asarray(S)
     if poly.A_eq is None:
         y0, N = np.zeros(poly.dim), np.eye(poly.dim)

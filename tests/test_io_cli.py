@@ -300,6 +300,14 @@ def _set_entry(*keys, value):
     return corrupt
 
 
+def _shifted_box(box):
+    """A periodic image shift on spring 0, which makes ``meta.box`` read, and ``box``."""
+    def corrupt(doc):
+        doc["springs"][0]["shift"] = [1, 0]
+        doc["meta"]["box"] = box
+    return corrupt
+
+
 # "@" stands for a literal written into the file as it is: JSON reads 1e400
 # as inf and a 401-digit integer as an int beyond the float range.
 @pytest.mark.parametrize(
@@ -314,15 +322,20 @@ def _set_entry(*keys, value):
         (_set_entry("constraints", "rate", "times", value=[0.5]), None, "constraints.rate.times"),
         (_set_entry("force", value={"times": [0.0, 0.0], "values": [[0.0] * 12] * 2}), None, "force.times"),
         (_set_entry("strain", value={"axis": 0, "times": [0.1, 0.0], "values": [0.0, 0.01]}), None, "strain.times"),
+        (_set_entry("springs", 4, "stiffness", value=0.0), None, "springs[4].stiffness"),
+        (_set_entry("horizon", value=-1.0), None, "horizon"),
+        (_shifted_box([2.0, 0.0]), None, "meta.box"),
     ],
     ids=["coords-1e400", "stiffness-minus-1e400", "offset-401-digits", "rate-NaN", "horizon-Infinity",
-         "rate-times-repeat", "rate-times-not-from-0", "force-times-repeat", "strain-times-decrease"],
+         "rate-times-repeat", "rate-times-not-from-0", "force-times-repeat", "strain-times-decrease",
+         "stiffness-zero", "horizon-negative", "box-zero"],
 )
 def test_schema_error_names_field_of_a_non_finite_number_or_unordered_times(
     tmp_path, capsys, corrupt, literal, field
 ):
-    # the lattice and load-schedule constructors reject these as well, but
-    # they cannot name the field
+    # the lattice and load-schedule constructors reject these as well (a
+    # stiffness, horizon or box length that is not positive too), but they
+    # cannot name the field
     path, doc = example1_document(tmp_path)
     corrupt(doc)
     text = json.dumps(doc)

@@ -52,12 +52,14 @@ def test_next_event_time_ratio(chain_1d):
 def test_tangent_cone_interior(example1):
     _, loads, system = example1
     spec = build_moving_set(system, Space.FULL, loads)
+    # every bound opened: the cone is the whole plane
     cone = tangent_cone(spec, np.zeros(10))
-    assert cone.A.shape[0] == 0
-    assert cone.A_eq.shape == (8, 10)
+    assert np.all(cone.b == np.inf) and np.all(cone.lower == -np.inf)
+    assert cone.A is None and cone.A_eq.shape == (8, 10)
     reduced = build_moving_set(system, Space.REDUCED, loads)
     cone_v = tangent_cone(reduced, np.zeros(2))
-    assert cone_v.A.shape[0] == 0 and cone_v.A_eq is None
+    assert np.all(cone_v.b == np.inf) and np.all(cone_v.lower == -np.inf)
+    assert cone_v.A is reduced.W and cone_v.A_eq is None
 
 
 def test_tangent_cone_on_upper_bound(example1):
@@ -72,18 +74,18 @@ def test_tangent_cone_on_upper_bound(example1):
     cone = tangent_cone(spec, z)
     on_upper = set(np.flatnonzero(np.abs(z - spec.box_upper) <= 1e-9))
     on_lower = set(np.flatnonzero(np.abs(z - spec.box_lower) <= 1e-9))
-    assert len(on_upper) + len(on_lower) == cone.A.shape[0] >= 1
-    seen = set()
-    for row in cone.A:
-        nz = int(np.flatnonzero(row)[0])
-        assert np.count_nonzero(row) == 1
-        assert row[nz] == (1.0 if nz in on_upper else -1.0)
-        seen.add(nz)
-    assert seen == on_upper | on_lower
-    # the reduced cone at the same point: the full rows in the basis V
+    assert len(on_upper) + len(on_lower) >= 1
+    # the set itself with its active bounds at 0 and the others opened
+    assert cone.A is None and cone.A_eq is spec.equality_rows
+    assert set(np.flatnonzero(cone.b == 0.0)) == on_upper
+    assert set(np.flatnonzero(cone.lower == 0.0)) == on_lower
+    assert np.all(np.isinf(cone.b[list(set(range(10)) - on_upper)]))
+    assert np.all(np.isinf(cone.lower[list(set(range(10)) - on_lower)]))
+    # the reduced cone at the same point: the same bounds on the map V
     reduced = build_moving_set(system, Space.REDUCED, loads)
     cone_v = tangent_cone(reduced, system.P_V @ z)
-    assert np.array_equal(cone_v.A, cone.A @ system.V_basis)
+    assert cone_v.A is reduced.W and cone_v.A_eq is None
+    assert np.array_equal(cone_v.b, cone.b) and np.array_equal(cone_v.lower, cone.lower)
 
 
 def test_tangent_cone_rejects_outside_point(example1):
@@ -339,6 +341,38 @@ def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
         fresh = event_velocity(spec, last.y, drive, offset=spec.offset(loads, last.time))
         expected = last.y + (fresh + drive) * (traj.final.time - last.time)
         assert np.linalg.norm(traj.final.y - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
+
+
+def test_one_whitened_bound_map_per_run(periodic_8x8, monkeypatch):
+    # A tangent cone is the moving set's own map and equality rows with
+    # bounds of 0 or infinity, so every cone projection of a run reads the
+    # one whitened map its warm handle holds, as catch-up's steps do.
+    _, loads, system = periodic_8x8
+    whitened, cones = [], []
+    rows_of = projection.Whitening.rows
+
+    def counted_rows(white, rows):
+        whitened.append(rows)
+        return rows_of(white, rows)
+
+    def counted_cone(*args, **kwargs):
+        cones.append(args)
+        return project_cone(*args, **kwargs)
+
+    monkeypatch.setattr(projection.Whitening, "rows", counted_rows)
+    monkeypatch.setattr(sys.modules["latsweep.leapfrog"], "project_cone", counted_cone)
+    for space in (Space.REDUCED, Space.FULL):
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, space, spec)
+        cone = tangent_cone(spec, state0.y, spec.offset(loads, 0.0))
+        assert cone.A is spec.W and cone.A_eq is spec.equality_rows
+        whitened.clear()
+        cones.clear()
+        leapfrog(system, spec, state0, loads)
+        assert len(cones) == 3 and len(whitened) <= 1
+        whitened.clear()
+        catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 10))
+        assert len(whitened) <= 1
 
 
 def test_leapfrog_takes_no_phase_one_and_no_scipy_solver(example1, periodic_8x8, monkeypatch):

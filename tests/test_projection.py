@@ -122,6 +122,17 @@ def test_cone_rejects_nonzero_rhs():
         project_cone(np.ones(2), np.zeros(2), bad)
 
 
+def test_set_refuses_nan_and_infinite_bounds_on_the_wrong_side():
+    # +inf in b and -inf in lower are no bound; anything else not finite is refused
+    ones = np.ones(2)
+    for b, lower in (([np.nan, 1.0], None), ([1.0, -np.inf], None), (ones, [np.inf, 0.0]),
+                     (ones, [0.0, np.nan]), ([np.inf, -np.inf], [-np.inf, -np.inf])):
+        with pytest.raises(InvalidInputError):
+            PolyhedralSet(A=None, b=np.array(b), lower=lower)
+    free = PolyhedralSet(A=None, b=np.full(2, np.inf))
+    assert np.array_equal(free.lower, [-np.inf, -np.inf]) and free.n_inequalities == 4
+
+
 @pytest.mark.parametrize("with_equalities", [False, True])
 @pytest.mark.parametrize("diagonal", [True, False])
 def test_cone_oracle_moreau_and_row_order(with_equalities, diagonal):
@@ -138,7 +149,7 @@ def test_cone_oracle_moreau_and_row_order(with_equalities, diagonal):
         assert np.linalg.norm(x - v - polar) <= scale
         Sv = S * v if np.ndim(S) == 1 else S @ v
         assert abs(Sv @ polar) <= scale * (1 + np.linalg.norm(x))
-        order = rng.permutation(cone.n_inequalities)
+        order = rng.permutation(cone.A.shape[0])
         shuffled = PolyhedralSet(A=cone.A[order], b=cone.b, A_eq=cone.A_eq)
         w = project_cone(S, x, shuffled).point
         assert np.linalg.norm(w - v) <= 1e-12 * (1 + np.linalg.norm(x))
@@ -160,7 +171,7 @@ def test_degenerate_vertex_oracle(with_equalities, diagonal):
         res = project(S, x, poly, start=c)
         assert np.linalg.norm(res.point - projection_oracle(S, x, poly)) <= scale
         assert res.kkt_residual <= scale
-        order = rng.permutation(poly.n_inequalities)
+        order = rng.permutation(poly.A.shape[0])
         shuffled = PolyhedralSet(A=poly.A[order], b=poly.b[order], A_eq=poly.A_eq, b_eq=b_eq)
         assert np.linalg.norm(project(S, x, shuffled, start=c).point - res.point) <= scale
 
@@ -177,7 +188,10 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     traj = leapfrog(system, spec, state0, loads)
     t = traj.events[0].time
     y = next(s.y for s in traj.states if s.time == t)
-    cone = tangent_cone(spec, y, offset=spec.offset(loads, t))
+    opened = tangent_cone(spec, y, offset=spec.offset(loads, t))
+    # the opened cone's 64 finite bounds as signed rows A v <= 0
+    up, down = np.flatnonzero(opened.b == 0.0), np.flatnonzero(opened.lower == 0.0)
+    cone = PolyhedralSet(A=np.vstack([opened.A[up], -opened.A[down]]), b=np.zeros(64))
     assert cone.A.shape == (64, 66) and numerical_rank(cone.A) == 58
     S = spec.weight
     x = -spec.reduce(spec.offset_rate(loads, t))
@@ -193,6 +207,9 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     mu = lsq_linear(M, d, bounds=(0.0, np.inf), method="bvls", tol=1e-14).x
     reference = np.linalg.solve(L.T, d - M @ mu)
     scale = 1e-12 * s_norm(S, x)
+    res = project_cone(S, x, opened, warm=spec.warm_start())
+    assert s_norm(S, res.point - reference) <= scale
+    assert res.kkt_residual <= 1e-12
     rng = np.random.default_rng(13)
     for _ in range(200):
         order = rng.permutation(64)
@@ -238,6 +255,7 @@ def test_two_sided_oracle_bulk(identity):
     # an equality row, from phase 1: the result and the phase-1 point both
     # respect the lower bounds, and the result is the oracle's
     rng = np.random.default_rng(44 + identity)
+    opener = np.random.default_rng(46 + identity)
     for _ in range(30):
         S, x, poly = random_projection_problem(rng)
         interior = find_feasible_point(poly)
@@ -250,6 +268,25 @@ def test_two_sided_oracle_bulk(identity):
         res = project(S, x, two)
         assert np.linalg.norm(res.point - projection_oracle(S, x, two)) <= 1e-9 * (1 + np.linalg.norm(x))
         assert res.kkt_residual <= 1e-9 * (1 + np.linalg.norm(x))
+        # some bounds opened to +-inf: the same answers as the set with
+        # those rows removed, drawn from a second generator so that the
+        # draws above stay as they were
+        up, down = opener.random((2, values.size)) < 0.3
+        opened = PolyhedralSet(A=B, b=np.where(up, np.inf, hi), A_eq=poly.A_eq, b_eq=poly.b_eq,
+                               lower=np.where(down, -np.inf, lo))
+        rows = np.eye(x.size) if identity else B
+        keep = ~np.concatenate([up, down])
+        removed = PolyhedralSet(A=np.vstack([rows, -rows])[keep], b=np.concatenate([hi, -lo])[keep],
+                                A_eq=poly.A_eq, b_eq=poly.b_eq)
+        points = find_feasible_point(opened), find_feasible_point(removed)
+        for point in points:
+            assert opened.contains(point, tol=1e-9) and removed.contains(point, tol=1e-9)
+        if not identity:  # the same linear program
+            assert np.array_equal(*points)
+        res = project(S, x, opened)
+        assert np.linalg.norm(res.point - project(S, x, removed).point) <= 1e-9 * (1 + np.linalg.norm(x))
+        assert np.linalg.norm(res.point - projection_oracle(S, x, opened)) <= 1e-9 * (1 + np.linalg.norm(x))
+        assert not np.isin(np.flatnonzero(~keep), res.active_inequalities).any()
     crossed = PolyhedralSet(A=None, b=np.ones(2), A_eq=np.ones((1, 2)), b_eq=np.ones(1), lower=np.full(2, 0.8))
     with pytest.raises(InfeasibleSetError):
         find_feasible_point(crossed)
