@@ -8,7 +8,6 @@ from .assembly import (
     RigidityReport,
     SystemDims,
     assemble,
-    basis_independent_projector,
     compatibility_matrix,
     validate_assumptions,
 )

@@ -15,6 +15,12 @@ force map ``F`` and the test-only ``P_U`` and ``H`` are built on first use.
 Every check of the assumptions reads ``rank [C; R]`` as ``rank R + rank U``,
 each under the relative cutoff of its own matrix: no verdict moves with the
 units of ``R``.
+
+The basis ``V`` of the plane is K-orthonormal, ``V^T K V = I``: a thin QR
+taken in the coordinates ``K^(1/2)`` makes it so.  The K-orthogonal
+projector onto the plane is then ``V P_V`` with ``P_V = V^T K``, and the
+reduced space, coordinates in ``V``, is Euclidean: no Gram matrix of the
+plane is formed or factored.
 """
 
 from __future__ import annotations
@@ -76,7 +82,9 @@ class RigidityReport:
 class AssembledSystem:
     """All time-independent matrices of a validated lattice.
 
-    Immutable after assembly; safe to share across threads.
+    ``V_basis`` is K-orthonormal, so ``V_basis @ P_V`` is the K-orthogonal
+    projector onto the self-stress plane and ``P_V`` gives coordinates in
+    it.  Immutable after assembly; safe to share across threads.
     """
 
     definition: LatticeDefinition
@@ -84,19 +92,17 @@ class AssembledSystem:
     directions: np.ndarray         # m x d, unit vectors terminus -> origin
     reference_lengths: np.ndarray  # m
     U_basis: np.ndarray            # m x dim_u, C N for N the kernel of R
-    V_basis: np.ndarray            # m x dim_v, orthonormal columns spanning
-                                   # K^-1 ker U^T, the spring blocks of
-                                   # ker [C^T R^T] scaled by K^-1
-    P_V: np.ndarray                # dim_v x m, S_V^-1 V^T K
+    V_basis: np.ndarray            # m x dim_v, K-orthonormal columns (V^T K V
+                                   # = I) spanning K^-1 ker U^T, the spring
+                                   # blocks of ker [C^T R^T] scaled by K^-1
+    P_V: np.ndarray                # dim_v x m, V^T K
     G: np.ndarray                  # m x q, V P_V C pinv(R)
-    S_V: np.ndarray                # dim_v x dim_v, V^T K V
-    S_V_inv_factor: np.ndarray     # dim_v x dim_v, upper T with T^T S_V T = I
     dims: SystemDims
 
     def __post_init__(self):
         for name in (
             "compatibility", "directions", "reference_lengths", "U_basis",
-            "V_basis", "P_V", "G", "S_V", "S_V_inv_factor",
+            "V_basis", "P_V", "G",
         ):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
@@ -250,15 +256,13 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
         )
     # The constrained self-stresses [s; lambda] solve C^T s + R^T lambda = 0,
     # i.e. N^T C^T s = U^T s = 0: their spring blocks s = K v span ker U^T,
-    # the trailing columns of the complete Q.
-    V = orthonormal_columns(Q[:, dim_u:] / k[:, None])
+    # the trailing columns of the complete Q.  Orthonormal columns of
+    # K^(1/2) K^-1 ker U^T, scaled back by K^(-1/2), are K-orthonormal.
+    root_k = np.sqrt(k)[:, None]
+    V = orthonormal_columns(Q[:, dim_u:] / root_k) / root_k
     del Q, RU
 
-    S_V = weighted_gram(V, k)
-    # The inverse T of S_V's upper Cholesky factor makes S_V^-1 = T T^T two
-    # products, and the same T whitens the moving set in either space.
-    T = inverse_cholesky_factor(S_V)
-    P_V = T @ (T.T @ (V.T * k[None, :]))
+    P_V = V.T * k[None, :]
     G = V @ (P_V @ G_R)
 
     return AssembledSystem(
@@ -270,12 +274,5 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
         V_basis=V,
         P_V=P_V,
         G=G,
-        S_V=S_V,
-        S_V_inv_factor=T,
         dims=SystemDims(n, m, d, q, dim_u, dim_v),
     )
-
-
-def basis_independent_projector(system: AssembledSystem) -> np.ndarray:
-    """The m-by-m projector onto the self-stress plane; basis independent."""
-    return system.V_basis @ system.P_V

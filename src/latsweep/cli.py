@@ -61,6 +61,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _checked(convert, test, what: str):
+    """An argparse type that converts with ``convert`` and refuses a value
+    failing ``test``: a usage error naming the option."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            ok = bool(test(value))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_POSITIVE_FINITE = _checked(float, lambda v: 0 < v < np.inf, "a positive finite number")
+_FINITE = _checked(float, np.isfinite, "a finite number")
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="latsweep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -72,8 +94,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--cols", type=int, default=14)
     gen.add_argument("--cells-x", type=int, default=4)
     gen.add_argument("--cells-y", type=int, default=4)
-    gen.add_argument("--rate", type=float, default=1.0)
-    gen.add_argument("--horizon", type=float, default=None)
+    gen.add_argument("--rate", type=_FINITE, default=1.0)
+    gen.add_argument("--horizon", type=_POSITIVE_FINITE, default=None)
 
     val = sub.add_parser("validate", help="print a rigidity report")
     val.add_argument("network")
@@ -82,14 +104,14 @@ def _build_parser() -> _Parser:
     slv.add_argument("network", nargs="+", help="one or more network files")
     slv.add_argument("--solver", choices=["catchup", "leapfrog"], default="leapfrog")
     slv.add_argument("--space", choices=["full", "reduced"], default="reduced")
-    slv.add_argument("--mesh", type=float, default=1e-4, help="catch-up step size")
+    slv.add_argument("--mesh", type=_POSITIVE_FINITE, default=1e-4, help="catch-up step size")
     slv.add_argument("--sigma0", default=None, help="file with initial stresses, one per line")
     slv.add_argument("--out", required=True, help="output prefix for CSV files")
 
     ana = sub.add_parser("analyze", help="macroscopic metrics from solve output")
     ana.add_argument("curve", help="curve CSV written by solve")
     ana.add_argument("--events", default=None, help="events CSV (default: <curve-prefix>.events.csv)")
-    ana.add_argument("--bins", type=int, default=20)
+    ana.add_argument("--bins", type=_POSITIVE_INT, default=20)
     ana.add_argument("--label", default="")
     ana.add_argument("--out", required=True, help="report output path")
 

@@ -1,16 +1,14 @@
 """Projection onto a polyhedral set in a weighted inner product.
 
 The projection ``argmin (y-x)^T S (y-x)`` over ``{lo <= A y <= b, A_eq y =
-b_eq}`` is computed in one change of coordinates, a :class:`Whitening`: in
-the kernel ``Z0`` of the equality rows, with ``Z0^T S Z0 = U^T U``, ``v ->
-U^-T Z0^T v`` turns the S-geometry into the Euclidean one.  The whitening
-keeps the inverse factor ``U^-1``, so it is applied by matrix products
-alone.  It is built and validated once per weight and equality rows and
-reused while the caller passes the same arrays (read-only ones by identity
-alone, writable ones while they hold the values it was built from); a
-caller that already knows ``Z0`` and ``U^-1`` (a moving set: its equality
-rows have the kernel ``V`` that assembly computed, and ``Z0^T S Z0`` is
-assembly's ``S_V`` in either space) hands them over.
+b_eq}`` is computed in one change of coordinates, a :class:`Whitening`: an
+S-orthonormal basis ``Z`` of the kernel of the equality rows, ``Z^T S Z =
+I``, turns the S-geometry into the Euclidean one by ``v -> Z^T v``, so it
+is applied by matrix products alone.  It is built and validated once per
+weight and equality rows and reused while the caller passes the same
+arrays (read-only ones by identity alone, writable ones while they hold the
+values it was built from); a caller that already knows ``Z`` (a moving set:
+assembly's K-orthonormal basis ``V`` of the plane) hands it over.
 
 Every dense factorization here goes through NumPy's LAPACK.  NumPy and
 scipy wheels each bundle their own OpenBLAS, and a solve path that switches
@@ -23,7 +21,7 @@ broken by lowest bound index, upper bounds before lower ones), and
 warm-startable across time steps where the active set changes slowly.
 Every set has the one form ``lower <= A x <= b``, where an infinite bound
 is no bound and never enters a working set.  The kernel runs in whitened
-coordinates on the whitened rows ``M = U^-T (A Z0)^T`` and the start's
+coordinates on the whitened rows ``M = (A Z)^T`` and the start's
 slacks alone: its working-set steps are least-squares solves against the
 few signed active columns of ``M`` (the range-space form).
 :func:`project`, for catch-up steps, starts from a point the caller
@@ -162,63 +160,54 @@ def _unchanged(a, ref, snap) -> bool:
 
 @dataclass(frozen=True)
 class Whitening:
-    """``v -> U^-T Z0^T v`` and back, for one weight and one set of equality rows.
+    """``v -> Z^T v`` and back, for one weight and one set of equality rows.
 
-    ``Z0`` spans the kernel of the equality rows ``A_eq`` (None when there
-    are none: the identity) and ``Z0^T S Z0 = U^T U`` with ``U`` upper
-    triangular.  Only the inverse factor ``U_inv`` is kept, so each
-    direction is a product with ``U_inv`` (transposed going forward) and
-    with ``Z0``, with no triangular solve.  ``S`` and ``A_eq`` are the
-    arrays it was built and validated for; ``S_copy`` and ``A_eq_copy``
-    hold their values when they are writable.
+    ``Z`` is an S-orthonormal basis, ``Z^T S Z = I``, of the kernel of the
+    equality rows ``A_eq`` (of the whole space when there are none), so each
+    direction is one product with ``Z``.  ``S`` and ``A_eq`` are the arrays
+    it was built and validated for; ``S_copy`` and ``A_eq_copy`` hold their
+    values when they are writable.
     """
 
     S: np.ndarray
     A_eq: np.ndarray | None
-    Z0: np.ndarray | None
-    U_inv: np.ndarray
+    Z: np.ndarray
     S_copy: np.ndarray | None = field(default=None, repr=False)
     A_eq_copy: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def build(
-        cls, S, A_eq, n: int, Z0: np.ndarray | None = None, U_inv: np.ndarray | None = None
-    ) -> "Whitening":
-        """Validate ``S`` and ``A_eq`` and factor; ``Z0`` is the kernel of
-        ``A_eq`` when the caller already has it, else one SVD finds it, and
-        ``U_inv`` is the inverse Cholesky factor of ``Z0^T S Z0`` when the
-        caller already has that."""
+    def build(cls, S, A_eq, n: int, Z: np.ndarray | None = None) -> "Whitening":
+        """Validate ``S`` and ``A_eq``, and take ``Z`` from the caller when
+        it has one.  Otherwise one SVD finds a kernel basis ``Z0`` of
+        ``A_eq`` (the identity when there are no equality rows) and ``Z =
+        Z0 U^-1`` for the upper Cholesky factor ``U`` of ``Z0^T S Z0``."""
         S = _check_weight(S, n)
         _check_finite(A_eq)
-        if Z0 is None and A_eq is not None and A_eq.shape[0]:
-            Z0 = nullspace_basis(A_eq)
-        if U_inv is None:
+        if Z is None:
+            Z0 = nullspace_basis(A_eq) if A_eq is not None and A_eq.shape[0] else None
             H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
             H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
-            U_inv = inverse_cholesky_factor(H0)
-        return cls(S, A_eq, Z0, U_inv, _snapshot(S), _snapshot(A_eq))
+            Z = inverse_cholesky_factor(H0)
+            Z = Z if Z0 is None else Z0 @ Z
+        return cls(S, A_eq, Z, _snapshot(S), _snapshot(A_eq))
 
     def fits(self, S, A_eq) -> bool:
         """Whether this whitening was built from these arrays, unchanged since."""
         return _unchanged(S, self.S, self.S_copy) and _unchanged(A_eq, self.A_eq, self.A_eq_copy)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        """``U^-T Z0^T v`` for a vector or for the columns of a matrix."""
-        v = v if self.Z0 is None else self.Z0.T @ v
-        return self.U_inv.T @ v
+        """``Z^T v`` for a vector or for the columns of a matrix."""
+        return self.Z.T @ v
 
     def back(self, w: np.ndarray) -> np.ndarray:
-        """``Z0 U^-1 w``: a whitened step back as a step in ``y``."""
-        step = self.U_inv @ w
-        return step if self.Z0 is None else self.Z0 @ step
+        """``Z w``: a whitened step back as a step in ``y``."""
+        return self.Z @ w
 
     def rows(self, A: np.ndarray | None) -> np.ndarray:
-        """Whitened rows ``U^-T (A Z0)^T`` as columns, a new array; ``A``
-        None is the identity."""
+        """Whitened rows ``(A Z)^T`` as columns, a new array; ``A`` None is
+        the identity."""
         _check_finite(A)
-        if A is not None:
-            return self.forward(A.T)
-        return self.U_inv.T.copy() if self.Z0 is None else (self.Z0 @ self.U_inv).T
+        return self.Z.T.copy() if A is None else self.forward(A.T)
 
 
 @dataclass
@@ -415,18 +404,18 @@ def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
     """The primal active-set loop of both projections, from the feasible ``y0``.
 
-    It reads only the whitened rows ``M = U^-T (A Z0)^T``, as columns, the
+    It reads only the whitened rows ``M = (A Z)^T``, as columns, the
     start's room ``slack`` in each bound (``+inf`` where there is no bound,
     which never blocks) and the starting working set ``active`` (both
     changed in place).  Bound ``i < cols`` is the upper bound of column
     ``i``, bound ``cols + i`` its lower bound (the column negated).  With
-    the target whitened once, ``g = -U^-T Z0^T S (y0 - x)``, each
+    the target whitened once, ``g = -Z^T S (y0 - x)``, each
     working-set step of the whitened step ``d`` from ``y0`` is ``-r`` for
     ``r = e + C lam``, ``e = d - g``, ``C`` the signed active columns and
     ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
     multipliers and ``||r||`` the stationarity residual; least squares keeps
-    dependent or duplicated active rows exact.  Returns the point ``y0 + Z0
-    U^-1 d``, the final working set, its multipliers and ``||r||``.
+    dependent or duplicated active rows exact.  Returns the point ``y0 + Z
+    d``, the final working set, its multipliers and ``||r||``.
     """
     g = white.forward(_weight_apply(white.S, x - y0))
     scale = 1.0 + np.max(np.abs(g), initial=0.0)
@@ -491,8 +480,8 @@ def project_cone(
 
     The result is checked against the KKT conditions over the finite
     bounds, per bound relative to its whitened norm ``||M e_i||`` (``M =
-    U^-T (A Z0)^T``): primal feasibility, complementarity ``lam . A v = 0``,
-    and stationarity, ``||U^-T Z0^T S (v - x) + C lam||`` recomputed from
+    (A Z)^T``): primal feasibility, complementarity ``lam . A v = 0``,
+    and stationarity, ``||Z^T S (v - x) + C lam||`` recomputed from
     the returned point, with ``C`` the signed columns of the final working
     set and nonnegative multipliers ``lam``.  A residual above ``tol``
     raises :class:`ConeProjectionError`.
@@ -508,7 +497,7 @@ def project_cone(
     white = _whitening(S, cone, warm)
 
     x_norm = float(np.sqrt(max(x @ _weight_apply(white.S, x), 0.0)))
-    if x_norm == 0.0 or white.U_inv.shape[0] == 0:
+    if x_norm == 0.0 or white.Z.shape[1] == 0:
         return ProjectionResult(np.zeros(n), tuple(int(j) for j in np.flatnonzero(held)), 0.0)
 
     x = x / x_norm

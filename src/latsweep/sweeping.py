@@ -5,8 +5,9 @@ There is one moving set, the yield box cut by the self-stress plane, seen
 in one of two bases.  In the full space the sweeping variable is a spring
 vector (dimension m): the basis is the identity and the plane enters as
 equality rows ``U^T K z = 0``.  In the reduced space it holds coordinates
-in the basis ``V`` of the plane (dimension dim_v): the box rows act through
-``V`` and there are no equality rows.  :func:`build_moving_set` is the only
+in the K-orthonormal basis ``V`` of the plane (dimension dim_v): the box
+rows act through ``V``, there are no equality rows, and the stiffness inner
+product is the Euclidean one.  :func:`build_moving_set` is the only
 place that chooses between them; everything else goes through
 :class:`MovingSetSpec`.
 """
@@ -63,14 +64,21 @@ class MovingSetSpec:
     box_lower: np.ndarray          # K^-1 c^-
     box_upper: np.ndarray          # K^-1 c^+
     W: np.ndarray | None           # basis of the sweeping variable; None is the identity
-    weight: np.ndarray             # inner product the process is projected in
+    weight: np.ndarray             # inner product the process is projected in;
+                                   # the identity matrix in the reduced space
     equality_rows: np.ndarray | None   # U^T K in the identity basis, else None
     strain_direction: np.ndarray | None  # box translation per unit strain
 
     def offset(self, loads: LoadSchedule, t: float) -> np.ndarray:
-        """Translation of the yield box at time ``t`` (a vector in R^m)."""
+        """Translation of the yield box at time ``t`` (a vector in R^m).
+
+        The displacement load enters as its change ``r(t) - r(0)``: only
+        differences of the offset enter the process, and ``r(0) = -R xi0``
+        holds reference positions far larger than the box, whose rounding
+        would land on its bounds.
+        """
         sys = self.system
-        out = sys.G @ loads.r(t)
+        out = sys.G @ (loads.r(t) - loads.displacement_offset)
         if loads.strain_times is not None:
             if self.strain_direction is None:
                 raise InvalidInputError(
@@ -103,16 +111,14 @@ class MovingSetSpec:
     def whitening(self) -> Whitening:
         """The projections' change of coordinates, built and validated on first use.
 
-        The kernel of the equality rows ``U^T K`` is the basis ``V`` of the
-        plane that assembly already computed, and in both spaces ``Z0^T S
-        Z0`` is assembly's ``S_V``, whose inverse Cholesky factor assembly
-        also keeps, so nothing is factored here.
+        Its ``Z`` is the K-orthonormal basis ``V`` of the plane in the
+        coordinates of the sweeping variable: assembly's ``V`` in the full
+        space, where it spans the kernel of the equality rows, and the
+        identity in the reduced space.  Both spaces whiten the bound map
+        to the same ``V^T``, and nothing is factored here.
         """
-        Z0 = None if self.equality_rows is None else self.system.V_basis
-        return Whitening.build(
-            self.weight, self.equality_rows, self.weight.shape[0], Z0,
-            U_inv=self.system.S_V_inv_factor,
-        )
+        Z = self.system.V_basis if self.W is None else self.weight
+        return Whitening.build(self.weight, self.equality_rows, self.weight.shape[0], Z)
 
     def warm_start(self) -> WarmStart:
         """A projection handle seeded with this set's whitening."""
@@ -134,7 +140,7 @@ def build_moving_set(
     if space is Space.FULL:
         basis, weight, equality = None, k, _frozen(system.equality_rows())
     else:
-        basis, weight, equality = system.V_basis, system.S_V, None
+        basis, weight, equality = system.V_basis, _frozen(np.eye(system.dims.dim_v)), None
     return MovingSetSpec(
         system=system,
         space=space,

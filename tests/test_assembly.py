@@ -6,7 +6,6 @@ import scipy.linalg
 
 from latsweep.assembly import (
     assemble,
-    basis_independent_projector,
     compatibility_matrix,
     validate_assumptions,
 )
@@ -125,13 +124,13 @@ def test_projector_matches_reference_basis(example1):
     _, _, system = example1
     V = EXAMPLE1_SELF_STRESS_BASIS
     reference = V @ np.linalg.solve(V.T @ V, V.T)  # stiffness is identity here
-    ours = basis_independent_projector(system)
+    ours = system.V_basis @ system.P_V
     assert np.abs(ours - reference).max() <= 1e-6
 
 
 def test_projector_idempotent_and_self_adjoint(example1, grid_with_hole):
     for _, _, system in (example1, grid_with_hole):
-        P = basis_independent_projector(system)
+        P = system.V_basis @ system.P_V
         assert np.abs(P @ P - P).max() <= 1e-10
         K = np.diag(system.stiffness)
         assert np.abs(K @ P - P.T @ K).max() <= 1e-10
@@ -140,7 +139,7 @@ def test_projector_idempotent_and_self_adjoint(example1, grid_with_hole):
 def test_load_images_live_in_fundamental_spaces(example1, grid_with_hole):
     rng = np.random.default_rng(2)
     for _, _, system in (example1, grid_with_hole):
-        P = basis_independent_projector(system)
+        P = system.V_basis @ system.P_V
         for _ in range(5):
             r = rng.standard_normal(system.dims.n_constraints)
             gr = system.G @ r
@@ -340,6 +339,16 @@ def test_force_map_matches_projected_pseudoinverse_at_high_stiffness_contrast():
     assert np.abs(system.F - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
+def test_basis_is_stiffness_orthonormal_at_high_stiffness_contrast():
+    # the stiffness of test_spaces_agree_at_high_stiffness_contrast
+    definition, _ = build_tri_grid_with_hole()
+    k = 10 ** np.random.default_rng(11).uniform(-3, 3, definition.n_springs)
+    system = assemble(dataclasses.replace(definition, stiffness=k))
+    V = system.V_basis
+    assert np.abs(V.T @ (k[:, None] * V) - np.eye(system.dims.dim_v)).max() <= 1e-12
+    assert np.array_equal(system.P_V, V.T * k)
+
+
 @pytest.fixture(scope="module")
 def weighted_grid():
     """The grid with hole under non-uniform stiffness."""
@@ -351,7 +360,8 @@ def weighted_grid():
 def test_weighted_grid_basis_is_orthonormal_and_stiffness_orthogonal(weighted_grid):
     system = weighted_grid
     V, k = system.V_basis, system.stiffness
-    assert np.abs(V.T @ V - np.eye(system.dims.dim_v)).max() <= 1e-12
+    assert np.abs(V.T @ (k[:, None] * V) - np.eye(system.dims.dim_v)).max() <= 1e-12
+    assert np.array_equal(system.P_V, V.T * k)
     assert np.abs(system.U_basis.T @ (k[:, None] * V)).max() <= 1e-10
 
 
@@ -360,7 +370,7 @@ def test_weighted_grid_projector_matches_nullspace_reference(weighted_grid):
     k = system.stiffness
     N = scipy.linalg.null_space(system.U_basis.T * k)
     reference = N @ np.linalg.solve(N.T @ (k[:, None] * N), N.T * k)
-    assert np.abs(basis_independent_projector(system) - reference).max() <= 1e-10
+    assert np.abs(system.V_basis @ system.P_V - reference).max() <= 1e-10
 
 
 def test_weighted_grid_force_map_matches_elongation_projection(weighted_grid):

@@ -99,6 +99,10 @@ TRANSFORMS = {
     "rotation-translation": lambda definition, loads, rng: move_rigidly(
         definition, loads, rng.uniform(0, 2 * np.pi), rng.uniform(-10, 10, 2)
     ),
+    # reference positions 1e7 times the width of the box
+    "far-translation": lambda definition, loads, rng: move_rigidly(
+        definition, loads, 0.0, np.array([1e4, -1e4])
+    ),
 }
 
 

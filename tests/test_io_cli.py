@@ -495,6 +495,36 @@ def test_cli_usage_errors_exit_64(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "NET", "--mesh", "0"],
+        ["solve", "NET", "--mesh", "nan"],
+        ["solve", "NET", "--mesh", "-1"],
+        ["solve", "NET", "--mesh", "inf"],
+        ["solve", "NET", "--mesh", "tiny"],
+        ["generate", "grid", "--horizon", "0"],
+        ["generate", "grid", "--horizon", "inf"],
+        ["generate", "grid", "--rate", "nan"],
+        ["generate", "grid", "--rate", "-inf"],
+        ["analyze", "CURVE", "--bins", "0"],
+        ["analyze", "CURVE", "--bins", "-3"],
+    ],
+)
+def test_cli_refuses_bad_numeric_options(tmp_path, capsys, args):
+    net, curve = tmp_path / "ex1.json", tmp_path / "run.csv"
+    main(["generate", "example1", "--out", str(net)])
+    main(["solve", str(net), "--out", str(tmp_path / "run")])
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    argv = [str(net) if a == "NET" else str(curve) if a == "CURVE" else a for a in args]
+    assert main(argv + ["--out", str(tmp_path / "new")]) == 64
+    err = capsys.readouterr().err
+    option = next(a for a in args if a.startswith("--"))
+    assert f"argument {option}:" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_missing_file_is_validation_error(capsys):
     assert main(["validate", "/nonexistent/never.json"]) == 2
     capsys.readouterr()
@@ -502,8 +532,8 @@ def test_cli_missing_file_is_validation_error(capsys):
 
 def test_cli_solve_factors_with_numpy_once_per_assembly(tmp_path, monkeypatch):
     # One BLAS pool serves the solve path: no call reaches scipy.linalg, and
-    # the one Cholesky factor of S_V per assembly whitens every moving set,
-    # so none is taken while building the set or solving.
+    # assembly's K-orthonormal basis of the plane whitens every moving set,
+    # so no Cholesky factor is taken in assembly, the set or the solve.
     example1, periodic = tmp_path / "ex1.json", tmp_path / "per.json"
     main(["generate", "example1", "--out", str(example1)])
     main(["generate", "periodic", "--cells-x", "4", "--cells-y", "4", "--out", str(periodic)])
@@ -537,4 +567,4 @@ def test_cli_solve_factors_with_numpy_once_per_assembly(tmp_path, monkeypatch):
             code = main(["solve", str(net), "--solver", solver, "--space", space,
                          "--mesh", "1e-3", "--out", str(tmp_path / "run")])
             assert code == 0
-            assert log == ["assemble", "cholesky", "assembled"], (net.name, solver, space)
+            assert log == ["assemble", "assembled"], (net.name, solver, space)

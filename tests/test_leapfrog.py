@@ -199,7 +199,7 @@ def test_termination_velocity_in_normal_cone(example1):
     poly = moving_set_at(spec, t_end, loads)
     y_end = traj.final.y
     drive = system.P_V @ spec.offset_rate(loads, t_end)
-    S = system.S_V
+    S = spec.weight
     rng = np.random.default_rng(17)
     for _ in range(50):
         c = project(S, y_end + rng.standard_normal(2) * 1e-3, poly).point
@@ -417,9 +417,10 @@ def test_grid_leapfrog_full_space_takes_no_nullspace(grid_with_hole, monkeypatch
 
 
 def test_spaces_agree_at_high_stiffness_contrast():
-    # Stiffness over six decades makes S_V = V^T K V ill-conditioned: a
-    # P_V formed from a Cholesky factor of S_V keeps the two spaces' event
-    # times 6e-11 apart, where an LU solve for it moves them 5e-9 apart.
+    # Stiffness over six decades: with a K-orthonormal V the two spaces'
+    # event times agree to 2e-15.  A Euclidean-orthonormal V, with P_V from
+    # a Cholesky factor of the ill-conditioned V^T K V, kept them 7e-11
+    # apart, and an LU solve for that P_V 5e-9 apart.
     # The limits scale with k, so the yield strains are the grid's own.
     definition, loads = build_tri_grid_with_hole()
     k = 10 ** np.random.default_rng(11).uniform(-3, 3, definition.n_springs)

@@ -19,7 +19,7 @@ def test_initial_state_zero_stress(example1):
     _, loads, system = example1
     spec = build_moving_set(system, Space.FULL, loads)
     state = initial_state(system, np.zeros(10), loads, Space.FULL, spec)
-    assert np.allclose(state.y, system.G @ loads.r(0.0))
+    assert np.allclose(state.y, system.G @ (loads.r(0.0) - loads.r(0.0)))
     assert np.allclose(state.sigma, 0.0)
     reduced = build_moving_set(system, Space.REDUCED, loads)
     state_v = initial_state(system, np.zeros(10), loads, Space.REDUCED, reduced)
@@ -66,7 +66,7 @@ def test_moving_set_instantiation(example1):
     spec = build_moving_set(system, Space.FULL, loads)
     poly = moving_set_at(spec, 0.0, loads)
     m = 10
-    offset = system.G @ loads.r(0.0)
+    offset = system.G @ (loads.r(0.0) - loads.r(0.0))
     expected_upper = definition.upper_limits / definition.stiffness + offset
     expected_lower = definition.lower_limits / definition.stiffness + offset
     assert np.allclose(poly.b, expected_upper)
@@ -103,7 +103,7 @@ def test_reduced_set_is_projection_of_full(example1):
         probe = rng.standard_normal(10) * 1e-3
         y = project(system.stiffness, probe, poly_full).point
         assert poly_red.contains(system.P_V @ y, tol=1e-8)
-        yv = project(system.S_V, rng.standard_normal(2) * 1e-3, poly_red).point
+        yv = project(red.weight, rng.standard_normal(2) * 1e-3, poly_red).point
         assert poly_full.contains(system.V_basis @ yv, tol=1e-8)
 
 
@@ -130,21 +130,26 @@ def test_recover_stress_round_trip(example1):
 def test_zero_displacement_gives_zero_stress(example1):
     _, loads, system = example1
     spec = build_moving_set(system, Space.FULL, loads)
-    y = system.G @ loads.r(0.2 * loads.horizon) - 0.0
+    y = system.G @ (loads.r(0.2 * loads.horizon) - loads.r(0.0))
     eps, sigma = recover_stress(system, y, 0.2 * loads.horizon, loads, Space.FULL, spec)
     assert np.allclose(sigma, 0.0, atol=1e-15)
 
 
 def test_full_and_reduced_space_share_the_whitening_factor(grid_with_hole, monkeypatch):
-    # both spaces take assembly's inverse factor of S_V, so they share one
-    # array and neither forms Z0^T K Z0 again
+    # both spaces whiten with assembly's K-orthonormal basis of the plane, so
+    # neither forms a Gram matrix of the plane, and both whiten the bound
+    # map to the same V^T
     _, loads, system = grid_with_hole
 
     def no_weight_apply(S, v):
         raise AssertionError("whitening recomputed the Gram matrix of the plane")
 
     monkeypatch.setattr(projection, "_weight_apply", no_weight_apply)
-    full = build_moving_set(system, Space.FULL, loads).whitening
-    reduced = build_moving_set(system, Space.REDUCED, loads).whitening
-    assert full.Z0 is system.V_basis and reduced.Z0 is None
-    assert full.U_inv is reduced.U_inv is system.S_V_inv_factor
+    full_spec = build_moving_set(system, Space.FULL, loads)
+    reduced_spec = build_moving_set(system, Space.REDUCED, loads)
+    full, reduced = full_spec.whitening, reduced_spec.whitening
+    assert full.Z is system.V_basis and reduced.Z is reduced_spec.weight
+    assert np.array_equal(reduced_spec.weight, np.eye(system.dims.dim_v))
+    assert not reduced_spec.weight.flags.writeable
+    for white, spec in ((full, full_spec), (reduced, reduced_spec)):
+        assert np.array_equal(white.rows(spec.W), system.V_basis.T)
