@@ -6,21 +6,23 @@ orthogonal complement (self-stress directions after Hooke scaling), and
 the coupling matrices that turn external loads into translations of the
 moving set.
 
-The checks and bases come from two factorizations.  An SVD of the
-constraint matrix ``R`` gives its rank, kernel ``N`` and pseudoinverse.  One
-complete Householder QR of ``U = C N`` gives the determinacy check (``U``
-has full column rank, read off the triangular factor) and the self-stress
-plane (``ker U^T``, the trailing columns of the orthogonal factor).  The
-force map ``F`` and the test-only ``P_U`` and ``H`` are built on first use.
-Every check of the assumptions reads ``rank [C; R]`` as ``rank R + rank U``,
-each under the relative cutoff of its own matrix: no verdict moves with the
-units of ``R``.
+The checks and bases come from two QR factorizations and one values-only
+SVD.  The singular values of the constraint matrix ``R`` give its rank; a
+complete QR of ``R^T`` gives its kernel ``N`` and pseudoinverse.  One
+complete Householder QR of ``K^(1/2) U``, for ``U = C N``, gives the rest:
 
-The basis ``V`` of the plane is K-orthonormal, ``V^T K V = I``: a thin QR
-taken in the coordinates ``K^(1/2)`` makes it so.  The K-orthogonal
-projector onto the plane is then ``V P_V`` with ``P_V = V^T K``, and the
-reduced space, coordinates in ``V``, is Euclidean: no Gram matrix of the
-plane is formed or factored.
+- its triangle ``T`` certifies the determinacy check, that ``U`` has full
+  column rank (see :func:`_elongation_rank`);
+- its trailing columns ``W`` span ``ker (K^(1/2) U)^T``, so ``V =
+  K^(-1/2) W`` is a K-orthonormal basis of the self-stress plane, ``V^T K
+  V = I``, at any stiffness contrast.
+
+The K-orthogonal projector onto the plane is then ``V P_V`` with ``P_V =
+V^T K``, and the reduced space, coordinates in ``V``, is Euclidean: no Gram
+matrix of the plane is formed or factored.  The force map ``F`` is built on
+first use.  Every check of the assumptions reads ``rank [C; R]`` as ``rank
+R + rank U``, each under the relative cutoff of its own matrix: no verdict
+moves with the units of ``R``.
 """
 
 from __future__ import annotations
@@ -32,15 +34,7 @@ import numpy as np
 
 from .errors import AssumptionError, DegenerateSpringError
 from .lattice import LatticeDefinition
-from .linalg import (
-    RankedSVD,
-    inverse_cholesky_factor,
-    nullspace_basis,
-    numerical_rank,
-    orthonormal_columns,
-    ranked_svd,
-    weighted_gram,
-)
+from .linalg import DEFAULT_RANK_TOL, fix_signs, nullspace_basis, numerical_rank, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -109,40 +103,22 @@ class AssembledSystem:
             object.__setattr__(self, name, arr)
 
     @functools.cached_property
-    def P_U(self) -> np.ndarray:
-        """``(U^T K U)^-1 U^T K`` (dim_u x m), built on first use only:
-        ``U P_U = I - V P_V``, so no solve needs it."""
-        T = inverse_cholesky_factor(weighted_gram(self.U_basis, self.stiffness))
-        P_U = T @ (T.T @ self.equality_rows())
-        P_U.flags.writeable = False
-        return P_U
-
-    @functools.cached_property
     def F(self) -> np.ndarray:
-        """``(I - V P_V) K^-1 H`` (m x nd), the elastic elongations under a
-        unit force load, built on first use only: a solve reads it only
-        under a force load.
+        """``(I - V P_V) K^-1 H`` (m x nd) for ``H`` the top ``m`` rows of
+        ``pinv [C^T R^T]``: the elastic elongations under a unit force
+        load, built on first use only: a solve reads it only under a force
+        load.
 
         ``U^T H = N^T`` because ``R N = 0``, so the K-orthogonal projection
         onto the elongation space is ``F = U (U^T K U)^-1 N^T``: one solve
-        and one product, and no ``H``.  ``N`` comes from the same SVD of
-        ``R`` that assemble takes; it is not kept, as only force loads
+        and one product, and no ``H``.  ``N`` comes from the same QR of
+        ``R^T`` that assemble takes; it is not kept, as only force loads
         need it.
         """
-        N = nullspace_basis(self.definition.constraint_matrix)
+        _, N, _ = constraint_factors(self.definition.constraint_matrix)
         F = self.U_basis @ np.linalg.solve(weighted_gram(self.U_basis, self.stiffness), N.T)
         F.flags.writeable = False
         return F
-
-    @functools.cached_property
-    def H(self) -> np.ndarray:
-        """The top ``m`` rows of ``pinv [C^T R^T]`` (m x nd), built on first
-        use only: no solve reads it."""
-        A = np.hstack([self.compatibility.T, self.definition.constraint_matrix.T])
-        # assemble checked that A has full row rank: no singular value is cut
-        H = RankedSVD(*np.linalg.svd(A, full_matrices=False), A.shape[0]).pinv(self.dims.n_springs)
-        H.flags.writeable = False
-        return H
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -189,10 +165,55 @@ def compatibility_matrix(
     return compat, directions, lengths
 
 
-def _elongation_rank(RU: np.ndarray) -> int:
-    """``rank U`` from the triangular factor of a Householder QR of
-    ``U = C ker R``, which has the singular values of ``U``."""
-    return numerical_rank(RU[: RU.shape[1]])
+def constraint_factors(R: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """``rank R``, an orthonormal basis ``N`` of ``ker R`` as columns, and
+    ``pinv R`` (``None`` when ``R`` lacks full row rank).
+
+    The rank comes from the singular values of ``R``.  Under full row rank
+    a complete QR ``R^T = [Q_1 Q_2] [T; 0]`` gives the rest: ``N = Q_2``
+    and ``pinv R = R^T (R R^T)^-1 = Q_1 T^-T``.  A rank-deficient ``R``
+    fails assumption 1; only the diagnostics read its kernel, from an SVD.
+    """
+    q = R.shape[0]
+    rank = numerical_rank(R)
+    if rank < q:
+        return rank, nullspace_basis(R), None
+    Q, T = np.linalg.qr(R.T, mode="complete")
+    pinv = Q[:, :q] @ np.linalg.inv(T[:q]).T
+    return rank, fix_signs(Q[:, q:]), pinv
+
+
+def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
+    """``rank U`` under :data:`DEFAULT_RANK_TOL`, given the triangle ``T``
+    of a Householder QR ``K^(1/2) U = Q_1 T``.
+
+    ``T^-1 Q_1^T K^(1/2)`` is a left inverse of ``U``, so ``cond_2 U <=
+    ||U||_F ||T^-1||_F sqrt(k_max)``.  A bound of at most half the inverse
+    cutoff certifies full column rank under the rule of
+    :func:`numerical_rank`; otherwise that rule decides on the singular
+    values of ``U``.  Both give the same verdict where the bound holds.
+    """
+    n = U.shape[1]
+    with np.errstate(all="ignore"):
+        try:
+            bound = np.linalg.norm(U) * np.linalg.norm(np.linalg.inv(T[:n])) * root_k_max
+        except np.linalg.LinAlgError:  # singular or short triangle
+            bound = np.inf
+    if bound <= 0.5 / DEFAULT_RANK_TOL:
+        return n
+    return numerical_rank(U)
+
+
+def determinacy_ranks(definition: LatticeDefinition, compat: np.ndarray) -> tuple[int, int]:
+    """``rank R`` and ``rank U`` for ``U = C ker R``: ``rank [C; R] = rank R
+    + rank U``, each under the relative cutoff of its own matrix.  The rule
+    of :func:`validate_assumptions` and the generators; :func:`assemble`
+    applies the same two tests to the factors it keeps."""
+    rank_R, N, _ = constraint_factors(definition.constraint_matrix)
+    U = compat @ N
+    root_k = np.sqrt(definition.stiffness)
+    T = np.linalg.qr(root_k[:, None] * U, mode="r")
+    return rank_R, _elongation_rank(U, T, root_k.max())
 
 
 def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
@@ -203,9 +224,8 @@ def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
     rank_compat = numerical_rank(compat)
     zero_modes = nd - rank_compat
     self_stress = m - rank_compat
-    # rank [C; R] = rank R + rank U by the two rank tests of assemble
-    R_svd = ranked_svd(definition.constraint_matrix, full_matrices=True)
-    rank_enhanced = R_svd.rank + _elongation_rank(np.linalg.qr(compat @ R_svd.kernel(), mode="r"))
+    rank_R, rank_U = determinacy_ranks(definition, compat)
+    rank_enhanced = rank_R + rank_U
     constrained_zero_modes = nd - rank_enhanced
     constrained_self_stress = (m + q) - rank_enhanced
     return RigidityReport(
@@ -217,7 +237,7 @@ def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
         statically_determinate=constrained_self_stress == 0,
         constrained_zero_modes=constrained_zero_modes,
         constrained_self_stress_states=constrained_self_stress,
-        constraint_rank=R_svd.rank,
+        constraint_rank=rank_R,
     )
 
 
@@ -228,23 +248,28 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     d = definition.dimension
     nd = n * d
     q = definition.n_constraints
-    R = definition.constraint_matrix
     k = definition.stiffness
 
-    R_svd = ranked_svd(R, full_matrices=True)
-    if R_svd.rank != q:
+    rank_R, N, R_pinv = constraint_factors(definition.constraint_matrix)
+    if rank_R != q:
         raise AssumptionError(
             "external displacement constraint matrix is rank deficient "
             "(full row rank assumption fails)"
         )
-    U = compat @ R_svd.kernel()
-    G_R = compat @ R_svd.pinv()
-    del R_svd
+    U = compat @ N
+    G_R = compat @ R_pinv
+    del N, R_pinv
     dim_u = nd - q
     dim_v = m - nd + q
+    # One QR of K^(1/2) U, taken on U scaled in place to keep no copy.
+    root_k = np.sqrt(k)[:, None]
+    U *= root_k
+    Q, T = np.linalg.qr(U, mode="complete")
+    U /= root_k
     # [C; R] has a trivial kernel exactly when U = C ker(R) has full column rank
-    Q, RU = np.linalg.qr(U, mode="complete")
-    if _elongation_rank(RU) != dim_u:
+    determinate = _elongation_rank(U, T, root_k.max()) == dim_u
+    del T
+    if not determinate:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "
             "constraint (enhanced compatibility matrix has a nontrivial kernel)"
@@ -255,12 +280,11 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
             f"(m - nd + q = {dim_v})"
         )
     # The constrained self-stresses [s; lambda] solve C^T s + R^T lambda = 0,
-    # i.e. N^T C^T s = U^T s = 0: their spring blocks s = K v span ker U^T,
-    # the trailing columns of the complete Q.  Orthonormal columns of
-    # K^(1/2) K^-1 ker U^T, scaled back by K^(-1/2), are K-orthonormal.
-    root_k = np.sqrt(k)[:, None]
-    V = orthonormal_columns(Q[:, dim_u:] / root_k) / root_k
-    del Q, RU
+    # i.e. N^T C^T s = U^T s = 0: their spring blocks s = K v span ker U^T.
+    # The trailing columns W of Q are orthonormal and span ker (K^(1/2) U)^T
+    # = K^(-1/2) ker U^T, so V = K^(-1/2) W is K-orthonormal.
+    V = fix_signs(Q[:, dim_u:]) / root_k
+    del Q
 
     P_V = V.T * k[None, :]
     G = V @ (P_V @ G_R)

@@ -22,6 +22,10 @@ from .trajectory import EventRecord, Trajectory
 #: on a yield bound during a posteriori event detection.
 EVENT_TOL_FRACTION = 1e-7
 
+#: Most steps a uniform partition takes: its float64 time points must fit
+#: in one addressable array.
+MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
+
 
 @dataclass(frozen=True)
 class TimePartition:
@@ -41,6 +45,8 @@ class TimePartition:
     def uniform(cls, horizon: float, steps: int) -> "TimePartition":
         if steps < 1:
             raise InvalidInputError("need at least one step")
+        if steps > MAX_STEPS:
+            raise InvalidInputError(f"{steps:.3g} steps are more than the {MAX_STEPS} a partition holds")
         return cls(np.linspace(0.0, float(horizon), steps + 1))
 
     @property

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis
 from .assembly import assemble, validate_assumptions
-from .catchup import TimePartition, catchup
+from .catchup import MAX_STEPS, TimePartition, catchup
 from .errors import (
     AssumptionError,
     InitialConditionError,
@@ -173,6 +173,14 @@ def _volume(definition) -> float:
 
 def _solve_one(network, args, prefix) -> str:
     definition, loads = load_network(network)
+    if args.solver == "catchup":  # refused before any factorization
+        steps = loads.horizon / args.mesh
+        if steps > MAX_STEPS:
+            raise InvalidInputError(
+                f"--mesh {args.mesh:g} asks for {steps:.3g} catch-up steps over the "
+                f"horizon {loads.horizon:g}, more than the {MAX_STEPS} a partition holds"
+            )
+        partition = TimePartition.uniform(loads.horizon, max(1, int(round(steps))))
     system = assemble(definition)
     space = Space(args.space)
     spec = build_moving_set(system, space, loads)
@@ -184,8 +192,7 @@ def _solve_one(network, args, prefix) -> str:
     if args.solver == "leapfrog":
         traj = leapfrog(system, spec, state0, loads)
     else:
-        steps = max(1, int(round(loads.horizon / args.mesh)))
-        traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, steps))
+        traj = catchup(system, spec, state0, loads, partition)
     curve = analysis.stress_strain_curve(traj, system, loads, _volume(definition))
     analysis.write_curve_csv(f"{prefix}.csv", curve)
     analysis.write_events_csv(f"{prefix}.events.csv", traj.events)

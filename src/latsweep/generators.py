@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import _elongation_rank, compatibility_matrix
+from .assembly import compatibility_matrix, determinacy_ranks
 from .errors import InvalidInputError
 from .lattice import LatticeDefinition, LoadSchedule
 
@@ -39,13 +39,10 @@ DEFAULT_GRID_HOLE = (
 
 
 def _checked(definition: LatticeDefinition) -> LatticeDefinition:
-    """The two determinacy checks of :func:`validate_assumptions`, from
-    ``rank [C; R] = rank R + rank U``.  Generated rows pin coordinates with
-    unit entries: ``rank R`` counts the pinned ones and ``U = C ker R`` is
-    ``C`` without their columns, so one values-only SVD decides both."""
-    compat, _, _ = compatibility_matrix(definition)
-    U = compat[:, ~definition.constraint_matrix.any(axis=0)]
-    if _elongation_rank(np.linalg.qr(U, mode="r")) != U.shape[1]:
+    """The two determinacy checks of :func:`validate_assumptions`, by its
+    rule ``rank [C; R] = rank R + rank U``."""
+    rank_R, rank_U = determinacy_ranks(definition, compatibility_matrix(definition)[0])
+    if rank_R + rank_U != definition.n_dof:
         raise InvalidInputError("generated lattice is not kinematically determinate")
     if definition.n_springs + definition.n_constraints - definition.n_dof <= 0:
         raise InvalidInputError("generated lattice has no self-stress states")

@@ -8,8 +8,6 @@ Matrices are plain 2-d ``numpy`` arrays; vectors are 1-d arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -30,26 +28,6 @@ def _check_matrix(A: np.ndarray, rank_tol: float) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class RankedSVD:
-    """SVD factors of one matrix with its numerical rank; singular values
-    past ``rank`` count as zero."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-    rank: int
-
-    def pinv(self, n_rows: int | None = None) -> np.ndarray:
-        """Moore-Penrose pseudoinverse, or only its first ``n_rows`` rows."""
-        r = self.rank
-        return (self.vt[:r, :n_rows].T / self.s[:r]) @ self.u[:, :r].T
-
-    def kernel(self) -> np.ndarray:
-        """Sign-fixed kernel basis as columns; needs ``full_matrices=True``."""
-        return fix_signs(self.vt[self.rank:].T.copy())
-
-
 def fix_signs(N: np.ndarray) -> np.ndarray:
     """Flip columns of ``N`` in place so that each one's entry of largest
     magnitude is positive (the first such entry on ties); returns ``N``."""
@@ -59,28 +37,16 @@ def fix_signs(N: np.ndarray) -> np.ndarray:
     return N
 
 
-def orthonormal_columns(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of the columns of a full-column-rank
-    ``A``, by thin QR, with the sign rule of :meth:`RankedSVD.kernel`."""
-    return fix_signs(np.linalg.qr(A)[0])
-
-
 def _rank(s: np.ndarray, rank_tol: float) -> int:
     return int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
 
 
-def ranked_svd(
-    A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL, full_matrices: bool = False
-) -> RankedSVD:
-    """SVD of ``A`` with the numerical rank under a relative cutoff."""
-    A = _check_matrix(A, rank_tol)
-    u, s, vt = np.linalg.svd(A, full_matrices=full_matrices)
-    return RankedSVD(u, s, vt, _rank(s, rank_tol))
-
-
 def pseudoinverse(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff."""
-    return ranked_svd(A, rank_tol).pinv()
+    A = _check_matrix(A, rank_tol)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    r = _rank(s, rank_tol)
+    return (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
 def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -95,7 +61,9 @@ def nullspace_basis(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
     Returns an ``n x 0`` array when the kernel is trivial.  Columns carry a
     deterministic sign: the entry of largest magnitude is positive.
     """
-    return ranked_svd(A, rank_tol, full_matrices=True).kernel()
+    A = _check_matrix(A, rank_tol)
+    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    return fix_signs(vt[_rank(s, rank_tol):].T.copy())
 
 
 def inverse_cholesky_factor(S: np.ndarray) -> np.ndarray:

@@ -126,6 +126,21 @@ def counted_svd(monkeypatch) -> list:
     return calls
 
 
+def enhanced_pinv_top(system):
+    """``H``, the top ``m`` rows of ``pinv [C^T R^T]`` (m x nd), from its
+    SVD: no solve reads it."""
+    A = np.hstack([system.compatibility.T, system.definition.constraint_matrix.T])
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    # a kinematically determinate lattice: A has full row rank, no value is cut
+    return (vt[:, : system.dims.n_springs].T / s) @ u.T
+
+
+def elongation_projector(system):
+    """``P_U = (U^T K U)^-1 U^T K`` (dim_u x m): ``U P_U = I - V P_V``."""
+    UK = system.equality_rows()
+    return np.linalg.solve(UK @ system.U_basis, UK)
+
+
 def relabel_springs(definition, perm):
     """The same lattice with new spring ``j`` being old spring ``perm[j]``."""
     d = definition

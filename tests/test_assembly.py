@@ -7,6 +7,8 @@ import scipy.linalg
 from latsweep.assembly import (
     assemble,
     compatibility_matrix,
+    constraint_factors,
+    determinacy_ranks,
     validate_assumptions,
 )
 from latsweep.errors import AssumptionError, DegenerateSpringError
@@ -19,11 +21,14 @@ from latsweep.generators import (
 )
 from latsweep.lattice import LatticeDefinition
 from latsweep.leapfrog import leapfrog
+from latsweep.linalg import numerical_rank
 from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_check
 
 from helpers import (
     braced_square_frame,
     counted_svd,
+    elongation_projector,
+    enhanced_pinv_top,
     random_small_lattice,
     triangle_lattice as triangle,
 )
@@ -110,7 +115,7 @@ def test_orthogonality_in_stiffness_metric(example1, grid_with_hole):
 def test_projector_decomposition(example1):
     _, _, system = example1
     m = system.dims.n_springs
-    total = system.U_basis @ system.P_U + system.V_basis @ system.P_V
+    total = system.U_basis @ elongation_projector(system) + system.V_basis @ system.P_V
     assert np.abs(total - np.eye(m)).max() <= 1e-10
 
 
@@ -154,7 +159,7 @@ def test_h_is_top_block_of_enhanced_pseudoinverse(example1):
     stacked = np.hstack([system.compatibility.T, definition.constraint_matrix.T])
     # right inverse on a kinematically determinate lattice
     full_pinv = np.linalg.pinv(stacked)
-    assert np.abs(system.H - full_pinv[:10]).max() <= 1e-10
+    assert np.abs(enhanced_pinv_top(system) - full_pinv[:10]).max() <= 1e-10
     assert np.abs(stacked @ full_pinv - np.eye(12)).max() <= 1e-10
 
 
@@ -215,13 +220,21 @@ def test_determinacy_iff_all_loads_resolvable():
             assert resolvable == report.kinematically_determinate
 
 
-def test_assemble_takes_two_svds(monkeypatch, example1, grid_with_hole):
-    # one of R for U and G, one values-only of U's triangle for the rank check
-    calls = counted_svd(monkeypatch)
+def test_assemble_takes_one_svd(monkeypatch, example1, grid_with_hole):
+    # values only, of R for its rank: a QR of R^T gives U and G, and the
+    # triangle of K^(1/2) U's QR certifies the rank check with no SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     for definition, _, _ in (example1, grid_with_hole):
         calls.clear()
         assemble(definition)
-        assert len(calls) == 2
+        assert calls == [(definition.constraint_matrix.shape, False)]
 
 
 def test_assemble_determinacy_verdict_matches_rigidity_report():
@@ -287,14 +300,110 @@ def test_rank_tests_take_no_svd_of_the_stacked_matrix(monkeypatch):
 
 
 def test_assemble_takes_no_svd_of_the_enhanced_matrix(monkeypatch, example1, grid_with_hole):
-    # the rank check reads the triangular factor of U's QR, not [C^T R^T]
+    # the rank check reads the triangle of K^(1/2) U's QR, neither [C^T R^T]
+    # nor an SVD of that triangle
     calls = counted_svd(monkeypatch)
     for definition, _, _ in (example1, grid_with_hole):
         calls.clear()
         system = assemble(definition)
         dim_u = system.dims.dim_u
-        assert calls == [definition.constraint_matrix.shape, (dim_u, dim_u)]
+        assert calls == [definition.constraint_matrix.shape]
+        assert (dim_u, dim_u) not in calls
         assert (definition.n_dof, definition.n_springs + definition.n_constraints) not in calls
+
+
+def _rule_matches_singular_values(definition):
+    """The shared rule's ``rank U`` against ``numerical_rank(U)``."""
+    compat, _, _ = compatibility_matrix(definition)
+    U = compat @ constraint_factors(definition.constraint_matrix)[1]
+    rank_U = determinacy_ranks(definition, compat)[1]
+    assert (rank_U == U.shape[1]) == (numerical_rank(U) == U.shape[1])
+    return rank_U == U.shape[1]
+
+
+def test_rank_rule_matches_singular_values_of_u():
+    # the triangle's certificate decides only where it agrees with the
+    # singular values of U: with constraint rows stripped, and at uniform
+    # stiffness or a contrast of 10^12 around 10^+-6
+    rng = np.random.default_rng(46)
+    verdicts = set()
+    for _ in range(10):
+        definition = random_small_lattice(rng)
+        m = definition.n_springs
+        for rows in (4, 3, 1, 0):
+            for k in (definition.stiffness, np.full(m, 1e6), np.full(m, 1e-6), 10 ** rng.uniform(-6, 6, m)):
+                d = dataclasses.replace(definition, stiffness=k, constraint_matrix=definition.constraint_matrix[:rows])
+                verdicts.add(_rule_matches_singular_values(d))
+    assert verdicts == {True, False}
+
+
+def _nearly_collinear_lattice(offset):
+    """The braced unit square with node 0 pinned and node 1 on rollers, and
+    a fifth node joined to nodes 0 and 1, ``offset`` off their midpoint:
+    its motion across that edge stretches its springs only by ``offset``."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 4), (4, 1)]
+    Q = np.zeros((5, len(edges)))
+    for s, (a, b) in enumerate(edges):
+        Q[a, s], Q[b, s] = 1.0, -1.0
+    R = np.zeros((3, 10))
+    R[0, 0] = R[1, 1] = R[2, 3] = 1.0
+    return LatticeDefinition(
+        incidence=Q,
+        reference_coords=np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.5, offset]),
+        dimension=2,
+        stiffness=np.ones(len(edges)),
+        lower_limits=-np.ones(len(edges)),
+        upper_limits=np.ones(len(edges)),
+        constraint_matrix=R,
+    )
+
+
+@pytest.mark.parametrize("offset, determinate", [(2e-10, True), (5e-11, False)])
+def test_rank_rule_falls_back_to_singular_values_past_the_certificate(monkeypatch, offset, determinate):
+    # cond U is 4e9 at offset 2e-10: full rank under the 1e-10 cutoff, yet
+    # the certificate's bound (6.9e9) is past 0.5e10, so the singular values
+    # of U (8 x 7) decide; at 5e-11 they find it rank deficient
+    definition = _nearly_collinear_lattice(offset)
+    assert _rule_matches_singular_values(definition) == determinate
+    calls = counted_svd(monkeypatch)
+    assert validate_assumptions(definition).kinematically_determinate == determinate
+    assert (8, 7) in calls
+    calls.clear()
+    if determinate:
+        assert assemble(definition).dims.dim_v == 1
+    else:
+        with pytest.raises(AssumptionError, match="not kinematically determinate"):
+            assemble(definition)
+    assert calls == [(3, 10), (8, 7)]
+
+
+def test_basis_is_stiffness_orthonormal_and_spaces_agree_at_contrast_1e12():
+    # W from the QR of K^(1/2) U is orthonormal whatever the stiffness, so
+    # V = K^(-1/2) W stays K-orthonormal at twelve decades of contrast
+    definition, loads = build_tri_grid_with_hole()
+    k = 10 ** np.random.default_rng(11).uniform(-6, 6, definition.n_springs)
+    scale = k / definition.stiffness
+    definition = dataclasses.replace(
+        definition,
+        stiffness=k,
+        lower_limits=definition.lower_limits * scale,
+        upper_limits=definition.upper_limits * scale,
+    )
+    system = assemble(definition)
+    V = system.V_basis
+    assert np.abs(V.T @ (k[:, None] * V) - np.eye(system.dims.dim_v)).max() <= 1e-12
+    assert np.abs(system.P_V - V.T * k).max() <= 1e-12
+    runs = []
+    for space in (Space.FULL, Space.REDUCED):
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+        runs.append(leapfrog(system, spec, state0, loads))
+    full, reduced = runs
+    assert len(full.events) == len(reduced.events) >= 5
+    for a, b in zip(full.events, reduced.events):
+        assert a.newly_active == b.newly_active
+        assert a.newly_released == b.newly_released
+        assert abs(a.time - b.time) <= 1e-12 * b.time
 
 
 def test_solves_without_force_load_build_no_force_map():
@@ -306,8 +415,7 @@ def test_solves_without_force_load_build_no_force_map():
         state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
         leapfrog(system, spec, state0, loads)
         catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 10))
-    for name in ("F", "H", "P_U"):
-        assert name not in vars(system)
+    assert "F" not in vars(system)
 
 
 def test_force_map_is_built_once_and_read_only():
@@ -325,7 +433,6 @@ def test_force_map_is_built_once_and_read_only():
     F = vars(system)["F"]
     assert not F.flags.writeable
     assert system.F is F
-    assert "H" not in vars(system) and "P_U" not in vars(system)
 
 
 def test_force_map_matches_projected_pseudoinverse_at_high_stiffness_contrast():
@@ -334,7 +441,7 @@ def test_force_map_matches_projected_pseudoinverse_at_high_stiffness_contrast():
     definition, _ = build_tri_grid_with_hole()
     k = 10 ** np.random.default_rng(11).uniform(-3, 3, definition.n_springs)
     system = assemble(dataclasses.replace(definition, stiffness=k))
-    HK = system.H / k[:, None]
+    HK = enhanced_pinv_top(system) / k[:, None]
     reference = HK - system.V_basis @ (system.P_V @ HK)
     assert np.abs(system.F - reference).max() <= 1e-10 * np.abs(reference).max()
 
@@ -377,7 +484,7 @@ def test_weighted_grid_force_map_matches_elongation_projection(weighted_grid):
     system = weighted_grid
     U, k = system.U_basis, system.stiffness
     UK = U.T * k
-    reference = U @ np.linalg.solve(UK @ U, UK @ (system.H / k[:, None]))
+    reference = U @ np.linalg.solve(UK @ U, UK @ (enhanced_pinv_top(system) / k[:, None]))
     assert np.abs(system.F - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
@@ -390,7 +497,7 @@ def test_elongation_projector_is_lazy_and_read_only():
         leapfrog(system, spec, state0, loads)
         catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
     safe_load_check(system, np.ones(system.dims.n_nodes * system.dims.dimension))
-    for name in ("P_U", "H"):
-        assert name not in vars(system)
-        assert not getattr(system, name).flags.writeable
-        assert getattr(system, name) is getattr(system, name)
+    # the elongation projector and H are test oracles: only F is ever cached
+    fields = {f.name for f in dataclasses.fields(system)}
+    assert set(vars(system)) - fields <= {"F"}
+    assert not hasattr(system, "P_U") and not hasattr(system, "H")

@@ -7,8 +7,9 @@ import scipy.linalg
 
 from latsweep import cli
 from latsweep.assembly import assemble
+from latsweep.catchup import MAX_STEPS, TimePartition
 from latsweep.cli import main
-from latsweep.errors import SchemaError
+from latsweep.errors import InvalidInputError, SchemaError
 from latsweep.generators import (
     build_example1,
     build_tri_grid_with_hole,
@@ -523,6 +524,21 @@ def test_cli_refuses_bad_numeric_options(tmp_path, capsys, args):
     option = next(a for a in args if a.startswith("--"))
     assert f"argument {option}:" in err and "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_refuses_a_mesh_too_fine_for_one_partition(tmp_path, capsys):
+    # a positive finite mesh can still ask for more steps than an array holds
+    net = tmp_path / "ex1.json"
+    main(["generate", "example1", "--out", str(net)])
+    capsys.readouterr()
+    argv = ["solve", str(net), "--solver", "catchup", "--mesh", "1e-300", "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "--mesh 1e-300" in err and "8e+298 catch-up steps" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.json"]
+    with pytest.raises(InvalidInputError, match="steps are more than"):
+        TimePartition.uniform(1.0, MAX_STEPS + 1)
 
 
 def test_cli_missing_file_is_validation_error(capsys):
