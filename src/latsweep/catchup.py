@@ -1,9 +1,14 @@
 """Time-stepping (catch-up) integration of the sweeping process.
 
-Each step projects the previous point onto the next constraint set; the
-stresses are recovered from the projected point.  Events have no native
-notion here and are detected a posteriori from springs sitting on their
-yield bounds.
+Each step projects the previous point onto the next constraint set
+(Moreau's catch-up scheme); the stresses are recovered from the projected
+point.  Under a frozen force that set is the self-stress plane cut by a
+yield box that only translates, and a projection commutes with a
+translation: in the frame that moves with the box the set stays put and
+only the target moves.  :func:`catchup` runs there, with one constraint set
+per force level, and each step's start check is read from the step
+before.  Events have no native notion here and are detected a posteriori
+from springs sitting on their yield bounds.
 """
 
 from __future__ import annotations
@@ -107,39 +112,47 @@ def catchup(
 ) -> Trajectory:
     """Project step by step along the partition and recover stresses.
 
-    When the force load is frozen between two steps the set only
-    translates, so the translated previous point is already feasible and
-    the phase-1 solve is skipped.
+    The steps run in the frame that moves with the in-plane part ``c(t) =
+    spec.frame(loads, t)`` of the box translation.  A projection commutes
+    with a translation, so the step from ``y_n`` onto the set at
+    ``t_{n+1}`` projects ``u_n - (c_{n+1} - c_n)`` onto the set of ``u =
+    y - c``, which is ``static_set(spec, -F f)``: one set per force level.
+    While the force stays, each step starts from ``u_n``, a point of that
+    same set, and the warm handle holds its slack from the step before, so
+    its start check costs nothing.  When the force changes, the start comes
+    from the spec's phase-1 linear program, and an empty set raises
+    :class:`SafeLoadError`.  A state is ``y = u + c`` and ``epsilon =
+    lift(u) + F f``.
     """
-    if partition.points[-1] > loads.horizon + 1e-12:
+    if partition.points[-1] > loads.horizon * (1.0 + 1e-12):
         raise InvalidInputError("partition extends beyond the load horizon")
     if state0.time != 0.0:
         raise InvalidInputError("catch-up must start at t = 0")
 
     warm = spec.warm_start()
     states = [state0]
-    y = np.asarray(state0.y, dtype=float)
-    offset_prev = spec.offset(loads, 0.0)
-    f_prev = loads.f(0.0)
+    frame = spec.frame(loads, 0.0)
+    u = np.asarray(state0.y, dtype=float) - frame
+    f = loads.f(0.0)
+    shift = spec.force_shift(f)
+    poly = static_set(spec, shift)
     for t in partition.points[1:]:
-        offset_next = spec.offset(loads, float(t))
-        f_next = loads.f(float(t))
-        poly = static_set(spec, offset_next)
-        start = None
-        if _same_force(f_prev, f_next):
-            start = y + spec.reduce(offset_next - offset_prev)
+        t = float(t)
+        frame_next = spec.frame(loads, t)
+        f_next = loads.f(t)
+        start = u
         try:
-            result = project(spec.weight, y, poly, tol=tol, start=start, warm=warm)
+            if not _same_force(f, f_next):
+                f, shift = f_next, spec.force_shift(f_next)
+                poly = static_set(spec, shift)
+                start = spec.feasible_point(shift)
+            result = project(spec.weight, u - (frame_next - frame), poly, tol=tol, start=start, warm=warm)
         except InfeasibleSetError as exc:
-            raise SafeLoadError(
-                f"safe load condition violated at t = {t}", time=float(t)
-            ) from exc
-        y = result.point
-        epsilon = spec.lift(y) - offset_next
+            raise SafeLoadError(f"safe load condition violated at t = {t}", time=t) from exc
+        u, frame = result.point, frame_next
+        epsilon = spec.lift(u) - shift
         sigma = system.stiffness * epsilon
-        states.append(SweepingState(time=float(t), y=y, sigma=sigma, epsilon=epsilon))
-        offset_prev = offset_next
-        f_prev = f_next
+        states.append(SweepingState(time=t, y=u + frame, sigma=sigma, epsilon=epsilon))
 
     events = detect_events(states, system.lower_limits, system.upper_limits)
     return Trajectory(states=states, solver="catchup", space=spec.space, events=events)

@@ -121,11 +121,12 @@ class PolyhedralSet:
         values = self.apply(x)
         return np.concatenate([self.b - values, values - self.lower])
 
-    def violation(self, x: np.ndarray) -> float:
-        """Largest constraint violation at ``x`` (0 when inside)."""
+    def violation(self, x: np.ndarray, slack: np.ndarray | None = None) -> float:
+        """Largest constraint violation at ``x`` (0 when inside); ``slack``
+        is ``self.slack(x)`` when the caller already has it."""
         v = 0.0
         if self.b.shape[0]:
-            v = max(v, float(-np.min(self.slack(x))))
+            v = max(v, float(-np.min(self.slack(x) if slack is None else slack)))
         if self.A_eq is not None and self.A_eq.shape[0]:
             v = max(v, float(np.max(np.abs(self.A_eq @ x - self.b_eq))))
         return v
@@ -210,6 +211,29 @@ class Whitening:
         return self.Z.T.copy() if A is None else self.forward(A.T)
 
 
+@dataclass(frozen=True)
+class _Checked:
+    """A point's slack and violation in one set, with the arrays they were
+    computed from and copies of the writable ones."""
+
+    poly: PolyhedralSet
+    arrays: tuple
+    copies: tuple
+    slack: np.ndarray
+    violation: float
+
+    @classmethod
+    def of(cls, poly: PolyhedralSet, x: np.ndarray, slack: np.ndarray, violation: float) -> "_Checked":
+        arrays = (x, poly.b, poly.lower, poly.b_eq)
+        return cls(poly, arrays, tuple(map(_snapshot, arrays)), slack, violation)
+
+    def serves(self, poly: PolyhedralSet, x: np.ndarray) -> bool:
+        """Whether these numbers are those of ``x`` in ``poly``: the same
+        objects, and unchanged values where they are writable."""
+        arrays = (x, poly.b, poly.lower, poly.b_eq)
+        return poly is self.poly and all(map(_unchanged, arrays, self.arrays, self.copies))
+
+
 @dataclass
 class WarmStart:
     """Single-owner handle carrying hints between consecutive projections.
@@ -220,12 +244,16 @@ class WarmStart:
     unchanged, and rebuilt otherwise; a caller that already holds the
     whitening seeds it here.  A moving set's static sets and tangent cones
     share their rows, so one handle per run serves catch-up steps and
-    event velocities alike with one whitened bound map.
+    event velocities alike with one whitened bound map.  ``checked`` holds
+    the last result's slack and violation in its set, which serve the next
+    start check when that projection starts from the same point in the
+    same set, as a catch-up step in a set that stays put does.
     """
 
     active: tuple[int, ...] | None = None
     white: Whitening | None = None
     rows: tuple[np.ndarray | None, np.ndarray | None, np.ndarray] | None = None
+    checked: _Checked | None = None
 
 
 def _weight_apply(S: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -330,7 +358,7 @@ def _whitening(S, poly: PolyhedralSet, warm: WarmStart | None) -> Whitening:
         return warm.white
     white = Whitening.build(S, poly.A_eq, poly.dim)
     if warm is not None:
-        warm.white, warm.rows = white, None
+        warm.white, warm.rows, warm.checked = white, None, None
     return white
 
 
@@ -342,7 +370,7 @@ def _whitened_rows(white: Whitening, poly: PolyhedralSet, warm: WarmStart | None
             return rows
     rows = white.rows(poly.A)
     if warm is not None:
-        warm.rows = (poly.A, _snapshot(poly.A), rows)
+        warm.rows, warm.checked = (poly.A, _snapshot(poly.A), rows), None
     return rows
 
 
@@ -358,7 +386,10 @@ def project(
 
     ``start``, when given and feasible within tolerance, skips the phase-1
     solve.  ``warm`` carries the previous active set, the whitening and the
-    whitened rows between calls; it must not be shared across threads.
+    whitened rows between calls; it must not be shared across threads.  It
+    also keeps the result's slack and violation in ``poly``: a next call
+    that starts from the returned point, unchanged, in the same set reads
+    its start check from them.
     """
     n = poly.dim
     x = _check_point(x, n)
@@ -366,15 +397,13 @@ def project(
     M = _whitened_rows(white, poly, warm)
 
     act_tol = max(tol, 1e-12)
-    y = None
+    y, slack = None, None
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape == (n,) and poly.violation(start) <= 10 * act_tol:
-            y = start.copy()
+        y, slack = _checked_start(poly, start, warm, 10 * act_tol)
     if y is None:
         y = find_feasible_point(poly, tol)
+        slack = poly.slack(y)
 
-    slack = poly.slack(y)
     active = slack <= act_tol
     if warm is not None and warm.active is not None:
         keep = np.zeros(poly.n_inequalities, dtype=bool)
@@ -382,13 +411,34 @@ def project(
         active &= keep
     y, _, _, kkt_stat = _active_set(white, M, slack, x, y, active, tol)
 
+    slack = poly.slack(y)
+    violation = poly.violation(y, slack)
     bound = np.concatenate([poly.b, poly.lower])
-    on = (poly.slack(y) <= act_tol * (1.0 + np.abs(bound))) & np.isfinite(bound)
+    on = (slack <= act_tol * (1.0 + np.abs(bound))) & np.isfinite(bound)
     act_idx = tuple(int(j) for j in np.flatnonzero(on))
     if warm is not None:
-        warm.active = act_idx
-    kkt = max(kkt_stat, poly.violation(y))
+        warm.active, warm.checked = act_idx, _Checked.of(poly, y, slack, violation)
+    kkt = max(kkt_stat, violation)
     return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
+
+
+def _checked_start(poly: PolyhedralSet, start, warm: WarmStart | None, tol: float):
+    """``start`` and its slack when it lies in ``poly`` within ``tol``, else
+    ``(None, None)``.  The warm handle's numbers serve when they are the
+    start's in this set; they leave the handle either way, as the kernel
+    changes the slack in place."""
+    start = np.asarray(start, dtype=float)
+    if start.shape != (poly.dim,):
+        return None, None
+    checked = None
+    if warm is not None:
+        checked, warm.checked = warm.checked, None
+    if checked is not None and checked.serves(poly, start):
+        slack, violation = checked.slack, checked.violation
+    else:
+        slack = poly.slack(start)
+        violation = poly.violation(start, slack)
+    return (start, slack) if violation <= tol else (None, None)
 
 
 def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -414,8 +464,11 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
     ``r = e + C lam``, ``e = d - g``, ``C`` the signed active columns and
     ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
     multipliers and ``||r||`` the stationarity residual; least squares keeps
-    dependent or duplicated active rows exact.  Returns the point ``y0 + Z
-    d``, the final working set, its multipliers and ``||r||``.
+    dependent or duplicated active rows exact, and an empty working set
+    takes no solve (``r = e``).  The ratio test reads the bounds the step
+    moves toward alone and breaks ties by lowest bound index.  Returns the
+    point ``y0 + Z d``, the final working set, its multipliers and
+    ``||r||``.
     """
     g = white.forward(_weight_apply(white.S, x - y0))
     scale = 1.0 + np.max(np.abs(g), initial=0.0)
@@ -423,11 +476,14 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
     known = None
     for _ in range(50 * (slack.size + y0.size + 10)):
         idx = np.flatnonzero(active)
-        C = _columns(M, idx)
         e = d - g
-        lam = np.linalg.lstsq(C, -e, rcond=None)[0] if known is None else known
+        if not idx.size:
+            lam, r = np.zeros(0), e
+        else:
+            C = _columns(M, idx)
+            lam = np.linalg.lstsq(C, -e, rcond=None)[0] if known is None else known
+            r = e + C @ lam
         known = None
-        r = e + C @ lam
         if np.max(np.abs(r), initial=0.0) <= tol * scale:
             # At the working-set optimum: check multipliers of active rows.
             neg = lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(initial=0.0))
@@ -441,14 +497,13 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
         fall = np.concatenate([-q, q])
         alpha = 1.0
         blocking = -1
-        candidates = ~active & (fall > 1e-14 * (1.0 + np.abs(fall).max(initial=0.0)))
-        if np.any(candidates):
-            ratios = np.full(slack.size, np.inf)
-            ratios[candidates] = np.maximum(slack[candidates], 0.0) / fall[candidates]
+        candidates = np.flatnonzero(~active & (fall > 1e-14 * (1.0 + np.abs(fall).max(initial=0.0))))
+        if candidates.size:
+            ratios = np.maximum(slack[candidates], 0.0) / fall[candidates]
             amin = ratios.min()
             if amin < 1.0:
                 alpha = amin
-                blocking = int(np.flatnonzero(ratios <= amin * (1 + 1e-12))[0])
+                blocking = int(candidates[np.flatnonzero(ratios <= amin * (1 + 1e-12))[0]])
         d -= alpha * r
         slack -= alpha * fall
         if blocking >= 0:

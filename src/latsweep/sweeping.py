@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import projection
 from .assembly import AssembledSystem
 from .errors import InitialConditionError, InfeasibleSetError, InvalidInputError
 from .lattice import LoadSchedule
@@ -77,8 +78,16 @@ class MovingSetSpec:
         holds reference positions far larger than the box, whose rounding
         would land on its bounds.
         """
-        sys = self.system
-        out = sys.G @ (loads.r(t) - loads.displacement_offset)
+        out = self._in_plane(loads, t)
+        f = loads.f(t)
+        if f is not None:
+            out = out - self.system.F @ f
+        return out
+
+    def _in_plane(self, loads: LoadSchedule, t: float) -> np.ndarray:
+        """``G (r(t) - r(0)) + strain_direction gamma(t)``: the part of the
+        offset that lies in the self-stress plane."""
+        out = self.system.G @ (loads.r(t) - loads.displacement_offset)
         if loads.strain_times is not None:
             if self.strain_direction is None:
                 raise InvalidInputError(
@@ -86,10 +95,35 @@ class MovingSetSpec:
                     "schedule carries a strain load; rebuild with these loads"
                 )
             out = out + self.strain_direction * loads.gamma(t)
-        f = loads.f(t)
-        if f is not None:
-            out = out - sys.F @ f
         return out
+
+    def frame(self, loads: LoadSchedule, t: float) -> np.ndarray:
+        """The in-plane translation ``c(t)`` in the coordinates of the
+        sweeping variable.
+
+        The offset splits into ``c(t)`` and the force shift ``-F f(t)``,
+        which is K-orthogonal to the plane.  In the frame ``u = y - c(t)``
+        the set is ``static_set(spec, force_shift(f))``: it moves only
+        when the force does.
+        """
+        return self.reduce(self._in_plane(loads, t))
+
+    def force_shift(self, f: np.ndarray | None) -> np.ndarray | float:
+        """The box translation ``-F f`` of the force load ``f`` (0 for
+        ``None``), the part of the offset that leaves the plane."""
+        return 0.0 if f is None else -(self.system.F @ f)
+
+    def feasible_point(self, shift: np.ndarray | float) -> np.ndarray:
+        """A point of ``static_set(self, shift)``, or ``InfeasibleSetError``.
+
+        One phase-1 linear program in the full space's form, in both
+        spaces: the shifted box is its variable bounds and the plane its
+        equality rows ``U^T K``.  Its point is mapped by ``reduce``.  The
+        phase 1 is looked up on its module, where a caller may wrap it.
+        """
+        rows = self.system.equality_rows() if self.equality_rows is None else self.equality_rows
+        full = PolyhedralSet(A=None, b=self.box_upper + shift, A_eq=rows, lower=self.box_lower + shift)
+        return self.reduce(projection.find_feasible_point(full))
 
     def offset_rate(self, loads: LoadSchedule, t: float) -> np.ndarray:
         """Right derivative of the box translation (constant-force loads)."""
@@ -171,13 +205,17 @@ def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
     Two-sided bounds ``lower <= W z <= upper`` (``W`` None: the identity).
     Its rows are the spec's own read-only arrays, the same objects on every
     call, so the projection kernel keeps the spec's whitening and its
-    whitened rows from step to step without checking them again.
+    whitened rows from step to step without checking them again.  Its
+    bounds are read-only too, so a warm handle keeps a point's slack in
+    the set without a copy of them.
     """
+    eq = spec.equality_rows
     return PolyhedralSet(
         A=spec.W,
-        b=spec.box_upper + offset,
-        A_eq=spec.equality_rows,
-        lower=spec.box_lower + offset,
+        b=_frozen(spec.box_upper + offset),
+        A_eq=eq,
+        b_eq=None if eq is None else _frozen(np.zeros(eq.shape[0])),
+        lower=_frozen(spec.box_lower + offset),
     )
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -6,12 +8,16 @@ from latsweep import projection
 from latsweep.assembly import assemble
 from latsweep.catchup import TimePartition, abstract_catchup, catchup
 from latsweep.errors import InfeasibleSetError, InvalidInputError, SafeLoadError
+from latsweep.generators import build_tri_grid_with_hole
 from latsweep.lattice import LoadSchedule
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import PolyhedralSet, find_feasible_point, project
-from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
+from latsweep.sweeping import Space, build_moving_set, initial_state, moving_set_at, static_set
 
 from helpers import relabel_springs
+
+# the module, not the function the package exports under the same name
+catchup_module = importlib.import_module("latsweep.catchup")
 
 
 def test_partition_validation():
@@ -115,10 +121,10 @@ def test_catchup_exact_for_pure_translation(example1):
     assert np.abs(coarse.final.sigma - fine.final.sigma).max() <= 1e-12
 
 
-def varying_force_loads(base, definition, scale=4e-4):
+def varying_force_loads(base, definition, scale=4e-4, seed=99):
     # a slow force ramp deforms the moving set, giving genuine O(h) error
     nd = definition.n_dof
-    rng = np.random.default_rng(99)
+    rng = np.random.default_rng(seed)
     direction = rng.standard_normal(nd)
     direction /= np.linalg.norm(direction)
     return LoadSchedule(
@@ -132,19 +138,104 @@ def varying_force_loads(base, definition, scale=4e-4):
 
 
 def test_mesh_refinement_contracts(example1):
-    # Richardson-style: halving a uniform mesh shrinks the terminal change
+    # Example1 under this force ramp is one where catch-up is exact: its
+    # states at common times agree across meshes to rounding, so no
+    # contraction can be measured on it.  A small clamped grid under the
+    # same kind of ramp has first-order differences: halving the mesh
+    # halves the largest change between consecutive meshes at common times.
     definition, base, system = example1
     loads = varying_force_loads(base, definition)
+    scale = np.max(definition.upper_limits - definition.lower_limits)
     spec = build_moving_set(system, Space.REDUCED, loads)
     state0 = initial_state(system, np.zeros(10), loads, Space.REDUCED, spec)
-    terminals = []
-    for steps in (25, 50, 100, 200):
-        traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, steps))
-        terminals.append(traj.final.sigma)
-    diffs = [np.linalg.norm(terminals[i + 1] - terminals[i]) for i in range(3)]
-    assert diffs[0] <= 1e-3 * np.linalg.norm(terminals[-1])
+    runs = [_stresses(catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, n)))
+            for n in (25, 50, 100, 200)]
+    for coarse, fine in zip(runs, runs[1:]):
+        assert np.abs(fine[::2] - coarse).max() <= 1e-12 * scale
+
+    definition, base = build_tri_grid_with_hole(6, 5, ((2, 2), (3, 2)))
+    system = assemble(definition)
+    loads = varying_force_loads(base, definition, seed=0)
+    scale = np.max(definition.upper_limits - definition.lower_limits)
+    spec = build_moving_set(system, Space.FULL, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.FULL, spec)
+    runs = [_stresses(catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, n)))
+            for n in (25, 50, 100, 200)]
+    diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(runs, runs[1:])]
+    assert diffs[0] <= 1e-3 * scale
+    assert diffs[-1] >= 1e-6 * scale
     assert diffs[1] <= 0.8 * diffs[0]
     assert diffs[2] <= 0.8 * diffs[1]
+
+
+def _stresses(traj):
+    return np.array([state.sigma for state in traj.states])
+
+
+@pytest.mark.parametrize("space", [Space.FULL, Space.REDUCED])
+@pytest.mark.parametrize("case", ["example1", "periodic-strain", "example1-force-ramp"])
+def test_catchup_matches_abstract_recursion(example1, periodic_patch, case, space):
+    # The moving-frame catch-up against the bare recursion on the moving
+    # set itself, which builds every set, starts every step from phase 1
+    # and reads no frame: a displacement drive, a box-strain drive and a
+    # force ramp that changes the set's shape.
+    definition, loads, system = periodic_patch if case == "periodic-strain" else example1
+    if case == "example1-force-ramp":
+        loads = varying_force_loads(loads, definition)
+    part = TimePartition.uniform(loads.horizon, 40)
+    spec = build_moving_set(system, space, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+    traj = catchup(system, spec, state0, loads, part)
+    oracle = abstract_catchup(spec.weight, lambda t: moving_set_at(spec, t, loads), state0.y, part)
+    width = spec.box_upper - spec.box_lower
+    assert len(traj.events) >= 2
+    for state, y in zip(traj.states, oracle):
+        assert np.all(np.abs(spec.lift(state.y - y)) <= 1e-12 * width)
+
+
+def test_one_static_set_per_force_level(example1, grid_with_hole, monkeypatch):
+    # Under a frozen force the moving frame needs one set for the whole
+    # run; under a force ramp each step is a new force level.
+    built = []
+
+    def counted(spec, shift):
+        built.append(shift)
+        return static_set(spec, shift)
+
+    monkeypatch.setattr(catchup_module, "static_set", counted)
+    for (definition, loads, system), ramp, steps in (
+        (grid_with_hole, False, 200),
+        (example1, True, 20),
+    ):
+        if ramp:
+            loads = varying_force_loads(loads, definition)
+        for space in Space:
+            spec = build_moving_set(system, space, loads)
+            state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+            built.clear()
+            catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, steps))
+            assert len(built) == (steps + 1 if ramp else 1)
+
+
+def test_horizon_slack_is_relative(example1):
+    # Example1 on a time axis scaled to a horizon of 1e-13: a partition that
+    # reaches 5x past it is refused, one that ends on it gives example1's
+    # states at the matching times.
+    definition, loads, system = example1
+    fast = LoadSchedule.constant_rate(
+        displacement_offset=loads.displacement_offset,
+        rate=loads.rate_values[0] * (loads.horizon / 1e-13),
+        horizon=1e-13,
+    )
+    spec = build_moving_set(system, Space.FULL, fast)
+    state0 = initial_state(system, np.zeros(10), fast, Space.FULL, spec)
+    with pytest.raises(InvalidInputError, match="horizon"):
+        catchup(system, spec, state0, fast, TimePartition(np.array([0.0, 5e-13])))
+    scaled = catchup(system, spec, state0, fast, TimePartition.uniform(fast.horizon, 16))
+    spec = build_moving_set(system, Space.FULL, loads)
+    plain = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 16))
+    width = definition.upper_limits - definition.lower_limits
+    assert np.all(np.abs(_stresses(scaled) - _stresses(plain)) <= 1e-12 * width)
 
 
 def test_event_detection_tolerance(example1):
@@ -306,8 +397,11 @@ def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeyp
 
 def test_varying_force_phase_one_every_step_spaces_agree(example1, monkeypatch):
     # Under a force ramp no step has a feasible start, so every projection
-    # starts from the phase-1 linear program: variable bounds in full space,
-    # rows V in reduced space.  Both must give the same states.
+    # starts from the phase-1 linear program, in both spaces in the full
+    # space's form: the box as variable bounds, the plane as equality rows.
+    # The reduced space maps its point by P_V, which passes the projection's
+    # start check (no second phase 1 on rows V).  Both must give the same
+    # states.
     definition, base, system = example1
     loads = varying_force_loads(base, definition)
     part = TimePartition.uniform(loads.horizon, 50)
@@ -325,7 +419,7 @@ def test_varying_force_phase_one_every_step_spaces_agree(example1, monkeypatch):
         monkeypatch.setattr(projection, "find_feasible_point", counted)
         runs[space] = catchup(system, spec, state0, loads, part)
         monkeypatch.undo()
-        assert phase_one == [space is Space.FULL] * 50
+        assert phase_one == [True] * 50
     width = spec.box_upper - spec.box_lower
     assert len(runs[Space.FULL].events) >= 2
     for full, reduced in zip(runs[Space.FULL].states, runs[Space.REDUCED].states):

@@ -381,6 +381,39 @@ def test_warm_handle_follows_writable_arrays_changed_in_place():
             assert np.allclose(hot, cold, atol=1e-10)
 
 
+def test_warm_handle_reads_the_start_check_from_the_last_result(monkeypatch):
+    # A projection that starts from the last result, unchanged, in the same
+    # set reads that point's slack from the warm handle: only the result's
+    # own slack is computed.  A changed point, a changed bound or another
+    # set is checked afresh, and every answer is the cold one.
+    rng = np.random.default_rng(29)
+    slacks = []
+    slack_of = PolyhedralSet.slack
+
+    def counted(poly, x):
+        slacks.append(1)
+        return slack_of(poly, x)
+
+    monkeypatch.setattr(PolyhedralSet, "slack", counted)
+    for _ in range(20):
+        S, x, poly = random_projection_problem(rng)
+        warm = WarmStart()
+        last = project(S, x, poly, warm=warm).point
+        other = PolyhedralSet(A=poly.A, b=poly.b, A_eq=poly.A_eq, b_eq=poly.b_eq, lower=poly.lower)
+        for change, poly_now in ((None, poly), ("point", poly), ("bound", poly), (None, other)):
+            if change == "point":
+                last += 1e-3 * rng.standard_normal(last.shape)
+            elif change == "bound":
+                poly.b[...] += 1e-3
+            x = x + 0.3 * rng.standard_normal(x.shape)
+            slacks.clear()
+            hot = project(S, x, poly_now, start=last, warm=warm)
+            assert (len(slacks) == 1) == (change is None and poly_now is poly)
+            cold = project(S, x, poly_now).point
+            assert np.allclose(hot.point, cold, atol=1e-10)
+            last = hot.point
+
+
 def test_degenerate_duplicate_rows():
     # duplicated active rows exercise the pseudoinverse equality solves
     A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
