@@ -11,7 +11,7 @@ from .assembly import (
     compatibility_matrix,
     validate_assumptions,
 )
-from .catchup import TimePartition, abstract_catchup, catchup
+from .catchup import TimePartition, catchup
 from .errors import (
     AssumptionError,
     ConeProjectionError,
@@ -34,7 +34,7 @@ from .generators import (
 )
 from .io import load_network, save_network
 from .lattice import LatticeDefinition, LoadSchedule
-from .leapfrog import event_velocity, leapfrog, next_event_time, tangent_cone
+from .leapfrog import event_velocity, leapfrog, tangent_cone
 from .linalg import nullspace_basis, numerical_rank, pseudoinverse, weighted_gram
 from .projection import (
     PolyhedralSet,
@@ -50,8 +50,6 @@ from .sweeping import (
     SweepingState,
     build_moving_set,
     initial_state,
-    moving_set_at,
-    recover_stress,
     safe_load_check,
 )
 from .trajectory import EventRecord, Trajectory

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledSystem
-from .trajectory import Trajectory
+from .trajectory import STACKED_ROWS, Trajectory
 from .errors import DegenerateMetricsError, InvalidInputError
 from .lattice import LoadSchedule
 
@@ -48,13 +48,14 @@ def strain_series(
     use the displacement of the fastest constraint row divided by the
     reference span between the moving and fixed constrained node groups.
     """
+    traj_times = np.asarray(traj_times, dtype=float)
     if loads.strain_times is not None:
-        return np.array([loads.gamma(t) for t in traj_times])
+        return loads.gamma(traj_times)
     r0 = loads.r(0.0)
     rT = loads.r(loads.horizon)
     j = int(np.argmax(np.abs(rT - r0)))
     span = _constraint_span(definition, loads)
-    return np.array([abs(loads.r(t)[j] - r0[j]) / span for t in traj_times])
+    return np.abs(loads.r(traj_times)[:, j] - r0[j]) / span
 
 
 def _constraint_span(definition, loads: LoadSchedule) -> float:
@@ -85,22 +86,31 @@ def stress_strain_curve(
     loads: LoadSchedule,
     volume: float,
 ) -> dict[str, np.ndarray]:
-    """Sampled (time, strain, total-stress components) along a trajectory."""
+    """Sampled (time, strain, total-stress components) along a trajectory.
+
+    The components of :func:`total_stress` are linear in the stresses: each
+    is one product of the stacked stresses with the spring weights ``L_i
+    D_ia D_ib / V``, taken ``STACKED_ROWS`` states at a time so that no
+    copy of all the stresses is held at once.
+    """
+    if not volume > 0:
+        raise InvalidInputError("volume must be positive")
     times = traj.times()
-    strains = strain_series(times, loads, system.definition)
-    d = system.dims.dimension
-    s11, s22, s12 = [], [], []
-    for state in traj.states:
-        st = total_stress(system, state.sigma, volume)
-        s11.append(st[0, 0])
-        s22.append(st[1, 1] if d >= 2 else 0.0)
-        s12.append(st[0, 1] if d >= 2 else 0.0)
+    D = system.directions
+    pairs = ((0, 0), (1, 1), (0, 1)) if system.dims.dimension >= 2 else ((0, 0),)
+    weights = np.column_stack([system.reference_lengths * D[:, a] * D[:, b] for a, b in pairs]) / volume
+    states = traj.states
+    components = np.vstack([
+        np.array([state.sigma for state in states[k : k + STACKED_ROWS]]) @ weights
+        for k in range(0, len(states), STACKED_ROWS)
+    ])
+    zeros = np.zeros(times.size)
     return {
         "time": times,
-        "strain": strains,
-        "sigma11": np.array(s11),
-        "sigma22": np.array(s22),
-        "sigma12": np.array(s12),
+        "strain": strain_series(times, loads, system.definition),
+        "sigma11": components[:, 0],
+        "sigma22": components[:, 1] if len(pairs) > 1 else zeros,
+        "sigma12": components[:, 2] if len(pairs) > 1 else zeros,
     }
 
 

@@ -1,4 +1,4 @@
-"""Time-stepping (catch-up) integration of the sweeping process.
+"""Time-stepping (catch-up) integration of the sweeping process, by blocks.
 
 Each step projects the previous point onto the next constraint set
 (Moreau's catch-up scheme); the stresses are recovered from the projected
@@ -6,9 +6,27 @@ point.  Under a frozen force that set is the self-stress plane cut by a
 yield box that only translates, and a projection commutes with a
 translation: in the frame that moves with the box the set stays put and
 only the target moves.  :func:`catchup` runs there, with one constraint set
-per force level, and each step's start check is read from the step
-before.  Events have no native notion here and are detected a posteriori
-from springs sitting on their yield bounds.
+per force level.
+
+Under a constant load rate the process is piecewise affine between yield
+events, and so are the steps: a step that ends on the face its start lies
+on moves by its drive's component along that face.  So the steps run by
+blocks.  A block starts with one kernel projection, whose active bounds fix
+a face; the steps after it at the same force level are computed on that
+face together, with one least-squares solve for all of them, and each is
+accepted on a certificate, the kernel's own KKT tests with its own
+tolerances (:func:`projection._on_bounds`,
+:func:`projection._negative_multipliers`):
+
+- every bound off the face keeps its slack above the activity tolerance;
+- every bound of the face stays within it;
+- every multiplier passes the kernel's sign test;
+- stationarity holds by construction.
+
+The first step that fails starts the next block, with a projection from the
+last accepted point.  Under a force ramp the force changes every step, so
+every block is one projection.  Events have no native notion here and are
+detected a posteriori from springs sitting on their yield bounds.
 """
 
 from __future__ import annotations
@@ -19,9 +37,17 @@ import numpy as np
 
 from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from .lattice import LoadSchedule
-from .projection import PolyhedralSet, WarmStart, project
+from .projection import (
+    Whitening,
+    _columns,
+    _negative_multipliers,
+    _on_bounds,
+    _weight_apply,
+    _whitened_rows,
+    project,
+)
 from .sweeping import MovingSetSpec, SweepingState, static_set
-from .trajectory import EventRecord, Trajectory
+from .trajectory import STACKED_ROWS, EventRecord, Trajectory
 
 #: Fraction of the elastic range within which a stress counts as sitting
 #: on a yield bound during a posteriori event detection.
@@ -59,47 +85,101 @@ class TimePartition:
         return float(np.max(np.diff(self.points)))
 
 
-def bound_activity(
-    sigma: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    tol: np.ndarray,
-) -> frozenset:
-    """Set of (spring, side) pairs whose stress sits on a yield bound."""
-    active = []
-    on_upper = np.abs(sigma - upper) <= tol
-    on_lower = np.abs(sigma - lower) <= tol
-    for j in np.flatnonzero(on_upper):
-        active.append((int(j), "upper"))
-    for j in np.flatnonzero(on_lower):
-        active.append((int(j), "lower"))
-    return frozenset(active)
+def bound_activity(sigma: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Which yield bounds each row of stresses sits on, within
+    ``EVENT_TOL_FRACTION`` of the elastic range: the upper bounds in the
+    first ``m`` columns, the lower ones after them."""
+    tol = EVENT_TOL_FRACTION * (upper - lower)
+    return np.concatenate([np.abs(sigma - upper) <= tol, np.abs(sigma - lower) <= tol], axis=-1)
 
 
 def detect_events(
-    states: list[SweepingState],
+    times: np.ndarray,
+    sigma: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> list[EventRecord]:
-    """A posteriori yield events: steps where new springs reach a bound."""
-    event_tol = EVENT_TOL_FRACTION * (upper - lower)
+    before: np.ndarray,
+    first: int,
+) -> tuple[list[EventRecord], np.ndarray]:
+    """A posteriori yield events: the rows of the stacked stresses ``sigma``,
+    at ``times``, where new springs reach a bound.
+
+    ``before`` is the :func:`bound_activity` of the row before the first,
+    and the events are numbered from ``first``.  Returns the events and the
+    activity of the last row.
+    """
+    active = bound_activity(sigma, lower, upper)
+    previous = np.vstack([before, active[:-1]])
+    gained, released = active & ~previous, previous & ~active
     events = []
-    previous = bound_activity(states[0].sigma, lower, upper, event_tol)
-    for state in states[1:]:
-        current = bound_activity(state.sigma, lower, upper, event_tol)
-        gained = current - previous
-        if gained:
-            events.append(
-                EventRecord(
-                    index=len(events),
-                    time=state.time,
-                    newly_active=gained,
-                    newly_released=previous - current,
-                    sigma=state.sigma.copy(),
-                )
+    for row in np.flatnonzero(gained.any(axis=1)):
+        events.append(
+            EventRecord(
+                index=first + len(events),
+                time=float(times[row]),
+                newly_active=_bound_pairs(gained[row]),
+                newly_released=_bound_pairs(released[row]),
+                sigma=sigma[row].copy(),
             )
-        previous = current
-    return events
+        )
+    return events, active[-1]
+
+
+def _bound_pairs(mask: np.ndarray) -> frozenset:
+    """The (spring, side) pairs of an activity row."""
+    m = mask.size // 2
+    return frozenset((int(j % m), "upper" if j < m else "lower") for j in np.flatnonzero(mask))
+
+
+@dataclass(frozen=True)
+class _Face:
+    """The bounds a projected point sits on, in bound order, and their
+    signed whitened columns ``C``."""
+
+    on: np.ndarray
+    C: np.ndarray
+
+
+def _follow(white: Whitening, poly, face: _Face, u: np.ndarray, g: np.ndarray, tol: float) -> np.ndarray:
+    """The steps from ``u`` that end on ``face``, as points in columns.
+
+    ``g`` holds each step's whitened drive ``Z^T S (c_n - c_{n+1})``, one
+    column each.  A step from a point of the face onto the face is ``d = g
+    - C lam`` with ``lam = lstsq(C, g)``: all steps come from one
+    least-squares solve and one cumulative sum.  They are accepted up to
+    the first whose point fails the certificate: a bound off the face with
+    slack within the activity tolerance, a bound of the face with slack
+    beyond it, or a negative multiplier.
+    """
+    ok = np.ones(g.shape[1], dtype=bool)
+    if face.C.shape[1]:
+        lam = np.linalg.lstsq(face.C, g, rcond=None)[0]
+        g = g - face.C @ lam
+        ok = ~np.any(_negative_multipliers(lam, tol), axis=0)
+    points = white.back(np.cumsum(g, axis=1))
+    points += u[:, None]
+    values = poly.apply(points)
+    m = values.shape[0]
+    # the upper bounds' slacks, then the lower ones', one half at a time
+    for sign, bound, on in ((1.0, poly.b, face.on[:m]), (-1.0, poly.lower, face.on[m:])):
+        slack = bound[:, None] - values
+        slack *= sign
+        slack[on] = np.abs(slack[on])
+        ok &= np.all(_on_bounds(slack, bound[:, None], tol) == on[:, None], axis=0)
+    return points[:, : ok.size if ok.all() else int(np.argmin(ok))]
+
+
+def _runs(loads: LoadSchedule, times: np.ndarray):
+    """Runs ``[i, j)`` of at most ``STACKED_ROWS`` consecutive time points,
+    after the first, at one force level, with that force."""
+    i = 1
+    while i < times.size:
+        f = loads.f(float(times[i]))
+        j = min(i + STACKED_ROWS, times.size)
+        if not loads.force_is_constant():
+            j = next((k for k in range(i + 1, j) if not _same_force(f, loads.f(float(times[k])))), j)
+        yield i, j, f
+        i = j
 
 
 def catchup(
@@ -118,43 +198,67 @@ def catchup(
     ``t_{n+1}`` projects ``u_n - (c_{n+1} - c_n)`` onto the set of ``u =
     y - c``, which is ``static_set(spec, -F f)``: one set per force level.
     While the force stays, each step starts from ``u_n``, a point of that
-    same set, and the warm handle holds its slack from the step before, so
-    its start check costs nothing.  When the force changes, the start comes
-    from the spec's phase-1 linear program, and an empty set raises
+    same set, and a block of steps on one face takes one projection (see
+    the module docstring).  When the force changes, the start comes from
+    the spec's phase-1 linear program, and an empty set raises
     :class:`SafeLoadError`.  A state is ``y = u + c`` and ``epsilon =
-    lift(u) + F f``.
+    lift(u) + F f``.  The frames, states and events of a run of at most
+    ``STACKED_ROWS`` time points are computed on stacked rows.
     """
     if partition.points[-1] > loads.horizon * (1.0 + 1e-12):
         raise InvalidInputError("partition extends beyond the load horizon")
     if state0.time != 0.0:
         raise InvalidInputError("catch-up must start at t = 0")
 
+    times = partition.points
+    lower, upper = system.lower_limits, system.upper_limits
     warm = spec.warm_start()
-    states = [state0]
-    frame = spec.frame(loads, 0.0)
-    u = np.asarray(state0.y, dtype=float) - frame
+    u = np.asarray(state0.y, dtype=float) - spec.frame(loads, 0.0)
     f = loads.f(0.0)
     shift = spec.force_shift(f)
     poly = static_set(spec, shift)
-    for t in partition.points[1:]:
-        t = float(t)
-        frame_next = spec.frame(loads, t)
-        f_next = loads.f(t)
-        start = u
-        try:
-            if not _same_force(f, f_next):
-                f, shift = f_next, spec.force_shift(f_next)
-                poly = static_set(spec, shift)
-                start = spec.feasible_point(shift)
-            result = project(spec.weight, u - (frame_next - frame), poly, tol=tol, start=start, warm=warm)
-        except InfeasibleSetError as exc:
-            raise SafeLoadError(f"safe load condition violated at t = {t}", time=t) from exc
-        u, frame = result.point, frame_next
-        epsilon = spec.lift(u) - shift
+    face, phase_one = None, False
+    states, events = [state0], []
+    activity = bound_activity(state0.sigma, lower, upper)
+    for i, j, f_next in _runs(loads, times):
+        frames = spec.frame(loads, times[i - 1 : j])
+        drives = warm.white.forward(_weight_apply(warm.white.S, -np.diff(frames, axis=1)))
+        if not _same_force(f, f_next):
+            f, shift, face, phase_one = f_next, spec.force_shift(f_next), None, True
+            poly = static_set(spec, shift)
+        path = np.empty((j - i, u.size))  # u, one row per step
+        s = 0
+        while s < j - i:
+            if face is not None:
+                points = _follow(warm.white, poly, face, u, drives[:, s:], tol)
+                if points.shape[1]:
+                    path[s : s + points.shape[1]] = points.T
+                    s += points.shape[1]
+                    u, warm.checked = points[:, -1].copy(), None
+                    if s == j - i:
+                        break
+            t = float(times[i + s])
+            try:
+                start = spec.feasible_point(shift) if phase_one else u
+                target = u - (frames[:, s + 1] - frames[:, s])
+                result = project(spec.weight, target, poly, tol=tol, start=start, warm=warm)
+            except InfeasibleSetError as exc:
+                raise SafeLoadError(f"safe load condition violated at t = {t}", time=t) from exc
+            u, phase_one = result.point, False
+            path[s] = u
+            s += 1
+            on = np.zeros(poly.n_inequalities, dtype=bool)
+            on[list(result.active_inequalities)] = True
+            face = _Face(on, _columns(_whitened_rows(warm.white, poly, warm), np.flatnonzero(on)))
+        epsilon = np.empty((j - i, lower.size))
+        np.subtract(spec.lift(path.T).T, shift, out=epsilon)
         sigma = system.stiffness * epsilon
-        states.append(SweepingState(time=t, y=u + frame, sigma=sigma, epsilon=epsilon))
+        path += frames[:, 1:].T  # now y = u + c
+        for row, t in enumerate(times[i:j]):
+            states.append(SweepingState(time=float(t), y=path[row], sigma=sigma[row], epsilon=epsilon[row]))
+        found, activity = detect_events(times[i:j], sigma, lower, upper, activity, len(events))
+        events += found
 
-    events = detect_events(states, system.lower_limits, system.upper_limits)
     return Trajectory(states=states, solver="catchup", space=spec.space, events=events)
 
 
@@ -164,31 +268,3 @@ def _same_force(f0, f1) -> bool:
     if f0 is None or f1 is None:
         return False
     return bool(np.array_equal(f0, f1))
-
-
-def abstract_catchup(
-    S: np.ndarray,
-    set_provider,
-    x0: np.ndarray,
-    partition: TimePartition,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """The bare catch-up recursion for an arbitrary moving polyhedron.
-
-    ``set_provider`` maps a time to a :class:`PolyhedralSet`.  Returns the
-    iterates stacked as rows, starting with ``x0``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    first = set_provider(float(partition.points[0]))
-    if not first.contains(x0, tol=max(tol, 1e-9)):
-        raise InvalidInputError("initial point is outside the set at t = 0")
-    points = [x0]
-    x = x0
-    warm = WarmStart()
-    for t in partition.points[1:]:
-        poly = set_provider(float(t))
-        if not isinstance(poly, PolyhedralSet):
-            raise InvalidInputError("set provider must return PolyhedralSet values")
-        x = project(S, x, poly, tol=tol, warm=warm).point
-        points.append(x)
-    return np.vstack(points)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,15 +217,19 @@ class LoadSchedule:
         idx = int(np.searchsorted(times, t, side="right")) - 1
         return min(max(idx, 0), len(times) - 1)
 
-    def r(self, t: float) -> np.ndarray:
-        """Displacement load at time ``t``."""
+    @functools.cached_property
+    def _segment_starts(self) -> np.ndarray:
+        """The displacement load at the start of each rate segment: the
+        offset plus the segments before it, added in order."""
+        steps = self.rate_values[:-1] * np.diff(self.rate_times)[:, None]
+        return _frozen(np.cumsum(np.vstack([self.displacement_offset, steps]), axis=0))
+
+    def r(self, t) -> np.ndarray:
+        """Displacement load at time ``t``; at an array of times, one row each."""
         times = self.rate_times
-        idx = self._segment(times, t)
-        out = self.displacement_offset.copy()
-        for j in range(idx):
-            out += self.rate_values[j] * (times[j + 1] - times[j])
-        out += self.rate_values[idx] * (t - times[idx])
-        return out
+        t = np.asarray(t, dtype=float)
+        idx = np.maximum(np.searchsorted(times, t, side="right") - 1, 0)
+        return self._segment_starts[idx] + self.rate_values[idx] * (t - times[idx])[..., None]
 
     def rdot(self, t: float) -> np.ndarray:
         """Displacement rate on the segment containing ``t``."""
@@ -248,11 +253,12 @@ class LoadSchedule:
             return True
         return bool(np.all(self.force_values == self.force_values[0]))
 
-    def gamma(self, t: float) -> float:
-        """Box strain at time ``t`` (0 when the schedule has no strain load)."""
+    def gamma(self, t):
+        """Box strain at time ``t``, or at each of an array of times (0 when
+        the schedule has no strain load)."""
         if self.strain_times is None:
-            return 0.0
-        return float(np.interp(t, self.strain_times, self.strain_values))
+            return np.zeros(np.shape(t))
+        return np.interp(t, self.strain_times, self.strain_values)
 
     def gamma_rate(self, t: float) -> float:
         if self.strain_times is None:

@@ -101,7 +101,7 @@ def _event_candidates(spec, z, zdot, offset):
     """
     room_up, room_down, on_upper, on_lower, _ = _bound_status(spec, z, offset)
     speeds = spec.lift(zdot)
-    thresh = 1e-13 * (1.0 + np.abs(speeds).max(initial=0.0))
+    thresh = 1e-13 * np.abs(speeds).max(initial=0.0)
 
     taus = np.full(speeds.shape[0], np.inf)
     up = (speeds > thresh) & ~on_upper
@@ -116,25 +116,17 @@ def _event_candidates(spec, z, zdot, offset):
     return float(tau), [(int(j), "upper" if up[j] else "lower") for j in tied]
 
 
-def next_event_time(
-    spec: MovingSetSpec,
-    z: np.ndarray,
-    zdot: np.ndarray,
-    offset: np.ndarray | None = None,
-) -> float | None:
-    """Time until a currently inactive bound becomes active along ``zdot``."""
-    return _event_candidates(spec, np.asarray(z, float), np.asarray(zdot, float), offset)[0]
-
-
 def _weighted_norm(weight, v) -> float:
     wv = weight * v if weight.ndim == 1 else weight @ v
     return float(np.sqrt(max(np.dot(v, wv), 0.0)))
 
 
-def _departures(spec, candidates, zdot):
-    """Active bounds the new velocity immediately moves away from."""
+def _departures(spec, candidates, zdot, drive_speed):
+    """Active bounds the new velocity immediately moves away from, faster
+    than 1e-9 of ``drive_speed``, the largest elongation rate of the drive
+    (the velocity itself is 0 up to rounding once the stresses stabilize)."""
     speeds = spec.lift(zdot)
-    scale = 1e-9 * (1.0 + np.abs(speeds).max(initial=0.0))
+    scale = 1e-9 * drive_speed
     return {(j, side) for j, side in candidates
             if (speeds[j] < -scale if side == "upper" else speeds[j] > scale)}
 
@@ -154,7 +146,7 @@ def leapfrog(
     """
     if horizon is None:
         horizon = loads.horizon
-    if horizon > loads.horizon + 1e-12:
+    if horizon > loads.horizon * (1.0 + 1e-12):
         raise UnsupportedLoadError("horizon extends beyond the load schedule")
     if not loads.force_is_constant():
         raise UnsupportedLoadError(
@@ -183,6 +175,7 @@ def leapfrog(
         offset0 = spec.offset(loads, t_start)
         drive = spec.reduce(spec.offset_rate(loads, t_start))
         drive_norm = _weighted_norm(spec.weight, drive)
+        drive_speed = float(np.abs(spec.lift(drive)).max(initial=0.0))
         z = y
         t = t_start
         zdot = event_velocity(spec, z, drive, offset0, warm=warm)
@@ -191,7 +184,7 @@ def leapfrog(
                 break  # the stresses have stabilized for this segment
             tau, hits = _event_candidates(spec, z, zdot, offset0)
             t_next = t + tau if tau is not None else np.inf
-            if tau is None or t_next > t_end - 1e-15 * max(1.0, t_end):
+            if tau is None or t_next > t_end - 1e-15 * horizon:
                 z = z + zdot * (t_end - t)
                 t = t_end
                 break
@@ -200,7 +193,7 @@ def leapfrog(
             arrivals = frozenset(hits)
             candidates = set(held) | set(arrivals)
             post_velocity = event_velocity(spec, z, drive, offset0, warm=warm)
-            gone = _departures(spec, candidates, post_velocity)
+            gone = _departures(spec, candidates, post_velocity, drive_speed)
             held = candidates - gone
             sigma = sigma_of(z, offset0)
             events.append(
@@ -233,7 +226,7 @@ def leapfrog(
     # segment ends.
     deduped = [states[0]]
     for s in states[1:]:
-        if s.time > deduped[-1].time + 1e-15 * max(1.0, s.time):
+        if s.time > deduped[-1].time + 1e-15 * horizon:
             deduped.append(s)
         else:
             deduped[-1] = s

@@ -205,10 +205,15 @@ class Whitening:
         return self.Z @ w
 
     def rows(self, A: np.ndarray | None) -> np.ndarray:
-        """Whitened rows ``(A Z)^T`` as columns, a new array; ``A`` None is
-        the identity."""
+        """Whitened rows ``(A Z)^T`` as columns: for ``A`` None, the
+        identity, a read-only view of ``Z^T`` (in the full space, of
+        assembly's ``V``, which a copy would double), else a new array."""
         _check_finite(A)
-        return self.Z.T.copy() if A is None else self.forward(A.T)
+        if A is not None:
+            return self.forward(A.T)
+        rows = self.Z.T
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)
@@ -414,12 +419,27 @@ def project(
     slack = poly.slack(y)
     violation = poly.violation(y, slack)
     bound = np.concatenate([poly.b, poly.lower])
-    on = (slack <= act_tol * (1.0 + np.abs(bound))) & np.isfinite(bound)
-    act_idx = tuple(int(j) for j in np.flatnonzero(on))
+    act_idx = tuple(int(j) for j in np.flatnonzero(_on_bounds(slack, bound, tol)))
     if warm is not None:
         warm.active, warm.checked = act_idx, _Checked.of(poly, y, slack, violation)
     kkt = max(kkt_stat, violation)
     return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
+
+
+def _on_bounds(slack: np.ndarray, bound: np.ndarray, tol: float) -> np.ndarray:
+    """Which finite bounds a point sits on: those whose slack is at most
+    ``max(tol, 1e-12) (1 + |bound|)``, the activity test of
+    :func:`project`'s result.  ``slack`` may hold one column per point,
+    with ``bound`` as a column."""
+    act_tol = max(tol, 1e-12)
+    return (slack <= act_tol * (1.0 + np.abs(bound))) & np.isfinite(bound)
+
+
+def _negative_multipliers(lam: np.ndarray, tol: float) -> np.ndarray:
+    """The multipliers the kernel drops from its working set: those below
+    ``-max(tol, 1e-9) (1 + max |lam|)``, per column when ``lam`` has
+    several."""
+    return lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(axis=0, initial=0.0))
 
 
 def _checked_start(poly: PolyhedralSet, start, warm: WarmStart | None, tol: float):
@@ -486,7 +506,7 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
         known = None
         if np.max(np.abs(r), initial=0.0) <= tol * scale:
             # At the working-set optimum: check multipliers of active rows.
-            neg = lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(initial=0.0))
+            neg = _negative_multipliers(lam, tol)
             if not np.any(neg):
                 return y0 + white.back(d), idx, lam, float(np.linalg.norm(r))
             active[idx[np.flatnonzero(neg)[np.argmin(lam[neg])]]] = False

@@ -84,22 +84,24 @@ class MovingSetSpec:
             out = out - self.system.F @ f
         return out
 
-    def _in_plane(self, loads: LoadSchedule, t: float) -> np.ndarray:
+    def _in_plane(self, loads: LoadSchedule, t) -> np.ndarray:
         """``G (r(t) - r(0)) + strain_direction gamma(t)``: the part of the
-        offset that lies in the self-stress plane."""
-        out = self.system.G @ (loads.r(t) - loads.displacement_offset)
+        offset that lies in the self-stress plane; at an array of times, one
+        column each."""
+        out = self.system.G @ (loads.r(t) - loads.displacement_offset).T
         if loads.strain_times is not None:
             if self.strain_direction is None:
                 raise InvalidInputError(
                     "moving set was built without a strain direction but the "
                     "schedule carries a strain load; rebuild with these loads"
                 )
-            out = out + self.strain_direction * loads.gamma(t)
+            out = out + np.multiply.outer(self.strain_direction, loads.gamma(t))
         return out
 
-    def frame(self, loads: LoadSchedule, t: float) -> np.ndarray:
+    def frame(self, loads: LoadSchedule, t) -> np.ndarray:
         """The in-plane translation ``c(t)`` in the coordinates of the
-        sweeping variable.
+        sweeping variable; at an array of times, one column each, from one
+        product per map.
 
         The offset splits into ``c(t)`` and the force shift ``-F f(t)``,
         which is K-orthogonal to the plane.  In the frame ``u = y - c(t)``
@@ -134,11 +136,13 @@ class MovingSetSpec:
         return out
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates in the basis ``W`` of a spring-space vector."""
+        """Coordinates in the basis ``W`` of a spring-space vector, or of
+        each column of a matrix."""
         return v if self.W is None else self.system.P_V @ v
 
     def lift(self, y: np.ndarray) -> np.ndarray:
-        """Spring-space vector of the coordinates ``y``; compared to the box."""
+        """Spring-space vector of the coordinates ``y``, or of each column
+        of a matrix; compared to the box."""
         return y if self.W is None else self.W @ y
 
     @functools.cached_property
@@ -191,12 +195,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
-
-
-def moving_set_at(spec: MovingSetSpec, t: float, loads: LoadSchedule) -> PolyhedralSet:
-    """The constraint polyhedron at time ``t``."""
-    offset = spec.offset(loads, t)
-    return static_set(spec, offset)
 
 
 def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
@@ -271,21 +269,6 @@ def initial_state(
     epsilon = sigma0 / sys.stiffness
     y = spec.reduce(epsilon + spec.offset(loads, 0.0))
     return SweepingState(time=0.0, y=y, sigma=sigma0, epsilon=epsilon)
-
-
-def recover_stress(
-    system: AssembledSystem,
-    y: np.ndarray,
-    t: float,
-    loads: LoadSchedule,
-    space: Space,
-    spec: MovingSetSpec | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elastic elongations and stresses from the sweeping variable."""
-    if spec is None:
-        spec = build_moving_set(system, space, loads)
-    epsilon = spec.lift(y) - spec.offset(loads, t)
-    return epsilon, system.stiffness * epsilon
 
 
 def safe_load_check(system: AssembledSystem, f: np.ndarray | None) -> bool:

@@ -8,6 +8,10 @@ import numpy as np
 
 from .sweeping import Space, SweepingState
 
+#: Most states computed or read at once on stacked rows: bounds the
+#: temporaries of catch-up's blocks and of the stress-strain curve.
+STACKED_ROWS = 32
+
 
 @dataclass(frozen=True)
 class EventRecord:

@@ -6,8 +6,12 @@ import numpy as np
 import scipy.linalg
 import scipy.spatial
 
-from latsweep.lattice import LatticeDefinition
-from latsweep.projection import PolyhedralSet
+from latsweep.catchup import TimePartition
+from latsweep.errors import InvalidInputError
+from latsweep.lattice import LatticeDefinition, LoadSchedule
+from latsweep.leapfrog import _event_candidates
+from latsweep.projection import PolyhedralSet, WarmStart, project
+from latsweep.sweeping import MovingSetSpec, Space, build_moving_set, static_set
 
 
 def projection_oracle(S, x, poly, feas_tol=1e-9, candidates=None):
@@ -283,3 +287,46 @@ def random_small_lattice(rng, max_tries=50):
         if report.kinematically_determinate and report.constrained_self_stress_states > 0:
             return definition
     raise RuntimeError("could not build a valid random lattice")
+
+
+def moving_set_at(spec: MovingSetSpec, t: float, loads: LoadSchedule) -> PolyhedralSet:
+    """The constraint polyhedron at time ``t``: the static set at the whole
+    box translation, frame and force shift together."""
+    return static_set(spec, spec.offset(loads, t))
+
+
+def abstract_catchup(S, set_provider, x0, partition: TimePartition, tol: float = 1e-10) -> np.ndarray:
+    """The bare catch-up recursion for an arbitrary moving polyhedron.
+
+    ``set_provider`` maps a time to a :class:`PolyhedralSet`.  Every step is
+    one kernel projection of the previous iterate onto the set at the next
+    time, with no frame and no blocks: the oracle of the block catch-up.
+    Returns the iterates stacked as rows, starting with ``x0``.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    first = set_provider(float(partition.points[0]))
+    if not first.contains(x0, tol=max(tol, 1e-9)):
+        raise InvalidInputError("initial point is outside the set at t = 0")
+    points = [x0]
+    x = x0
+    warm = WarmStart()
+    for t in partition.points[1:]:
+        poly = set_provider(float(t))
+        if not isinstance(poly, PolyhedralSet):
+            raise InvalidInputError("set provider must return PolyhedralSet values")
+        x = project(S, x, poly, tol=tol, warm=warm).point
+        points.append(x)
+    return np.vstack(points)
+
+
+def recover_stress(system, y, t: float, loads: LoadSchedule, space: Space, spec: MovingSetSpec | None = None):
+    """Elastic elongations and stresses from the sweeping variable."""
+    if spec is None:
+        spec = build_moving_set(system, space, loads)
+    epsilon = spec.lift(y) - spec.offset(loads, t)
+    return epsilon, system.stiffness * epsilon
+
+
+def next_event_time(spec: MovingSetSpec, z, zdot, offset=None) -> float | None:
+    """Time until a currently inactive bound becomes active along ``zdot``."""
+    return _event_candidates(spec, np.asarray(z, float), np.asarray(zdot, float), offset)[0]

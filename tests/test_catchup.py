@@ -6,15 +6,15 @@ from scipy.optimize import linprog
 
 from latsweep import projection
 from latsweep.assembly import assemble
-from latsweep.catchup import TimePartition, abstract_catchup, catchup
+from latsweep.catchup import TimePartition, bound_activity, catchup
 from latsweep.errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from latsweep.generators import build_tri_grid_with_hole
 from latsweep.lattice import LoadSchedule
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import PolyhedralSet, find_feasible_point, project
-from latsweep.sweeping import Space, build_moving_set, initial_state, moving_set_at, static_set
+from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
 
-from helpers import relabel_springs
+from helpers import abstract_catchup, moving_set_at, relabel_springs
 
 # the module, not the function the package exports under the same name
 catchup_module = importlib.import_module("latsweep.catchup")
@@ -87,8 +87,6 @@ def test_states_satisfy_invariants(example1):
     state0 = initial_state(system, np.zeros(10), loads, Space.FULL, spec)
     traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 100))
     eq = system.equality_rows()
-    from latsweep.sweeping import moving_set_at
-
     for state in traj.states:
         assert np.allclose(state.sigma, system.stiffness * state.epsilon, atol=1e-12)
         assert np.all(state.sigma <= definition.upper_limits + 1e-8)
@@ -172,17 +170,47 @@ def _stresses(traj):
     return np.array([state.sigma for state in traj.states])
 
 
+def rate_segments(loads, times, factors, horizon):
+    """The loads' rate times ``factors`` on segments starting at ``times``."""
+    return LoadSchedule(
+        displacement_offset=loads.displacement_offset,
+        rate_times=np.asarray(times, dtype=float),
+        rate_values=np.outer(factors, loads.rate_values[0]),
+        horizon=horizon,
+    )
+
+
+def nonuniform_partition(horizon, steps, seed):
+    inner = np.sort(np.random.default_rng(seed).uniform(0.0, horizon, steps - 1))
+    return TimePartition(np.concatenate([[0.0], inner, [horizon]]))
+
+
 @pytest.mark.parametrize("space", [Space.FULL, Space.REDUCED])
-@pytest.mark.parametrize("case", ["example1", "periodic-strain", "example1-force-ramp"])
-def test_catchup_matches_abstract_recursion(example1, periodic_patch, case, space):
-    # The moving-frame catch-up against the bare recursion on the moving
-    # set itself, which builds every set, starts every step from phase 1
-    # and reads no frame: a displacement drive, a box-strain drive and a
-    # force ramp that changes the set's shape.
-    definition, loads, system = periodic_patch if case == "periodic-strain" else example1
+@pytest.mark.parametrize("case", [
+    "example1", "periodic-strain", "example1-force-ramp", "grid",
+    "example1-unload", "example1-rate-breakpoint", "example1-nonuniform",
+])
+def test_catchup_matches_abstract_recursion(example1, periodic_patch, grid_with_hole, case, space):
+    # The block catch-up against the bare recursion on the moving set
+    # itself, which builds every set, starts every step from phase 1, reads
+    # no frame and takes one projection per step: a displacement drive, a
+    # box-strain drive, a force ramp that changes the set's shape, the grid,
+    # a stretch then an unloading (the rate reverses on a partition point,
+    # so a block ends on a negative multiplier and the bounds release), a
+    # rate change between two partition points, and a non-uniform partition.
+    fixture = {"periodic-strain": periodic_patch, "grid": grid_with_hole}.get(case, example1)
+    definition, loads, system = fixture
+    part = TimePartition.uniform(loads.horizon, 20 if case == "grid" else 40)
     if case == "example1-force-ramp":
         loads = varying_force_loads(loads, definition)
-    part = TimePartition.uniform(loads.horizon, 40)
+    elif case == "example1-unload":
+        loads = rate_segments(loads, [0.0, 0.07], [1.0, -1.0], 0.14)
+        part = TimePartition.uniform(loads.horizon, 40)
+    elif case == "example1-rate-breakpoint":
+        loads = rate_segments(loads, [0.0, 0.0473], [1.0, 0.5], loads.horizon)
+        assert not np.any(part.points == 0.0473)
+    elif case == "example1-nonuniform":
+        part = nonuniform_partition(loads.horizon, 40, seed=5)
     spec = build_moving_set(system, space, loads)
     state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
     traj = catchup(system, spec, state0, loads, part)
@@ -191,6 +219,40 @@ def test_catchup_matches_abstract_recursion(example1, periodic_patch, case, spac
     assert len(traj.events) >= 2
     for state, y in zip(traj.states, oracle):
         assert np.all(np.abs(spec.lift(state.y - y)) <= 1e-12 * width)
+    if case == "example1-unload":
+        on_bounds = [bound_activity(state.sigma, system.lower_limits, system.upper_limits).sum()
+                     for state in traj.states]
+        assert max(on_bounds) == 4 and on_bounds[-1] == 0
+
+
+def test_catchup_projects_once_per_working_set_change(example1, grid_with_hole, monkeypatch):
+    # Between working-set changes the steps follow one face without a
+    # projection: a 200-step grid solve projects a handful of times.  Under
+    # a force ramp the set changes every step, and so does the face.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(catchup_module, "project", counted)
+    for (definition, loads, system), ramp, steps in (
+        (grid_with_hole, False, 200),
+        (example1, True, 20),
+    ):
+        if ramp:
+            loads = varying_force_loads(loads, definition)
+        for space in Space:
+            spec = build_moving_set(system, space, loads)
+            state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+            calls.clear()
+            traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, steps))
+            assert len(traj.states) == steps + 1
+            if ramp:
+                assert len(calls) == steps
+            else:
+                assert 1 <= len(calls) <= 8
+                assert len(traj.events) >= 3
 
 
 def test_one_static_set_per_force_level(example1, grid_with_hole, monkeypatch):

@@ -5,8 +5,9 @@ Each transform gives the same lattice in other coordinates: the same
 springs arrive at the same sides at the same times, and the stresses are
 the same, for both solvers and both spaces.  Spring relabelling is covered
 in ``test_leapfrog.py``.  Splitting a constant-rate segment in two leaves
-the leapfrog events as they are, and so does a change of the units of
-stress by 1e3; a change by 1e-6 does not yet (ROADMAP item 1).
+the leapfrog events as they are, and so do a change of the units of time
+and a change of the units of stress by 1e3; a change by 1e-6 does not yet
+(ROADMAP item 1).
 """
 
 import dataclasses
@@ -59,6 +60,15 @@ def split_rate_segment(loads, t):
         rate_times=np.insert(loads.rate_times, i, t),
         rate_values=np.insert(loads.rate_values, i, loads.rate_values[i - 1], axis=0),
     )
+
+
+def scale_time_axis(loads, horizon):
+    """The same loads on a time axis stretched to ``horizon``: every
+    breakpoint scaled with it and the displacement rate divided by it."""
+    stretch = horizon / loads.horizon
+    scaled = {name: getattr(loads, name) * stretch for name in ("rate_times", "force_times", "strain_times")
+              if getattr(loads, name) is not None}
+    return dataclasses.replace(loads, horizon=horizon, rate_values=loads.rate_values / stretch, **scaled)
 
 
 def scale_stress_units(definition, loads, factor):
@@ -137,6 +147,24 @@ def test_leapfrog_events_do_not_see_a_split_rate_segment(build, fraction):
         assert reference
         for event, expected in zip(events, reference):
             assert abs(event.time - expected.time) <= 1e-10 * expected.time
+
+
+@pytest.mark.parametrize("space", [Space.FULL, Space.REDUCED], ids=["full", "reduced"])
+@pytest.mark.parametrize("horizon", [1e-15, 1e-13, 1e3, 1e12])
+@pytest.mark.parametrize("build", [build_example1, build_tri_grid_with_hole], ids=["example1", "grid"])
+def test_leapfrog_events_do_not_depend_on_the_time_axis(build, horizon, space):
+    # The same loads run in other units of time: leapfrog's time and speed
+    # slacks are relative to the run, so the events only scale their times.
+    definition, loads = build()
+    reference = solve(definition, loads, "leapfrog", space).events
+    events = solve(definition, scale_time_axis(loads, horizon), "leapfrog", space).events
+    assert len(reference) >= 2
+    assert [(e.newly_active, e.newly_released) for e in events] == [
+        (e.newly_active, e.newly_released) for e in reference
+    ]
+    for event, expected in zip(events, reference):
+        scaled = expected.time * horizon / loads.horizon
+        assert abs(event.time - scaled) <= 1e-9 * scaled
 
 
 #: example1's events under its own loads: the arrivals and their times.

@@ -1,11 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import latsweep
 from latsweep import cli
+from latsweep.analysis import read_curve_csv
 from latsweep.assembly import assemble
 from latsweep.catchup import MAX_STEPS, TimePartition
 from latsweep.cli import main
@@ -419,6 +425,32 @@ def test_cli_deterministic_output(tmp_path):
     main(["solve", str(net), "--solver", "catchup", "--mesh", "1e-3", "--out", str(b)])
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.events.csv").read_bytes() == (tmp_path / "b.events.csv").read_bytes()
+
+
+def test_cli_grid_catchup_does_not_depend_on_blas_threads(tmp_path):
+    # Catch-up's blocks stack many steps into matrix products, which BLAS
+    # may split over its threads: a solve with one BLAS thread, in its own
+    # process, must find the same events and the same curve to rounding.
+    net = tmp_path / "grid.json"
+    main(["generate", "grid", "--out", str(net)])
+    argv = ["solve", str(net), "--solver", "catchup", "--mesh", "1e-4"]
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    src = Path(latsweep.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys; from latsweep.cli import main; sys.exit(main(sys.argv[1:]))"
+    single = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "single")],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert single.returncode == 0, single.stderr
+    events = (tmp_path / "default.events.csv").read_text()
+    assert events == (tmp_path / "single.events.csv").read_text()
+    assert len(events.splitlines()) > 1
+    default = read_curve_csv(tmp_path / "default.csv")
+    one = read_curve_csv(tmp_path / "single.csv")
+    stress_scale = max(np.abs(default[key]).max() for key in ("sigma11", "sigma22", "sigma12"))
+    for key, column in default.items():
+        scale = stress_scale if key.startswith("sigma") else np.abs(column).max()
+        assert np.abs(one[key] - column).max() <= 1e-12 * scale
 
 
 def test_cli_solve_with_initial_stress(tmp_path):

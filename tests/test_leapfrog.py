@@ -12,14 +12,14 @@ from latsweep.generators import (
     example1_prestressed_stress,
 )
 from latsweep.lattice import LatticeDefinition, LoadSchedule
-from latsweep.leapfrog import event_velocity, leapfrog, next_event_time, tangent_cone
+from latsweep.leapfrog import event_velocity, leapfrog, tangent_cone
 from latsweep import projection
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import project, project_cone
 from latsweep.sweeping import Space, build_moving_set, initial_state
 from latsweep.assembly import assemble
 
-from helpers import relabel_springs
+from helpers import moving_set_at, next_event_time, relabel_springs
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +194,6 @@ def test_termination_velocity_in_normal_cone(example1):
     state0 = initial_state(system, np.zeros(10), loads, Space.REDUCED, spec)
     traj = leapfrog(system, spec, state0, loads)
     t_end = loads.horizon
-    from latsweep.sweeping import moving_set_at
-
     poly = moving_set_at(spec, t_end, loads)
     y_end = traj.final.y
     drive = system.P_V @ spec.offset_rate(loads, t_end)

@@ -9,10 +9,10 @@ from latsweep.sweeping import (
     Space,
     build_moving_set,
     initial_state,
-    moving_set_at,
-    recover_stress,
     safe_load_check,
 )
+
+from helpers import moving_set_at, recover_stress
 
 
 def test_initial_state_zero_stress(example1):
