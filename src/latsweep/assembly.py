@@ -6,16 +6,20 @@ orthogonal complement (self-stress directions after Hooke scaling), and
 the coupling matrices that turn external loads into translations of the
 moving set.
 
-The checks and bases come from two QR factorizations and one values-only
-SVD.  The singular values of the constraint matrix ``R`` give its rank; a
-complete QR of ``R^T`` gives its kernel ``N`` and pseudoinverse.  One
-complete Householder QR of ``K^(1/2) U``, for ``U = C N``, gives the rest:
+The checks and bases come from two raw Householder QR factorizations
+and one values-only SVD, and no square orthogonal factor is formed: the
+columns of ``Q`` that are read are built from the reflectors in compact-WY
+panels (:func:`~latsweep.linalg.householder_columns`).  The singular values
+of the constraint matrix ``R`` give its rank; a QR of ``R^T`` gives its
+kernel ``N`` and pseudoinverse.  One QR of ``K^(1/2) U``, for ``U = C N``,
+gives the rest:
 
 - its triangle ``T`` certifies the determinacy check, that ``U`` has full
-  column rank (see :func:`_elongation_rank`);
-- its trailing columns ``W`` span ``ker (K^(1/2) U)^T``, so ``V =
-  K^(-1/2) W`` is a K-orthonormal basis of the self-stress plane, ``V^T K
-  V = I``, at any stiffness contrast.
+  column rank (see :func:`_elongation_rank`), through a blocked inverse of
+  ``T``;
+- the trailing columns ``W`` of its orthogonal factor span ``ker (K^(1/2)
+  U)^T``, so ``V = K^(-1/2) W`` is a K-orthonormal basis of the
+  self-stress plane, ``V^T K V = I``, at any stiffness contrast.
 
 The K-orthogonal projector onto the plane is then ``V P_V`` with ``P_V =
 V^T K``, and the reduced space, coordinates in ``V``, is Euclidean: no Gram
@@ -34,7 +38,15 @@ import numpy as np
 
 from .errors import AssumptionError, DegenerateSpringError
 from .lattice import LatticeDefinition
-from .linalg import DEFAULT_RANK_TOL, fix_signs, nullspace_basis, numerical_rank, weighted_gram
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    fix_signs,
+    householder_columns,
+    nullspace_basis,
+    numerical_rank,
+    triangular_inverse,
+    weighted_gram,
+)
 
 
 @dataclass(frozen=True)
@@ -170,22 +182,24 @@ def constraint_factors(R: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | Non
     ``pinv R`` (``None`` when ``R`` lacks full row rank).
 
     The rank comes from the singular values of ``R``.  Under full row rank
-    a complete QR ``R^T = [Q_1 Q_2] [T; 0]`` gives the rest: ``N = Q_2``
-    and ``pinv R = R^T (R R^T)^-1 = Q_1 T^-T``.  A rank-deficient ``R``
-    fails assumption 1; only the diagnostics read its kernel, from an SVD.
+    a Householder QR ``R^T = [Q_1 Q_2] [T; 0]`` gives the rest: ``N = Q_2``
+    and ``pinv R = R^T (R R^T)^-1 = Q_1 T^-T``, each block of ``Q`` built
+    on its own from the reflectors.  A rank-deficient ``R`` fails
+    assumption 1; only the diagnostics read its kernel, from an SVD.
     """
-    q = R.shape[0]
+    q, nd = R.shape
     rank = numerical_rank(R)
     if rank < q:
         return rank, nullspace_basis(R), None
-    Q, T = np.linalg.qr(R.T, mode="complete")
-    pinv = Q[:, :q] @ np.linalg.inv(T[:q]).T
-    return rank, fix_signs(Q[:, q:]), pinv
+    h, tau = np.linalg.qr(R.T, mode="raw")
+    pinv = householder_columns(h, tau, 0, q) @ triangular_inverse(np.triu(h.T[:q])).T
+    return rank, fix_signs(householder_columns(h, tau, q, nd)), pinv
 
 
 def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
     """``rank U`` under :data:`DEFAULT_RANK_TOL`, given the triangle ``T``
-    of a Householder QR ``K^(1/2) U = Q_1 T``.
+    of a Householder QR ``K^(1/2) U = Q_1 T``, inverted by
+    :func:`~latsweep.linalg.triangular_inverse`.
 
     ``T^-1 Q_1^T K^(1/2)`` is a left inverse of ``U``, so ``cond_2 U <=
     ||U||_F ||T^-1||_F sqrt(k_max)``.  A bound of at most half the inverse
@@ -196,7 +210,7 @@ def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
     n = U.shape[1]
     with np.errstate(all="ignore"):
         try:
-            bound = np.linalg.norm(U) * np.linalg.norm(np.linalg.inv(T[:n])) * root_k_max
+            bound = np.linalg.norm(U) * np.linalg.norm(triangular_inverse(T[:n])) * root_k_max
         except np.linalg.LinAlgError:  # singular or short triangle
             bound = np.inf
     if bound <= 0.5 / DEFAULT_RANK_TOL:
@@ -264,11 +278,10 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     # One QR of K^(1/2) U, taken on U scaled in place to keep no copy.
     root_k = np.sqrt(k)[:, None]
     U *= root_k
-    Q, T = np.linalg.qr(U, mode="complete")
+    h, tau = np.linalg.qr(U, mode="raw")
     U /= root_k
     # [C; R] has a trivial kernel exactly when U = C ker(R) has full column rank
-    determinate = _elongation_rank(U, T, root_k.max()) == dim_u
-    del T
+    determinate = _elongation_rank(U, np.triu(h.T[:dim_u]), root_k.max()) == dim_u
     if not determinate:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "
@@ -283,8 +296,8 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     # i.e. N^T C^T s = U^T s = 0: their spring blocks s = K v span ker U^T.
     # The trailing columns W of Q are orthonormal and span ker (K^(1/2) U)^T
     # = K^(-1/2) ker U^T, so V = K^(-1/2) W is K-orthonormal.
-    V = fix_signs(Q[:, dim_u:]) / root_k
-    del Q
+    V = fix_signs(householder_columns(h, tau, dim_u, m)) / root_k
+    del h, tau
 
     P_V = V.T * k[None, :]
     G = V @ (P_V @ G_R)

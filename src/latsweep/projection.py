@@ -165,7 +165,8 @@ class Whitening:
 
     ``Z`` is an S-orthonormal basis, ``Z^T S Z = I``, of the kernel of the
     equality rows ``A_eq`` (of the whole space when there are none), so each
-    direction is one product with ``Z``.  ``S`` and ``A_eq`` are the arrays
+    direction is one product with ``Z``, and none when ``Z`` is the
+    identity, as in the reduced space.  ``S`` and ``A_eq`` are the arrays
     it was built and validated for; ``S_copy`` and ``A_eq_copy`` hold their
     values when they are writable.
     """
@@ -175,6 +176,11 @@ class Whitening:
     Z: np.ndarray
     S_copy: np.ndarray | None = field(default=None, repr=False)
     A_eq_copy: np.ndarray | None = field(default=None, repr=False)
+    identity: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.Z.shape[0]
+        object.__setattr__(self, "identity", self.Z.shape[1] == n and np.array_equal(self.Z, np.eye(n)))
 
     @classmethod
     def build(cls, S, A_eq, n: int, Z: np.ndarray | None = None) -> "Whitening":
@@ -197,21 +203,25 @@ class Whitening:
         return _unchanged(S, self.S, self.S_copy) and _unchanged(A_eq, self.A_eq, self.A_eq_copy)
 
     def forward(self, v: np.ndarray) -> np.ndarray:
-        """``Z^T v`` for a vector or for the columns of a matrix."""
-        return self.Z.T @ v
+        """``Z^T v`` for a vector or for the columns of a matrix (``v``
+        itself when ``Z`` is the identity)."""
+        return v if self.identity else self.Z.T @ v
 
     def back(self, w: np.ndarray) -> np.ndarray:
-        """``Z w``: a whitened step back as a step in ``y``."""
-        return self.Z @ w
+        """``Z w``: a whitened step back as a step in ``y`` (``w`` itself
+        when ``Z`` is the identity)."""
+        return w if self.identity else self.Z @ w
 
     def rows(self, A: np.ndarray | None) -> np.ndarray:
-        """Whitened rows ``(A Z)^T`` as columns: for ``A`` None, the
-        identity, a read-only view of ``Z^T`` (in the full space, of
-        assembly's ``V``, which a copy would double), else a new array."""
+        """Whitened rows ``(A Z)^T`` as columns.  Where no product is
+        needed, a read-only view, as a copy would double assembly's ``V``:
+        of ``A^T`` when ``Z`` is the identity (the reduced space, where
+        ``A`` is ``V``), of ``Z^T`` for ``A`` None, the identity (the full
+        space, where ``Z`` is ``V``).  Else a new array."""
         _check_finite(A)
-        if A is not None:
-            return self.forward(A.T)
-        rows = self.Z.T
+        if A is not None and not self.identity:
+            return self.Z.T @ A.T
+        rows = (self.Z if A is None else A).T
         rows.flags.writeable = False
         return rows
 

@@ -21,7 +21,7 @@ from latsweep.generators import (
 )
 from latsweep.lattice import LatticeDefinition
 from latsweep.leapfrog import leapfrog
-from latsweep.linalg import numerical_rank
+from latsweep.linalg import PANEL, numerical_rank
 from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_check
 
 from helpers import (
@@ -235,6 +235,29 @@ def test_assemble_takes_one_svd(monkeypatch, example1, grid_with_hole):
         calls.clear()
         assemble(definition)
         assert calls == [(definition.constraint_matrix.shape, False)]
+
+
+def test_assemble_forms_no_square_orthogonal_factor(monkeypatch, example1, grid_with_hole):
+    # both QRs keep their reflectors, and the triangles are inverted in
+    # blocks no wider than a panel
+    calls = []
+    qr, inv = np.linalg.qr, np.linalg.inv
+
+    def logged_qr(a, mode="reduced"):
+        calls.append(("qr", mode))
+        return qr(a, mode=mode)
+
+    def logged_inv(a):
+        calls.append(("inv", max(np.shape(a))))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "qr", logged_qr)
+    monkeypatch.setattr(np.linalg, "inv", logged_inv)
+    for definition, _, _ in (example1, grid_with_hole):
+        calls.clear()
+        assemble(definition)
+        assert [c for c in calls if c[0] == "qr"] == [("qr", "raw")] * 2
+        assert all(width <= PANEL for name, width in calls if name == "inv")
 
 
 def test_assemble_determinacy_verdict_matches_rigidity_report():

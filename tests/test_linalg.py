@@ -3,9 +3,13 @@ import pytest
 
 from latsweep.errors import InvalidInputError
 from latsweep.linalg import (
+    PANEL,
+    householder_columns,
+    inverse_cholesky_factor,
     nullspace_basis,
     numerical_rank,
     pseudoinverse,
+    triangular_inverse,
     weighted_gram,
 )
 
@@ -126,3 +130,75 @@ def test_weighted_gram_orthonormal_columns(example1):
 def test_weighted_gram_dimension_mismatch():
     with pytest.raises(InvalidInputError):
         weighted_gram(np.eye(3), np.ones(2))
+
+
+def _complete_and_raw(A):
+    """``Q`` of the complete QR of ``A`` and the blocks the reflectors give."""
+    m, n = A.shape
+    Q = np.linalg.qr(A, mode="complete")[0]
+    h, tau = np.linalg.qr(A, mode="raw")
+    return Q, householder_columns(h, tau, 0, n), householder_columns(h, tau, n, m), tau
+
+
+@pytest.mark.parametrize("n", [PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 2])
+def test_householder_columns_match_complete_qr_around_the_panel_width(n):
+    # one, one full, one and a bit, and two and a bit panels of reflectors
+    A = np.random.default_rng(n).standard_normal((n + 90, n))
+    Q, Q1, W, _ = _complete_and_raw(A)
+    assert Q1.shape == (n + 90, n) and W.shape == (n + 90, 90)
+    assert np.abs(Q1 - Q[:, :n]).max() <= 1e-14
+    assert np.abs(W - Q[:, n:]).max() <= 1e-14
+
+
+def test_householder_columns_drop_identity_reflectors():
+    # a column already zero below its diagonal gives tau = 0: a tall
+    # triangle gives nothing else, selection columns a mix
+    rng = np.random.default_rng(3)
+    triangle = np.vstack([np.triu(rng.standard_normal((70, 70))), np.zeros((30, 70))])
+    selection = np.eye(100)[:, [0, 1, 7, 3, 50, 4, 99, 5] + list(range(10, 80))]
+    for A in (triangle, selection):
+        Q, Q1, W, tau = _complete_and_raw(A)
+        assert np.any(tau == 0.0)
+        assert np.abs(Q1 - Q[:, :A.shape[1]]).max() <= 1e-14
+        assert np.abs(W - Q[:, A.shape[1]:]).max() <= 1e-14
+    _, Q1, W, tau = _complete_and_raw(triangle)
+    assert not np.any(tau) and np.array_equal(np.hstack([Q1, W]), np.eye(100))
+
+
+def test_householder_columns_of_square_and_empty_matrices():
+    rng = np.random.default_rng(5)
+    Q, Q1, W, _ = _complete_and_raw(rng.standard_normal((70, 70)))
+    assert W.shape == (70, 0)
+    assert np.abs(Q1 - Q).max() <= 1e-14
+    _, Q1, W, _ = _complete_and_raw(np.zeros((6, 0)))
+    assert Q1.shape == (6, 0) and np.array_equal(W, np.eye(6))
+
+
+@pytest.mark.parametrize("n", [0, 1, PANEL, PANEL + 1, 340])
+def test_triangular_inverse_matches_inverse(n):
+    # the triangle of a random tall matrix's QR, well conditioned
+    T = np.linalg.qr(np.random.default_rng(n).standard_normal((2 * n + 1, n)), mode="r")
+    inverse = triangular_inverse(T)
+    assert inverse.shape == (n, n)
+    if n:
+        reference = np.linalg.inv(T)
+        assert np.abs(inverse - reference).max() <= 1e-13 * np.abs(reference).max()
+        assert not np.tril(inverse, -1).any()
+
+
+def test_triangular_inverse_raises_on_a_zero_diagonal():
+    T = np.triu(np.random.default_rng(9).standard_normal((130, 130))) + 5.0 * np.eye(130)
+    T[100, 100] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        triangular_inverse(T)
+    with pytest.raises(np.linalg.LinAlgError):
+        triangular_inverse(T[:, :129])
+
+
+def test_inverse_cholesky_factor_whitens():
+    rng = np.random.default_rng(13)
+    B = rng.standard_normal((150, 100))
+    S = B.T @ B
+    Z = inverse_cholesky_factor(S)
+    assert not np.tril(Z, -1).any()
+    assert np.abs(Z.T @ S @ Z - np.eye(100)).max() <= 1e-12

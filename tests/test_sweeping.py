@@ -153,3 +153,18 @@ def test_full_and_reduced_space_share_the_whitening_factor(grid_with_hole, monke
     assert not reduced_spec.weight.flags.writeable
     for white, spec in ((full, full_spec), (reduced, reduced_spec)):
         assert np.array_equal(white.rows(spec.W), system.V_basis.T)
+
+
+def test_reduced_space_whitening_multiplies_by_nothing(grid_with_hole):
+    # its Z is the identity: forward and back hand their argument back, and
+    # the whitened rows are a read-only view of V^T, as in the full space
+    _, loads, system = grid_with_hole
+    full = build_moving_set(system, Space.FULL, loads)
+    reduced = build_moving_set(system, Space.REDUCED, loads)
+    white = reduced.whitening
+    assert white.identity and not full.whitening.identity
+    v = np.ones((system.dims.dim_v, 3))
+    assert white.forward(v) is v and white.back(v) is v
+    for spec in (full, reduced):
+        rows = spec.whitening.rows(spec.W)
+        assert np.shares_memory(rows, system.V_basis) and not rows.flags.writeable
