@@ -37,15 +37,7 @@ import numpy as np
 
 from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from .lattice import LoadSchedule
-from .projection import (
-    Whitening,
-    _columns,
-    _negative_multipliers,
-    _on_bounds,
-    _weight_apply,
-    _whitened_rows,
-    project,
-)
+from .projection import _columns, _negative_multipliers, _on_bounds, _whitened_rows, project
 from .sweeping import MovingSetSpec, SweepingState, static_set
 from .trajectory import STACKED_ROWS, EventRecord, Trajectory
 
@@ -140,23 +132,24 @@ class _Face:
     C: np.ndarray
 
 
-def _follow(white: Whitening, poly, face: _Face, u: np.ndarray, g: np.ndarray, tol: float) -> np.ndarray:
+def _follow(poly, face: _Face, u: np.ndarray, g: np.ndarray, tol: float) -> np.ndarray:
     """The steps from ``u`` that end on ``face``, as points in columns.
 
-    ``g`` holds each step's whitened drive ``Z^T S (c_n - c_{n+1})``, one
-    column each.  A step from a point of the face onto the face is ``d = g
-    - C lam`` with ``lam = lstsq(C, g)``: all steps come from one
-    least-squares solve and one cumulative sum.  They are accepted up to
-    the first whose point fails the certificate: a bound off the face with
-    slack within the activity tolerance, a bound of the face with slack
-    beyond it, or a negative multiplier.
+    ``g`` holds each step's drive ``c_n - c_{n+1}``, one column each, in
+    the coordinates of ``u``, which are the kernel's whitened ones.  A step
+    from a point of the face onto the face is ``d = g - C lam`` with ``lam
+    = lstsq(C, g)``: all steps come from one least-squares solve and one
+    cumulative sum.  They are accepted up to the first whose point fails
+    the certificate: a bound off the face with slack within the activity
+    tolerance, a bound of the face with slack beyond it, or a negative
+    multiplier.
     """
     ok = np.ones(g.shape[1], dtype=bool)
     if face.C.shape[1]:
         lam = np.linalg.lstsq(face.C, g, rcond=None)[0]
         g = g - face.C @ lam
         ok = ~np.any(_negative_multipliers(lam, tol), axis=0)
-    points = white.back(np.cumsum(g, axis=1))
+    points = np.cumsum(g, axis=1)
     points += u[:, None]
     values = poly.apply(points)
     m = values.shape[0]
@@ -197,6 +190,9 @@ def catchup(
     with a translation, so the step from ``y_n`` onto the set at
     ``t_{n+1}`` projects ``u_n - (c_{n+1} - c_n)`` onto the set of ``u =
     y - c``, which is ``static_set(spec, -F f)``: one set per force level.
+    The solve runs in the coordinates ``y`` in ``V``, where the kernel's
+    whitening is the identity, from those of ``state0``'s elongations;
+    states leave it through ``spec.view``.
     While the force stays, each step starts from ``u_n``, a point of that
     same set, and a block of steps on one face takes one projection (see
     the module docstring).  When the force changes, the start comes from
@@ -213,7 +209,7 @@ def catchup(
     times = partition.points
     lower, upper = system.lower_limits, system.upper_limits
     warm = spec.warm_start()
-    u = np.asarray(state0.y, dtype=float) - spec.frame(loads, 0.0)
+    u = spec.coordinates(state0.epsilon, loads, 0.0) - spec.frame(loads, 0.0)
     f = loads.f(0.0)
     shift = spec.force_shift(f)
     poly = static_set(spec, shift)
@@ -222,7 +218,7 @@ def catchup(
     activity = bound_activity(state0.sigma, lower, upper)
     for i, j, f_next in _runs(loads, times):
         frames = spec.frame(loads, times[i - 1 : j])
-        drives = warm.white.forward(_weight_apply(warm.white.S, -np.diff(frames, axis=1)))
+        drives = -np.diff(frames, axis=1)
         if not _same_force(f, f_next):
             f, shift, face, phase_one = f_next, spec.force_shift(f_next), None, True
             poly = static_set(spec, shift)
@@ -230,7 +226,7 @@ def catchup(
         s = 0
         while s < j - i:
             if face is not None:
-                points = _follow(warm.white, poly, face, u, drives[:, s:], tol)
+                points = _follow(poly, face, u, drives[:, s:], tol)
                 if points.shape[1]:
                     path[s : s + points.shape[1]] = points.T
                     s += points.shape[1]
@@ -241,7 +237,7 @@ def catchup(
             try:
                 start = spec.feasible_point(shift) if phase_one else u
                 target = u - (frames[:, s + 1] - frames[:, s])
-                result = project(spec.weight, target, poly, tol=tol, start=start, warm=warm)
+                result = project(spec.whitening.S, target, poly, tol=tol, start=start, warm=warm)
             except InfeasibleSetError as exc:
                 raise SafeLoadError(f"safe load condition violated at t = {t}", time=t) from exc
             u, phase_one = result.point, False
@@ -254,8 +250,9 @@ def catchup(
         np.subtract(spec.lift(path.T).T, shift, out=epsilon)
         sigma = system.stiffness * epsilon
         path += frames[:, 1:].T  # now y = u + c
+        ys = spec.view(path.T).T
         for row, t in enumerate(times[i:j]):
-            states.append(SweepingState(time=float(t), y=path[row], sigma=sigma[row], epsilon=epsilon[row]))
+            states.append(SweepingState(time=float(t), y=ys[row], sigma=sigma[row], epsilon=epsilon[row]))
         found, activity = detect_events(times[i:j], sigma, lower, upper, activity, len(events))
         events += found
 

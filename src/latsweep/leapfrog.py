@@ -54,24 +54,19 @@ def tangent_cone(
     """Tangent cone of the frozen constraint set at ``z``: the set itself,
     with the bounds active at ``z`` moved to 0 and the others opened.
 
-    The cone is ``{v : W v <= 0 on the springs on their upper bound, W v >=
-    0 on those on their lower bound, equality_rows v = 0}``, the spec's own
-    map and equality rows with bounds of 0 or infinity, so no rows are
-    built per event and the projection reads the whitened map it already
-    holds.
+    The cone is ``{v : V v <= 0 on the springs on their upper bound, V v >=
+    0 on those on their lower bound}``, the spec's own map with bounds of 0
+    or infinity, so no rows are built per event and the projection reads
+    the whitened map it already holds.
     """
     z = np.asarray(z, dtype=float)
     _, _, on_upper, on_lower, outside = _bound_status(spec, z, offset)
     if np.any(outside):
         raise InvalidStateError("point violates the static set beyond tolerance")
-    eq = spec.equality_rows
-    if eq is not None and np.max(np.abs(eq @ z), initial=0.0) > 1e-7 * (1 + np.abs(z).max()):
-        raise InvalidStateError("point has drifted off the self-stress plane")
     return PolyhedralSet(
-        A=spec.W,
+        A=spec.system.V_basis,
         b=np.where(on_upper, 0.0, np.inf),
         lower=np.where(on_lower, 0.0, -np.inf),
-        A_eq=eq,
     )
 
 
@@ -84,13 +79,13 @@ def event_velocity(
 ) -> np.ndarray:
     """Velocity of the solution relative to the translating set.
 
-    ``drive`` is the set's translation velocity in the coordinates of
-    ``z``; the result is the weighted projection of ``-drive`` onto the
-    tangent cone at ``z``, in the spec's whitening unless ``warm`` is given.
+    ``z`` and ``drive``, the set's translation velocity, are coordinates in
+    ``V``; the result is the projection of ``-drive`` onto the tangent cone
+    at ``z``, in the spec's whitening unless ``warm`` is given.
     """
     cone = tangent_cone(spec, z, offset)
     warm = spec.warm_start() if warm is None else warm
-    return project_cone(spec.weight, -np.asarray(drive, dtype=float), cone, warm=warm).point
+    return project_cone(spec.whitening.S, -np.asarray(drive, dtype=float), cone, warm=warm).point
 
 
 def _event_candidates(spec, z, zdot, offset):
@@ -116,11 +111,6 @@ def _event_candidates(spec, z, zdot, offset):
     return float(tau), [(int(j), "upper" if up[j] else "lower") for j in tied]
 
 
-def _weighted_norm(weight, v) -> float:
-    wv = weight * v if weight.ndim == 1 else weight @ v
-    return float(np.sqrt(max(np.dot(v, wv), 0.0)))
-
-
 def _departures(spec, candidates, zdot, drive_speed):
     """Active bounds the new velocity immediately moves away from, faster
     than 1e-9 of ``drive_speed``, the largest elongation rate of the drive
@@ -142,7 +132,9 @@ def leapfrog(
 
     Requires a constant force load; displacement and strain rates may be
     piecewise constant (each segment satisfies the constant-rate
-    precondition on its own).
+    precondition on its own).  The solve starts from the coordinates of
+    ``state0``'s elongations and runs in ``V``; states and event velocities
+    leave it through ``spec.view``.
     """
     if horizon is None:
         horizon = loads.horizon
@@ -163,7 +155,7 @@ def leapfrog(
     states = [state0]
     events: list[EventRecord] = []
     warm = spec.warm_start()
-    y = np.asarray(state0.y, dtype=float)
+    y = spec.coordinates(state0.epsilon, loads, 0.0)
 
     def sigma_of(z, offset0):
         return k * (spec.lift(z) - offset0)
@@ -174,13 +166,13 @@ def leapfrog(
     for t_start, t_end in segments:
         offset0 = spec.offset(loads, t_start)
         drive = spec.reduce(spec.offset_rate(loads, t_start))
-        drive_norm = _weighted_norm(spec.weight, drive)
+        drive_norm = float(np.sqrt(drive @ drive))
         drive_speed = float(np.abs(spec.lift(drive)).max(initial=0.0))
         z = y
         t = t_start
         zdot = event_velocity(spec, z, drive, offset0, warm=warm)
         for _ in range(50 * system.dims.n_springs + 100):
-            if _weighted_norm(spec.weight, zdot) <= STABILIZATION_TOL * drive_norm:
+            if float(np.sqrt(zdot @ zdot)) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
             tau, hits = _event_candidates(spec, z, zdot, offset0)
             t_next = t + tau if tau is not None else np.inf
@@ -203,13 +195,13 @@ def leapfrog(
                     newly_active=arrivals,
                     newly_released=frozenset(gone),
                     sigma=sigma.copy(),
-                    relative_velocity=zdot.copy(),
+                    relative_velocity=spec.view(zdot).copy(),
                 )
             )
             states.append(
                 SweepingState(
                     time=t,
-                    y=z + spec.reduce(spec.offset(loads, t) - offset0),
+                    y=spec.view(z + spec.reduce(spec.offset(loads, t) - offset0)),
                     sigma=sigma,
                     epsilon=sigma / k,
                 )
@@ -220,7 +212,7 @@ def leapfrog(
 
         sigma = sigma_of(z, offset0)
         y = z + spec.reduce(spec.offset(loads, t_end) - offset0)
-        states.append(SweepingState(time=t_end, y=y.copy(), sigma=sigma, epsilon=sigma / k))
+        states.append(SweepingState(time=t_end, y=spec.view(y).copy(), sigma=sigma, epsilon=sigma / k))
 
     # Collapse duplicate time stamps produced by events landing exactly on
     # segment ends.

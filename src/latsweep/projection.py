@@ -7,8 +7,10 @@ I``, turns the S-geometry into the Euclidean one by ``v -> Z^T v``, so it
 is applied by matrix products alone.  It is built and validated once per
 weight and equality rows and reused while the caller passes the same
 arrays (read-only ones by identity alone, writable ones while they hold the
-values it was built from); a caller that already knows ``Z`` (a moving set:
-assembly's K-orthonormal basis ``V`` of the plane) hands it over.
+values it was built from); a caller that already knows ``Z`` hands it over,
+as a moving set does: its coordinates in assembly's K-orthonormal basis of
+the plane are already whitened, so its ``Z`` and its weight are the
+identity, and no product with either is taken.
 
 Every dense factorization here goes through NumPy's LAPACK.  NumPy and
 scipy wheels each bundle their own OpenBLAS, and a solve path that switches
@@ -166,9 +168,9 @@ class Whitening:
     ``Z`` is an S-orthonormal basis, ``Z^T S Z = I``, of the kernel of the
     equality rows ``A_eq`` (of the whole space when there are none), so each
     direction is one product with ``Z``, and none when ``Z`` is the
-    identity, as in the reduced space.  ``S`` and ``A_eq`` are the arrays
-    it was built and validated for; ``S_copy`` and ``A_eq_copy`` hold their
-    values when they are writable.
+    identity, as for a moving set; ``S`` is then the identity too.  ``S``
+    and ``A_eq`` are the arrays it was built and validated for; ``S_copy``
+    and ``A_eq_copy`` hold their values when they are writable.
     """
 
     S: np.ndarray
@@ -202,10 +204,14 @@ class Whitening:
         """Whether this whitening was built from these arrays, unchanged since."""
         return _unchanged(S, self.S, self.S_copy) and _unchanged(A_eq, self.A_eq, self.A_eq_copy)
 
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        """``Z^T v`` for a vector or for the columns of a matrix (``v``
-        itself when ``Z`` is the identity)."""
-        return v if self.identity else self.Z.T @ v
+    def weigh(self, v: np.ndarray) -> np.ndarray:
+        """``Z^T S v``: a difference of points as a whitened direction
+        (``v`` itself when ``Z`` is the identity, and so ``S``)."""
+        return v if self.identity else self.Z.T @ _weight_apply(self.S, v)
+
+    def norm(self, v: np.ndarray) -> float:
+        """``||v||_S``, with no product when ``Z`` is the identity."""
+        return float(np.sqrt(max(v @ (v if self.identity else _weight_apply(self.S, v)), 0.0)))
 
     def back(self, w: np.ndarray) -> np.ndarray:
         """``Z w``: a whitened step back as a step in ``y`` (``w`` itself
@@ -215,9 +221,9 @@ class Whitening:
     def rows(self, A: np.ndarray | None) -> np.ndarray:
         """Whitened rows ``(A Z)^T`` as columns.  Where no product is
         needed, a read-only view, as a copy would double assembly's ``V``:
-        of ``A^T`` when ``Z`` is the identity (the reduced space, where
-        ``A`` is ``V``), of ``Z^T`` for ``A`` None, the identity (the full
-        space, where ``Z`` is ``V``).  Else a new array."""
+        of ``A^T`` when ``Z`` is the identity (a moving set, whose ``A`` is
+        ``V``), of ``Z^T`` for ``A`` None, the identity.  Else a new
+        array."""
         _check_finite(A)
         if A is not None and not self.identity:
             return self.Z.T @ A.T
@@ -500,7 +506,7 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
     point ``y0 + Z d``, the final working set, its multipliers and
     ``||r||``.
     """
-    g = white.forward(_weight_apply(white.S, x - y0))
+    g = white.weigh(x - y0)
     scale = 1.0 + np.max(np.abs(g), initial=0.0)
     d = np.zeros_like(g)
     known = None
@@ -581,7 +587,7 @@ def project_cone(
     x = _check_point(x, n)
     white = _whitening(S, cone, warm)
 
-    x_norm = float(np.sqrt(max(x @ _weight_apply(white.S, x), 0.0)))
+    x_norm = white.norm(x)
     if x_norm == 0.0 or white.Z.shape[1] == 0:
         return ProjectionResult(np.zeros(n), tuple(int(j) for j in np.flatnonzero(held)), 0.0)
 
@@ -595,7 +601,7 @@ def project_cone(
     col = np.tile(col, 2)
     excess = -cone.slack(y) / col    # > 0: outside, -inf: no bound
     mu = lam * col[idx]    # the multipliers of the unit rows
-    r = white.forward(_weight_apply(white.S, y - x)) + _columns(M, idx) @ lam
+    r = white.weigh(y - x) + _columns(M, idx) @ lam
     kkt = max(
         np.max(excess[held], initial=0.0),  # primal feasibility
         abs(float(mu @ excess[idx])),       # complementarity

@@ -1,15 +1,14 @@
 """Construction of the sweeping process: moving set, change of variables,
-safe-load check, and stress recovery, in full and reduced coordinates.
+safe-load check, and initial state.
 
-There is one moving set, the yield box cut by the self-stress plane, seen
-in one of two bases.  In the full space the sweeping variable is a spring
-vector (dimension m): the basis is the identity and the plane enters as
-equality rows ``U^T K z = 0``.  In the reduced space it holds coordinates
-in the K-orthonormal basis ``V`` of the plane (dimension dim_v): the box
-rows act through ``V``, there are no equality rows, and the stiffness inner
-product is the Euclidean one.  :func:`build_moving_set` is the only
-place that chooses between them; everything else goes through
-:class:`MovingSetSpec`.
+There is one moving set, the yield box cut by the self-stress plane, and
+one solve of it: the sweeping variable holds coordinates ``y`` in the
+K-orthonormal basis ``V`` of the plane (dimension dim_v), the box rows act
+through ``V``, there are no equality rows, and the stiffness inner product
+is the Euclidean one.  :class:`Space` chooses only the coordinates a state
+is reported in, ``V y`` (a spring vector) in the full space and ``y`` in
+the reduced space: :meth:`MovingSetSpec.view` is the only place that reads
+it, where a state leaves an integrator or :func:`initial_state`.
 """
 
 from __future__ import annotations
@@ -52,22 +51,16 @@ def strain_elongations(system: AssembledSystem, axis: int) -> np.ndarray:
 class MovingSetSpec:
     """Time-independent description of the moving constraint set.
 
-    The set at time ``t`` holds the points ``z`` whose spring-space image
-    ``lift(z)`` lies in the yield box (after Hooke scaling) shifted by
-    ``offset(loads, t)`` and which satisfy ``equality_rows @ z = 0``.  The
-    full space is this set in the identity basis, with the self-stress
-    plane as equality rows; the reduced space is the same set in the basis
-    ``W`` of the plane, with no equality rows.
+    The set at time ``t`` holds the coordinates ``y`` whose spring-space
+    image ``lift(y) = V y`` lies in the yield box (after Hooke scaling)
+    shifted by ``offset(loads, t)``.  ``space`` is read only by
+    :meth:`view`.
     """
 
     system: AssembledSystem
     space: Space
     box_lower: np.ndarray          # K^-1 c^-
     box_upper: np.ndarray          # K^-1 c^+
-    W: np.ndarray | None           # basis of the sweeping variable; None is the identity
-    weight: np.ndarray             # inner product the process is projected in;
-                                   # the identity matrix in the reduced space
-    equality_rows: np.ndarray | None   # U^T K in the identity basis, else None
     strain_direction: np.ndarray | None  # box translation per unit strain
 
     def offset(self, loads: LoadSchedule, t: float) -> np.ndarray:
@@ -118,12 +111,12 @@ class MovingSetSpec:
     def feasible_point(self, shift: np.ndarray | float) -> np.ndarray:
         """A point of ``static_set(self, shift)``, or ``InfeasibleSetError``.
 
-        One phase-1 linear program in the full space's form, in both
-        spaces: the shifted box is its variable bounds and the plane its
-        equality rows ``U^T K``.  Its point is mapped by ``reduce``.  The
-        phase 1 is looked up on its module, where a caller may wrap it.
+        One phase-1 linear program in the full form: the shifted box is its
+        variable bounds and the plane its equality rows ``U^T K``.  Its
+        point is mapped by ``reduce``.  The phase 1 is looked up on its
+        module, where a caller may wrap it.
         """
-        rows = self.system.equality_rows() if self.equality_rows is None else self.equality_rows
+        rows = self.system.equality_rows()
         full = PolyhedralSet(A=None, b=self.box_upper + shift, A_eq=rows, lower=self.box_lower + shift)
         return self.reduce(projection.find_feasible_point(full))
 
@@ -136,27 +129,34 @@ class MovingSetSpec:
         return out
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates in the basis ``W`` of a spring-space vector, or of
+        """Coordinates in the basis ``V`` of a spring-space vector, or of
         each column of a matrix."""
-        return v if self.W is None else self.system.P_V @ v
+        return self.system.P_V @ v
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """Spring-space vector of the coordinates ``y``, or of each column
         of a matrix; compared to the box."""
-        return y if self.W is None else self.W @ y
+        return self.system.V_basis @ y
+
+    def coordinates(self, epsilon: np.ndarray, loads: LoadSchedule, t: float) -> np.ndarray:
+        """The coordinates ``y`` of the elastic elongations ``epsilon`` at
+        time ``t``: ``reduce(epsilon + offset(loads, t))``.  An integrator
+        starts from its first state's elongations, so a state reported in
+        either space enters the same solve."""
+        return self.reduce(epsilon + self.offset(loads, t))
+
+    def view(self, y: np.ndarray) -> np.ndarray:
+        """The coordinates ``y``, or each column of a matrix of them, as a
+        state reports them: ``lift(y)`` in the full space, ``y`` itself in
+        the reduced space."""
+        return self.lift(y) if self.space is Space.FULL else y
 
     @functools.cached_property
     def whitening(self) -> Whitening:
-        """The projections' change of coordinates, built and validated on first use.
-
-        Its ``Z`` is the K-orthonormal basis ``V`` of the plane in the
-        coordinates of the sweeping variable: assembly's ``V`` in the full
-        space, where it spans the kernel of the equality rows, and the
-        identity in the reduced space.  Both spaces whiten the bound map
-        to the same ``V^T``, and nothing is factored here.
-        """
-        Z = self.system.V_basis if self.W is None else self.weight
-        return Whitening.build(self.weight, self.equality_rows, self.weight.shape[0], Z)
+        """The projections' change of coordinates: the identity, with the
+        identity weight, as ``V`` is K-orthonormal.  Nothing is factored."""
+        eye = _frozen(np.eye(self.system.dims.dim_v))
+        return Whitening.build(eye, None, eye.shape[0], eye)
 
     def warm_start(self) -> WarmStart:
         """A projection handle seeded with this set's whitening."""
@@ -175,18 +175,11 @@ def build_moving_set(
         elong = strain_elongations(system, loads.strain_axis)
         strain_direction = -(system.V_basis @ (system.P_V @ elong))
     k = system.stiffness
-    if space is Space.FULL:
-        basis, weight, equality = None, k, _frozen(system.equality_rows())
-    else:
-        basis, weight, equality = system.V_basis, _frozen(np.eye(system.dims.dim_v)), None
     return MovingSetSpec(
         system=system,
         space=space,
         box_lower=system.lower_limits / k,
         box_upper=system.upper_limits / k,
-        W=basis,
-        weight=weight,
-        equality_rows=equality,
         strain_direction=strain_direction,
     )
 
@@ -200,19 +193,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
     """The constraint polyhedron for a frozen box translation.
 
-    Two-sided bounds ``lower <= W z <= upper`` (``W`` None: the identity).
-    Its rows are the spec's own read-only arrays, the same objects on every
-    call, so the projection kernel keeps the spec's whitening and its
-    whitened rows from step to step without checking them again.  Its
-    bounds are read-only too, so a warm handle keeps a point's slack in
-    the set without a copy of them.
+    Two-sided bounds ``lower <= V y <= upper``.  Its rows are assembly's
+    read-only ``V``, the same object on every call, so the projection
+    kernel keeps the spec's whitening and its whitened rows from step to
+    step without checking them again.  Its bounds are read-only too, so a
+    warm handle keeps a point's slack in the set without a copy of them.
     """
-    eq = spec.equality_rows
     return PolyhedralSet(
-        A=spec.W,
+        A=spec.system.V_basis,
         b=_frozen(spec.box_upper + offset),
-        A_eq=eq,
-        b_eq=None if eq is None else _frozen(np.zeros(eq.shape[0])),
         lower=_frozen(spec.box_lower + offset),
     )
 
@@ -222,7 +211,7 @@ class SweepingState:
     """One sample of the evolution: sweeping variable plus recovered stresses."""
 
     time: float
-    y: np.ndarray        # sweeping variable, full or reduced coordinates
+    y: np.ndarray        # sweeping variable, as MovingSetSpec.view reports it
     sigma: np.ndarray    # spring stresses
     epsilon: np.ndarray  # elastic elongations
 
@@ -267,7 +256,7 @@ def initial_state(
         )
 
     epsilon = sigma0 / sys.stiffness
-    y = spec.reduce(epsilon + spec.offset(loads, 0.0))
+    y = spec.view(spec.coordinates(epsilon, loads, 0.0))
     return SweepingState(time=0.0, y=y, sigma=sigma0, epsilon=epsilon)
 
 

@@ -9,7 +9,7 @@ import scipy.spatial
 from latsweep.catchup import TimePartition
 from latsweep.errors import InvalidInputError
 from latsweep.lattice import LatticeDefinition, LoadSchedule
-from latsweep.leapfrog import _event_candidates
+from latsweep.leapfrog import ACTIVE_TOL, _event_candidates
 from latsweep.projection import PolyhedralSet, WarmStart, project
 from latsweep.sweeping import MovingSetSpec, Space, build_moving_set, static_set
 
@@ -320,11 +320,56 @@ def abstract_catchup(S, set_provider, x0, partition: TimePartition, tol: float =
 
 
 def recover_stress(system, y, t: float, loads: LoadSchedule, space: Space, spec: MovingSetSpec | None = None):
-    """Elastic elongations and stresses from the sweeping variable."""
+    """Elastic elongations and stresses from the sweeping variable ``y`` as
+    a state of ``space`` reports it."""
     if spec is None:
         spec = build_moving_set(system, space, loads)
-    epsilon = spec.lift(y) - spec.offset(loads, t)
+    epsilon = spec.lift(coordinates_of(spec, y)) - spec.offset(loads, t)
     return epsilon, system.stiffness * epsilon
+
+
+def coordinates_of(spec: MovingSetSpec, y: np.ndarray) -> np.ndarray:
+    """The coordinates in ``V`` of a state's reported ``y``: ``P_V y`` in
+    the full space, ``y`` itself in the reduced space."""
+    return spec.reduce(y) if spec.space is Space.FULL else y
+
+
+def full_form_rows(system) -> np.ndarray:
+    """The equality rows ``U^T K`` of the self-stress plane, read-only, so
+    that a warm handle keeps its whitening of them from set to set."""
+    rows = system.equality_rows()
+    rows.flags.writeable = False
+    return rows
+
+
+def full_form_set(system, offset, rows=None) -> PolyhedralSet:
+    """The moving set at the box translation ``offset`` in its full form:
+    spring vectors ``z`` in the shifted box ``K^-1 c^- <= z - offset <= K^-1
+    c^+`` with ``U^T K z = 0``, to be projected in the weight
+    ``system.stiffness``.  A projection onto it whitens by its own SVD of
+    the equality rows (``rows``, else :func:`full_form_rows`), so it reads
+    nothing of assembly's basis ``V``: the reference for the solve in
+    ``V``."""
+    k = system.stiffness
+    return PolyhedralSet(
+        A=None,
+        b=system.upper_limits / k + offset,
+        A_eq=full_form_rows(system) if rows is None else rows,
+        lower=system.lower_limits / k + offset,
+    )
+
+
+def full_form_cone(system, z, offset, rows=None) -> PolyhedralSet:
+    """The tangent cone of :func:`full_form_set` at the spring vector
+    ``z``: the bounds ``z`` sits on within ``ACTIVE_TOL`` at 0, the others
+    opened, and the plane's equality rows."""
+    box = full_form_set(system, offset, rows)
+    return PolyhedralSet(
+        A=None,
+        b=np.where(box.b - z <= ACTIVE_TOL, 0.0, np.inf),
+        A_eq=box.A_eq,
+        lower=np.where(z - box.lower <= ACTIVE_TOL, 0.0, -np.inf),
+    )
 
 
 def next_event_time(spec: MovingSetSpec, z, zdot, offset=None) -> float | None:

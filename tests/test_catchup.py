@@ -14,7 +14,13 @@ from latsweep.linalg import nullspace_basis
 from latsweep.projection import PolyhedralSet, find_feasible_point, project
 from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
 
-from helpers import abstract_catchup, moving_set_at, relabel_springs
+from helpers import (
+    abstract_catchup,
+    full_form_rows,
+    full_form_set,
+    moving_set_at,
+    relabel_springs,
+)
 
 # the module, not the function the package exports under the same name
 catchup_module = importlib.import_module("latsweep.catchup")
@@ -92,7 +98,8 @@ def test_states_satisfy_invariants(example1):
         assert np.all(state.sigma <= definition.upper_limits + 1e-8)
         assert np.all(state.sigma >= definition.lower_limits - 1e-8)
         assert np.abs(eq @ state.epsilon).max() <= 1e-8  # equilibrium, f = 0
-        assert moving_set_at(spec, state.time, loads).contains(state.y, tol=1e-8)
+        # the reported spring vector: in the shifted box and on the plane
+        assert full_form_set(system, spec.offset(loads, state.time)).contains(state.y, tol=1e-8)
 
 
 def test_full_reduced_equivalence_small_mesh(example1):
@@ -190,7 +197,9 @@ def nonuniform_partition(horizon, steps, seed):
     "example1", "periodic-strain", "example1-force-ramp", "grid",
     "example1-unload", "example1-rate-breakpoint", "example1-nonuniform",
 ])
-def test_catchup_matches_abstract_recursion(example1, periodic_patch, grid_with_hole, case, space):
+def test_catchup_matches_abstract_recursion(
+    example1, periodic_patch, grid_with_hole, case, space, monkeypatch
+):
     # The block catch-up against the bare recursion on the moving set
     # itself, which builds every set, starts every step from phase 1, reads
     # no frame and takes one projection per step: a displacement drive, a
@@ -198,6 +207,10 @@ def test_catchup_matches_abstract_recursion(example1, periodic_patch, grid_with_
     # a stretch then an unloading (the rate reverses on a partition point,
     # so a block ends on a negative multiplier and the bounds release), a
     # rate change between two partition points, and a non-uniform partition.
+    # The full space's states, V y, are held to the recursion on the full
+    # form of the set, the box with the plane as equality rows U^T K in the
+    # stiffness weight, which whitens by its own SVD of U^T K, not by
+    # assembly's V.
     fixture = {"periodic-strain": periodic_patch, "grid": grid_with_hole}.get(case, example1)
     definition, loads, system = fixture
     part = TimePartition.uniform(loads.horizon, 20 if case == "grid" else 40)
@@ -214,11 +227,26 @@ def test_catchup_matches_abstract_recursion(example1, periodic_patch, grid_with_
     spec = build_moving_set(system, space, loads)
     state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
     traj = catchup(system, spec, state0, loads, part)
-    oracle = abstract_catchup(spec.weight, lambda t: moving_set_at(spec, t, loads), state0.y, part)
+    if space is Space.FULL:
+        rows, kernels = full_form_rows(system), []
+
+        def counted(M):
+            kernels.append(M is rows)
+            return nullspace_basis(M)
+
+        monkeypatch.setattr(projection, "nullspace_basis", counted)
+        S, image = system.stiffness, lambda v: v
+        sets = lambda t: full_form_set(system, spec.offset(loads, t), rows)  # noqa: E731
+    else:
+        S, image = spec.whitening.S, spec.lift
+        sets = lambda t: moving_set_at(spec, t, loads)  # noqa: E731
+    oracle = abstract_catchup(S, sets, state0.y, part)
+    if space is Space.FULL:
+        assert kernels == [True]
     width = spec.box_upper - spec.box_lower
     assert len(traj.events) >= 2
     for state, y in zip(traj.states, oracle):
-        assert np.all(np.abs(spec.lift(state.y - y)) <= 1e-12 * width)
+        assert np.all(np.abs(image(state.y - y)) <= 1e-12 * width)
     if case == "example1-unload":
         on_bounds = [bound_activity(state.sigma, system.lower_limits, system.upper_limits).sum()
                      for state in traj.states]
@@ -373,13 +401,15 @@ def test_phase_one_at_the_safe_load_limit_spaces_agree(example1):
     # Just past the safe-load limit the smallest largest box violation v on
     # the self-stress plane is tiny.  Phase 1 declares the set empty when v
     # exceeds max(tol, 1e-9), whether the box enters as the variable bounds
-    # of its linear program (full space) or as rows V (reduced space).
+    # of its linear program (the full form, with the plane as equality
+    # rows, as the spec's own phase 1 takes it) or as rows V (the set the
+    # solve projects onto, in either space).
     definition, loads, system = example1
     V = system.V_basis
     m, d = V.shape
     direction = -system.F @ np.random.default_rng(3).standard_normal(definition.n_dof)
-    specs = {space: build_moving_set(system, space, loads) for space in Space}
-    lo, hi = specs[Space.FULL].box_lower, specs[Space.FULL].box_upper
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    lo, hi = spec.box_lower, spec.box_upper
     rows = np.vstack([np.hstack([V, -np.ones((m, 1))]), np.hstack([-V, -np.ones((m, 1))])])
 
     def violation(s):
@@ -408,8 +438,7 @@ def test_phase_one_at_the_safe_load_limit_spaces_agree(example1):
     def verdicts(v, tol=1e-10):
         offset = (s1 + (v - v1) / slope) * direction
         out = []
-        for spec in specs.values():
-            poly = static_set(spec, offset)
+        for poly in (full_form_set(system, offset), static_set(spec, offset)):
             try:
                 y = find_feasible_point(poly, tol)
             except InfeasibleSetError:
@@ -426,8 +455,8 @@ def test_phase_one_at_the_safe_load_limit_spaces_agree(example1):
 
 def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeypatch):
     # Catch-up on the grid with its springs renumbered finds the original
-    # events, and the projections compute no nullspace in either space: the
-    # full-space kernel of the equality rows is assembly's basis V.
+    # events, and the projections compute no nullspace in either space: both
+    # solve in assembly's basis V of the plane.
     definition, loads, system = grid_with_hole
     perm = np.random.default_rng(4).permutation(definition.n_springs)
     assert perm.size == 496
@@ -459,11 +488,10 @@ def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeyp
 
 def test_varying_force_phase_one_every_step_spaces_agree(example1, monkeypatch):
     # Under a force ramp no step has a feasible start, so every projection
-    # starts from the phase-1 linear program, in both spaces in the full
-    # space's form: the box as variable bounds, the plane as equality rows.
-    # The reduced space maps its point by P_V, which passes the projection's
-    # start check (no second phase 1 on rows V).  Both must give the same
-    # states.
+    # starts from the phase-1 linear program, in both spaces in the set's
+    # full form: the box as variable bounds, the plane as equality rows.  Its
+    # point is mapped by P_V, which passes the projection's start check (no
+    # second phase 1 on rows V).  Both must give the same states.
     definition, base, system = example1
     loads = varying_force_loads(base, definition)
     part = TimePartition.uniform(loads.horizon, 50)

@@ -13,7 +13,7 @@ import latsweep
 from latsweep import cli
 from latsweep.analysis import read_curve_csv
 from latsweep.assembly import assemble
-from latsweep.catchup import MAX_STEPS, TimePartition
+from latsweep.catchup import MAX_STEPS, TimePartition, catchup
 from latsweep.cli import main
 from latsweep.errors import InvalidInputError, SchemaError
 from latsweep.generators import (
@@ -22,6 +22,8 @@ from latsweep.generators import (
     build_triangular_periodic,
 )
 from latsweep.io import load_network, save_network
+from latsweep.leapfrog import leapfrog
+from latsweep.sweeping import Space, build_moving_set, initial_state
 
 
 @pytest.mark.parametrize(
@@ -387,19 +389,49 @@ def test_cli_solve_and_analyze(tmp_path, capsys):
 
 
 def test_cli_spaces_agree(tmp_path):
-    net = tmp_path / "ex1.json"
-    main(["generate", "example1", "--out", str(net)])
-    outs = {}
-    for space in ("full", "reduced"):
-        prefix = tmp_path / f"run-{space}"
-        code = main(
-            ["solve", str(net), "--solver", "catchup", "--space", space,
-             "--mesh", "1e-3", "--out", str(prefix)]
-        )
-        assert code == 0
-        data = np.loadtxt(f"{prefix}.csv", delimiter=",", skiprows=1)
-        outs[space] = data
-    assert np.abs(outs["full"] - outs["reduced"]).max() <= 1e-8
+    # --space full reports the reduced solve in the spring basis: both
+    # spaces write byte-identical curve and event CSVs, and the full space's
+    # states and event velocities are V times the reduced ones.
+    for kind in ("example1", "grid"):
+        net = tmp_path / f"{kind}.json"
+        main(["generate", kind, "--out", str(net)])
+        definition, loads = load_network(net)
+        system = assemble(definition)
+        V = system.V_basis
+        for solver in ("leapfrog", "catchup"):
+            outputs = {}
+            for space in ("full", "reduced"):
+                prefix = tmp_path / f"{kind}-{solver}-{space}"
+                args = ["solve", str(net), "--solver", solver, "--space", space, "--out", str(prefix)]
+                if solver == "catchup":
+                    args += ["--mesh", repr(loads.horizon / 200)]
+                assert main(args) == 0
+                outputs[space] = [Path(f"{prefix}{ext}").read_bytes() for ext in (".csv", ".events.csv")]
+            assert outputs["full"] == outputs["reduced"]
+
+            runs = {}
+            for space in Space:
+                spec = build_moving_set(system, space, loads)
+                state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+                if solver == "leapfrog":
+                    runs[space] = leapfrog(system, spec, state0, loads)
+                else:
+                    part = TimePartition.uniform(loads.horizon, 200)
+                    runs[space] = catchup(system, spec, state0, loads, part)
+            full, reduced = runs[Space.FULL], runs[Space.REDUCED]
+            assert len(full.states) == len(reduced.states)
+            for a, b in zip(full.states, reduced.states):
+                assert a.time == b.time and a.y.shape == (definition.n_springs,)
+                assert np.array_equal(a.sigma, b.sigma) and np.array_equal(a.epsilon, b.epsilon)
+                assert np.linalg.norm(a.y - V @ b.y) <= 1e-15 * np.linalg.norm(V @ b.y)
+            assert len(full.events) == len(reduced.events) >= 2
+            for a, b in zip(full.events, reduced.events):
+                assert (a.index, a.time, a.newly_active, a.newly_released) == (
+                    b.index, b.time, b.newly_active, b.newly_released)
+                assert np.array_equal(a.sigma, b.sigma)
+                if b.relative_velocity is not None:
+                    v = V @ b.relative_velocity
+                    assert np.linalg.norm(a.relative_velocity - v) <= 1e-15 * np.linalg.norm(v)
 
 
 def test_cli_cone_projection_failure_exits_2(tmp_path, capsys, monkeypatch):

@@ -15,11 +15,18 @@ from latsweep.lattice import LatticeDefinition, LoadSchedule
 from latsweep.leapfrog import event_velocity, leapfrog, tangent_cone
 from latsweep import projection
 from latsweep.linalg import nullspace_basis
-from latsweep.projection import project, project_cone
+from latsweep.projection import WarmStart, project, project_cone
 from latsweep.sweeping import Space, build_moving_set, initial_state
 from latsweep.assembly import assemble
 
-from helpers import moving_set_at, next_event_time, relabel_springs
+from helpers import (
+    coordinates_of,
+    full_form_cone,
+    full_form_rows,
+    moving_set_at,
+    next_event_time,
+    relabel_springs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +49,7 @@ def test_next_event_time_ratio(chain_1d):
     for space in (Space.FULL, Space.REDUCED):
         spec = build_moving_set(system, space)
         z = np.zeros(1)
-        zdot = np.array([2.0]) / (spec.W[0, 0] if space is Space.REDUCED else 1.0)
+        zdot = np.array([2.0]) / system.V_basis[0, 0]
         assert next_event_time(spec, z, zdot) == pytest.approx(0.5, abs=1e-12)
         assert next_event_time(spec, z, -zdot) == pytest.approx(0.5, abs=1e-12)
     spec = build_moving_set(system, Space.FULL)
@@ -51,50 +58,51 @@ def test_next_event_time_ratio(chain_1d):
 
 def test_tangent_cone_interior(example1):
     _, loads, system = example1
-    spec = build_moving_set(system, Space.FULL, loads)
-    # every bound opened: the cone is the whole plane
-    cone = tangent_cone(spec, np.zeros(10))
-    assert np.all(cone.b == np.inf) and np.all(cone.lower == -np.inf)
-    assert cone.A is None and cone.A_eq.shape == (8, 10)
-    reduced = build_moving_set(system, Space.REDUCED, loads)
-    cone_v = tangent_cone(reduced, np.zeros(2))
-    assert np.all(cone_v.b == np.inf) and np.all(cone_v.lower == -np.inf)
-    assert cone_v.A is reduced.W and cone_v.A_eq is None
+    for space in Space:
+        spec = build_moving_set(system, space, loads)
+        # every bound opened: the cone is the whole plane
+        cone = tangent_cone(spec, np.zeros(2))
+        assert np.all(cone.b == np.inf) and np.all(cone.lower == -np.inf)
+        assert cone.A is system.V_basis and cone.A_eq is None
 
 
 def test_tangent_cone_on_upper_bound(example1):
     definition, loads, system = example1
-    spec = build_moving_set(system, Space.FULL, loads)
     # scale a self-stress direction until its tightest springs touch their
     # upper bounds (the point must stay on the self-stress plane)
     v = system.V_basis[:, 0]
-    ratios = np.abs(v) / np.where(v >= 0, spec.box_upper, -spec.box_lower)
+    box_lower = definition.lower_limits / definition.stiffness
+    box_upper = definition.upper_limits / definition.stiffness
+    ratios = np.abs(v) / np.where(v >= 0, box_upper, -box_lower)
     j = int(np.argmax(ratios))
-    z = v / ratios[j]
-    cone = tangent_cone(spec, z)
-    on_upper = set(np.flatnonzero(np.abs(z - spec.box_upper) <= 1e-9))
-    on_lower = set(np.flatnonzero(np.abs(z - spec.box_lower) <= 1e-9))
+    y = np.array([1.0, 0.0]) / ratios[j]
+    z = system.V_basis @ y
+    on_upper = set(np.flatnonzero(np.abs(z - box_upper) <= 1e-9))
+    on_lower = set(np.flatnonzero(np.abs(z - box_lower) <= 1e-9))
     assert len(on_upper) + len(on_lower) >= 1
-    # the set itself with its active bounds at 0 and the others opened
-    assert cone.A is None and cone.A_eq is spec.equality_rows
-    assert set(np.flatnonzero(cone.b == 0.0)) == on_upper
-    assert set(np.flatnonzero(cone.lower == 0.0)) == on_lower
-    assert np.all(np.isinf(cone.b[list(set(range(10)) - on_upper)]))
-    assert np.all(np.isinf(cone.lower[list(set(range(10)) - on_lower)]))
-    # the reduced cone at the same point: the same bounds on the map V
-    reduced = build_moving_set(system, Space.REDUCED, loads)
-    cone_v = tangent_cone(reduced, system.P_V @ z)
-    assert cone_v.A is reduced.W and cone_v.A_eq is None
-    assert np.array_equal(cone_v.b, cone.b) and np.array_equal(cone_v.lower, cone.lower)
+    # the full form's cone at the spring vector: the same bounds
+    full = full_form_cone(system, z, 0.0)
+    for space in Space:
+        spec = build_moving_set(system, space, loads)
+        cone = tangent_cone(spec, y)
+        # the set itself with its active bounds at 0 and the others opened
+        assert cone.A is system.V_basis and cone.A_eq is None
+        assert set(np.flatnonzero(cone.b == 0.0)) == on_upper
+        assert set(np.flatnonzero(cone.lower == 0.0)) == on_lower
+        assert np.all(np.isinf(cone.b[list(set(range(10)) - on_upper)]))
+        assert np.all(np.isinf(cone.lower[list(set(range(10)) - on_lower)]))
+        assert np.array_equal(cone.b, full.b) and np.array_equal(cone.lower, full.lower)
 
 
 def test_tangent_cone_rejects_outside_point(example1):
     _, loads, system = example1
     spec = build_moving_set(system, Space.FULL, loads)
-    z = np.zeros(10)
-    z[0] = spec.box_upper[0] * 2
+    # twice the self-stress direction that first touches a bound
+    v = system.V_basis[:, 0]
+    j = int(np.argmax(np.abs(v) / np.where(v >= 0, spec.box_upper, -spec.box_lower)))
+    y = np.array([2.0, 0.0]) * (spec.box_upper[j] if v[j] >= 0 else spec.box_lower[j]) / v[j]
     with pytest.raises(InvalidStateError):
-        tangent_cone(spec, z)
+        tangent_cone(spec, y)
     # 0 lies on the plane; the box shifted so that 0 lies beyond spring 0's
     # upper bound only, then below its lower bound only
     assert spec.box_lower[0] < 0 < spec.box_upper[0]
@@ -102,15 +110,16 @@ def test_tangent_cone_rejects_outside_point(example1):
         offset = np.zeros(10)
         offset[0] = -2 * bound[0]
         with pytest.raises(InvalidStateError, match="violates the static set"):
-            tangent_cone(spec, np.zeros(10), offset)
+            tangent_cone(spec, np.zeros(2), offset)
 
 
 def test_event_velocity_interior_opposes_drive(example1):
     _, loads, system = example1
-    spec = build_moving_set(system, Space.FULL, loads)
-    drive = spec.offset_rate(loads, 0.0)  # lives in the self-stress plane
-    zdot = event_velocity(spec, np.zeros(10), drive)
-    assert np.allclose(zdot, -drive, atol=1e-12)
+    for space in Space:
+        spec = build_moving_set(system, space, loads)
+        drive = spec.reduce(spec.offset_rate(loads, 0.0))
+        zdot = event_velocity(spec, np.zeros(2), drive)
+        assert np.allclose(zdot, -drive, atol=1e-12)
 
 
 def test_event_velocity_halfplane_hand_case(chain_1d):
@@ -118,9 +127,10 @@ def test_event_velocity_halfplane_hand_case(chain_1d):
     # cut to zero, receding drive passes through
     _, system = chain_1d
     spec = build_moving_set(system, Space.FULL)
-    z = spec.box_upper.copy()
-    assert np.allclose(event_velocity(spec, z, np.array([-1.0])), 0.0, atol=1e-12)
-    assert np.allclose(event_velocity(spec, z, np.array([1.0])), [-1.0], atol=1e-12)
+    z = spec.reduce(spec.box_upper)
+    down, up = spec.reduce(np.array([-1.0])), spec.reduce(np.array([1.0]))
+    assert np.allclose(event_velocity(spec, z, down), 0.0, atol=1e-12)
+    assert np.allclose(event_velocity(spec, z, up), down, atol=1e-12)
 
 
 def test_event_velocity_tangential_component():
@@ -197,7 +207,7 @@ def test_termination_velocity_in_normal_cone(example1):
     poly = moving_set_at(spec, t_end, loads)
     y_end = traj.final.y
     drive = system.P_V @ spec.offset_rate(loads, t_end)
-    S = spec.weight
+    S = spec.whitening.S
     rng = np.random.default_rng(17)
     for _ in range(50):
         c = project(S, y_end + rng.standard_normal(2) * 1e-3, poly).point
@@ -288,23 +298,34 @@ def test_relabelled_periodic_12x12_matches_original_events():
 
 
 @pytest.mark.parametrize("network", ["periodic_8x8", "grid_with_hole"])
-def test_event_velocity_full_equals_reduced(network, request):
-    # At every event the full-space velocity is the reduced one seen
-    # through the basis V (relative to the drive: the velocity itself
-    # vanishes once the stresses stabilize).
+def test_event_velocity_full_equals_reduced(network, request, monkeypatch):
+    # At every event the velocity of the solve in V, seen through V, is the
+    # projection onto the full form's cone, the box's active bounds with the
+    # plane as equality rows U^T K in the stiffness weight (relative to the
+    # drive: the velocity itself vanishes once the stresses stabilize).  That
+    # reference whitens by its own SVD of U^T K, not by assembly's V.
     _, loads, system = request.getfixturevalue(network)
     reduced = build_moving_set(system, Space.REDUCED, loads)
-    full = build_moving_set(system, Space.FULL, loads)
     traj = _run_leapfrog(system, loads, Space.REDUCED)
     assert traj.events
+    rows = full_form_rows(system)
+    kernels = []
+
+    def counted(M):
+        kernels.append(M is rows)
+        return nullspace_basis(M)
+
+    monkeypatch.setattr(projection, "nullspace_basis", counted)
     for event in traj.events:
         y = next(s.y for s in traj.states if s.time == event.time)
         offset = reduced.offset(loads, event.time)
         rate = reduced.offset_rate(loads, event.time)
         v_red = event_velocity(reduced, y, reduced.reduce(rate), offset=offset)
-        v_full = event_velocity(full, reduced.lift(y), full.reduce(rate), offset=offset)
+        cone = full_form_cone(system, reduced.lift(y), offset, rows)
+        v_full = project_cone(system.stiffness, -rate, cone, warm=WarmStart()).point
         gap = np.linalg.norm(v_full - system.V_basis @ v_red)
         assert gap <= 1e-12 * np.linalg.norm(rate)
+    assert kernels == [True] * len(traj.events)
 
 
 def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
@@ -329,22 +350,26 @@ def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
         starts = [traj.states[0]] + [
             next(s for s in traj.states if s.time == e.time) for e in traj.events
         ]
+        # states and velocities as their space reports them; fresh ones
+        # from the coordinates in V
         for event, start in zip(traj.events, starts):
-            fresh = event_velocity(spec, start.y, drive, offset=spec.offset(loads, start.time))
+            y = coordinates_of(spec, start.y)
+            fresh = spec.view(event_velocity(spec, y, drive, offset=spec.offset(loads, start.time)))
             gap = np.linalg.norm(event.relative_velocity - fresh)
             assert gap <= 1e-12 * np.linalg.norm(drive)
         # after the last event the point moves with the set plus the carried
         # relative velocity up to the horizon
         last = starts[-1]
-        fresh = event_velocity(spec, last.y, drive, offset=spec.offset(loads, last.time))
-        expected = last.y + (fresh + drive) * (traj.final.time - last.time)
+        y = coordinates_of(spec, last.y)
+        fresh = event_velocity(spec, y, drive, offset=spec.offset(loads, last.time))
+        expected = last.y + spec.view(fresh + drive) * (traj.final.time - last.time)
         assert np.linalg.norm(traj.final.y - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
 
 
 def test_one_whitened_bound_map_per_run(periodic_8x8, monkeypatch):
-    # A tangent cone is the moving set's own map and equality rows with
-    # bounds of 0 or infinity, so every cone projection of a run reads the
-    # one whitened map its warm handle holds, as catch-up's steps do.
+    # A tangent cone is the moving set's own map with bounds of 0 or
+    # infinity, so every cone projection of a run reads the one whitened map
+    # its warm handle holds, as catch-up's steps do.
     _, loads, system = periodic_8x8
     whitened, cones = [], []
     rows_of = projection.Whitening.rows
@@ -362,8 +387,8 @@ def test_one_whitened_bound_map_per_run(periodic_8x8, monkeypatch):
     for space in (Space.REDUCED, Space.FULL):
         spec = build_moving_set(system, space, loads)
         state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, space, spec)
-        cone = tangent_cone(spec, state0.y, spec.offset(loads, 0.0))
-        assert cone.A is spec.W and cone.A_eq is spec.equality_rows
+        cone = tangent_cone(spec, coordinates_of(spec, state0.y), spec.offset(loads, 0.0))
+        assert cone.A is system.V_basis and cone.A_eq is None
         whitened.clear()
         cones.clear()
         leapfrog(system, spec, state0, loads)
@@ -398,9 +423,8 @@ def test_leapfrog_takes_no_phase_one_and_no_scipy_solver(example1, periodic_8x8,
 
 
 def test_grid_leapfrog_full_space_takes_no_nullspace(grid_with_hole, monkeypatch):
-    # The event velocities work in the kernel of the equality rows, and in
-    # full space that kernel is assembly's basis V: no projection takes it
-    # again by an SVD.
+    # The full space reports the solve in assembly's basis V of the plane:
+    # no projection takes a kernel of the equality rows by an SVD.
     _, loads, system = grid_with_hole
     kernels = []
 

@@ -17,6 +17,8 @@ from latsweep.projection import (
 from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
 
 from helpers import (
+    full_form_rows,
+    full_form_set,
     polar_projection_oracle,
     projection_oracle,
     random_cone_problem,
@@ -193,7 +195,7 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     up, down = np.flatnonzero(opened.b == 0.0), np.flatnonzero(opened.lower == 0.0)
     cone = PolyhedralSet(A=np.vstack([opened.A[up], -opened.A[down]]), b=np.zeros(64))
     assert cone.A.shape == (64, 66) and numerical_rank(cone.A) == 58
-    S = spec.weight
+    S = spec.whitening.S
     x = -spec.reduce(spec.offset_rate(loads, t))
     # An independent reference: Moreau's decomposition, with scipy's
     # bounded-variable least squares on the whitened problem.  With S = L
@@ -433,10 +435,11 @@ def test_kkt_residual_reported_small():
 
 @pytest.mark.parametrize("space", [Space.REDUCED, Space.FULL])
 def test_two_sided_grid_set_oracle(grid_with_hole, space):
-    # The catch-up kernel on the grid's moving set, lo <= W z <= hi (W the
-    # identity or V) with the self-stress plane as equality rows in full
-    # space: random box offsets along the plane, starts with bounds active,
-    # random points (off the plane in full space), with and without the
+    # The catch-up kernel on the grid's moving set, lo <= V y <= hi, and on
+    # its full form for the full space's spring vectors, lo <= z <= hi with
+    # the self-stress plane as equality rows U^T K in the stiffness weight:
+    # random box offsets along the plane, starts with bounds active, random
+    # points (off the plane in the full form), with and without the
     # active-set hint, against the enumeration oracle.  Its candidate
     # bounds hold every bound active at the start or at the answer and
     # every bound the unconstrained minimizer violates.
@@ -445,7 +448,14 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
     spec = build_moving_set(system, space, loads)
     state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
     traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
-    assert not any(a.flags.writeable for a in (spec.weight, V))
+    if space is Space.FULL:
+        rows = full_form_rows(system)
+        S, image, coordinates, handle = system.stiffness, (lambda v: v), (lambda v: v), WarmStart
+        sets = lambda offset: full_form_set(system, offset, rows)  # noqa: E731
+    else:
+        S, image, coordinates, handle = spec.whitening.S, spec.lift, spec.reduce, spec.warm_start
+        sets = lambda offset: static_set(spec, offset)  # noqa: E731
+    assert not any(a.flags.writeable for a in (spec.whitening.S, V))
     width = spec.box_upper - spec.box_lower
     rng = np.random.default_rng(5)
     hinted_counts = []
@@ -453,24 +463,47 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
         offset = spec.offset(loads, state.time)
         for scale in (0.05, 0.2):
             shift = V @ rng.standard_normal(V.shape[1]) * 0.02 * width
-            poly = static_set(spec, offset + shift)
-            start = state.y + spec.reduce(shift)
-            x = start + spec.reduce(rng.standard_normal(definition.n_springs) * scale * width)
+            poly = sets(offset + shift)
+            start = state.y + coordinates(shift)
+            x = start + coordinates(rng.standard_normal(definition.n_springs) * scale * width)
             hinted = tuple(np.flatnonzero(poly.slack(start) <= 1e-9 * np.tile(width, 2)))
             hinted_counts.append(len(hinted))
-            on_plane = V @ (system.P_V @ spec.lift(x))
+            on_plane = V @ (system.P_V @ image(x))
             violated = np.flatnonzero(np.concatenate([
                 on_plane - (spec.box_upper + offset + shift),
                 spec.box_lower + offset + shift - on_plane,
             ]) > 0)
-            for warm in (None, spec.warm_start()):
+            for warm in (None, handle()):
                 if warm is not None:
                     warm.active = hinted
-                res = project(spec.weight, x, poly, start=start, warm=warm)
+                res = project(S, x, poly, start=start, warm=warm)
                 candidates = set(hinted) | set(res.active_inequalities) | set(violated.tolist())
                 assert len(candidates) <= 8
-                oracle = projection_oracle(spec.weight, x, poly, candidates=candidates)
+                oracle = projection_oracle(S, x, poly, candidates=candidates)
                 scale_tol = 1e-9 * (1 + np.linalg.norm(x))
                 assert np.linalg.norm(res.point - oracle) <= scale_tol
                 assert res.kkt_residual <= scale_tol
     assert max(hinted_counts) >= 3
+
+
+def test_reduced_grid_solve_multiplies_by_no_weight(grid_with_hole, monkeypatch):
+    # A moving set's whitening and weight are the identity: a grid solve, by
+    # leapfrog or by catch-up, applies neither to a vector, neither for the
+    # kernel's target nor for a cone's norm or residual.
+    _, loads, system = grid_with_hole
+    products = []
+    weight_apply = projection._weight_apply
+
+    def counted(S, v):
+        products.append(np.shape(S))
+        return weight_apply(S, v)
+
+    monkeypatch.setattr(projection, "_weight_apply", counted)
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, Space.REDUCED, spec)
+    assert len(leapfrog(system, spec, state0, loads).events) >= 3
+    assert len(catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 200)).events) >= 3
+    assert products == []
+    # the general kernel still weighs where the whitening is not the identity
+    project(system.stiffness, state0.epsilon, full_form_set(system, 0.0), start=state0.epsilon)
+    assert products

@@ -10,9 +10,10 @@ from latsweep.sweeping import (
     build_moving_set,
     initial_state,
     safe_load_check,
+    static_set,
 )
 
-from helpers import moving_set_at, recover_stress
+from helpers import full_form_set, moving_set_at, recover_stress
 
 
 def test_initial_state_zero_stress(example1):
@@ -62,18 +63,19 @@ def test_initial_state_clamps_rounding_noise(example1):
 
 
 def test_moving_set_instantiation(example1):
+    # one set for both spaces: the shifted box on the rows V, no equality rows
     definition, loads, system = example1
-    spec = build_moving_set(system, Space.FULL, loads)
-    poly = moving_set_at(spec, 0.0, loads)
     m = 10
     offset = system.G @ (loads.r(0.0) - loads.r(0.0))
     expected_upper = definition.upper_limits / definition.stiffness + offset
     expected_lower = definition.lower_limits / definition.stiffness + offset
-    assert np.allclose(poly.b, expected_upper)
-    assert np.allclose(poly.lower, expected_lower)
-    assert poly.A is None and poly.n_inequalities == 2 * m  # the identity map
-    assert poly.A_eq.shape == (8, 10)
-    assert np.allclose(poly.b_eq, 0.0)
+    for space in Space:
+        spec = build_moving_set(system, space, loads)
+        poly = moving_set_at(spec, 0.0, loads)
+        assert np.allclose(poly.b, expected_upper)
+        assert np.allclose(poly.lower, expected_lower)
+        assert poly.A is system.V_basis and poly.n_inequalities == 2 * m
+        assert poly.A_eq is None and poly.b_eq is None
 
 
 def test_moving_set_translation_for_constant_force(example1):
@@ -91,19 +93,19 @@ def test_moving_set_translation_for_constant_force(example1):
 
 
 def test_reduced_set_is_projection_of_full(example1):
-    # membership cross-check between the two coordinate systems
+    # membership cross-check between the set on the rows V and its full
+    # form, the box with the plane as equality rows U^T K
     _, loads, system = example1
-    full = build_moving_set(system, Space.FULL, loads)
     red = build_moving_set(system, Space.REDUCED, loads)
     t = 0.03
-    poly_full = moving_set_at(full, t, loads)
+    poly_full = full_form_set(system, red.offset(loads, t))
     poly_red = moving_set_at(red, t, loads)
     rng = np.random.default_rng(4)
     for _ in range(20):
         probe = rng.standard_normal(10) * 1e-3
         y = project(system.stiffness, probe, poly_full).point
         assert poly_red.contains(system.P_V @ y, tol=1e-8)
-        yv = project(red.weight, rng.standard_normal(2) * 1e-3, poly_red).point
+        yv = project(red.whitening.S, rng.standard_normal(2) * 1e-3, poly_red).point
         assert poly_full.contains(system.V_basis @ yv, tol=1e-8)
 
 
@@ -136,35 +138,32 @@ def test_zero_displacement_gives_zero_stress(example1):
 
 
 def test_full_and_reduced_space_share_the_whitening_factor(grid_with_hole, monkeypatch):
-    # both spaces whiten with assembly's K-orthonormal basis of the plane, so
-    # neither forms a Gram matrix of the plane, and both whiten the bound
-    # map to the same V^T
+    # both spaces solve in the coordinates of assembly's K-orthonormal basis
+    # of the plane, which are whitened already: neither forms a Gram matrix
+    # of the plane, and both whiten the bound map to the same V^T
     _, loads, system = grid_with_hole
 
     def no_weight_apply(S, v):
         raise AssertionError("whitening recomputed the Gram matrix of the plane")
 
     monkeypatch.setattr(projection, "_weight_apply", no_weight_apply)
-    full_spec = build_moving_set(system, Space.FULL, loads)
-    reduced_spec = build_moving_set(system, Space.REDUCED, loads)
-    full, reduced = full_spec.whitening, reduced_spec.whitening
-    assert full.Z is system.V_basis and reduced.Z is reduced_spec.weight
-    assert np.array_equal(reduced_spec.weight, np.eye(system.dims.dim_v))
-    assert not reduced_spec.weight.flags.writeable
-    for white, spec in ((full, full_spec), (reduced, reduced_spec)):
-        assert np.array_equal(white.rows(spec.W), system.V_basis.T)
+    for space in Space:
+        spec = build_moving_set(system, space, loads)
+        white = spec.whitening
+        assert white.Z is white.S and white.A_eq is None
+        assert np.array_equal(white.S, np.eye(system.dims.dim_v))
+        assert not white.S.flags.writeable
+        assert np.array_equal(white.rows(static_set(spec, 0.0).A), system.V_basis.T)
 
 
 def test_reduced_space_whitening_multiplies_by_nothing(grid_with_hole):
-    # its Z is the identity: forward and back hand their argument back, and
-    # the whitened rows are a read-only view of V^T, as in the full space
+    # its Z is the identity: weigh and back hand their argument back, and
+    # the whitened rows are a read-only view of V^T
     _, loads, system = grid_with_hole
-    full = build_moving_set(system, Space.FULL, loads)
-    reduced = build_moving_set(system, Space.REDUCED, loads)
-    white = reduced.whitening
-    assert white.identity and not full.whitening.identity
-    v = np.ones((system.dims.dim_v, 3))
-    assert white.forward(v) is v and white.back(v) is v
-    for spec in (full, reduced):
-        rows = spec.whitening.rows(spec.W)
+    for space in Space:
+        white = build_moving_set(system, space, loads).whitening
+        assert white.identity
+        v = np.ones((system.dims.dim_v, 3))
+        assert white.weigh(v) is v and white.back(v) is v
+        rows = white.rows(system.V_basis)
         assert np.shares_memory(rows, system.V_basis) and not rows.flags.writeable
