@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from .lattice import LoadSchedule
-from .projection import _columns, _negative_multipliers, _on_bounds, _whitened_rows, project
+from .projection import _columns, _negative_multipliers, _on_bounds, project
 from .sweeping import MovingSetSpec, SweepingState, static_set
 from .trajectory import STACKED_ROWS, EventRecord, Trajectory
 
@@ -94,7 +94,7 @@ def detect_events(
     first: int,
 ) -> tuple[list[EventRecord], np.ndarray]:
     """A posteriori yield events: the rows of the stacked stresses ``sigma``,
-    at ``times``, where new springs reach a bound.
+    at ``times``, where springs reach a bound or leave one.
 
     ``before`` is the :func:`bound_activity` of the row before the first,
     and the events are numbered from ``first``.  Returns the events and the
@@ -104,7 +104,7 @@ def detect_events(
     previous = np.vstack([before, active[:-1]])
     gained, released = active & ~previous, previous & ~active
     events = []
-    for row in np.flatnonzero(gained.any(axis=1)):
+    for row in np.flatnonzero((gained | released).any(axis=1)):
         events.append(
             EventRecord(
                 index=first + len(events),
@@ -230,7 +230,7 @@ def catchup(
                 if points.shape[1]:
                     path[s : s + points.shape[1]] = points.T
                     s += points.shape[1]
-                    u, warm.checked = points[:, -1].copy(), None
+                    u = points[:, -1].copy()
                     if s == j - i:
                         break
             t = float(times[i + s])
@@ -245,7 +245,7 @@ def catchup(
             s += 1
             on = np.zeros(poly.n_inequalities, dtype=bool)
             on[list(result.active_inequalities)] = True
-            face = _Face(on, _columns(_whitened_rows(warm.white, poly, warm), np.flatnonzero(on)))
+            face = _Face(on, _columns(warm.white.rows(poly.A), np.flatnonzero(on)))
         epsilon = np.empty((j - i, lower.size))
         np.subtract(spec.lift(path.T).T, shift, out=epsilon)
         sigma = system.stiffness * epsilon

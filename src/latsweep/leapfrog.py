@@ -4,7 +4,8 @@ When the force load is constant and the displacement/strain rates are
 constant, the constraint set translates without changing shape, and the
 evolution is piecewise affine: the solver jumps directly from one yield
 event to the next.  Piecewise-constant rate schedules are run segment by
-segment.
+segment; the bounds a segment's rate leaves at once, as on unloading, are
+released at its start.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .projection import PolyhedralSet, WarmStart, project_cone
 from .sweeping import MovingSetSpec, SweepingState
 from .trajectory import EventRecord, Trajectory
 
-#: Bound-activity tolerance: events land points on bounds up to
-#: arithmetic noise.
+#: Bound-activity tolerance, as a fraction of each spring's elastic range:
+#: events land points on bounds up to arithmetic noise.
 ACTIVE_TOL = 1e-9
 
 #: Scale-free threshold on the set-relative speed below which the
@@ -38,12 +39,13 @@ def _bound_status(spec: MovingSetSpec, z: np.ndarray, offset: np.ndarray | None)
 
     Returns the room to the upper and to the lower bound, and the masks of
     the springs on their upper bound, on their lower bound, and outside the
-    box, each decided under ``ACTIVE_TOL``.
+    box, each decided within ``ACTIVE_TOL`` of the spring's elastic range.
     """
     shift = 0.0 if offset is None else offset
     values = spec.lift(z)
     up, down = spec.box_upper + shift - values, values - (spec.box_lower + shift)
-    return up, down, up <= ACTIVE_TOL, down <= ACTIVE_TOL, (up < -ACTIVE_TOL) | (down < -ACTIVE_TOL)
+    tol = ACTIVE_TOL * (spec.box_upper - spec.box_lower)
+    return up, down, up <= tol, down <= tol, (up < -tol) | (down < -tol)
 
 
 def tangent_cone(
@@ -163,6 +165,7 @@ def leapfrog(
     _, _, on_upper, on_lower, _ = _bound_status(spec, y, spec.offset(loads, 0.0))
     held: set = {(int(j), "upper") for j in np.flatnonzero(on_upper)}
     held |= {(int(j), "lower") for j in np.flatnonzero(on_lower)}
+    zdot = None
     for t_start, t_end in segments:
         offset0 = spec.offset(loads, t_start)
         drive = spec.reduce(spec.offset_rate(loads, t_start))
@@ -170,7 +173,20 @@ def leapfrog(
         drive_speed = float(np.abs(spec.lift(drive)).max(initial=0.0))
         z = y
         t = t_start
-        zdot = event_velocity(spec, z, drive, offset0, warm=warm)
+        before, zdot = zdot, event_velocity(spec, z, drive, offset0, warm=warm)
+        gone = _departures(spec, held, zdot, drive_speed)
+        if gone:  # bounds the new rate leaves at once, as on unloading
+            held -= gone
+            events.append(
+                EventRecord(
+                    index=len(events),
+                    time=t,
+                    newly_active=frozenset(),
+                    newly_released=frozenset(gone),
+                    sigma=sigma_of(z, offset0),
+                    relative_velocity=None if before is None else spec.view(before).copy(),
+                )
+            )
         for _ in range(50 * system.dims.n_springs + 100):
             if float(np.sqrt(zdot @ zdot)) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment

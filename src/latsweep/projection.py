@@ -30,9 +30,9 @@ few signed active columns of ``M`` (the range-space form).
 supplies or from a phase-1 linear program (HiGHS via scipy);
 :func:`project_cone`, for event velocities, takes the moving set itself
 with its inactive bounds opened and its active ones at 0, starts at the
-cone's apex, which lies in every cone, and checks its result.  Both read
-``M`` from the warm handle, so one moving set's bound map is whitened once
-per run.
+cone's apex, which lies in every cone, and checks its result.  Both take
+``M`` from the whitening on every call; for a moving set it is a
+read-only view of ``V^T``, with no product and no copy.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _snapshot(a: np.ndarray | None) -> np.ndarray | None:
 
 
 def _unchanged(a, ref, snap) -> bool:
-    """Whether ``a`` is the array ``ref`` a cache was built from and, when
+    """Whether ``a`` is the array ``ref`` a whitening was built from and, when
     that array is writable, still holds the values ``snap`` it held then."""
     return a is ref and (snap is None or np.array_equal(a, snap))
 
@@ -232,49 +232,19 @@ class Whitening:
         return rows
 
 
-@dataclass(frozen=True)
-class _Checked:
-    """A point's slack and violation in one set, with the arrays they were
-    computed from and copies of the writable ones."""
-
-    poly: PolyhedralSet
-    arrays: tuple
-    copies: tuple
-    slack: np.ndarray
-    violation: float
-
-    @classmethod
-    def of(cls, poly: PolyhedralSet, x: np.ndarray, slack: np.ndarray, violation: float) -> "_Checked":
-        arrays = (x, poly.b, poly.lower, poly.b_eq)
-        return cls(poly, arrays, tuple(map(_snapshot, arrays)), slack, violation)
-
-    def serves(self, poly: PolyhedralSet, x: np.ndarray) -> bool:
-        """Whether these numbers are those of ``x`` in ``poly``: the same
-        objects, and unchanged values where they are writable."""
-        arrays = (x, poly.b, poly.lower, poly.b_eq)
-        return poly is self.poly and all(map(_unchanged, arrays, self.arrays, self.copies))
-
-
 @dataclass
 class WarmStart:
     """Single-owner handle carrying hints between consecutive projections.
 
-    ``active`` is the last active set.  ``white`` and ``rows`` (the
-    inequality-row array, a copy of it when it is writable, and its
-    whitened rows) are reused while the caller passes the same arrays
-    unchanged, and rebuilt otherwise; a caller that already holds the
-    whitening seeds it here.  A moving set's static sets and tangent cones
-    share their rows, so one handle per run serves catch-up steps and
-    event velocities alike with one whitened bound map.  ``checked`` holds
-    the last result's slack and violation in its set, which serve the next
-    start check when that projection starts from the same point in the
-    same set, as a catch-up step in a set that stays put does.
+    ``active`` is the last active set.  ``white`` is reused while the caller
+    passes the same weight and equality rows unchanged, and rebuilt
+    otherwise; a caller that already holds the whitening seeds it here, as
+    a moving set does, so one handle per run serves catch-up steps and
+    event velocities alike.
     """
 
     active: tuple[int, ...] | None = None
     white: Whitening | None = None
-    rows: tuple[np.ndarray | None, np.ndarray | None, np.ndarray] | None = None
-    checked: _Checked | None = None
 
 
 def _weight_apply(S: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -379,20 +349,8 @@ def _whitening(S, poly: PolyhedralSet, warm: WarmStart | None) -> Whitening:
         return warm.white
     white = Whitening.build(S, poly.A_eq, poly.dim)
     if warm is not None:
-        warm.white, warm.rows, warm.checked = white, None, None
+        warm.white = white
     return white
-
-
-def _whitened_rows(white: Whitening, poly: PolyhedralSet, warm: WarmStart | None) -> np.ndarray:
-    """The warm handle's whitened rows when they fit, else new ones (kept there)."""
-    if warm is not None and warm.rows is not None:
-        A, A_copy, rows = warm.rows
-        if _unchanged(poly.A, A, A_copy):
-            return rows
-    rows = white.rows(poly.A)
-    if warm is not None:
-        warm.rows, warm.checked = (poly.A, _snapshot(poly.A), rows), None
-    return rows
 
 
 def project(
@@ -406,21 +364,20 @@ def project(
     """S-weighted projection of ``x`` onto ``poly``.
 
     ``start``, when given and feasible within tolerance, skips the phase-1
-    solve.  ``warm`` carries the previous active set, the whitening and the
-    whitened rows between calls; it must not be shared across threads.  It
-    also keeps the result's slack and violation in ``poly``: a next call
-    that starts from the returned point, unchanged, in the same set reads
-    its start check from them.
+    solve.  ``warm`` carries the previous active set and the whitening
+    between calls; it must not be shared across threads.  The whitened rows
+    ``M`` are taken on every call: for a moving set, whose whitening is the
+    identity, they are a read-only view of ``V^T``.
     """
     n = poly.dim
     x = _check_point(x, n)
     white = _whitening(S, poly, warm)
-    M = _whitened_rows(white, poly, warm)
+    M = white.rows(poly.A)
 
     act_tol = max(tol, 1e-12)
     y, slack = None, None
     if start is not None:
-        y, slack = _checked_start(poly, start, warm, 10 * act_tol)
+        y, slack = _checked_start(poly, start, 10 * act_tol)
     if y is None:
         y = find_feasible_point(poly, tol)
         slack = poly.slack(y)
@@ -433,12 +390,11 @@ def project(
     y, _, _, kkt_stat = _active_set(white, M, slack, x, y, active, tol)
 
     slack = poly.slack(y)
-    violation = poly.violation(y, slack)
     bound = np.concatenate([poly.b, poly.lower])
     act_idx = tuple(int(j) for j in np.flatnonzero(_on_bounds(slack, bound, tol)))
     if warm is not None:
-        warm.active, warm.checked = act_idx, _Checked.of(poly, y, slack, violation)
-    kkt = max(kkt_stat, violation)
+        warm.active = act_idx
+    kkt = max(kkt_stat, poly.violation(y, slack))
     return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
 
 
@@ -458,23 +414,14 @@ def _negative_multipliers(lam: np.ndarray, tol: float) -> np.ndarray:
     return lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(axis=0, initial=0.0))
 
 
-def _checked_start(poly: PolyhedralSet, start, warm: WarmStart | None, tol: float):
+def _checked_start(poly: PolyhedralSet, start, tol: float):
     """``start`` and its slack when it lies in ``poly`` within ``tol``, else
-    ``(None, None)``.  The warm handle's numbers serve when they are the
-    start's in this set; they leave the handle either way, as the kernel
-    changes the slack in place."""
+    ``(None, None)``."""
     start = np.asarray(start, dtype=float)
     if start.shape != (poly.dim,):
         return None, None
-    checked = None
-    if warm is not None:
-        checked, warm.checked = warm.checked, None
-    if checked is not None and checked.serves(poly, start):
-        slack, violation = checked.slack, checked.violation
-    else:
-        slack = poly.slack(start)
-        violation = poly.violation(start, slack)
-    return (start, slack) if violation <= tol else (None, None)
+    slack = poly.slack(start)
+    return (start, slack) if poly.violation(start, slack) <= tol else (None, None)
 
 
 def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -565,9 +512,7 @@ def project_cone(
     to infinity.  The active-set loop of :func:`project` starts at the
     cone's apex (the origin, which lies in every cone, so no phase 1 is
     needed) with every finite bound in its working set, on ``x`` scaled to
-    unit ``||x||_S``.  ``warm`` lends its whitening and its whitened rows,
-    which a warm handle keeps from call to call while ``A`` stays the same
-    array, so a moving set's cones whiten its bound map once.
+    unit ``||x||_S``.  ``warm`` lends its whitening.
 
     The result is checked against the KKT conditions over the finite
     bounds, per bound relative to its whitened norm ``||M e_i||`` (``M =
@@ -592,7 +537,7 @@ def project_cone(
         return ProjectionResult(np.zeros(n), tuple(int(j) for j in np.flatnonzero(held)), 0.0)
 
     x = x / x_norm
-    M = _whitened_rows(white, cone, warm)
+    M = white.rows(cone.A)
     slack = np.where(held, 0.0, np.inf)
     y, idx, lam, _ = _active_set(white, M, slack, x, np.zeros(n), held.copy(), tol)
 

@@ -155,7 +155,8 @@ class MovingSetSpec:
     def whitening(self) -> Whitening:
         """The projections' change of coordinates: the identity, with the
         identity weight, as ``V`` is K-orthonormal.  Nothing is factored."""
-        eye = _frozen(np.eye(self.system.dims.dim_v))
+        eye = np.eye(self.system.dims.dim_v)
+        eye.flags.writeable = False
         return Whitening.build(eye, None, eye.shape[0], eye)
 
     def warm_start(self) -> WarmStart:
@@ -184,26 +185,14 @@ def build_moving_set(
     )
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
-
-
 def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
     """The constraint polyhedron for a frozen box translation.
 
     Two-sided bounds ``lower <= V y <= upper``.  Its rows are assembly's
-    read-only ``V``, the same object on every call, so the projection
-    kernel keeps the spec's whitening and its whitened rows from step to
-    step without checking them again.  Its bounds are read-only too, so a
-    warm handle keeps a point's slack in the set without a copy of them.
+    read-only ``V``, the same object on every call, whose whitened rows in
+    the spec's identity whitening are a read-only view of ``V^T``.
     """
-    return PolyhedralSet(
-        A=spec.system.V_basis,
-        b=_frozen(spec.box_upper + offset),
-        lower=_frozen(spec.box_lower + offset),
-    )
+    return PolyhedralSet(A=spec.system.V_basis, b=spec.box_upper + offset, lower=spec.box_lower + offset)
 
 
 @dataclass(frozen=True)

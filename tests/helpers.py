@@ -361,14 +361,15 @@ def full_form_set(system, offset, rows=None) -> PolyhedralSet:
 
 def full_form_cone(system, z, offset, rows=None) -> PolyhedralSet:
     """The tangent cone of :func:`full_form_set` at the spring vector
-    ``z``: the bounds ``z`` sits on within ``ACTIVE_TOL`` at 0, the others
-    opened, and the plane's equality rows."""
+    ``z``: the bounds ``z`` sits on within ``ACTIVE_TOL`` of the spring's
+    elastic range at 0, the others opened, and the plane's equality rows."""
     box = full_form_set(system, offset, rows)
+    tol = ACTIVE_TOL * (system.upper_limits - system.lower_limits) / system.stiffness
     return PolyhedralSet(
         A=None,
-        b=np.where(box.b - z <= ACTIVE_TOL, 0.0, np.inf),
+        b=np.where(box.b - z <= tol, 0.0, np.inf),
         A_eq=box.A_eq,
-        lower=np.where(z - box.lower <= ACTIVE_TOL, 0.0, -np.inf),
+        lower=np.where(z - box.lower <= tol, 0.0, -np.inf),
     )
 
 

@@ -10,6 +10,7 @@ from latsweep.catchup import TimePartition, bound_activity, catchup
 from latsweep.errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from latsweep.generators import build_tri_grid_with_hole
 from latsweep.lattice import LoadSchedule
+from latsweep.leapfrog import leapfrog
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import PolyhedralSet, find_feasible_point, project
 from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
@@ -253,6 +254,28 @@ def test_catchup_matches_abstract_recursion(
         assert max(on_bounds) == 4 and on_bounds[-1] == 0
 
 
+@pytest.mark.parametrize("space", [Space.FULL, Space.REDUCED])
+def test_unloading_records_the_releases(example1, space):
+    # Example1 stretched to t = 0.07 and then unloaded at the same rate:
+    # all four bounds leave on unloading, and both solvers record them as
+    # an event of their own, leapfrog at the segment's start and catch-up
+    # on the first step off the bounds.
+    definition, loads, system = example1
+    loads = rate_segments(loads, [0.0, 0.07], [1.0, -1.0], 0.14)
+    spec = build_moving_set(system, space, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+    held = {(0, "upper"), (1, "upper"), (2, "lower"), (3, "lower")}
+    for traj, time in (
+        (leapfrog(system, spec, state0, loads), 0.07),
+        (catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 40)), 0.0735),
+    ):
+        assert set().union(*(e.newly_active for e in traj.events)) == held
+        *_, last = traj.events
+        assert last.newly_active == frozenset() and last.newly_released == held
+        assert last.time == pytest.approx(time, abs=1e-12)
+        assert [e.index for e in traj.events] == list(range(len(traj.events)))
+
+
 def test_catchup_projects_once_per_working_set_change(example1, grid_with_hole, monkeypatch):
     # Between working-set changes the steps follow one face without a
     # projection: a 200-step grid solve projects a handful of times.  Under
@@ -361,8 +384,8 @@ def test_safe_load_violation_surfaces_with_time(example1):
 
 def test_abstract_catchup_whitens_writable_arrays_once(monkeypatch):
     # A set provider that hands back the same writable rows and weight on
-    # every step gets one nullspace and one whitening of its rows per run,
-    # and the same iterates as cold projections.
+    # every step gets one nullspace per run, and the same iterates as cold
+    # projections.
     rng = np.random.default_rng(23)
     A = rng.standard_normal((6, 4))
     A_eq = rng.standard_normal((1, 4))
@@ -374,23 +397,16 @@ def test_abstract_catchup_whitens_writable_arrays_once(monkeypatch):
     def provider(t):
         return PolyhedralSet(A=A, b=1.0 + t * drift, A_eq=A_eq, lower=-1.0 + t * drift)
 
-    kernels, whitened = [], []
+    kernels = []
 
     def counted_kernel(M):
         kernels.append(M.shape)
         return nullspace_basis(M)
 
-    def counted_rows(white, rows):
-        whitened.append(rows is A)
-        return rows_of(white, rows)
-
-    rows_of = projection.Whitening.rows
     monkeypatch.setattr(projection, "nullspace_basis", counted_kernel)
-    monkeypatch.setattr(projection.Whitening, "rows", counted_rows)
     part = TimePartition.uniform(0.5, 20)
     path = abstract_catchup(S, provider, np.zeros(4), part)
     assert len(kernels) == 1
-    assert whitened == [True]
     monkeypatch.undo()
     for i, t in enumerate(part.points[1:]):
         cold = project(S, path[i], provider(float(t))).point

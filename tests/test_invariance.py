@@ -6,8 +6,8 @@ springs arrive at the same sides at the same times, and the stresses are
 the same, for both solvers and both spaces.  Spring relabelling is covered
 in ``test_leapfrog.py``.  Splitting a constant-rate segment in two leaves
 the leapfrog events as they are, and so do a change of the units of time
-and a change of the units of stress by 1e3; a change by 1e-6 does not yet
-(ROADMAP item 1).
+and a change of the units of stress by 1e3 or, for leapfrog, by 1e-6;
+catch-up at 1e-6 does not yet (ROADMAP item 1).
 """
 
 import dataclasses
@@ -174,23 +174,35 @@ EXAMPLE1_EVENTS = [
 ]
 
 
+def assert_example1_events(events, tolerance):
+    assert [e.newly_active for e in events] == [arrivals for arrivals, _ in EXAMPLE1_EVENTS]
+    for event, (_, time) in zip(events, EXAMPLE1_EVENTS):
+        assert abs(event.time - time) <= tolerance
+
+
+@pytest.mark.parametrize("factor", [1e3, 1e-6])
+def test_example1_events_do_not_depend_on_stress_units(factor):
+    # Leapfrog decides bound activity relative to each spring's elastic
+    # range, so an elastic range of 2e-9 gives the same events.
+    definition, loads = scale_stress_units(*build_example1(), factor)
+    for space in (Space.FULL, Space.REDUCED):
+        events = solve(definition, loads, "leapfrog", space).events
+        assert_example1_events(events, 1e-9 * loads.horizon)
+
+
 @pytest.mark.parametrize(
     "factor",
     [
         1e3,
         pytest.param(1e-6, marks=pytest.mark.xfail(
             strict=True,
-            reason="ROADMAP item 1: absolute tolerances swallow an elastic range of 2e-9",
+            reason="ROADMAP item 1: the kernel's absolute tolerances swallow an elastic range of 2e-9",
         )),
     ],
 )
-def test_example1_events_do_not_depend_on_stress_units(factor):
+def test_example1_catchup_events_do_not_depend_on_stress_units(factor):
     definition, loads = scale_stress_units(*build_example1(), factor)
     steps = 800
-    mesh = loads.horizon / steps
     for space in (Space.FULL, Space.REDUCED):
-        for solver, tolerance in (("leapfrog", 1e-9 * loads.horizon), ("catchup", mesh)):
-            events = solve(definition, loads, solver, space, steps).events
-            assert [e.newly_active for e in events] == [arrivals for arrivals, _ in EXAMPLE1_EVENTS]
-            for event, (_, time) in zip(events, EXAMPLE1_EVENTS):
-                assert abs(event.time - time) <= tolerance
+        events = solve(definition, loads, "catchup", space, steps).events
+        assert_example1_events(events, loads.horizon / steps)

@@ -366,23 +366,25 @@ def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
         assert np.linalg.norm(traj.final.y - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
 
 
-def test_one_whitened_bound_map_per_run(periodic_8x8, monkeypatch):
+def test_whitened_bound_map_is_a_view_of_the_basis(periodic_8x8, monkeypatch):
     # A tangent cone is the moving set's own map with bounds of 0 or
-    # infinity, so every cone projection of a run reads the one whitened map
-    # its warm handle holds, as catch-up's steps do.
+    # infinity, and the moving set's whitening is the identity, so every
+    # whitened map a leapfrog or catch-up run reads, in either space, is a
+    # read-only view of assembly's V: no product and no copy.
     _, loads, system = periodic_8x8
     whitened, cones = [], []
     rows_of = projection.Whitening.rows
 
-    def counted_rows(white, rows):
-        whitened.append(rows)
-        return rows_of(white, rows)
+    def recorded_rows(white, rows):
+        M = rows_of(white, rows)
+        whitened.append(M)
+        return M
 
     def counted_cone(*args, **kwargs):
         cones.append(args)
         return project_cone(*args, **kwargs)
 
-    monkeypatch.setattr(projection.Whitening, "rows", counted_rows)
+    monkeypatch.setattr(projection.Whitening, "rows", recorded_rows)
     monkeypatch.setattr(sys.modules["latsweep.leapfrog"], "project_cone", counted_cone)
     for space in (Space.REDUCED, Space.FULL):
         spec = build_moving_set(system, space, loads)
@@ -392,10 +394,12 @@ def test_one_whitened_bound_map_per_run(periodic_8x8, monkeypatch):
         whitened.clear()
         cones.clear()
         leapfrog(system, spec, state0, loads)
-        assert len(cones) == 3 and len(whitened) <= 1
-        whitened.clear()
+        assert len(cones) == 3 and whitened
+        read = len(whitened)
         catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 10))
-        assert len(whitened) <= 1
+        assert len(whitened) > read
+        for M in whitened:
+            assert np.shares_memory(M, system.V_basis) and not M.flags.writeable
 
 
 def test_leapfrog_takes_no_phase_one_and_no_scipy_solver(example1, periodic_8x8, monkeypatch):
