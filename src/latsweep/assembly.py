@@ -9,10 +9,14 @@ moving set.
 The checks and bases come from two raw Householder QR factorizations
 and one values-only SVD, and no square orthogonal factor is formed: the
 columns of ``Q`` that are read are built from the reflectors in compact-WY
-panels (:func:`~latsweep.linalg.householder_columns`).  The singular values
-of the constraint matrix ``R`` give its rank; a QR of ``R^T`` gives its
-kernel ``N`` and pseudoinverse.  One QR of ``K^(1/2) U``, for ``U = C N``,
-gives the rest:
+panels (:func:`~latsweep.linalg.householder_columns`).  The constraint
+matrix ``R`` is factored on its support ``S``, the columns that hold a
+nonzero (see :func:`constraint_factors`): the singular values of ``R_S``
+give ``rank R``, and a QR of ``R_S^T`` gives ``ker R_S`` and ``pinv R_S``.
+The other degrees of freedom, ``F``, are free, so ``N = blockdiag(ker R_S,
+I_F)`` spans ``ker R`` and ``U = C N = [C_S ker R_S, C_F]`` is one small
+product and a gather of columns of ``C``.  One QR of ``K^(1/2) U`` gives
+the rest:
 
 - its triangle ``T`` certifies the determinacy check, that ``U`` has full
   column rank (see :func:`_elongation_rank`), through a blocked inverse of
@@ -97,7 +101,8 @@ class AssembledSystem:
     compatibility: np.ndarray      # m x nd, linearized elongation map
     directions: np.ndarray         # m x d, unit vectors terminus -> origin
     reference_lengths: np.ndarray  # m
-    U_basis: np.ndarray            # m x dim_u, C N for N the kernel of R
+    U_basis: np.ndarray            # m x dim_u, C N for N the kernel of R,
+                                   # [C_S ker R_S, C_F]
     V_basis: np.ndarray            # m x dim_v, K-orthonormal columns (V^T K V
                                    # = I) spanning K^-1 ker U^T, the spring
                                    # blocks of ker [C^T R^T] scaled by K^-1
@@ -122,13 +127,14 @@ class AssembledSystem:
         load.
 
         ``U^T H = N^T`` because ``R N = 0``, so the K-orthogonal projection
-        onto the elongation space is ``F = U (U^T K U)^-1 N^T``: one solve
-        and one product, and no ``H``.  ``N`` comes from the same QR of
-        ``R^T`` that assemble takes; it is not kept, as only force loads
-        need it.
+        onto the elongation space is ``F = U (U^T K U)^-1 N^T = (N (U^T K
+        U)^-1 U^T)^T``: one solve and one product with ``N``'s blocks, and
+        no ``H``.  ``N`` comes from the same factors of ``R`` that
+        assemble takes; it is not kept, as only force loads need it.
         """
         _, N, _ = constraint_factors(self.definition.constraint_matrix)
-        F = self.U_basis @ np.linalg.solve(weighted_gram(self.U_basis, self.stiffness), N.T)
+        U = self.U_basis
+        F = (N @ np.linalg.solve(weighted_gram(U, self.stiffness), U.T)).T
         F.flags.writeable = False
         return F
 
@@ -177,23 +183,75 @@ def compatibility_matrix(
     return compat, directions, lengths
 
 
-def constraint_factors(R: np.ndarray) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """``rank R``, an orthonormal basis ``N`` of ``ker R`` as columns, and
-    ``pinv R`` (``None`` when ``R`` lacks full row rank).
+@dataclass(frozen=True)
+class ConstraintKernel:
+    """An orthonormal basis ``N`` of ``ker R``, kept as its blocks and
+    never formed.
 
-    The rank comes from the singular values of ``R``.  Under full row rank
-    a Householder QR ``R^T = [Q_1 Q_2] [T; 0]`` gives the rest: ``N = Q_2``
-    and ``pinv R = R^T (R R^T)^-1 = Q_1 T^-T``, each block of ``Q`` built
-    on its own from the reflectors.  A rank-deficient ``R`` fails
-    assumption 1; only the diagnostics read its kernel, from an SVD.
+    ``support`` holds the columns ``S`` of ``R`` with a nonzero and
+    ``free`` the others, ``F``.  Column ``j < k`` of ``N`` is column ``j``
+    of ``block``, an orthonormal basis of ``ker R_S`` (``|S| x k``), on the
+    rows ``S``; the other columns are those of the identity on the rows
+    ``F``.  So ``A @ N`` is one product on the support and a gather of the
+    free columns of ``A``, and ``N @ Y`` a product and a scatter.
     """
-    q, nd = R.shape
-    rank = numerical_rank(R)
+
+    support: np.ndarray
+    free: np.ndarray
+    block: np.ndarray
+
+    __array_ufunc__ = None  # ndarray @ N defers to __rmatmul__
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        k = self.block.shape[1]
+        return self.support.size + self.free.size, k + self.free.size
+
+    def __rmatmul__(self, A: np.ndarray) -> np.ndarray:
+        """``A N = [A_S ker R_S, A_F]``."""
+        k = self.block.shape[1]
+        out = np.empty((A.shape[0], self.shape[1]))
+        out[:, :k] = A[:, self.support] @ self.block
+        # straight into out: the indices are in range, and "clip" keeps
+        # take from copying through a buffer
+        np.take(A, self.free, axis=1, out=out[:, k:], mode="clip")
+        return out
+
+    def __matmul__(self, Y: np.ndarray) -> np.ndarray:
+        """``N Y``: rows ``S`` are ``ker R_S`` times the leading rows of
+        ``Y``, rows ``F`` its trailing rows."""
+        k = self.block.shape[1]
+        out = np.empty((self.shape[0],) + Y.shape[1:])
+        out[self.support] = self.block @ Y[:k]
+        out[self.free] = Y[k:]
+        return out
+
+
+def constraint_factors(R: np.ndarray) -> tuple[int, ConstraintKernel, np.ndarray | None]:
+    """``rank R``, the basis ``N`` of ``ker R`` as a :class:`ConstraintKernel`,
+    and ``pinv R_S`` (``None`` when ``R`` lacks full row rank), all from
+    ``R_S``, the columns of ``R`` that hold a nonzero.
+
+    The rows of ``pinv R`` outside ``S`` are zero, so ``C pinv R = C_S pinv
+    R_S``.  The rank comes from the singular values of ``R_S``, which are
+    those of ``R``.  Under full row rank a Householder QR ``R_S^T = [Q_1
+    Q_2] [T; 0]`` gives the rest: ``ker R_S = Q_2`` and ``pinv R_S = R_S^T
+    (R_S R_S^T)^-1 = Q_1 T^-T``, each block of ``Q`` built on its own from
+    the reflectors.  A rank-deficient ``R`` fails assumption 1; only the
+    diagnostics read its kernel, from an SVD of ``R_S``.  A dense ``R`` has
+    full support and takes the same path.
+    """
+    q = R.shape[0]
+    nonzero = np.any(R != 0, axis=0)
+    support, free = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+    R_S = R[:, support]
+    rank = numerical_rank(R_S)
     if rank < q:
-        return rank, nullspace_basis(R), None
-    h, tau = np.linalg.qr(R.T, mode="raw")
+        return rank, ConstraintKernel(support, free, nullspace_basis(R_S)), None
+    h, tau = np.linalg.qr(R_S.T, mode="raw")
     pinv = householder_columns(h, tau, 0, q) @ triangular_inverse(np.triu(h.T[:q])).T
-    return rank, fix_signs(householder_columns(h, tau, q, nd)), pinv
+    block = fix_signs(householder_columns(h, tau, q, support.size))
+    return rank, ConstraintKernel(support, free, block), pinv
 
 
 def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
@@ -271,7 +329,7 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
             "(full row rank assumption fails)"
         )
     U = compat @ N
-    G_R = compat @ R_pinv
+    G_R = compat[:, N.support] @ R_pinv
     del N, R_pinv
     dim_u = nd - q
     dim_v = m - nd + q

@@ -22,6 +22,7 @@ image offsets of the terminus and require ``meta.box``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -79,7 +80,46 @@ def _times(mapping, where, from_zero=False):
     return times
 
 
-def _dense_ids(items, where):
+#: The JSON types of a number, and of an integer (JSON's true is no int).
+_NUMBER = {int, float}
+_INTEGER = {int}
+
+
+def _numeric(values, types=_NUMBER):
+    """``values`` as floats, and a mask that holds each one that may not be a
+    finite number of ``types``: all of them, as NaN, when one is of another
+    type or an int beyond the float range, for none is converted alone.
+
+    The mask may hold valid values too (the largest float, an int that
+    rounds to it): an item it holds is checked on its own."""
+    if set(map(type, values)) <= types:
+        try:
+            array = np.array(values, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            pass
+        else:
+            return array, ~(np.abs(array) < _MAX)
+    return np.full(len(values), np.nan), np.ones(len(values), dtype=bool)
+
+
+def _vectors(values, d):
+    """Lists of ``d`` numbers as an ``(len, d)`` float array, and the mask of
+    :func:`_numeric` over its rows."""
+    if set(map(type, values)) == {list} and set(map(len, values)) == {d}:
+        array, bad = _numeric(list(itertools.chain.from_iterable(values)))
+        return array.reshape(-1, d), bad.reshape(-1, d).any(axis=1)
+    return np.full((len(values), d), np.nan), np.ones(len(values), dtype=bool)
+
+
+def _dense_ids(items, where) -> np.ndarray:
+    """The ids of ``items``, which must number them 0..len-1: checked as one
+    column, and item by item only to name the first that fails."""
+    if set(map(type, items)) == {dict}:
+        ids, bad = _numeric([item.get("id") for item in items], _INTEGER)
+        if not bad.any() and np.all((0 <= ids) & (ids < len(items))):
+            ids = ids.astype(int)
+            if np.bincount(ids, minlength=len(items)).all():
+                return ids
     seen = set()
     for i, item in enumerate(items):
         ident = _need(item, "id", f"{where}[{i}]")
@@ -88,12 +128,37 @@ def _dense_ids(items, where):
         if ident in seen:
             raise SchemaError(f"duplicate id {ident}", field=f"{where}[{i}].id")
         seen.add(ident)
-    if seen != set(range(len(items))):
-        raise SchemaError(f"ids must be dense 0..{len(items) - 1}", field=where)
+    raise SchemaError(f"ids must be dense 0..{len(items) - 1}", field=where)
+
+
+def _check_spring(spring, where, n, d):
+    """Raise the ``SchemaError`` of the first field of ``spring`` that fails
+    its check, in the order the fields are read; return if none does."""
+    origin = _need(spring, "origin", where, int)
+    terminus = _need(spring, "terminus", where, int)
+    for name, ref in (("origin", origin), ("terminus", terminus)):
+        if not 0 <= ref < n:
+            raise SchemaError(f"unknown node {ref}", field=f"{where}.{name}")
+    if origin == terminus:
+        # self-loops cannot carry an incidence +1/-1 pair, shifted or not
+        raise SchemaError("origin equals terminus", field=where)
+    if _need(spring, "stiffness", where, float) <= 0:
+        raise SchemaError("stiffness must be positive", field=f"{where}.stiffness")
+    if _need(spring, "lower", where, float) >= _need(spring, "upper", where, float):
+        raise SchemaError("lower limit must be below upper", field=where)
+    if "shift" in spring:
+        shift = spring["shift"]
+        if not isinstance(shift, list) or len(shift) != d or any(type(v) is not int for v in shift):
+            raise SchemaError(f"shift must be {d} integers", field=f"{where}.shift")
 
 
 def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
-    """Parse and validate a network document."""
+    """Parse and validate a network document.
+
+    Nodes and springs are read by columns: each field is gathered once
+    and checked as a whole, and the arrays are filled by index.  Only
+    where a check fails are the items it flags read one by one, in order,
+    to name the first that is invalid."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -116,49 +181,49 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
     nodes = _need(doc, "nodes", "", list)
     if not nodes:
         raise SchemaError("at least one node required", field="nodes")
-    _dense_ids(nodes, "nodes")
+    node_ids = _dense_ids(nodes, "nodes")
     n = len(nodes)
-    coords = np.zeros((n, d))
-    for i, node in enumerate(nodes):
-        coords[node["id"]] = _need(node, "coords", f"nodes[{i}]", float, d)
+    xs, bad = _vectors([node.get("coords") for node in nodes], d)
+    for i in np.flatnonzero(bad):
+        _need(nodes[i], "coords", f"nodes[{i}]", float, d)
+    coords = np.empty((n, d))
+    coords[node_ids] = xs
 
     springs = _need(doc, "springs", "", list)
     if not springs:
         raise SchemaError("at least one spring required", field="springs")
-    _dense_ids(springs, "springs")
+    ids = _dense_ids(springs, "springs")
     m = len(springs)
-    Q = np.zeros((n, m))
-    stiffness = np.zeros(m)
-    lower = np.zeros(m)
-    upper = np.zeros(m)
+
+    def column(key, types=_NUMBER):
+        return _numeric([spring.get(key) for spring in springs], types)
+
+    origin, bad_origin = column("origin", _INTEGER)
+    terminus, bad_terminus = column("terminus", _INTEGER)
+    k, bad_k = column("stiffness")
+    lo, bad_lo = column("lower")
+    hi, bad_hi = column("upper")
+    bad = (
+        bad_origin | bad_terminus | bad_k | bad_lo | bad_hi
+        | ~((0 <= origin) & (origin < n) & (0 <= terminus) & (terminus < n))
+        | (origin == terminus) | ~(k > 0) | ~(lo < hi)
+    )
+    shifted = [i for i, spring in enumerate(springs) if "shift" in spring]
+    given = [springs[i]["shift"] for i in shifted]
     shifts = np.zeros((m, d), dtype=int)
-    any_shift = False
-    for i, spring in enumerate(springs):
-        where = f"springs[{i}]"
-        sid = spring["id"]
-        origin = _need(spring, "origin", where, int)
-        terminus = _need(spring, "terminus", where, int)
-        for name, ref in (("origin", origin), ("terminus", terminus)):
-            if not 0 <= ref < n:
-                raise SchemaError(f"unknown node {ref}", field=f"{where}.{name}")
-        if origin == terminus:
-            # self-loops cannot carry an incidence +1/-1 pair, shifted or not
-            raise SchemaError("origin equals terminus", field=where)
-        stiffness[sid] = _need(spring, "stiffness", where, float)
-        if stiffness[sid] <= 0:
-            raise SchemaError("stiffness must be positive", field=f"{where}.stiffness")
-        lower[sid] = _need(spring, "lower", where, float)
-        upper[sid] = _need(spring, "upper", where, float)
-        if lower[sid] >= upper[sid]:
-            raise SchemaError("lower limit must be below upper", field=where)
-        Q[origin, sid] = 1.0
-        Q[terminus, sid] = -1.0
-        if "shift" in spring:
-            shift = spring["shift"]
-            if not isinstance(shift, list) or len(shift) != d or any(type(v) is not int for v in shift):
-                raise SchemaError(f"shift must be {d} integers", field=f"{where}.shift")
-            shifts[sid] = shift
-            any_shift = any_shift or any(s != 0 for s in shift)
+    if not (set(map(type, given)) <= {list} and set(map(len, given)) <= {d}
+            and set(map(type, itertools.chain.from_iterable(given))) <= _INTEGER):
+        bad[shifted] = True
+    elif shifted:
+        shifts[ids[shifted]] = given
+    for i in np.flatnonzero(bad):
+        _check_spring(springs[i], f"springs[{i}]", n, d)
+    Q = np.zeros((n, m))
+    Q[origin.astype(int), ids] = 1.0
+    Q[terminus.astype(int), ids] = -1.0
+    stiffness, lower, upper = (np.empty(m) for _ in range(3))
+    stiffness[ids], lower[ids], upper[ids] = k, lo, hi
+    any_shift = bool(shifts.any())
     if any_shift and box is None:
         raise SchemaError("springs carry shifts but meta.box is missing", field="meta.box")
     box_lengths = _numbers(box, "meta.box", d) if any_shift else None

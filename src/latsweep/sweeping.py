@@ -25,8 +25,10 @@ from .errors import InitialConditionError, InfeasibleSetError, InvalidInputError
 from .lattice import LoadSchedule
 from .projection import PolyhedralSet, WarmStart, Whitening, find_feasible_point
 
-#: Membership tolerance for initial conditions; small violations of the
-#: yield box (file rounding) are clamped, larger ones rejected.
+#: Membership tolerance for initial conditions, relative to each spring's
+#: elastic range: small violations of the yield box (file rounding) are
+#: clamped, larger ones rejected.  The balance is held to the same fraction
+#: of ``|U|^T (upper - lower)``.
 INITIAL_TOL = 1e-9
 
 
@@ -224,10 +226,10 @@ def initial_state(
             f"initial stress has shape {sigma0.shape}, expected ({m},)"
         )
     lo, hi = sys.lower_limits, sys.upper_limits
-    over = np.maximum(sigma0 - hi, 0.0) + np.minimum(sigma0 - lo, 0.0)
-    over_elongation = np.abs(over) / sys.stiffness
-    if np.max(over_elongation) > tol:
-        j = int(np.argmax(over_elongation))
+    width = hi - lo
+    over = np.abs(np.maximum(sigma0 - hi, 0.0) + np.minimum(sigma0 - lo, 0.0)) / width
+    if not np.all(over <= tol):  # NaN fails too; argmax finds it first
+        j = int(np.argmax(over))
         raise InitialConditionError(
             f"initial stress of spring {j} is outside its elastic range"
         )
@@ -239,7 +241,10 @@ def initial_state(
     balance = sys.U_basis.T @ sigma0
     if f0 is not None:
         balance = balance - sys.equality_rows() @ (sys.F @ f0)
-    if np.max(np.abs(balance), initial=0.0) > tol:
+    # each entry sums stresses over the springs, so it is held to the sum
+    # of their elastic ranges, weighted by |U|: no verdict moves with units
+    # (a zero balance, as of a zero stress, passes at any scale)
+    if balance.any() and np.any(np.abs(balance) > tol * (np.abs(sys.U_basis).T @ width)):
         raise InitialConditionError(
             "initial stress is not self-equilibrated with the initial force load"
         )

@@ -21,7 +21,7 @@ from latsweep.generators import (
 )
 from latsweep.lattice import LatticeDefinition
 from latsweep.leapfrog import leapfrog
-from latsweep.linalg import PANEL, numerical_rank
+from latsweep.linalg import PANEL, nullspace_basis, numerical_rank
 from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_check
 
 from helpers import (
@@ -220,9 +220,14 @@ def test_determinacy_iff_all_loads_resolvable():
             assert resolvable == report.kinematically_determinate
 
 
+def _support_shape(R):
+    """The shape of ``R_S``, the columns of ``R`` that hold a nonzero."""
+    return R.shape[0], int(np.count_nonzero(np.any(R != 0, axis=0)))
+
+
 def test_assemble_takes_one_svd(monkeypatch, example1, grid_with_hole):
-    # values only, of R for its rank: a QR of R^T gives U and G, and the
-    # triangle of K^(1/2) U's QR certifies the rank check with no SVD
+    # values only, of R's support for its rank: a QR of R_S^T gives U and G,
+    # and the triangle of K^(1/2) U's QR certifies the rank check with no SVD
     calls = []
     svd = np.linalg.svd
 
@@ -234,7 +239,7 @@ def test_assemble_takes_one_svd(monkeypatch, example1, grid_with_hole):
     for definition, _, _ in (example1, grid_with_hole):
         calls.clear()
         assemble(definition)
-        assert calls == [(definition.constraint_matrix.shape, False)]
+        assert calls == [(_support_shape(definition.constraint_matrix), False)]
 
 
 def test_assemble_forms_no_square_orthogonal_factor(monkeypatch, example1, grid_with_hole):
@@ -330,7 +335,7 @@ def test_assemble_takes_no_svd_of_the_enhanced_matrix(monkeypatch, example1, gri
         calls.clear()
         system = assemble(definition)
         dim_u = system.dims.dim_u
-        assert calls == [definition.constraint_matrix.shape]
+        assert calls == [_support_shape(definition.constraint_matrix)]
         assert (dim_u, dim_u) not in calls
         assert (definition.n_dof, definition.n_springs + definition.n_constraints) not in calls
 
@@ -397,7 +402,93 @@ def test_rank_rule_falls_back_to_singular_values_past_the_certificate(monkeypatc
     else:
         with pytest.raises(AssumptionError, match="not kinematically determinate"):
             assemble(definition)
-    assert calls == [(3, 10), (8, 7)]
+    assert calls == [(3, 3), (8, 7)]  # R_S holds R's three pinned columns
+
+
+def _mean_fixed_patch():
+    """The periodic 4 x 4 patch held by rows that fix its mean displacement
+    in place of a pinned node: every column of ``R`` is in its support."""
+    definition, loads = build_triangular_periodic(4, 4)
+    R = np.zeros((2, definition.n_dof))
+    R[0, 0::2] = R[1, 1::2] = 1.0 / definition.n_nodes
+    definition = dataclasses.replace(definition, constraint_matrix=R)
+    return definition, dataclasses.replace(loads, displacement_offset=-R @ definition.reference_coords)
+
+
+def _tied_example1(extra_rows=()):
+    """Example1 with a tie row ``u_0,x - u_1,x = 0`` below its pins, and
+    ``extra_rows`` below that: the support block ``R_S`` has a kernel."""
+    definition, loads = build_example1()
+    tie = np.zeros(definition.n_dof)
+    tie[0], tie[2] = 1.0, -1.0
+    R = np.vstack([definition.constraint_matrix, tie, *extra_rows])
+    extra = R.shape[0] - definition.n_constraints
+    definition = dataclasses.replace(definition, constraint_matrix=R)
+    return definition, dataclasses.replace(
+        loads,
+        displacement_offset=-R @ definition.reference_coords,
+        rate_values=np.hstack([loads.rate_values, np.zeros((loads.rate_values.shape[0], extra))]),
+    )
+
+
+def _renumbered_nodes(definition, perm):
+    """The same lattice with new node ``j`` being old node ``perm[j]``: the
+    columns of ``R`` are permuted with the nodes."""
+    d = definition.dimension
+    dofs = (d * perm[:, None] + np.arange(d)).ravel()
+    return dataclasses.replace(
+        definition,
+        incidence=definition.incidence[perm],
+        reference_coords=definition.reference_coords[dofs],
+        constraint_matrix=definition.constraint_matrix[:, dofs],
+    )
+
+
+def _leapfrog_events(definition, loads):
+    system = assemble(definition)
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    return leapfrog(system, spec, state0, loads).events
+
+
+@pytest.mark.parametrize("build", [_mean_fixed_patch, _tied_example1], ids=["full-support", "support-kernel"])
+def test_support_factors_match_the_definitions_on_all_of_r(build):
+    # U, G and F from R's support and free columns against their
+    # definitions on the whole of R, from its SVD
+    definition, loads = build()
+    R = definition.constraint_matrix
+    system = assemble(definition)
+    C, k = system.compatibility, system.stiffness
+    N = nullspace_basis(R)
+    assert system.dims.dim_u == N.shape[1]
+    assert np.max(scipy.linalg.subspace_angles(system.U_basis, C @ N)) <= 1e-12
+    R_pinv = np.linalg.pinv(R)
+    G = system.V_basis @ (system.P_V @ (C @ R_pinv))
+    # a mean translation stretches no spring of the patch: its G is rounding
+    assert np.abs(system.G - G).max() <= 1e-12 * np.abs(C).max() * np.abs(R_pinv).max()
+    U = C @ N
+    F = U @ np.linalg.solve(U.T @ (k[:, None] * U), N.T)
+    assert np.abs(system.F - F).max() <= 1e-12 * np.abs(F).max()
+
+    events = _leapfrog_events(definition, loads)
+    perm = np.random.default_rng(29).permutation(definition.n_nodes)
+    moved = _leapfrog_events(_renumbered_nodes(definition, perm), loads)
+    assert events and [e.newly_active for e in moved] == [e.newly_active for e in events]
+    times = np.array([e.time for e in events])
+    assert np.abs(np.array([e.time for e in moved]) - times).max() <= 1e-9 * times.max()
+
+
+def test_rank_deficient_constraint_is_still_refused():
+    # a row that is the sum of the tie and a pin: R_S loses a rank
+    definition, _ = _tied_example1()
+    R = definition.constraint_matrix
+    deficient, _ = _tied_example1(extra_rows=[R[0] + R[-1]])
+    q = deficient.n_constraints
+    with pytest.raises(AssumptionError, match="rank deficient"):
+        assemble(deficient)
+    report = validate_assumptions(deficient)
+    assert report.constraint_rank == q - 1
+    assert report.kinematically_determinate  # the diagnostics still read ker R
 
 
 def test_basis_is_stiffness_orthonormal_and_spaces_agree_at_contrast_1e12():

@@ -358,6 +358,63 @@ def test_schema_error_names_field_of_a_non_finite_number_or_unordered_times(
     assert f"validation error: {field}: " in err
 
 
+def grid_document(tmp_path):
+    path = tmp_path / "grid.json"
+    save_network(path, *build_tri_grid_with_hole())
+    with open(path) as fh:
+        return path, json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (_set_entry("springs", 300, "lower", value="low"), "springs[300].lower"),
+        (_set_entry("nodes", 150, "coords", 1, value=None), "nodes[150].coords[1]"),
+        (_set_entry("springs", 400, "origin", value=1.5), "springs[400].origin"),
+    ],
+    ids=["spring-300-lower", "node-150-coords", "spring-400-origin"],
+)
+def test_schema_error_names_the_item_at_a_large_index(tmp_path, corrupt, field):
+    # nodes and springs are checked as columns; the one item that fails
+    # is named with its field
+    path, doc = grid_document(tmp_path)
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: "):
+        load_network(path)
+
+
+def test_schema_error_names_the_first_of_two_corrupt_springs(tmp_path):
+    # spring 400's origin column is read before the lower column, yet
+    # spring 300 comes first
+    path, doc = grid_document(tmp_path)
+    doc["springs"][400]["origin"] = -1
+    doc["springs"][300]["lower"] = doc["springs"][300]["upper"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"^springs\[300\]: lower limit"):
+        load_network(path)
+
+
+def test_items_in_any_order_and_the_largest_float_are_read(tmp_path):
+    # ids, not positions, place nodes and springs; a value the column check
+    # cannot tell from an overflow, the largest float, is read on its own
+    definition, loads = build_triangular_periodic(4, 2)
+    path = tmp_path / "per.json"
+    save_network(path, definition, loads)
+    doc = json.loads(path.read_text())
+    rng = np.random.default_rng(3)
+    doc["nodes"] = [doc["nodes"][i] for i in rng.permutation(len(doc["nodes"]))]
+    doc["springs"] = [doc["springs"][i] for i in rng.permutation(len(doc["springs"]))]
+    doc["springs"][5]["lower"] = -sys.float_info.max
+    path.write_text(json.dumps(doc))
+    back, _ = load_network(path)
+    lower = definition.lower_limits.copy()
+    lower[doc["springs"][5]["id"]] = -sys.float_info.max
+    assert np.array_equal(back.lower_limits, lower)
+    for name in ("incidence", "reference_coords", "stiffness", "upper_limits", "edge_shifts"):
+        assert np.array_equal(getattr(back, name), getattr(definition, name))
+
+
 def test_cli_batch_refuses_inputs_that_share_an_output_prefix(tmp_path, capsys):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from latsweep.assembly import assemble
 from latsweep.errors import InitialConditionError
-from latsweep.generators import example1_prestressed_stress
+from latsweep.generators import build_example1, example1_prestressed_stress
 from latsweep import projection
 from latsweep.projection import project
 from latsweep.sweeping import (
@@ -51,6 +54,14 @@ def test_initial_state_rejects_unbalanced(example1):
         initial_state(system, sigma0, loads, Space.FULL)
 
 
+def test_initial_state_rejects_a_stress_that_is_no_number(example1):
+    _, loads, system = example1
+    sigma0 = example1_prestressed_stress()
+    sigma0[3] = np.nan
+    with pytest.raises(InitialConditionError, match="spring 3 is outside"):
+        initial_state(system, sigma0, loads, Space.FULL)
+
+
 def test_initial_state_clamps_rounding_noise(example1):
     definition, loads, system = example1
     sigma0 = np.zeros(10)
@@ -60,6 +71,45 @@ def test_initial_state_clamps_rounding_noise(example1):
     state = initial_state(system, sigma0, loads, Space.FULL)
     assert np.all(state.sigma <= definition.upper_limits)
     assert np.all(state.sigma >= definition.lower_limits)
+
+
+def _verdict(system, sigma0, loads):
+    try:
+        initial_state(system, sigma0, loads, Space.REDUCED)
+    except InitialConditionError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+def test_initial_state_checks_do_not_depend_on_units(scale):
+    # both checks are relative to the springs' elastic ranges: with limits
+    # and stiffness scaled together, the prestress is accepted and a stress
+    # pushed off the plane by 1e-3 of spring 0's range rejected at any scale
+    definition, loads = build_example1()
+    scaled = dataclasses.replace(
+        definition,
+        stiffness=definition.stiffness * scale,
+        lower_limits=definition.lower_limits * scale,
+        upper_limits=definition.upper_limits * scale,
+    )
+    system = assemble(scaled)
+    width = scaled.upper_limits - scaled.lower_limits
+    prestress = scale * example1_prestressed_stress()
+    assert _verdict(system, prestress, loads) == "accepted"
+    off_plane = prestress.copy()
+    off_plane[0] += 1e-3 * width[0]
+    assert "equilibrated" in _verdict(system, off_plane, loads)
+    # with the limits alone scaled, elongations move with them: a stress
+    # 10 % of its range outside the box is rejected, 1e-12 of it clamped
+    limits_only = assemble(dataclasses.replace(
+        definition, lower_limits=scaled.lower_limits, upper_limits=scaled.upper_limits
+    ))
+    outside = np.zeros(definition.n_springs)
+    outside[4] = scaled.upper_limits[4] + 0.1 * width[4]
+    assert "elastic range" in _verdict(limits_only, outside, loads)
+    rounded = prestress + 1e-12 * width * np.sign(prestress)
+    assert _verdict(limits_only, rounded, loads) == "accepted"
 
 
 def test_moving_set_instantiation(example1):
