@@ -6,24 +6,30 @@ orthogonal complement (self-stress directions after Hooke scaling), and
 the coupling matrices that turn external loads into translations of the
 moving set.
 
-The checks and bases come from two raw Householder QR factorizations
-and one values-only SVD, and no square orthogonal factor is formed: the
-columns of ``Q`` that are read are built from the reflectors in compact-WY
-panels (:func:`~latsweep.linalg.householder_columns`).  The constraint
+The checks and bases come from two Householder QR factorizations and one
+values-only SVD, and no square orthogonal factor is formed: both QRs go
+through :func:`~latsweep.linalg.householder_qr`, which works in panels on
+the rows and columns each panel can reach, and the columns of ``Q`` that
+are read are built from the panels' reflectors
+(:func:`~latsweep.linalg.householder_columns`).  The constraint
 matrix ``R`` is factored on its support ``S``, the columns that hold a
 nonzero (see :func:`constraint_factors`): the singular values of ``R_S``
 give ``rank R``, and a QR of ``R_S^T`` gives ``ker R_S`` and ``pinv R_S``.
 The other degrees of freedom, ``F``, are free, so ``N = blockdiag(ker R_S,
 I_F)`` spans ``ker R`` and ``U = C N = [C_S ker R_S, C_F]`` is one small
-product and a gather of columns of ``C``.  One QR of ``K^(1/2) U`` gives
-the rest:
+product and a gather of columns of ``C``.  A spring's row of ``U`` holds
+at most ``2d`` nonzeros, so ``K^(1/2) U`` is factored in a band: free dofs
+in a reverse Cuthill-McKee order of the node graph, ``ker R_S`` last and
+springs sorted by their first column (:func:`_band_gather`, from the
+spring endpoints alone).  That one QR gives the rest:
 
 - its triangle ``T`` certifies the determinacy check, that ``U`` has full
   column rank (see :func:`_elongation_rank`), through a blocked inverse of
-  ``T``;
-- the trailing columns ``W`` of its orthogonal factor span ``ker (K^(1/2)
-  U)^T``, so ``V = K^(-1/2) W`` is a K-orthonormal basis of the
-  self-stress plane, ``V^T K V = I``, at any stiffness contrast.
+  ``T``; ``||T^-1||_F`` does not depend on the order of rows and columns;
+- the trailing columns ``W`` of its orthogonal factor, built in spring
+  order, span ``ker (K^(1/2) U)^T``, so ``V = K^(-1/2) W`` is a
+  K-orthonormal basis of the self-stress plane, ``V^T K V = I``, at any
+  stiffness contrast.
 
 The K-orthogonal projector onto the plane is then ``V P_V`` with ``P_V =
 V^T K``, and the reduced space, coordinates in ``V``, is Euclidean: no Gram
@@ -39,13 +45,17 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import AssumptionError, DegenerateSpringError
 from .lattice import LatticeDefinition
 from .linalg import (
     DEFAULT_RANK_TOL,
+    Reflectors,
     fix_signs,
     householder_columns,
+    householder_qr,
     nullspace_basis,
     numerical_rank,
     triangular_inverse,
@@ -248,16 +258,73 @@ def constraint_factors(R: np.ndarray) -> tuple[int, ConstraintKernel, np.ndarray
     rank = numerical_rank(R_S)
     if rank < q:
         return rank, ConstraintKernel(support, free, nullspace_basis(R_S)), None
-    h, tau = np.linalg.qr(R_S.T, mode="raw")
-    pinv = householder_columns(h, tau, 0, q) @ triangular_inverse(np.triu(h.T[:q])).T
-    block = fix_signs(householder_columns(h, tau, q, support.size))
+    T, Q = householder_qr(R_S.T)
+    pinv = householder_columns(Q, 0, q) @ triangular_inverse(T).T
+    block = fix_signs(householder_columns(Q, q, support.size))
     return rank, ConstraintKernel(support, free, block), pinv
+
+
+def _band_gather(
+    definition: LatticeDefinition, N: ConstraintKernel, U: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``K^(1/2) U`` with its rows and columns in a band order, read from
+    ``U`` only where it can hold a nonzero: ``(A, rows, first, last)``, with
+    row ``i`` of ``A`` spring ``rows[i]``, whose nonzeros lie in columns
+    ``first[i]`` to ``last[i]`` (``last[i] = -1`` for a zero row).
+
+    Free dofs follow a reverse Cuthill-McKee order of the node graph and
+    the columns of ``ker R_S`` go last.  A spring's row of ``U = [C_S ker
+    R_S, C_F]`` holds the free dofs of its two nodes, and all of ``ker R_S``
+    if a node has a dof in ``S``.  Springs are sorted by their first and
+    then their last column.  The order comes from the spring endpoints and
+    ``N``'s support alone, and the gather reads O(m + n) entries of ``U``
+    besides the columns of ``ker R_S``.
+    """
+    origins, termini = definition.spring_endpoints()
+    n, d, m = definition.n_nodes, definition.dimension, definition.n_springs
+    k, n_free = N.block.shape[1], N.free.size
+    # the node graph, symmetric, as CSR arrays built by counting
+    heads, tails = np.concatenate([origins, termini]), np.concatenate([termini, origins])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
+    tails = tails[np.argsort(heads, kind="stable")]
+    graph = scipy.sparse.csr_matrix((np.ones(2 * m), tails, indptr), shape=(n, n))
+    node_rank = np.empty(n, dtype=int)
+    node_rank[reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(n)
+    # column c < n_free of the band is column k + order[c] of U
+    order = np.argsort(node_rank[N.free // d] * d + N.free % d, kind="stable")
+    column = np.full(n * d, -1)  # of each free dof; -1 for a dof in S
+    column[N.free[order]] = np.arange(n_free)
+    dofs = (np.stack([origins, termini], axis=1)[:, :, None] * d + np.arange(d)).reshape(m, 2 * d)
+    place = column[dofs]
+    free = place >= 0
+    first = np.where(free, place, n_free).min(axis=1)
+    last = np.where(free, place, n_free + k - 1 if k else -1).max(axis=1)
+    rows = np.lexsort((last, first))
+    place, root_k = place[rows], np.sqrt(definition.stiffness)[rows]
+    A = np.zeros((m, n_free + k))
+    i, j = np.nonzero(free[rows])
+    A[i, place[i, j]] = U[rows[i], k + order[place[i, j]]] * root_k[i]
+    A[:, n_free:] = U[rows, :k] * root_k[:, None]
+    return A, rows, first[rows], last[rows]
+
+
+def _factor_elongations(
+    definition: LatticeDefinition, N: ConstraintKernel, U: np.ndarray,
+) -> tuple[np.ndarray, Reflectors, np.ndarray]:
+    """Householder QR of ``K^(1/2) U`` in the band of :func:`_band_gather`:
+    the triangle, the reflectors, and the springs in band order (row ``i``
+    of the QR is spring ``rows[i]``).  The QR overwrites the gathered
+    array."""
+    A, rows, first, last = _band_gather(definition, N, U)
+    return *householder_qr(A, first, last), rows
 
 
 def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
     """``rank U`` under :data:`DEFAULT_RANK_TOL`, given the triangle ``T``
     of a Householder QR ``K^(1/2) U = Q_1 T``, inverted by
-    :func:`~latsweep.linalg.triangular_inverse`.
+    :func:`~latsweep.linalg.triangular_inverse`.  The rows and columns of
+    ``U`` may be factored in any order: ``||T^-1||_F`` is then that of the
+    pseudoinverse of ``K^(1/2) U``, which no order moves.
 
     ``T^-1 Q_1^T K^(1/2)`` is a left inverse of ``U``, so ``cond_2 U <=
     ||U||_F ||T^-1||_F sqrt(k_max)``.  A bound of at most half the inverse
@@ -283,9 +350,8 @@ def determinacy_ranks(definition: LatticeDefinition, compat: np.ndarray) -> tupl
     applies the same two tests to the factors it keeps."""
     rank_R, N, _ = constraint_factors(definition.constraint_matrix)
     U = compat @ N
-    root_k = np.sqrt(definition.stiffness)
-    T = np.linalg.qr(root_k[:, None] * U, mode="r")
-    return rank_R, _elongation_rank(U, T, root_k.max())
+    T, _, _ = _factor_elongations(definition, N, U)
+    return rank_R, _elongation_rank(U, T, np.sqrt(definition.stiffness.max()))
 
 
 def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
@@ -329,17 +395,13 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
             "(full row rank assumption fails)"
         )
     U = compat @ N
-    G_R = compat[:, N.support] @ R_pinv
-    del N, R_pinv
     dim_u = nd - q
     dim_v = m - nd + q
-    # One QR of K^(1/2) U, taken on U scaled in place to keep no copy.
-    root_k = np.sqrt(k)[:, None]
-    U *= root_k
-    h, tau = np.linalg.qr(U, mode="raw")
-    U /= root_k
+    T, Q, rows = _factor_elongations(definition, N, U)
+    root_k = np.sqrt(k)
     # [C; R] has a trivial kernel exactly when U = C ker(R) has full column rank
-    determinate = _elongation_rank(U, np.triu(h.T[:dim_u]), root_k.max()) == dim_u
+    determinate = _elongation_rank(U, T, root_k.max()) == dim_u
+    del T
     if not determinate:
         raise AssumptionError(
             "lattice is not kinematically determinate under the given "
@@ -352,13 +414,15 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
         )
     # The constrained self-stresses [s; lambda] solve C^T s + R^T lambda = 0,
     # i.e. N^T C^T s = U^T s = 0: their spring blocks s = K v span ker U^T.
-    # The trailing columns W of Q are orthonormal and span ker (K^(1/2) U)^T
-    # = K^(-1/2) ker U^T, so V = K^(-1/2) W is K-orthonormal.
-    V = fix_signs(householder_columns(h, tau, dim_u, m)) / root_k
-    del h, tau
+    # The trailing columns W of Q, built in spring order, are orthonormal and
+    # span ker (K^(1/2) U)^T = K^(-1/2) ker U^T, so V = K^(-1/2) W, scaled in
+    # place, is K-orthonormal.
+    V = fix_signs(householder_columns(Q, dim_u, m, rows))
+    del Q
+    V /= root_k[:, None]
 
     P_V = V.T * k[None, :]
-    G = V @ (P_V @ G_R)
+    G = V @ (P_V @ (compat[:, N.support] @ R_pinv))
 
     return AssembledSystem(
         definition=definition,

@@ -1,15 +1,21 @@
 """Dense-matrix utilities: pseudoinverse, rank, nullspaces, weighted Gram,
-columns of a Householder QR's orthogonal factor, triangular inverse.
+a Householder QR in panels and the columns of its orthogonal factor,
+triangular inverse.
 
 The pseudoinverse, rank and nullspaces are SVD-based, so rank-deficient
 matrices are handled uniformly.  The QR and triangle helpers work in blocks
-of :data:`PANEL` columns with NumPy's LAPACK and BLAS alone: the reflectors
-of ``numpy.linalg.qr(A, mode="raw")`` are applied in compact-WY form
-(Schreiber & Van Loan, 1989), so no square orthogonal factor is formed.
+of :data:`PANEL` columns with NumPy's LAPACK and BLAS alone, and no square
+orthogonal factor is formed.  :func:`householder_qr` takes a raw
+``numpy.linalg.qr`` of each panel on the rows the panel can reach and
+applies its reflectors in compact-WY form (Schreiber & Van Loan, 1989) to
+the columns those rows can fill, so a banded matrix is factored in its band
+and a dense one is the case where every row reaches every column.
 Matrices are plain 2-d ``numpy`` arrays; vectors are 1-d arrays.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +25,8 @@ from .errors import InvalidInputError
 #: and lattice matrices with entries of order one.
 DEFAULT_RANK_TOL = 1e-10
 
-#: Width of the compact-WY panels of :func:`householder_columns` and of the
-#: widest block :func:`triangular_inverse` hands to ``numpy.linalg.inv``.
+#: Width of the panels of :func:`householder_qr` and of the widest block
+#: :func:`triangular_inverse` hands to ``numpy.linalg.inv``.
 PANEL = 64
 
 
@@ -105,35 +111,98 @@ def triangular_inverse(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def householder_columns(h: np.ndarray, tau: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Columns ``start:stop`` of the orthogonal factor ``Q`` of a Householder
-    QR ``A = Q R`` from its reflectors, ``(h, tau) = numpy.linalg.qr(A,
-    mode="raw")``, with no other column of ``Q`` formed.
+class Reflectors(NamedTuple):
+    """The orthogonal factor ``Q`` of a :func:`householder_qr`, kept as its
+    compact-WY panels: panel ``(j0, Y, T)`` is ``I - Y T Y^T`` on rows ``j0 :
+    j0 + len(Y)`` of ``n_rows``, and ``Q`` is the product of the panels in
+    order."""
 
-    ``Q = H_0 ... H_(k-1)`` with ``H_j = I - tau_j y_j y_j^T``, where
-    ``y_j`` is 1 in row ``j``, 0 above and column ``j`` of ``h^T`` below.
-    Applied to those columns of the identity panel by panel, last panel
-    first: the reflectors ``Y`` of a panel act as ``I - Y T Y^T`` with
-    ``T^-1 = striu(Y^T Y) + diag(1/tau)`` (Joffrain et al., 2006), two
-    matrix products each.  A reflector with ``tau = 0`` is the identity
-    and is dropped; a column that is already zero below its diagonal, as
-    a selection column can be, gives one.
+    panels: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    n_rows: int
+
+
+def householder_qr(
+    A: np.ndarray, first: np.ndarray | None = None, last: np.ndarray | None = None,
+) -> tuple[np.ndarray, Reflectors]:
+    """Householder QR ``A = Q R`` in panels of :data:`PANEL` columns, with only
+    the rows and columns each panel can reach touched: ``R`` (``min(m, n) x
+    n``, upper triangular) and the :class:`Reflectors` of ``Q``.  ``A`` is
+    overwritten, and holds the reflectors.
+
+    ``first[i]`` and ``last[i]`` bound the columns of row ``i`` that may
+    hold a nonzero (``last[i] = -1`` for a zero row), and ``first`` must not
+    decrease down the rows; by default every row spans every column, as a
+    dense matrix does.  A panel on columns ``j0:j1`` takes a raw
+    ``numpy.linalg.qr`` of rows ``j0`` to the last row with ``first < j1``,
+    and its update touches the columns up to the largest ``last`` of those
+    rows and the rows above them, which bounds the fill.  Each panel's
+    reflectors ``Y`` are kept in ``A`` in the panel's place, with ``T^-1 = striu(Y^T Y)
+    + diag(1/tau)`` (Joffrain et al., 2006) inverted by
+    :func:`triangular_inverse`; a reflector with ``tau = 0`` is the
+    identity, as a column already zero below its diagonal gives, and is
+    kept as a zero column of ``Y``.
     """
-    a = h.T
-    m = a.shape[0]
-    out = np.zeros((m, stop - start))
-    out[np.arange(start, stop), np.arange(stop - start)] = 1.0
-    for j0 in reversed(range(0, tau.shape[0], PANEL)):
-        cols = j0 + np.flatnonzero(tau[j0:j0 + PANEL])
-        if not cols.size:
+    m, n = A.shape
+    if first is None:
+        first, last = np.zeros(m, dtype=int), np.full(m, n - 1)
+    reach = np.maximum.accumulate(last) + 1  # columns rows 0..i can fill
+    panels, diagonal = [], []
+    for j0 in range(0, min(m, n), PANEL):
+        j1 = min(j0 + PANEL, n)
+        r1 = max(int(np.searchsorted(first, j1)), j0)
+        if r1 == j0:
             continue
-        r0 = cols[0]
-        Y = np.where(np.arange(r0, m)[:, None] > cols, a[r0:, cols], 0.0)
-        Y[cols - r0, np.arange(cols.size)] = 1.0
+        h, tau = np.linalg.qr(A[j0:r1, j0:j1], mode="raw")
+        w = tau.size
+        diagonal.append((j0, np.triu(h[:, :w].T)))
+        Y = A[j0:r1, j0:j0 + w]
+        Y[...] = np.tril(h[:w].T, -1)
+        Y[np.arange(w), np.arange(w)] = 1.0
+        Y[:, tau == 0] = 0.0
         T_inv = np.triu(Y.T @ Y, 1)
-        T_inv[np.diag_indices(cols.size)] = 1.0 / tau[cols]
-        block = out[r0:]
-        block -= Y @ (triangular_inverse(T_inv) @ (Y.T @ block))
+        T_inv[np.diag_indices(w)] = np.divide(1.0, tau, out=np.ones(w), where=tau != 0)
+        T = triangular_inverse(T_inv)
+        trailing = A[j0:r1, j1:reach[r1 - 1]]
+        if trailing.size:
+            trailing -= Y @ (T.T @ (Y.T @ trailing))
+        panels.append((j0, Y, T))
+    R = np.triu(A[:min(m, n)])
+    for j0, block in diagonal:
+        R[j0:j0 + block.shape[0], j0:j0 + block.shape[1]] = block
+    return R, Reflectors(tuple(panels), m)
+
+
+def householder_columns(
+    Q: Reflectors, start: int, stop: int, rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Columns ``start:stop`` of the orthogonal factor ``Q`` of a
+    :func:`householder_qr`, from its reflectors, with no other column of
+    ``Q`` formed; with ``rows``, row ``i`` of ``Q`` is row ``rows[i]`` of
+    the result.
+
+    The panels are applied to those columns of the identity, last panel
+    first, each on its own rows and two matrix products.  A panel reaches a
+    column only if the column has a nonzero in its rows: that is the rows
+    of this panel and of every later panel chained to it by shared rows.
+    """
+    m = Q.n_rows
+    out = np.zeros((m, stop - start))
+    if start == stop:
+        return out
+    rows = np.arange(m) if rows is None else rows
+    out[rows[start:stop], np.arange(stop - start)] = 1.0
+    reach = next_j0 = m
+    for j0, Y, T in reversed(Q.panels):
+        r1 = j0 + Y.shape[0]
+        if r1 <= next_j0:  # shares no row with the later panels
+            reach = r1
+        next_j0 = j0
+        c0, c1 = max(start, j0) - start, min(stop, reach) - start
+        if c0 < c1:
+            window = rows[j0:r1]
+            block = out[window, c0:c1]
+            block -= Y @ (T @ (Y.T @ block))
+            out[window, c0:c1] = block
     return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from latsweep import assembly
 from latsweep.assembly import (
     assemble,
     compatibility_matrix,
@@ -30,6 +31,7 @@ from helpers import (
     elongation_projector,
     enhanced_pinv_top,
     random_small_lattice,
+    relabel_springs,
     triangle_lattice as triangle,
 )
 
@@ -243,13 +245,13 @@ def test_assemble_takes_one_svd(monkeypatch, example1, grid_with_hole):
 
 
 def test_assemble_forms_no_square_orthogonal_factor(monkeypatch, example1, grid_with_hole):
-    # both QRs keep their reflectors, and the triangles are inverted in
-    # blocks no wider than a panel
+    # every QR keeps its reflectors and sees one panel's columns, and the
+    # triangles are inverted in blocks no wider than a panel
     calls = []
     qr, inv = np.linalg.qr, np.linalg.inv
 
     def logged_qr(a, mode="reduced"):
-        calls.append(("qr", mode))
+        calls.append(("qr", mode, np.shape(a)[1]))
         return qr(a, mode=mode)
 
     def logged_inv(a):
@@ -260,9 +262,12 @@ def test_assemble_forms_no_square_orthogonal_factor(monkeypatch, example1, grid_
     monkeypatch.setattr(np.linalg, "inv", logged_inv)
     for definition, _, _ in (example1, grid_with_hole):
         calls.clear()
-        assemble(definition)
-        assert [c for c in calls if c[0] == "qr"] == [("qr", "raw")] * 2
-        assert all(width <= PANEL for name, width in calls if name == "inv")
+        system = assemble(definition)
+        factored = [c for c in calls if c[0] == "qr"]
+        assert factored and all(mode == "raw" and width <= PANEL for _, mode, width in factored)
+        # K^(1/2) U alone has dim_u columns: a panel per PANEL of them at most
+        assert sum(width for _, _, width in factored) >= system.dims.dim_u
+        assert all(c[1] <= PANEL for c in calls if c[0] == "inv")
 
 
 def test_assemble_determinacy_verdict_matches_rigidity_report():
@@ -615,3 +620,106 @@ def test_elongation_projector_is_lazy_and_read_only():
     fields = {f.name for f in dataclasses.fields(system)}
     assert set(vars(system)) - fields <= {"F"}
     assert not hasattr(system, "P_U") and not hasattr(system, "H")
+
+
+def _relabelled(definition, seed):
+    """The same lattice under a random numbering of its nodes and springs."""
+    rng = np.random.default_rng(seed)
+    d = definition.dimension
+    nodes = rng.permutation(definition.n_nodes)
+    dofs = (d * nodes[:, None] + np.arange(d)).ravel()
+    moved = dataclasses.replace(
+        definition,
+        incidence=definition.incidence[nodes],
+        reference_coords=definition.reference_coords[dofs],
+        constraint_matrix=definition.constraint_matrix[:, dofs],
+    )
+    return relabel_springs(moved, rng.permutation(definition.n_springs))
+
+
+def _dense_constraint_lattice():
+    """A random lattice held by four dense rows on the dofs of three nodes,
+    so that ``ker R_S`` has two columns and every spring at those nodes
+    reaches them."""
+    rng = np.random.default_rng(31)
+    definition = random_small_lattice(rng)
+    R = np.zeros((4, definition.n_dof))
+    R[:, :6] = rng.standard_normal((4, 6))
+    definition = dataclasses.replace(definition, constraint_matrix=R)
+    assert constraint_factors(R)[1].block.shape[1] == 2
+    return definition
+
+
+def _band_cases():
+    grid, _ = build_tri_grid_with_hole()
+    patch, _ = build_triangular_periodic(8, 8)
+    return {
+        "relabelled grid": _relabelled(grid, 77),
+        "8x8 patch": patch,
+        "dense constraint rows": _dense_constraint_lattice(),
+    }
+
+
+@pytest.mark.parametrize("case", ["relabelled grid", "8x8 patch", "dense constraint rows"])
+def test_band_ordered_projector_matches_a_dense_nullspace_reference(case):
+    # the self-stresses are the spring blocks s of ker [C^T R^T], and the
+    # plane is K^-1 of their span: its K-orthogonal projector, from one SVD
+    definition = _band_cases()[case]
+    system = assemble(definition)
+    compat, k = system.compatibility, system.stiffness
+    m = definition.n_springs
+    stresses = nullspace_basis(np.hstack([compat.T, definition.constraint_matrix.T]))[:m]
+    plane = stresses / k[:, None]
+    reference = plane @ np.linalg.solve(plane.T @ (k[:, None] * plane), plane.T * k)
+    assert plane.shape[1] == system.dims.dim_v
+    assert np.abs(system.V_basis @ system.P_V - reference).max() <= 1e-12
+
+
+def _certificate_bound(monkeypatch, definition):
+    """The bound ``||U||_F ||T^-1||_F sqrt(k_max)`` on the triangle that
+    assemble hands to the rank certificate."""
+    bounds = []
+    certify = assembly._elongation_rank
+
+    def recorded(U, T, root_k_max):
+        bounds.append(np.linalg.norm(U) * np.linalg.norm(np.linalg.inv(T)) * root_k_max)
+        return certify(U, T, root_k_max)
+
+    monkeypatch.setattr(assembly, "_elongation_rank", recorded)
+    system = assemble(definition)
+    monkeypatch.undo()
+    return bounds[0], system
+
+
+@pytest.mark.parametrize("case", ["relabelled grid", "8x8 patch", "dense constraint rows"])
+def test_certificate_bound_does_not_depend_on_numbering(monkeypatch, case):
+    # ||T^-1||_F = ||(K^(1/2) U)^+||_F, which no row or column order moves
+    definition = _band_cases()[case]
+    bound, system = _certificate_bound(monkeypatch, definition)
+    U, root_k = system.U_basis, np.sqrt(system.stiffness)
+    reference = np.linalg.norm(U) * np.linalg.norm(np.linalg.pinv(root_k[:, None] * U)) * root_k.max()
+    assert bound == pytest.approx(reference, rel=1e-10)
+    for seed in (1, 2):
+        relabelled, _ = _certificate_bound(monkeypatch, _relabelled(definition, seed))
+        assert relabelled == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["relabelled grid", "8x8 patch", "dense constraint rows"])
+def test_band_gather_is_k_root_u_reordered_and_banded(case):
+    # read only where U can hold a nonzero, the gather still holds all of
+    # K^(1/2) U, with its rows and columns permuted and no nonzero outside
+    # each row's span
+    definition = _band_cases()[case]
+    N = constraint_factors(definition.constraint_matrix)[1]
+    U = compatibility_matrix(definition)[0] @ N
+    A, rows, first, last = assembly._band_gather(definition, N, U)
+    assert np.array_equal(np.sort(rows), np.arange(U.shape[0]))
+    B = (np.sqrt(definition.stiffness)[:, None] * U)[rows]
+    by_bytes = {B[:, j].tobytes(): j for j in range(B.shape[1])}
+    cols = [by_bytes.get(A[:, c].tobytes(), -1) for c in range(A.shape[1])]
+    assert sorted(cols) == list(range(U.shape[1]))
+    assert np.all(np.diff(first) >= 0)
+    column = np.arange(U.shape[1])
+    assert not A[(column < first[:, None]) | (column > last[:, None])].any()
+    if case == "relabelled grid":  # reverse Cuthill-McKee undoes the numbering
+        assert (last - first).max() < PANEL

@@ -4,7 +4,9 @@ import pytest
 from latsweep.errors import InvalidInputError
 from latsweep.linalg import (
     PANEL,
+    Reflectors,
     householder_columns,
+    householder_qr,
     inverse_cholesky_factor,
     nullspace_basis,
     numerical_rank,
@@ -136,15 +138,15 @@ def _complete_and_raw(A):
     """``Q`` of the complete QR of ``A`` and the blocks the reflectors give."""
     m, n = A.shape
     Q = np.linalg.qr(A, mode="complete")[0]
-    h, tau = np.linalg.qr(A, mode="raw")
-    return Q, householder_columns(h, tau, 0, n), householder_columns(h, tau, n, m), tau
+    _, reflectors = householder_qr(A.copy())
+    return Q, householder_columns(reflectors, 0, n), householder_columns(reflectors, n, m)
 
 
 @pytest.mark.parametrize("n", [PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 2])
 def test_householder_columns_match_complete_qr_around_the_panel_width(n):
     # one, one full, one and a bit, and two and a bit panels of reflectors
     A = np.random.default_rng(n).standard_normal((n + 90, n))
-    Q, Q1, W, _ = _complete_and_raw(A)
+    Q, Q1, W = _complete_and_raw(A)
     assert Q1.shape == (n + 90, n) and W.shape == (n + 90, 90)
     assert np.abs(Q1 - Q[:, :n]).max() <= 1e-14
     assert np.abs(W - Q[:, n:]).max() <= 1e-14
@@ -157,21 +159,126 @@ def test_householder_columns_drop_identity_reflectors():
     triangle = np.vstack([np.triu(rng.standard_normal((70, 70))), np.zeros((30, 70))])
     selection = np.eye(100)[:, [0, 1, 7, 3, 50, 4, 99, 5] + list(range(10, 80))]
     for A in (triangle, selection):
-        Q, Q1, W, tau = _complete_and_raw(A)
-        assert np.any(tau == 0.0)
+        Q, Q1, W = _complete_and_raw(A)
+        assert np.any(np.linalg.qr(A, mode="raw")[1] == 0.0)
         assert np.abs(Q1 - Q[:, :A.shape[1]]).max() <= 1e-14
         assert np.abs(W - Q[:, A.shape[1]:]).max() <= 1e-14
-    _, Q1, W, tau = _complete_and_raw(triangle)
-    assert not np.any(tau) and np.array_equal(np.hstack([Q1, W]), np.eye(100))
+    _, Q1, W = _complete_and_raw(triangle)
+    assert not np.any(np.linalg.qr(triangle, mode="raw")[1])
+    assert np.array_equal(np.hstack([Q1, W]), np.eye(100))
 
 
 def test_householder_columns_of_square_and_empty_matrices():
     rng = np.random.default_rng(5)
-    Q, Q1, W, _ = _complete_and_raw(rng.standard_normal((70, 70)))
+    Q, Q1, W = _complete_and_raw(rng.standard_normal((70, 70)))
     assert W.shape == (70, 0)
     assert np.abs(Q1 - Q).max() <= 1e-14
-    _, Q1, W, _ = _complete_and_raw(np.zeros((6, 0)))
+    _, Q1, W = _complete_and_raw(np.zeros((6, 0)))
     assert Q1.shape == (6, 0) and np.array_equal(W, np.eye(6))
+
+
+def test_householder_columns_of_no_columns_run_no_panel():
+    # panels that cannot be iterated: asking for no column never reads them
+    for start in (0, 3, 7):
+        out = householder_columns(Reflectors(None, 7), start, start)
+        assert out.shape == (7, 0)
+
+
+def _band(rng, m, n, width):
+    """A random ``m x n`` matrix whose rows hold nonzeros in at most
+    ``width`` consecutive columns, sorted by their first column, with the
+    row extents ``first`` and ``last``."""
+    first = np.sort(rng.integers(0, n, m))
+    last = np.minimum(first + rng.integers(0, width, m), n - 1)
+    A = np.zeros((m, n))
+    for i in range(m):
+        A[i, first[i]:last[i] + 1] = rng.standard_normal(last[i] - first[i] + 1)
+    return A, first, last
+
+
+def _check_band_qr(A, first=None, last=None):
+    """``householder_qr`` of ``A`` against ``numpy.linalg.qr(mode="complete")``:
+    the triangle up to row signs, and each requested block of ``Q`` as a
+    subspace; ``Q R`` gives back ``A``."""
+    m, n = A.shape
+    p = min(m, n)
+    Q, R = np.linalg.qr(A, mode="complete")
+    T, reflectors = householder_qr(A.copy(), first, last)
+    assert T.shape == (p, n)
+    signs = np.where(np.diag(T) * np.diag(R[:p]) < 0, -1.0, 1.0)[:, None]
+    assert np.abs(signs * T - R[:p]).max() <= 1e-13 * max(np.abs(R).max(), 1.0)
+    Q1, W = householder_columns(reflectors, 0, p), householder_columns(reflectors, p, m)
+    assert Q1.shape == (m, p) and W.shape == (m, m - p)
+    assert np.abs(Q1 @ Q1.T - Q[:, :p] @ Q[:, :p].T).max() <= 1e-13
+    assert np.abs(W @ W.T - Q[:, p:] @ Q[:, p:].T).max() <= 1e-13
+    assert np.abs(Q1 @ T - A).max() <= 1e-13 * max(np.abs(A).max(), 1.0)
+    return T, reflectors
+
+
+@pytest.mark.parametrize("n", [PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 1])
+def test_householder_qr_of_a_band_matches_complete_qr(n):
+    rng = np.random.default_rng(100 + n)
+    A, first, last = _band(rng, n + 70, n, 40)
+    _check_band_qr(A, first, last)
+    _check_band_qr(A)  # the same matrix as dense
+
+
+def test_householder_qr_of_a_band_with_zero_rows_and_identity_reflectors():
+    # selection rows ahead of a band give tau = 0 reflectors inside the
+    # first panel, and zero rows (springs between clamped nodes) go last
+    # with no column: Q is the identity on them
+    rng = np.random.default_rng(21)
+    band, first, last = _band(rng, 130, 80, 30)
+    A = np.zeros((155, 100))
+    A[:20, :20] = np.eye(20)
+    A[20:150, 20:] = band
+    first = np.concatenate([np.arange(20), first + 20, np.full(5, 100)])
+    last = np.concatenate([np.arange(20), last + 20, np.full(5, -1)])
+    assert not np.linalg.qr(A, mode="raw")[1][:20].any()
+    _, reflectors = _check_band_qr(A, first, last)
+    W = householder_columns(reflectors, 100, 155)
+    assert np.array_equal(W[150:], np.eye(55)[50:])
+    assert not W[:150, 50:].any()
+
+
+def test_householder_qr_of_a_panel_with_fewer_rows_than_columns():
+    # the second panel reaches 20 rows past its first column, and its
+    # trailing columns have none: the triangle has zeros on its diagonal
+    rng = np.random.default_rng(8)
+    top, first_top, last_top = _band(rng, PANEL + 20, PANEL + 10, 30)
+    A = np.zeros((PANEL + 100, 3 * PANEL))
+    A[:PANEL + 20, :PANEL + 10] = top
+    A[PANEL + 20:, 2 * PANEL:] = rng.standard_normal((80, PANEL))
+    first = np.concatenate([first_top, np.full(80, 2 * PANEL)])
+    last = np.concatenate([last_top, np.full(80, 3 * PANEL - 1)])
+    T, _ = _check_band_qr(A, first, last)
+    assert not np.diag(T)[PANEL + 20:2 * PANEL].any()
+
+
+def test_householder_qr_of_panels_that_share_no_rows():
+    # a square block and then a tall one: the first panel's rows end where
+    # the second begins, so it never reaches the second block's columns
+    rng = np.random.default_rng(13)
+    A = np.zeros((PANEL + 100, 2 * PANEL))
+    A[:PANEL, :PANEL] = rng.standard_normal((PANEL, PANEL))
+    A[PANEL:, PANEL:] = rng.standard_normal((100, PANEL))
+    first, last = np.repeat([0, PANEL], [PANEL, 100]), np.repeat([PANEL - 1, 2 * PANEL - 1], [PANEL, 100])
+    _check_band_qr(A, first, last)
+
+
+def test_householder_qr_of_no_columns_and_reordered_rows():
+    # dim_u = 0, as in a chain of two pinned nodes: Q is the identity
+    T, reflectors = householder_qr(np.zeros((3, 0)), np.zeros(3, dtype=int), np.full(3, -1))
+    assert T.shape == (0, 0) and not reflectors.panels
+    rows = np.array([2, 0, 1])
+    assert np.array_equal(householder_columns(reflectors, 0, 3, rows), np.eye(3)[rows].T)
+    # with rows, row i of Q lands in row rows[i]
+    rng = np.random.default_rng(4)
+    A, first, last = _band(rng, 200, 130, 25)
+    _, reflectors = householder_qr(A, first, last)
+    rows = rng.permutation(200)
+    placed = householder_columns(reflectors, 130, 200, rows)
+    assert np.array_equal(placed[rows], householder_columns(reflectors, 130, 200))
 
 
 @pytest.mark.parametrize("n", [0, 1, PANEL, PANEL + 1, 340])
