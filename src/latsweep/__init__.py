@@ -39,7 +39,6 @@ from .linalg import nullspace_basis, numerical_rank, pseudoinverse, weighted_gra
 from .projection import (
     PolyhedralSet,
     ProjectionResult,
-    WarmStart,
     find_feasible_point,
     project,
     project_cone,

@@ -190,9 +190,10 @@ def catchup(
     with a translation, so the step from ``y_n`` onto the set at
     ``t_{n+1}`` projects ``u_n - (c_{n+1} - c_n)`` onto the set of ``u =
     y - c``, which is ``static_set(spec, -F f)``: one set per force level.
-    The solve runs in the coordinates ``y`` in ``V``, where the kernel's
-    whitening is the identity, from those of ``state0``'s elongations;
-    states leave it through ``spec.view``.
+    The solve runs in the coordinates ``y`` in ``V``, in a weight of ones,
+    whose whitening is the identity (``V`` is K-orthonormal), from those of
+    ``state0``'s elongations; states leave it through ``spec.view``.  Each
+    projection is hinted by the last one's active bounds.
     While the force stays, each step starts from ``u_n``, a point of that
     same set, and a block of steps on one face takes one projection (see
     the module docstring).  When the force changes, the start comes from
@@ -208,7 +209,7 @@ def catchup(
 
     times = partition.points
     lower, upper = system.lower_limits, system.upper_limits
-    warm = spec.warm_start()
+    weight, active = np.ones(system.dims.dim_v), None
     u = spec.coordinates(state0.epsilon, loads, 0.0) - spec.frame(loads, 0.0)
     f = loads.f(0.0)
     shift = spec.force_shift(f)
@@ -237,15 +238,15 @@ def catchup(
             try:
                 start = spec.feasible_point(shift) if phase_one else u
                 target = u - (frames[:, s + 1] - frames[:, s])
-                result = project(spec.whitening.S, target, poly, tol=tol, start=start, warm=warm)
+                result = project(weight, target, poly, tol=tol, start=start, active=active)
             except InfeasibleSetError as exc:
                 raise SafeLoadError(f"safe load condition violated at t = {t}", time=t) from exc
-            u, phase_one = result.point, False
+            u, active, phase_one = result.point, result.active_inequalities, False
             path[s] = u
             s += 1
             on = np.zeros(poly.n_inequalities, dtype=bool)
-            on[list(result.active_inequalities)] = True
-            face = _Face(on, _columns(warm.white.rows(poly.A), np.flatnonzero(on)))
+            on[list(active)] = True
+            face = _Face(on, _columns(poly.A.T, np.flatnonzero(on)))
         epsilon = np.empty((j - i, lower.size))
         np.subtract(spec.lift(path.T).T, shift, out=epsilon)
         sigma = system.stiffness * epsilon

@@ -171,6 +171,22 @@ def _volume(definition) -> float:
     return vol if vol > 0 else 1.0
 
 
+def _read_stress(path: str) -> np.ndarray:
+    """The numbers of the text file ``path``, as ``np.loadtxt`` reads them;
+    none, or one that is no number, is an :class:`InitialConditionError`."""
+    try:
+        with open(path) as file:
+            lines = file.readlines()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path} not found") from None
+    if not any(line.split("#")[0].strip() for line in lines):
+        raise InitialConditionError(f"initial stress file {path} holds no numbers")
+    try:
+        return np.loadtxt(lines, ndmin=1)
+    except ValueError as exc:
+        raise InitialConditionError(f"initial stress file {path} is unreadable: {exc}") from None
+
+
 def _solve_one(network, args, prefix) -> str:
     definition, loads = load_network(network)
     if args.solver == "catchup":  # refused before any factorization
@@ -185,7 +201,7 @@ def _solve_one(network, args, prefix) -> str:
     space = Space(args.space)
     spec = build_moving_set(system, space, loads)
     if args.sigma0 is not None:
-        sigma0 = np.loadtxt(args.sigma0, ndmin=1)
+        sigma0 = _read_stress(args.sigma0)
     else:
         sigma0 = np.zeros(system.dims.n_springs)
     state0 = initial_state(system, sigma0, loads, space, spec)

@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedLoadError,
 )
 from .lattice import LoadSchedule
-from .projection import PolyhedralSet, WarmStart, project_cone
+from .projection import PolyhedralSet, project_cone
 from .sweeping import MovingSetSpec, SweepingState
 from .trajectory import EventRecord, Trajectory
 
@@ -59,7 +59,7 @@ def tangent_cone(
     The cone is ``{v : V v <= 0 on the springs on their upper bound, V v >=
     0 on those on their lower bound}``, the spec's own map with bounds of 0
     or infinity, so no rows are built per event and the projection reads
-    the whitened map it already holds.
+    a view of ``V`` as its whitened map.
     """
     z = np.asarray(z, dtype=float)
     _, _, on_upper, on_lower, outside = _bound_status(spec, z, offset)
@@ -77,17 +77,16 @@ def event_velocity(
     z: np.ndarray,
     drive: np.ndarray,
     offset: np.ndarray | None = None,
-    warm: WarmStart | None = None,
 ) -> np.ndarray:
     """Velocity of the solution relative to the translating set.
 
     ``z`` and ``drive``, the set's translation velocity, are coordinates in
     ``V``; the result is the projection of ``-drive`` onto the tangent cone
-    at ``z``, in the spec's whitening unless ``warm`` is given.
+    at ``z`` in a weight of ones: ``V`` is K-orthonormal, so the stiffness
+    inner product is the Euclidean one there.
     """
     cone = tangent_cone(spec, z, offset)
-    warm = spec.warm_start() if warm is None else warm
-    return project_cone(spec.whitening.S, -np.asarray(drive, dtype=float), cone, warm=warm).point
+    return project_cone(np.ones(cone.dim), -np.asarray(drive, dtype=float), cone).point
 
 
 def _event_candidates(spec, z, zdot, offset):
@@ -156,7 +155,6 @@ def leapfrog(
 
     states = [state0]
     events: list[EventRecord] = []
-    warm = spec.warm_start()
     y = spec.coordinates(state0.epsilon, loads, 0.0)
 
     def sigma_of(z, offset0):
@@ -173,7 +171,7 @@ def leapfrog(
         drive_speed = float(np.abs(spec.lift(drive)).max(initial=0.0))
         z = y
         t = t_start
-        before, zdot = zdot, event_velocity(spec, z, drive, offset0, warm=warm)
+        before, zdot = zdot, event_velocity(spec, z, drive, offset0)
         gone = _departures(spec, held, zdot, drive_speed)
         if gone:  # bounds the new rate leaves at once, as on unloading
             held -= gone
@@ -200,7 +198,7 @@ def leapfrog(
             t = t_next
             arrivals = frozenset(hits)
             candidates = set(held) | set(arrivals)
-            post_velocity = event_velocity(spec, z, drive, offset0, warm=warm)
+            post_velocity = event_velocity(spec, z, drive, offset0)
             gone = _departures(spec, candidates, post_velocity, drive_speed)
             held = candidates - gone
             sigma = sigma_of(z, offset0)

@@ -4,13 +4,11 @@ The projection ``argmin (y-x)^T S (y-x)`` over ``{lo <= A y <= b, A_eq y =
 b_eq}`` is computed in one change of coordinates, a :class:`Whitening`: an
 S-orthonormal basis ``Z`` of the kernel of the equality rows, ``Z^T S Z =
 I``, turns the S-geometry into the Euclidean one by ``v -> Z^T v``, so it
-is applied by matrix products alone.  It is built and validated once per
-weight and equality rows and reused while the caller passes the same
-arrays (read-only ones by identity alone, writable ones while they hold the
-values it was built from); a caller that already knows ``Z`` hands it over,
-as a moving set does: its coordinates in assembly's K-orthonormal basis of
-the plane are already whitened, so its ``Z`` and its weight are the
-identity, and no product with either is taken.
+is applied by matrix products alone.  Each call builds its own from ``S``
+and ``A_eq`` and keeps nothing.  A weight of ones with no equality rows is
+the identity, told from ``S`` in O(n): no factorization, and no product
+with ``Z`` or ``S``.  That is the weight of a moving set, whose coordinates
+in assembly's K-orthonormal basis of the plane are already whitened.
 
 Every dense factorization here goes through NumPy's LAPACK.  NumPy and
 scipy wheels each bundle their own OpenBLAS, and a solve path that switches
@@ -20,7 +18,7 @@ serves only HiGHS, for phase 1.
 One kernel, a primal active-set method on two-sided bounds, serves both
 integrators: finite on these small dense problems, deterministic (ties
 broken by lowest bound index, upper bounds before lower ones), and
-warm-startable across time steps where the active set changes slowly.
+hinted by the last active set across time steps, where it changes slowly.
 Every set has the one form ``lower <= A x <= b``, where an infinite bound
 is no bound and never enters a working set.  The kernel runs in whitened
 coordinates on the whitened rows ``M = (A Z)^T`` and the start's
@@ -37,7 +35,7 @@ read-only view of ``V^T``, with no product and no copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -150,101 +148,63 @@ def _check_finite(*parts) -> None:
             raise InvalidInputError("polyhedral set has non-finite entries")
 
 
-def _snapshot(a: np.ndarray | None) -> np.ndarray | None:
-    """A copy of a writable array, kept to tell later whether it changed."""
-    return a.copy() if a is not None and a.flags.writeable else None
-
-
-def _unchanged(a, ref, snap) -> bool:
-    """Whether ``a`` is the array ``ref`` a whitening was built from and, when
-    that array is writable, still holds the values ``snap`` it held then."""
-    return a is ref and (snap is None or np.array_equal(a, snap))
-
-
 @dataclass(frozen=True)
 class Whitening:
     """``v -> Z^T v`` and back, for one weight and one set of equality rows.
 
     ``Z`` is an S-orthonormal basis, ``Z^T S Z = I``, of the kernel of the
-    equality rows ``A_eq`` (of the whole space when there are none), so each
-    direction is one product with ``Z``, and none when ``Z`` is the
-    identity, as for a moving set; ``S`` is then the identity too.  ``S``
-    and ``A_eq`` are the arrays it was built and validated for; ``S_copy``
-    and ``A_eq_copy`` hold their values when they are writable.
+    equality rows (of the whole space when there are none), so each
+    direction is one product with ``Z``.  ``Z`` None is the identity, for a
+    weight of ones with no equality rows: no product is taken.
     """
 
     S: np.ndarray
-    A_eq: np.ndarray | None
-    Z: np.ndarray
-    S_copy: np.ndarray | None = field(default=None, repr=False)
-    A_eq_copy: np.ndarray | None = field(default=None, repr=False)
-    identity: bool = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = self.Z.shape[0]
-        object.__setattr__(self, "identity", self.Z.shape[1] == n and np.array_equal(self.Z, np.eye(n)))
+    Z: np.ndarray | None
 
     @classmethod
-    def build(cls, S, A_eq, n: int, Z: np.ndarray | None = None) -> "Whitening":
-        """Validate ``S`` and ``A_eq``, and take ``Z`` from the caller when
-        it has one.  Otherwise one SVD finds a kernel basis ``Z0`` of
-        ``A_eq`` (the identity when there are no equality rows) and ``Z =
-        Z0 U^-1`` for the upper Cholesky factor ``U`` of ``Z0^T S Z0``."""
+    def build(cls, S, A_eq, n: int) -> "Whitening":
+        """Validate ``S`` and ``A_eq``.  A weight of ones with no equality
+        rows is the identity.  Otherwise one SVD finds a kernel basis ``Z0``
+        of ``A_eq`` (the identity when there are no equality rows) and ``Z
+        = Z0 U^-1`` for the upper Cholesky factor ``U`` of ``Z0^T S Z0``."""
         S = _check_weight(S, n)
         _check_finite(A_eq)
-        if Z is None:
-            Z0 = nullspace_basis(A_eq) if A_eq is not None and A_eq.shape[0] else None
-            H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
-            H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
-            Z = inverse_cholesky_factor(H0)
-            Z = Z if Z0 is None else Z0 @ Z
-        return cls(S, A_eq, Z, _snapshot(S), _snapshot(A_eq))
-
-    def fits(self, S, A_eq) -> bool:
-        """Whether this whitening was built from these arrays, unchanged since."""
-        return _unchanged(S, self.S, self.S_copy) and _unchanged(A_eq, self.A_eq, self.A_eq_copy)
+        equalities = A_eq is not None and A_eq.shape[0] > 0
+        if not equalities and S.ndim == 1 and np.all(S == 1.0):
+            return cls(S, None)
+        Z0 = nullspace_basis(A_eq) if equalities else None
+        H0 = S if Z0 is None else Z0.T @ _weight_apply(S, Z0)
+        H0 = np.diag(H0) if H0.ndim == 1 else 0.5 * (H0 + H0.T)
+        Z = inverse_cholesky_factor(H0)
+        return cls(S, Z if Z0 is None else Z0 @ Z)
 
     def weigh(self, v: np.ndarray) -> np.ndarray:
         """``Z^T S v``: a difference of points as a whitened direction
-        (``v`` itself when ``Z`` is the identity, and so ``S``)."""
-        return v if self.identity else self.Z.T @ _weight_apply(self.S, v)
+        (``v`` itself for the identity)."""
+        return v if self.Z is None else self.Z.T @ _weight_apply(self.S, v)
 
     def norm(self, v: np.ndarray) -> float:
-        """``||v||_S``, with no product when ``Z`` is the identity."""
-        return float(np.sqrt(max(v @ (v if self.identity else _weight_apply(self.S, v)), 0.0)))
+        """``||v||_S``, with no product for the identity."""
+        return float(np.sqrt(max(v @ (v if self.Z is None else _weight_apply(self.S, v)), 0.0)))
 
     def back(self, w: np.ndarray) -> np.ndarray:
         """``Z w``: a whitened step back as a step in ``y`` (``w`` itself
-        when ``Z`` is the identity)."""
-        return w if self.identity else self.Z @ w
+        for the identity)."""
+        return w if self.Z is None else self.Z @ w
 
     def rows(self, A: np.ndarray | None) -> np.ndarray:
         """Whitened rows ``(A Z)^T`` as columns.  Where no product is
         needed, a read-only view, as a copy would double assembly's ``V``:
-        of ``A^T`` when ``Z`` is the identity (a moving set, whose ``A`` is
-        ``V``), of ``Z^T`` for ``A`` None, the identity.  Else a new
-        array."""
+        of ``A^T`` for the identity (a moving set, whose ``A`` is ``V``), of
+        ``Z^T`` for ``A`` None, the identity map.  Else a new array."""
         _check_finite(A)
-        if A is not None and not self.identity:
+        if A is not None and self.Z is not None:
             return self.Z.T @ A.T
+        if A is None and self.Z is None:
+            return np.eye(self.S.shape[0])
         rows = (self.Z if A is None else A).T
         rows.flags.writeable = False
         return rows
-
-
-@dataclass
-class WarmStart:
-    """Single-owner handle carrying hints between consecutive projections.
-
-    ``active`` is the last active set.  ``white`` is reused while the caller
-    passes the same weight and equality rows unchanged, and rebuilt
-    otherwise; a caller that already holds the whitening seeds it here, as
-    a moving set does, so one handle per run serves catch-up steps and
-    event velocities alike.
-    """
-
-    active: tuple[int, ...] | None = None
-    white: Whitening | None = None
 
 
 def _weight_apply(S: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -342,36 +302,25 @@ def _phase_one(c, A_ub, b_ub, A_eq, b_eq, bounds):
     )
 
 
-def _whitening(S, poly: PolyhedralSet, warm: WarmStart | None) -> Whitening:
-    """The warm handle's whitening when it fits, else a new one (kept there)."""
-    S = np.asarray(S, dtype=float)
-    if warm is not None and warm.white is not None and warm.white.fits(S, poly.A_eq):
-        return warm.white
-    white = Whitening.build(S, poly.A_eq, poly.dim)
-    if warm is not None:
-        warm.white = white
-    return white
-
-
 def project(
     S: np.ndarray,
     x: np.ndarray,
     poly: PolyhedralSet,
     tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
-    warm: WarmStart | None = None,
+    active: tuple[int, ...] | None = None,
 ) -> ProjectionResult:
     """S-weighted projection of ``x`` onto ``poly``.
 
     ``start``, when given and feasible within tolerance, skips the phase-1
-    solve.  ``warm`` carries the previous active set and the whitening
-    between calls; it must not be shared across threads.  The whitened rows
-    ``M`` are taken on every call: for a moving set, whose whitening is the
-    identity, they are a read-only view of ``V^T``.
+    solve.  ``active``, a previous result's ``active_inequalities``, keeps
+    out of the start's working set every bound it does not name.  The
+    whitening and its rows ``M`` are built on every call: for a moving set,
+    in a weight of ones, a read-only view of ``V^T``.
     """
     n = poly.dim
     x = _check_point(x, n)
-    white = _whitening(S, poly, warm)
+    white = Whitening.build(S, poly.A_eq, n)
     M = white.rows(poly.A)
 
     act_tol = max(tol, 1e-12)
@@ -382,18 +331,16 @@ def project(
         y = find_feasible_point(poly, tol)
         slack = poly.slack(y)
 
-    active = slack <= act_tol
-    if warm is not None and warm.active is not None:
+    working = slack <= act_tol
+    if active is not None:
         keep = np.zeros(poly.n_inequalities, dtype=bool)
-        keep[[j for j in warm.active if 0 <= j < keep.size]] = True
-        active &= keep
-    y, _, _, kkt_stat = _active_set(white, M, slack, x, y, active, tol)
+        keep[[j for j in active if 0 <= j < keep.size]] = True
+        working &= keep
+    y, _, _, kkt_stat = _active_set(white, M, slack, x, y, working, tol)
 
     slack = poly.slack(y)
     bound = np.concatenate([poly.b, poly.lower])
     act_idx = tuple(int(j) for j in np.flatnonzero(_on_bounds(slack, bound, tol)))
-    if warm is not None:
-        warm.active = act_idx
     kkt = max(kkt_stat, poly.violation(y, slack))
     return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
 
@@ -503,7 +450,6 @@ def project_cone(
     x: np.ndarray,
     cone: PolyhedralSet,
     tol: float = DEFAULT_TOL,
-    warm: WarmStart | None = None,
 ) -> ProjectionResult:
     """S-weighted projection of ``x`` onto a cone, a set whose finite bounds are 0.
 
@@ -512,7 +458,8 @@ def project_cone(
     to infinity.  The active-set loop of :func:`project` starts at the
     cone's apex (the origin, which lies in every cone, so no phase 1 is
     needed) with every finite bound in its working set, on ``x`` scaled to
-    unit ``||x||_S``.  ``warm`` lends its whitening.
+    unit ``||x||_S``.  Its whitening is built as :func:`project` builds
+    it.
 
     The result is checked against the KKT conditions over the finite
     bounds, per bound relative to its whitened norm ``||M e_i||`` (``M =
@@ -530,10 +477,10 @@ def project_cone(
         raise InvalidInputError("cone has nonzero equality right-hand sides")
     n = cone.dim
     x = _check_point(x, n)
-    white = _whitening(S, cone, warm)
+    white = Whitening.build(S, cone.A_eq, n)
 
     x_norm = white.norm(x)
-    if x_norm == 0.0 or white.Z.shape[1] == 0:
+    if x_norm == 0.0 or (white.Z is not None and white.Z.shape[1] == 0):
         return ProjectionResult(np.zeros(n), tuple(int(j) for j in np.flatnonzero(held)), 0.0)
 
     x = x / x_norm

@@ -14,7 +14,6 @@ it, where a state leaves an integrator or :func:`initial_state`.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import projection
 from .assembly import AssembledSystem
 from .errors import InitialConditionError, InfeasibleSetError, InvalidInputError
 from .lattice import LoadSchedule
-from .projection import PolyhedralSet, WarmStart, Whitening, find_feasible_point
+from .projection import PolyhedralSet, find_feasible_point
 
 #: Membership tolerance for initial conditions, relative to each spring's
 #: elastic range: small violations of the yield box (file rounding) are
@@ -153,18 +152,6 @@ class MovingSetSpec:
         the reduced space."""
         return self.lift(y) if self.space is Space.FULL else y
 
-    @functools.cached_property
-    def whitening(self) -> Whitening:
-        """The projections' change of coordinates: the identity, with the
-        identity weight, as ``V`` is K-orthonormal.  Nothing is factored."""
-        eye = np.eye(self.system.dims.dim_v)
-        eye.flags.writeable = False
-        return Whitening.build(eye, None, eye.shape[0], eye)
-
-    def warm_start(self) -> WarmStart:
-        """A projection handle seeded with this set's whitening."""
-        return WarmStart(white=self.whitening)
-
 
 def build_moving_set(
     system: AssembledSystem, space: Space, loads: LoadSchedule | None = None
@@ -191,8 +178,9 @@ def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
     """The constraint polyhedron for a frozen box translation.
 
     Two-sided bounds ``lower <= V y <= upper``.  Its rows are assembly's
-    read-only ``V``, the same object on every call, whose whitened rows in
-    the spec's identity whitening are a read-only view of ``V^T``.
+    read-only ``V``, the same object on every call; ``V`` is K-orthonormal,
+    so the set is projected in a weight of ones, whose whitened rows are a
+    read-only view of ``V^T``.
     """
     return PolyhedralSet(A=spec.system.V_basis, b=spec.box_upper + offset, lower=spec.box_lower + offset)
 

@@ -10,7 +10,7 @@ from latsweep.catchup import TimePartition
 from latsweep.errors import InvalidInputError
 from latsweep.lattice import LatticeDefinition, LoadSchedule
 from latsweep.leapfrog import ACTIVE_TOL, _event_candidates
-from latsweep.projection import PolyhedralSet, WarmStart, project
+from latsweep.projection import PolyhedralSet, project
 from latsweep.sweeping import MovingSetSpec, Space, build_moving_set, static_set
 
 
@@ -300,21 +300,22 @@ def abstract_catchup(S, set_provider, x0, partition: TimePartition, tol: float =
 
     ``set_provider`` maps a time to a :class:`PolyhedralSet`.  Every step is
     one kernel projection of the previous iterate onto the set at the next
-    time, with no frame and no blocks: the oracle of the block catch-up.
-    Returns the iterates stacked as rows, starting with ``x0``.
+    time, hinted by the last step's active bounds, with no frame and no
+    blocks: the oracle of the block catch-up.  Returns the iterates stacked
+    as rows, starting with ``x0``.
     """
     x0 = np.asarray(x0, dtype=float)
     first = set_provider(float(partition.points[0]))
     if not first.contains(x0, tol=max(tol, 1e-9)):
         raise InvalidInputError("initial point is outside the set at t = 0")
     points = [x0]
-    x = x0
-    warm = WarmStart()
+    x, active = x0, None
     for t in partition.points[1:]:
         poly = set_provider(float(t))
         if not isinstance(poly, PolyhedralSet):
             raise InvalidInputError("set provider must return PolyhedralSet values")
-        x = project(S, x, poly, tol=tol, warm=warm).point
+        result = project(S, x, poly, tol=tol, active=active)
+        x, active = result.point, result.active_inequalities
         points.append(x)
     return np.vstack(points)
 
@@ -336,7 +337,7 @@ def coordinates_of(spec: MovingSetSpec, y: np.ndarray) -> np.ndarray:
 
 def full_form_rows(system) -> np.ndarray:
     """The equality rows ``U^T K`` of the self-stress plane, read-only, so
-    that a warm handle keeps its whitening of them from set to set."""
+    that one array can serve every set of a run."""
     rows = system.equality_rows()
     rows.flags.writeable = False
     return rows

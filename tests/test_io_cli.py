@@ -557,6 +557,35 @@ def test_cli_solve_with_initial_stress(tmp_path):
     assert abs(times[0] - 0.027) <= 1e-3
 
 
+@pytest.mark.parametrize("content, code, message", [
+    ("abc\n", 1, "is unreadable: could not convert"),
+    ("", 1, "holds no numbers"),
+    ("0\n0\n", 1, "initial stress has shape"),
+    (None, 2, "not found"),
+])
+def test_cli_unreadable_initial_stress_is_a_named_error(tmp_path, capsys, content, code, message):
+    # A --sigma0 file that holds something other than numbers, or none, is
+    # a validation error naming the file, with no traceback, alone and in a
+    # batch; a file of the wrong length keeps its shape error, and a missing
+    # file is a runtime error.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for net in (a, b):
+        main(["generate", "example1", "--out", str(net)])
+    sig = tmp_path / "sigma0.txt"
+    if content is not None:
+        sig.write_text(content)
+    capsys.readouterr()
+    for networks in ([a], [a, b]):
+        argv = ["solve", *map(str, networks), "--sigma0", str(sig), "--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        _, err = capsys.readouterr()
+        assert message in err and "Traceback" not in err
+        assert err.count(message) == len(networks)
+        if code == 1 and content != "0\n0\n":
+            assert str(sig) in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_cli_batch_solve(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["generate", "example1", "--out", str(a)])

@@ -15,7 +15,7 @@ from latsweep.lattice import LatticeDefinition, LoadSchedule
 from latsweep.leapfrog import event_velocity, leapfrog, tangent_cone
 from latsweep import projection
 from latsweep.linalg import nullspace_basis
-from latsweep.projection import WarmStart, project, project_cone
+from latsweep.projection import project, project_cone
 from latsweep.sweeping import Space, build_moving_set, initial_state
 from latsweep.assembly import assemble
 
@@ -207,7 +207,7 @@ def test_termination_velocity_in_normal_cone(example1):
     poly = moving_set_at(spec, t_end, loads)
     y_end = traj.final.y
     drive = system.P_V @ spec.offset_rate(loads, t_end)
-    S = spec.whitening.S
+    S = np.eye(system.dims.dim_v)
     rng = np.random.default_rng(17)
     for _ in range(50):
         c = project(S, y_end + rng.standard_normal(2) * 1e-3, poly).point
@@ -322,7 +322,7 @@ def test_event_velocity_full_equals_reduced(network, request, monkeypatch):
         rate = reduced.offset_rate(loads, event.time)
         v_red = event_velocity(reduced, y, reduced.reduce(rate), offset=offset)
         cone = full_form_cone(system, reduced.lift(y), offset, rows)
-        v_full = project_cone(system.stiffness, -rate, cone, warm=WarmStart()).point
+        v_full = project_cone(system.stiffness, -rate, cone).point
         gap = np.linalg.norm(v_full - system.V_basis @ v_red)
         assert gap <= 1e-12 * np.linalg.norm(rate)
     assert kernels == [True] * len(traj.events)

@@ -9,7 +9,6 @@ from latsweep.leapfrog import leapfrog, tangent_cone
 from latsweep.linalg import numerical_rank
 from latsweep.projection import (
     PolyhedralSet,
-    WarmStart,
     find_feasible_point,
     project,
     project_cone,
@@ -17,6 +16,7 @@ from latsweep.projection import (
 from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
 
 from helpers import (
+    abstract_catchup,
     full_form_rows,
     full_form_set,
     polar_projection_oracle,
@@ -195,7 +195,7 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     up, down = np.flatnonzero(opened.b == 0.0), np.flatnonzero(opened.lower == 0.0)
     cone = PolyhedralSet(A=np.vstack([opened.A[up], -opened.A[down]]), b=np.zeros(64))
     assert cone.A.shape == (64, 66) and numerical_rank(cone.A) == 58
-    S = spec.whitening.S
+    S = np.eye(system.dims.dim_v)
     x = -spec.reduce(spec.offset_rate(loads, t))
     # An independent reference: Moreau's decomposition, with scipy's
     # bounded-variable least squares on the whitened problem.  With S = L
@@ -209,7 +209,7 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     mu = lsq_linear(M, d, bounds=(0.0, np.inf), method="bvls", tol=1e-14).x
     reference = np.linalg.solve(L.T, d - M @ mu)
     scale = 1e-12 * s_norm(S, x)
-    res = project_cone(S, x, opened, warm=spec.warm_start())
+    res = project_cone(np.ones(x.size), x, opened)  # the weight leapfrog passes
     assert s_norm(S, res.point - reference) <= scale
     assert res.kkt_residual <= 1e-12
     rng = np.random.default_rng(13)
@@ -343,31 +343,49 @@ def test_nonexpansiveness():
 
 
 def test_warm_start_consistency():
-    # warm-started projections must agree with cold ones
+    # projections hinted by the last result's active set must agree with
+    # cold ones: on a box, and along a catch-up recursion whose set provider
+    # hands back the same writable rows and weight on every step
     rng = np.random.default_rng(9)
     S = np.array([1.0, 2.0, 0.5])
     box = unit_box(3)
-    warm = WarmStart()
+    active = None
     x = rng.standard_normal(3) * 2
     for _ in range(20):
         x = x + 0.3 * rng.standard_normal(3)
-        hot = project(S, x, box, warm=warm).point
+        hot = project(S, x, box, active=active)
+        active = hot.active_inequalities
         cold = project(S, x, box).point
-        assert np.allclose(hot, cold, atol=1e-10)
+        assert np.allclose(hot.point, cold, atol=1e-10)
+
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((6, 4))
+    A_eq = rng.standard_normal((1, 4))
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    S = (Q * rng.uniform(0.5, 2.0, 4)) @ Q.T
+    S = 0.5 * (S + S.T)
+    drift = rng.standard_normal(6)
+
+    def provider(t):
+        return PolyhedralSet(A=A, b=1.0 + t * drift, A_eq=A_eq, lower=-1.0 + t * drift)
+
+    part = TimePartition.uniform(0.5, 20)
+    path = abstract_catchup(S, provider, np.zeros(4), part)
+    for i, t in enumerate(part.points[1:]):
+        cold = project(S, path[i], provider(float(t))).point
+        assert np.allclose(path[i + 1], cold, atol=1e-10)
 
 
 def test_warm_handle_follows_writable_arrays_changed_in_place():
-    # A warm handle keeps its whitening while the caller passes the same
-    # writable weight and equality rows, but not once their values change.
-    # Rows or a bound changed in place are read afresh, and a start from the
-    # last result is checked against the set as it is now: every answer is
+    # A weight, equality rows, rows or a bound changed in place between
+    # calls are read afresh, and a start and an active-set hint from the
+    # last result are checked against the set as it is now: every answer is
     # the cold one.
     rng = np.random.default_rng(19)
     for _ in range(20):
         S, x, poly = random_projection_problem(rng)
         S = np.asarray(S, dtype=float)
-        warm = WarmStart()
-        last = project(S, x, poly, warm=warm).point
+        last = project(S, x, poly)
         for a in (S, poly.A, poly.A_eq, poly.b):
             if a is None:
                 continue
@@ -382,8 +400,8 @@ def test_warm_handle_follows_writable_arrays_changed_in_place():
                 cold = project(S, x, poly).point
             except InfeasibleSetError:
                 continue
-            last = project(S, x, poly, start=last, warm=warm).point
-            assert np.allclose(last, cold, atol=1e-10)
+            last = project(S, x, poly, start=last.point, active=last.active_inequalities)
+            assert np.allclose(last.point, cold, atol=1e-10)
 
 
 def test_degenerate_duplicate_rows():
@@ -396,11 +414,20 @@ def test_degenerate_duplicate_rows():
 
 
 def test_kkt_residual_reported_small():
+    # in the problem's weight and in a weight of ones, which is the identity
+    # without equality rows and is whitened in full with them
     rng = np.random.default_rng(10)
+    with_rows = 0
     for _ in range(20):
         S, x, poly = random_projection_problem(rng)
         res = project(S, x, poly)
         assert res.kkt_residual <= 1e-7 * (1 + np.linalg.norm(x))
+        ones = np.ones(x.size)
+        res = project(ones, x, poly)
+        assert res.kkt_residual <= 1e-7 * (1 + np.linalg.norm(x))
+        assert np.linalg.norm(res.point - projection_oracle(ones, x, poly)) <= 1e-9 * (1 + np.linalg.norm(x))
+        with_rows += poly.A_eq is not None
+    assert with_rows
 
 
 @pytest.mark.parametrize("space", [Space.REDUCED, Space.FULL])
@@ -420,12 +447,12 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
     traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
     if space is Space.FULL:
         rows = full_form_rows(system)
-        S, image, coordinates, handle = system.stiffness, (lambda v: v), (lambda v: v), WarmStart
+        S, image, coordinates = system.stiffness, (lambda v: v), (lambda v: v)
         sets = lambda offset: full_form_set(system, offset, rows)  # noqa: E731
     else:
-        S, image, coordinates, handle = spec.whitening.S, spec.lift, spec.reduce, spec.warm_start
+        S, image, coordinates = np.ones(V.shape[1]), spec.lift, spec.reduce
         sets = lambda offset: static_set(spec, offset)  # noqa: E731
-    assert not any(a.flags.writeable for a in (spec.whitening.S, V))
+    assert not V.flags.writeable
     width = spec.box_upper - spec.box_lower
     rng = np.random.default_rng(5)
     hinted_counts = []
@@ -443,10 +470,8 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
                 on_plane - (spec.box_upper + offset + shift),
                 spec.box_lower + offset + shift - on_plane,
             ]) > 0)
-            for warm in (None, handle()):
-                if warm is not None:
-                    warm.active = hinted
-                res = project(S, x, poly, start=start, warm=warm)
+            for active in (None, hinted):
+                res = project(S, x, poly, start=start, active=active)
                 candidates = set(hinted) | set(res.active_inequalities) | set(violated.tolist())
                 assert len(candidates) <= 8
                 oracle = projection_oracle(S, x, poly, candidates=candidates)
@@ -457,23 +482,37 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
 
 
 def test_reduced_grid_solve_multiplies_by_no_weight(grid_with_hole, monkeypatch):
-    # A moving set's whitening and weight are the identity: a grid solve, by
-    # leapfrog or by catch-up, applies neither to a vector, neither for the
-    # kernel's target nor for a cone's norm or residual.
+    # A moving set's weight is ones and it has no equality rows, so its
+    # whitening is the identity, told from the weight alone: a grid solve,
+    # by leapfrog or by catch-up, factors nothing and applies neither to a
+    # vector, neither for the kernel's target nor for a cone's norm or
+    # residual.
     _, loads, system = grid_with_hole
-    products = []
+    products, factors = [], []
     weight_apply = projection._weight_apply
 
     def counted(S, v):
         products.append(np.shape(S))
         return weight_apply(S, v)
 
+    def factored(name):
+        original = getattr(projection, name)
+
+        def call(M):
+            factors.append(name)
+            return original(M)
+
+        monkeypatch.setattr(projection, name, call)
+
     monkeypatch.setattr(projection, "_weight_apply", counted)
+    factored("inverse_cholesky_factor")
+    factored("nullspace_basis")
     spec = build_moving_set(system, Space.REDUCED, loads)
     state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, Space.REDUCED, spec)
     assert len(leapfrog(system, spec, state0, loads).events) >= 3
     assert len(catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 200)).events) >= 3
-    assert products == []
-    # the general kernel still weighs where the whitening is not the identity
+    assert products == [] and factors == []
+    # the general kernel still weighs and factors where the whitening is
+    # not the identity
     project(system.stiffness, state0.epsilon, full_form_set(system, 0.0), start=state0.epsilon)
-    assert products
+    assert products and factors == ["nullspace_basis", "inverse_cholesky_factor"]

@@ -6,14 +6,12 @@ import pytest
 from latsweep.assembly import assemble
 from latsweep.errors import InitialConditionError
 from latsweep.generators import build_example1, example1_prestressed_stress
-from latsweep import projection
 from latsweep.projection import project
 from latsweep.sweeping import (
     Space,
     build_moving_set,
     initial_state,
     safe_load_check,
-    static_set,
 )
 
 from helpers import full_form_set, moving_set_at, recover_stress
@@ -138,7 +136,7 @@ def test_moving_set_translation_for_constant_force(example1):
         d1 = moving_set_at(spec, t1, loads)
         assert np.allclose(d1.b - d0.b, shift)
         assert np.allclose(d1.lower - d0.lower, shift)
-        # the same row arrays every time, so the projection keeps its factors
+        # the same row arrays every time: no rows are built per set
         assert d1.A is d0.A and d1.A_eq is d0.A_eq
 
 
@@ -155,7 +153,7 @@ def test_reduced_set_is_projection_of_full(example1):
         probe = rng.standard_normal(10) * 1e-3
         y = project(system.stiffness, probe, poly_full).point
         assert poly_red.contains(system.P_V @ y, tol=1e-8)
-        yv = project(red.whitening.S, rng.standard_normal(2) * 1e-3, poly_red).point
+        yv = project(np.eye(2), rng.standard_normal(2) * 1e-3, poly_red).point
         assert poly_full.contains(system.V_basis @ yv, tol=1e-8)
 
 
@@ -185,35 +183,3 @@ def test_zero_displacement_gives_zero_stress(example1):
     y = system.G @ (loads.r(0.2 * loads.horizon) - loads.r(0.0))
     eps, sigma = recover_stress(system, y, 0.2 * loads.horizon, loads, Space.FULL, spec)
     assert np.allclose(sigma, 0.0, atol=1e-15)
-
-
-def test_full_and_reduced_space_share_the_whitening_factor(grid_with_hole, monkeypatch):
-    # both spaces solve in the coordinates of assembly's K-orthonormal basis
-    # of the plane, which are whitened already: neither forms a Gram matrix
-    # of the plane, and both whiten the bound map to the same V^T
-    _, loads, system = grid_with_hole
-
-    def no_weight_apply(S, v):
-        raise AssertionError("whitening recomputed the Gram matrix of the plane")
-
-    monkeypatch.setattr(projection, "_weight_apply", no_weight_apply)
-    for space in Space:
-        spec = build_moving_set(system, space, loads)
-        white = spec.whitening
-        assert white.Z is white.S and white.A_eq is None
-        assert np.array_equal(white.S, np.eye(system.dims.dim_v))
-        assert not white.S.flags.writeable
-        assert np.array_equal(white.rows(static_set(spec, 0.0).A), system.V_basis.T)
-
-
-def test_reduced_space_whitening_multiplies_by_nothing(grid_with_hole):
-    # its Z is the identity: weigh and back hand their argument back, and
-    # the whitened rows are a read-only view of V^T
-    _, loads, system = grid_with_hole
-    for space in Space:
-        white = build_moving_set(system, space, loads).whitening
-        assert white.identity
-        v = np.ones((system.dims.dim_v, 3))
-        assert white.weigh(v) is v and white.back(v) is v
-        rows = white.rows(system.V_basis)
-        assert np.shares_memory(rows, system.V_basis) and not rows.flags.writeable
