@@ -170,9 +170,10 @@ def compatibility_matrix(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linearized elongation map, unit direction rows, reference lengths.
 
-    Entry ``(i, d*(j-1)+k)`` of the first matrix is ``directions[i, k] *
-    incidence[j, i]``; row ``i`` of ``directions`` is the unit vector from
-    the terminus to the origin of spring ``i``.
+    Row ``i`` of the first matrix holds ``directions[i]`` in the
+    coordinates of the origin of spring ``i`` and ``-directions[i]`` in
+    those of its terminus, filled from the spring endpoints; row ``i`` of
+    ``directions`` is the unit vector from the terminus to the origin.
     """
     chords = definition.spring_vectors()
     lengths = np.linalg.norm(chords, axis=1)
@@ -182,14 +183,11 @@ def compatibility_matrix(
             f"spring {int(degenerate[0])} has zero reference length"
         )
     directions = chords / lengths[:, None]
-    n, m = definition.incidence.shape
-    d = definition.dimension
+    m, d = definition.n_springs, definition.dimension
     origins, termini = definition.spring_endpoints()
-    compat = np.zeros((m, n * d))
-    rows = np.arange(m)
-    for k in range(d):
-        compat[rows, origins * d + k] = directions[:, k]
-        compat[rows, termini * d + k] = -directions[:, k]
+    compat, rows, axes = np.zeros((m, definition.n_dof)), np.arange(m)[:, None], np.arange(d)
+    compat[rows, origins[:, None] * d + axes] = directions
+    compat[rows, termini[:, None] * d + axes] = -directions
     return compat, directions, lengths
 
 
@@ -346,8 +344,8 @@ def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
 def determinacy_ranks(definition: LatticeDefinition, compat: np.ndarray) -> tuple[int, int]:
     """``rank R`` and ``rank U`` for ``U = C ker R``: ``rank [C; R] = rank R
     + rank U``, each under the relative cutoff of its own matrix.  The rule
-    of :func:`validate_assumptions` and the generators; :func:`assemble`
-    applies the same two tests to the factors it keeps."""
+    of :func:`validate_assumptions` and of ``latsweep generate``;
+    :func:`assemble` applies the same two tests to the factors it keeps."""
     rank_R, N, _ = constraint_factors(definition.constraint_matrix)
     U = compat @ N
     T, _, _ = _factor_elongations(definition, N, U)
@@ -382,8 +380,7 @@ def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
 def assemble(definition: LatticeDefinition) -> AssembledSystem:
     """Build all time-independent matrices, checking the standing assumptions."""
     compat, directions, lengths = compatibility_matrix(definition)
-    n, m = definition.incidence.shape
-    d = definition.dimension
+    n, m, d = definition.n_nodes, definition.n_springs, definition.dimension
     nd = n * d
     q = definition.n_constraints
     k = definition.stiffness

@@ -14,7 +14,7 @@ import traceback
 import numpy as np
 
 from . import analysis
-from .assembly import assemble, validate_assumptions
+from .assembly import assemble, compatibility_matrix, determinacy_ranks, validate_assumptions
 from .catchup import MAX_STEPS, TimePartition, catchup
 from .errors import (
     AssumptionError,
@@ -130,6 +130,12 @@ def _cmd_generate(args) -> int:
         definition, loads = build_triangular_periodic(
             args.cells_x, args.cells_y, strain_rate=args.rate, **horizon
         )
+    # sizes from the command line, and no assemble: check once, as validate_assumptions does
+    rank_R, rank_U = determinacy_ranks(definition, compatibility_matrix(definition)[0])
+    if rank_R + rank_U != definition.n_dof:
+        raise InvalidInputError("generated lattice is not kinematically determinate")
+    if definition.n_springs + definition.n_constraints - definition.n_dof <= 0:
+        raise InvalidInputError("generated lattice has no self-stress states")
     save_network(args.out, definition, loads)
     print(f"wrote {args.out}")
     return 0
@@ -188,6 +194,8 @@ def _read_stress(path: str) -> np.ndarray:
 
 
 def _solve_one(network, args, prefix) -> str:
+    # an unreadable stress file is refused before the network is read
+    sigma0 = None if args.sigma0 is None else _read_stress(args.sigma0)
     definition, loads = load_network(network)
     if args.solver == "catchup":  # refused before any factorization
         steps = loads.horizon / args.mesh
@@ -200,9 +208,7 @@ def _solve_one(network, args, prefix) -> str:
     system = assemble(definition)
     space = Space(args.space)
     spec = build_moving_set(system, space, loads)
-    if args.sigma0 is not None:
-        sigma0 = _read_stress(args.sigma0)
-    else:
+    if sigma0 is None:
         sigma0 = np.zeros(system.dims.n_springs)
     state0 = initial_state(system, sigma0, loads, space, spec)
     if args.solver == "leapfrog":

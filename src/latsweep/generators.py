@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import compatibility_matrix, determinacy_ranks
 from .errors import InvalidInputError
 from .lattice import LatticeDefinition, LoadSchedule
 
@@ -38,17 +37,6 @@ DEFAULT_GRID_HOLE = (
 )
 
 
-def _checked(definition: LatticeDefinition) -> LatticeDefinition:
-    """The two determinacy checks of :func:`validate_assumptions`, by its
-    rule ``rank [C; R] = rank R + rank U``."""
-    rank_R, rank_U = determinacy_ranks(definition, compatibility_matrix(definition)[0])
-    if rank_R + rank_U != definition.n_dof:
-        raise InvalidInputError("generated lattice is not kinematically determinate")
-    if definition.n_springs + definition.n_constraints - definition.n_dof <= 0:
-        raise InvalidInputError("generated lattice has no self-stress states")
-    return definition
-
-
 def build_example1() -> tuple[LatticeDefinition, LoadSchedule]:
     """Six-node, ten-spring toy truss pulled horizontally at one end node.
 
@@ -57,17 +45,8 @@ def build_example1() -> tuple[LatticeDefinition, LoadSchedule]:
     diagonal and side springs have yield limits ``c0``, ``c0/sqrt(2)`` and
     ``10*c0``.
     """
-    Q = np.array(
-        [
-            [1, 0, 1, 0, 1, 0, 1, 0, 0, 0],
-            [0, 1, -1, 0, 0, 1, 0, 1, 0, 0],
-            [-1, 0, 0, 1, 0, -1, 0, 0, 1, 0],
-            [0, -1, 0, -1, -1, 0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 0, 0, -1, -1, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, -1, -1],
-        ],
-        dtype=float,
-    )
+    origins = np.array([0, 1, 0, 2, 0, 1, 0, 1, 2, 3])
+    termini = np.array([2, 3, 1, 3, 3, 2, 4, 4, 5, 5])
     xi0 = np.array([2, -1, 2, 1, 4, -1, 4, 1, 0, 0, 6, 0], dtype=float)
     c0 = 0.001
     r0 = 100.0
@@ -75,7 +54,8 @@ def build_example1() -> tuple[LatticeDefinition, LoadSchedule]:
     R = np.zeros((4, 12))
     R[0, 8] = R[1, 9] = R[2, 10] = R[3, 11] = 1.0
     definition = LatticeDefinition(
-        incidence=Q,
+        origins=origins,
+        termini=termini,
         reference_coords=xi0,
         dimension=2,
         stiffness=np.ones(10),
@@ -90,7 +70,7 @@ def build_example1() -> tuple[LatticeDefinition, LoadSchedule]:
         rate=np.array([0.0, 0.0, -r0 * c0, 0.0]),
         horizon=0.08,
     )
-    return _checked(definition), loads
+    return definition, loads
 
 
 def example1_prestressed_stress(c0: float = 0.001) -> np.ndarray:
@@ -175,13 +155,8 @@ def build_tri_grid_with_hole(
         if a not in hole and b not in hole
     ]
 
-    n = len(keep)
-    m = len(edges)
-    d = 2
-    Q = np.zeros((n, m))
-    for s, (a, b) in enumerate(edges):
-        Q[new_id[a], s] = 1.0
-        Q[new_id[b], s] = -1.0
+    n, m, d = len(keep), len(edges), 2
+    origins, termini = (np.array([new_id[key] for key in ends], dtype=int) for ends in zip(*edges))
     xi0 = np.zeros(n * d)
     for key, idx in new_id.items():
         xi0[2 * idx : 2 * idx + 2] = coords[ids[key]]
@@ -202,7 +177,8 @@ def build_tri_grid_with_hole(
             row += 1
 
     definition = LatticeDefinition(
-        incidence=Q,
+        origins=origins,
+        termini=termini,
         reference_coords=xi0,
         dimension=2,
         stiffness=np.full(m, stiffness),
@@ -217,7 +193,7 @@ def build_tri_grid_with_hole(
         rate=rate_vec,
         horizon=horizon,
     )
-    return _checked(definition), loads
+    return definition, loads
 
 
 def build_triangular_periodic(
@@ -264,20 +240,15 @@ def build_triangular_periodic(
                 edges.append((node(i, j), node(i + 1, j + 1), up_r))
                 edges.append((node(i, j), node(i, j + 1), up_l))
 
-    n = nx * ny
-    m = len(edges)
-    Q = np.zeros((n, m))
-    shifts = np.zeros((m, 2), dtype=int)
-    for s, (a, b, shift) in enumerate(edges):
-        Q[a, s] = 1.0
-        Q[b, s] = -1.0
-        shifts[s] = shift
+    n, m = nx * ny, len(edges)
+    origins, termini, shifts = (np.array(column, dtype=int) for column in zip(*edges))
 
     R = np.zeros((2, n * 2))
     R[0, 0] = R[1, 1] = 1.0
     xi0 = coords.reshape(-1)
     definition = LatticeDefinition(
-        incidence=Q,
+        origins=origins,
+        termini=termini,
         reference_coords=xi0,
         dimension=2,
         stiffness=np.full(m, stiffness),
@@ -297,4 +268,4 @@ def build_triangular_periodic(
         strain_times=np.array([0.0, horizon]),
         strain_values=np.array([0.0, strain_rate * horizon]),
     )
-    return _checked(definition), loads
+    return definition, loads

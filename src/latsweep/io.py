@@ -140,7 +140,7 @@ def _check_spring(spring, where, n, d):
         if not 0 <= ref < n:
             raise SchemaError(f"unknown node {ref}", field=f"{where}.{name}")
     if origin == terminus:
-        # self-loops cannot carry an incidence +1/-1 pair, shifted or not
+        # a spring joins two distinct nodes, shifted or not
         raise SchemaError("origin equals terminus", field=where)
     if _need(spring, "stiffness", where, float) <= 0:
         raise SchemaError("stiffness must be positive", field=f"{where}.stiffness")
@@ -218,9 +218,8 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
         shifts[ids[shifted]] = given
     for i in np.flatnonzero(bad):
         _check_spring(springs[i], f"springs[{i}]", n, d)
-    Q = np.zeros((n, m))
-    Q[origin.astype(int), ids] = 1.0
-    Q[terminus.astype(int), ids] = -1.0
+    origins, termini = np.empty(m, dtype=int), np.empty(m, dtype=int)
+    origins[ids], termini[ids] = origin, terminus
     stiffness, lower, upper = (np.empty(m) for _ in range(3))
     stiffness[ids], lower[ids], upper[ids] = k, lo, hi
     any_shift = bool(shifts.any())
@@ -274,7 +273,8 @@ def load_network(path) -> tuple[LatticeDefinition, LoadSchedule]:
 
     try:
         definition = LatticeDefinition(
-            incidence=Q,
+            origins=origins,
+            termini=termini,
             reference_coords=coords.reshape(-1),
             dimension=d,
             stiffness=stiffness,

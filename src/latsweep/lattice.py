@@ -1,4 +1,5 @@
-"""Lattice input data: graph, geometry, spring laws, and load schedules."""
+"""Lattice input data: the graph as two spring endpoint arrays, geometry,
+spring laws, and load schedules."""
 
 from __future__ import annotations
 
@@ -16,18 +17,44 @@ def _frozen(a, dtype=float):
     return out
 
 
-@dataclass(frozen=True)
-class LatticeDefinition:
-    """A spring network: incidence, reference geometry, and spring laws.
+def _endpoints(incidence, coords, d) -> tuple[np.ndarray, np.ndarray]:
+    """Origins and termini of a dense incidence, one row per node of
+    ``coords`` in ``d`` dimensions; each entry is read once."""
+    Q = np.asarray(incidence, dtype=float)
+    if Q.ndim != 2 or Q.size == 0:
+        raise InvalidInputError("lattice needs at least one node and spring")
+    if Q.shape[0] * d != np.size(coords):
+        raise InvalidInputError(f"incidence has {Q.shape[0]} rows for {np.size(coords)} coordinates")
+    springs, nodes = np.divmod(np.flatnonzero(Q.T != 0), Q.shape[0])  # by spring, then by node
+    values = Q[nodes, springs]
+    if not np.all(np.abs(values) == 1):
+        raise InvalidInputError("incidence entries must be -1, 0 or +1")
+    pairs = np.array_equal(springs, np.repeat(np.arange(Q.shape[1]), 2))
+    if not pairs or np.any(values[::2] == values[1::2]):
+        raise InvalidInputError("each incidence column needs exactly one origin (+1) and one terminus (-1)")
+    first = values[::2] == 1  # the lower-numbered node is the origin
+    return np.where(first, nodes[::2], nodes[1::2]), np.where(first, nodes[1::2], nodes[::2])
 
-    ``incidence`` is the node-by-spring matrix with +1 at each spring's
-    origin and -1 at its terminus.  ``constraint_matrix`` holds the rows of
+
+@dataclass(frozen=True, init=False)
+class LatticeDefinition:
+    """A spring network: spring endpoints, reference geometry, and spring laws.
+
+    Spring ``s`` joins node ``origins[s]`` to a distinct node ``termini[s]``:
+    these int arrays of length m are the only graph data, and the nodes are
+    those of ``reference_coords``.  ``constraint_matrix`` holds the rows of
     the external displacement constraint.  Periodic lattices mark springs
     that wrap around the box with integer ``edge_shifts``; the terminus of
     such a spring is taken at its shifted image ``coords + box * shift``.
+
+    A dense n x m ``incidence``, +1 at each spring's origin and -1 at its
+    terminus, may be given in place of the endpoints, as
+    ``dataclasses.replace(definition, incidence=Q)`` does: it is checked,
+    turned into endpoints and not kept.
     """
 
-    incidence: np.ndarray
+    origins: np.ndarray
+    termini: np.ndarray
     reference_coords: np.ndarray
     dimension: int
     stiffness: np.ndarray
@@ -39,28 +66,35 @@ class LatticeDefinition:
     volume: float | None = None
     label: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "incidence", _frozen(self.incidence))
-        object.__setattr__(self, "reference_coords", _frozen(self.reference_coords))
-        object.__setattr__(self, "stiffness", _frozen(self.stiffness))
-        object.__setattr__(self, "lower_limits", _frozen(self.lower_limits))
-        object.__setattr__(self, "upper_limits", _frozen(self.upper_limits))
-        object.__setattr__(
-            self, "constraint_matrix", _frozen(np.atleast_2d(self.constraint_matrix))
-        )
-        if self.edge_shifts is not None:
-            object.__setattr__(self, "edge_shifts", _frozen(self.edge_shifts, int))
-        if self.box_lengths is not None:
-            object.__setattr__(self, "box_lengths", _frozen(self.box_lengths))
+    def __init__(self, *, reference_coords, dimension, stiffness, lower_limits, upper_limits,
+                 constraint_matrix, origins=None, termini=None, incidence=None,
+                 edge_shifts=None, box_lengths=None, volume=None, label=""):
+        if incidence is not None:
+            origins, termini = _endpoints(incidence, reference_coords, dimension)
+        put = functools.partial(object.__setattr__, self)
+        for name, ends in (("origins", np.asarray(origins)), ("termini", np.asarray(termini))):
+            if ends.ndim != 1 or not np.issubdtype(ends.dtype, np.integer):
+                raise InvalidInputError(f"{name} must be a 1-D array of integer node indices")
+            put(name, _frozen(ends, int))
+        put("reference_coords", _frozen(reference_coords))
+        put("dimension", dimension)
+        put("stiffness", _frozen(stiffness))
+        put("lower_limits", _frozen(lower_limits))
+        put("upper_limits", _frozen(upper_limits))
+        put("constraint_matrix", _frozen(np.atleast_2d(constraint_matrix)))
+        put("edge_shifts", None if edge_shifts is None else _frozen(edge_shifts, int))
+        put("box_lengths", None if box_lengths is None else _frozen(box_lengths))
+        put("volume", volume)
+        put("label", label)
         self.validate()
 
     @property
     def n_nodes(self) -> int:
-        return self.incidence.shape[0]
+        return self.reference_coords.size // self.dimension
 
     @property
     def n_springs(self) -> int:
-        return self.incidence.shape[1]
+        return self.origins.size
 
     @property
     def n_constraints(self) -> int:
@@ -70,22 +104,26 @@ class LatticeDefinition:
     def n_dof(self) -> int:
         return self.n_nodes * self.dimension
 
+    @property
+    def incidence(self) -> np.ndarray:
+        """The dense n x m incidence, read-only, built on each read."""
+        Q, springs = np.zeros((self.n_nodes, self.n_springs)), np.arange(self.n_springs)
+        Q[self.origins, springs], Q[self.termini, springs] = 1.0, -1.0
+        Q.flags.writeable = False
+        return Q
+
     def node_coords(self) -> np.ndarray:
         """Reference coordinates as an (n, d) array."""
         return self.reference_coords.reshape(self.n_nodes, self.dimension)
 
     def spring_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """(origins, termini) node indices per spring."""
-        Q = self.incidence
-        origins = np.argmax(Q == 1, axis=0)
-        termini = np.argmax(Q == -1, axis=0)
-        return origins, termini
+        return self.origins, self.termini
 
     def spring_vectors(self) -> np.ndarray:
         """Chords from terminus (or its periodic image) to origin, (m, d)."""
         coords = self.node_coords()
-        origins, termini = self.spring_endpoints()
-        chords = coords[origins] - coords[termini]
+        chords = coords[self.origins] - coords[self.termini]
         if self.edge_shifts is not None:
             chords = chords - self.edge_shifts * self.box_lengths[None, :]
         return chords
@@ -94,21 +132,20 @@ class LatticeDefinition:
         d = self.dimension
         if d not in (1, 2, 3):
             raise InvalidInputError(f"dimension must be 1, 2 or 3, got {d}")
-        n, m = self.incidence.shape
+        shape = self.reference_coords.shape
+        if len(shape) != 1 or shape[0] % d:
+            raise InvalidInputError(f"reference coordinates have shape {shape}, expected (n * {d},)")
+        n, m = self.n_nodes, self.n_springs
         if m == 0 or n == 0:
             raise InvalidInputError("lattice needs at least one node and spring")
-        Q = self.incidence
-        if not np.all(np.isin(Q, (-1.0, 0.0, 1.0))):
-            raise InvalidInputError("incidence entries must be -1, 0 or +1")
-        if np.any(np.sum(Q == 1, axis=0) != 1) or np.any(np.sum(Q == -1, axis=0) != 1):
-            raise InvalidInputError(
-                "each incidence column needs exactly one origin (+1) and one terminus (-1)"
-            )
-        if self.reference_coords.shape != (n * d,):
-            raise InvalidInputError(
-                f"reference coordinates have shape {self.reference_coords.shape}, "
-                f"expected ({n * d},)"
-            )
+        if self.termini.shape != (m,):
+            raise InvalidInputError("origins and termini must have the same length")
+        ends = np.concatenate([self.origins, self.termini])
+        if np.any((ends < 0) | (ends >= n)):
+            raise InvalidInputError(f"spring endpoints must be node indices 0 to {n - 1}")
+        loops = np.flatnonzero(self.origins == self.termini)
+        if loops.size:
+            raise InvalidInputError(f"spring {loops[0]} joins node {self.origins[loops[0]]} to itself")
         for name in ("reference_coords", "stiffness", "lower_limits", "upper_limits"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidInputError(f"{name} has non-finite entries")
@@ -190,27 +227,15 @@ class LoadSchedule:
                 raise InvalidInputError("strain breakpoints must increase")
 
     @classmethod
-    def constant_rate(
-        cls,
-        displacement_offset,
-        rate,
-        horizon,
-        force_times=None,
-        force_values=None,
-        strain_axis=None,
-        strain_times=None,
-        strain_values=None,
-    ) -> "LoadSchedule":
+    def constant_rate(cls, displacement_offset, rate, horizon, **loads) -> "LoadSchedule":
+        """One displacement rate from 0 to ``horizon``; ``loads`` are the
+        force and strain fields, as the constructor takes them."""
         return cls(
             displacement_offset=np.asarray(displacement_offset, dtype=float),
             rate_times=np.array([0.0]),
             rate_values=np.atleast_2d(np.asarray(rate, dtype=float)),
             horizon=float(horizon),
-            force_times=force_times,
-            force_values=force_values,
-            strain_axis=strain_axis,
-            strain_times=strain_times,
-            strain_values=strain_values,
+            **loads,
         )
 
     def _segment(self, times: np.ndarray, t: float) -> int:

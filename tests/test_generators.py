@@ -1,7 +1,11 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from latsweep.assembly import assemble, validate_assumptions
+from latsweep import cli
+from latsweep.assembly import assemble, determinacy_ranks, validate_assumptions
 from latsweep.errors import InvalidInputError
 from latsweep.generators import (
     DEFAULT_GRID_HOLE,
@@ -99,9 +103,69 @@ def test_periodic_requires_even_rows():
         build_triangular_periodic(4, 3)
 
 
-def test_generators_check_rank_with_one_svd(monkeypatch):
-    calls = counted_svd(monkeypatch)
-    for build in (build_example1, build_tri_grid_with_hole, lambda: build_triangular_periodic(4, 4)):
-        calls.clear()
-        build()
-        assert len(calls) == 1
+def _counted_qr(monkeypatch) -> list:
+    """Shapes of the ``numpy.linalg.qr`` calls made from here on."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+#: Each family over its size range: the grids without a hole and the default
+#: one with its hole, the periodic patches with even row counts only.
+FAMILIES = {
+    "example1": [build_example1],
+    "grid": [
+        functools.partial(build_tri_grid_with_hole, rows, cols, hole=())
+        for rows in range(2, 7)
+        for cols in range(2, 7)
+    ] + [build_tri_grid_with_hole],
+    "periodic": [
+        functools.partial(build_triangular_periodic, cells_x, cells_y)
+        for cells_x in range(2, 9)
+        for cells_y in range(2, 9, 2)
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_generators_over_each_size_range_are_determinate_and_factor_nothing(monkeypatch, family):
+    # The builders take no SVD and no QR: determinacy is decided once, by
+    # assemble, validate_assumptions or latsweep generate.  Every size of
+    # each family passes that rule, with at least one self-stress state.
+    svd, qr = counted_svd(monkeypatch), _counted_qr(monkeypatch)
+    built = [build()[0] for build in FAMILIES[family]]
+    assert svd == [] and qr == []
+    monkeypatch.undo()
+    for definition in built:
+        report = validate_assumptions(definition)
+        assert report.kinematically_determinate, definition.label
+        assert report.constrained_self_stress_states > 0, definition.label
+        assert report.constraint_rank == definition.n_constraints, definition.label
+
+
+def test_cli_generate_checks_once_and_refuses_a_floppy_lattice(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return determinacy_ranks(*args)
+
+    monkeypatch.setattr(cli, "determinacy_ranks", counted)
+    good = tmp_path / "periodic.json"
+    assert cli.main(["generate", "periodic", "--cells-x", "3", "--cells-y", "2", "--out", str(good)]) == 0
+    assert len(calls) == 1 and good.exists()
+    # example1 with only its pulled node pinned turns about that node
+    definition, loads = build_example1()
+    floppy = dataclasses.replace(definition, constraint_matrix=definition.constraint_matrix[2:])
+    monkeypatch.setattr(cli, "build_example1", lambda: (floppy, loads))
+    out = tmp_path / "floppy.json"
+    capsys.readouterr()
+    assert cli.main(["generate", "example1", "--out", str(out)]) == 1
+    assert "not kinematically determinate" in capsys.readouterr().err
+    assert not out.exists()

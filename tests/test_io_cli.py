@@ -586,6 +586,31 @@ def test_cli_unreadable_initial_stress_is_a_named_error(tmp_path, capsys, conten
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("content", ["abc\n", ""])
+def test_cli_unreadable_initial_stress_is_refused_before_the_network_is_read(
+    tmp_path, monkeypatch, capsys, content
+):
+    net = tmp_path / "net.json"
+    main(["generate", "example1", "--out", str(net)])
+    sig = tmp_path / "sigma0.txt"
+    sig.write_text(content)
+    calls = []
+
+    def counted(original):
+        def call(*args):
+            calls.append(original.__name__)
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(cli, "load_network", counted(cli.load_network))
+    monkeypatch.setattr(cli, "assemble", counted(cli.assemble))
+    for networks in ([net], [net, net.with_name("other.json")]):
+        argv = ["solve", *map(str, networks), "--sigma0", str(sig), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert calls == []
+    capsys.readouterr()
+
+
 def test_cli_batch_solve(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["generate", "example1", "--out", str(a)])
