@@ -1,10 +1,9 @@
 """Time-independent matrices of the model and rigidity diagnostics.
 
-Everything here is assembled once per lattice: the compatibility matrix,
-the bases of the elongation space (feasible stretches) and its stiffness-
-orthogonal complement (self-stress directions after Hooke scaling), and
-the coupling matrices that turn external loads into translations of the
-moving set.
+Everything here is assembled once per lattice: the bases of the elongation
+space (feasible stretches) and its stiffness-orthogonal complement
+(self-stress directions after Hooke scaling), and the coupling matrices
+that turn external loads into translations of the moving set.
 
 The checks and bases come from two Householder QR factorizations and one
 values-only SVD, and no square orthogonal factor is formed: both QRs go
@@ -17,15 +16,21 @@ nonzero (see :func:`constraint_factors`): the singular values of ``R_S``
 give ``rank R``, and a QR of ``R_S^T`` gives ``ker R_S`` and ``pinv R_S``.
 The other degrees of freedom, ``F``, are free, so ``N = blockdiag(ker R_S,
 I_F)`` spans ``ker R`` and ``U = C N = [C_S ker R_S, C_F]`` is one small
-product and a gather of columns of ``C``.  A spring's row of ``U`` holds
-at most ``2d`` nonzeros, so ``K^(1/2) U`` is factored in a band: free dofs
-in a reverse Cuthill-McKee order of the node graph, ``ker R_S`` last and
-springs sorted by their first column (:func:`_band_gather`, from the
-spring endpoints alone).  That one QR gives the rest:
+product and the columns ``C_F``.  ``C_S`` and ``C_F`` are filled straight
+from the spring endpoints and directions, as :func:`compatibility_matrix`
+fills ``C``: the dense m x nd ``C`` is built only on request, on the first
+read of :attr:`AssembledSystem.compatibility`, and nothing on a solve
+reads it.  A spring's row of ``U`` holds at most ``2d`` nonzeros, so
+``K^(1/2) U`` is factored in a band: free dofs in a reverse Cuthill-McKee
+order of the node graph, ``ker R_S`` last and springs sorted by their first
+column (:func:`_band_gather`, from the spring endpoints alone).  That one
+QR gives the rest:
 
 - its triangle ``T`` certifies the determinacy check, that ``U`` has full
   column rank (see :func:`_elongation_rank`), through a blocked inverse of
-  ``T``; ``||T^-1||_F`` does not depend on the order of rows and columns;
+  ``T`` taken in ``T``'s own place, as ``T`` is dropped right after, so no
+  second n x n array is allocated; ``||T^-1||_F`` does not depend on the
+  order of rows and columns;
 - the trailing columns ``W`` of its orthogonal factor, built in spring
   order, span ``ker (K^(1/2) U)^T``, so ``V = K^(-1/2) W`` is a
   K-orthonormal basis of the self-stress plane, ``V^T K V = I``, at any
@@ -98,7 +103,7 @@ class RigidityReport:
         return self.zero_modes - self.rigid_motion_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """All time-independent matrices of a validated lattice.
 
@@ -108,7 +113,6 @@ class AssembledSystem:
     """
 
     definition: LatticeDefinition
-    compatibility: np.ndarray      # m x nd, linearized elongation map
     directions: np.ndarray         # m x d, unit vectors terminus -> origin
     reference_lengths: np.ndarray  # m
     U_basis: np.ndarray            # m x dim_u, C N for N the kernel of R,
@@ -122,12 +126,20 @@ class AssembledSystem:
 
     def __post_init__(self):
         for name in (
-            "compatibility", "directions", "reference_lengths", "U_basis",
-            "V_basis", "P_V", "G",
+            "directions", "reference_lengths", "U_basis", "V_basis", "P_V", "G",
         ):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @functools.cached_property
+    def compatibility(self) -> np.ndarray:
+        """The m x nd linearized elongation map ``C`` of
+        :func:`compatibility_matrix`, read-only, built on first read:
+        nothing on a solve reads it."""
+        C = compatibility_matrix(self.definition)[0]
+        C.flags.writeable = False
+        return C
 
     @functools.cached_property
     def F(self) -> np.ndarray:
@@ -165,16 +177,9 @@ class AssembledSystem:
         return self.U_basis.T * self.stiffness[None, :]
 
 
-def compatibility_matrix(
-    definition: LatticeDefinition,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linearized elongation map, unit direction rows, reference lengths.
-
-    Row ``i`` of the first matrix holds ``directions[i]`` in the
-    coordinates of the origin of spring ``i`` and ``-directions[i]`` in
-    those of its terminus, filled from the spring endpoints; row ``i`` of
-    ``directions`` is the unit vector from the terminus to the origin.
-    """
+def _directions(definition: LatticeDefinition) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors from each spring's terminus to its origin, and the
+    reference lengths."""
     chords = definition.spring_vectors()
     lengths = np.linalg.norm(chords, axis=1)
     degenerate = np.flatnonzero(lengths <= 0)
@@ -182,13 +187,40 @@ def compatibility_matrix(
         raise DegenerateSpringError(
             f"spring {int(degenerate[0])} has zero reference length"
         )
-    directions = chords / lengths[:, None]
-    m, d = definition.n_springs, definition.dimension
-    origins, termini = definition.spring_endpoints()
-    compat, rows, axes = np.zeros((m, definition.n_dof)), np.arange(m)[:, None], np.arange(d)
-    compat[rows, origins[:, None] * d + axes] = directions
-    compat[rows, termini[:, None] * d + axes] = -directions
-    return compat, directions, lengths
+    return chords / lengths[:, None], lengths
+
+
+def _fill_compatibility(
+    out: np.ndarray, column: np.ndarray, definition: LatticeDefinition, directions: np.ndarray,
+) -> np.ndarray:
+    """Write the entries of ``C`` into the zeros of ``out``: column ``j`` of
+    ``C`` goes to column ``column[j]`` of ``out``, and a dof with ``column[j]
+    < 0`` is left out.  Row ``i`` of ``C`` holds ``directions[i]`` in the
+    coordinates of the origin of spring ``i`` and ``-directions[i]`` in
+    those of its terminus, filled from the spring endpoints."""
+    d = definition.dimension
+    for ends, rows in zip(definition.spring_endpoints(), (directions, -directions)):
+        place = column[ends[:, None] * d + np.arange(d)]
+        i, a = np.nonzero(place >= 0)
+        out[i, place[i, a]] = rows[i, a]
+    return out
+
+
+def compatibility_matrix(
+    definition: LatticeDefinition,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linearized elongation map ``C`` (m x nd), unit direction rows,
+    reference lengths.
+
+    Row ``i`` of ``C`` holds ``directions[i]`` in the coordinates of the
+    origin of spring ``i`` and ``-directions[i]`` in those of its terminus;
+    row ``i`` of ``directions`` is the unit vector from the terminus to the
+    origin.
+    """
+    directions, lengths = _directions(definition)
+    nd = definition.n_dof
+    compat = np.zeros((definition.n_springs, nd))
+    return _fill_compatibility(compat, np.arange(nd), definition, directions), directions, lengths
 
 
 @dataclass(frozen=True)
@@ -262,6 +294,24 @@ def constraint_factors(R: np.ndarray) -> tuple[int, ConstraintKernel, np.ndarray
     return rank, ConstraintKernel(support, free, block), pinv
 
 
+def _elongation_basis(
+    definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``U = C N = [C_S ker R_S, C_F]`` and ``C_S``, each filled from the
+    spring endpoints as :func:`compatibility_matrix` fills ``C``, which is
+    not formed: ``C_S`` is ``C``'s columns on ``N``'s support and ``C_F``
+    goes straight into ``U``."""
+    m, nd, k = definition.n_springs, definition.n_dof, N.block.shape[1]
+    column = np.full(nd, -1)
+    column[N.support] = np.arange(N.support.size)
+    C_S = _fill_compatibility(np.zeros((m, N.support.size)), column, definition, directions)
+    U = np.zeros((m, k + N.free.size))
+    U[:, :k] = C_S @ N.block
+    column[N.support] = -1
+    column[N.free] = np.arange(k, k + N.free.size)
+    return _fill_compatibility(U, column, definition, directions), C_S
+
+
 def _band_gather(
     definition: LatticeDefinition, N: ConstraintKernel, U: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -319,10 +369,11 @@ def _factor_elongations(
 
 def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
     """``rank U`` under :data:`DEFAULT_RANK_TOL`, given the triangle ``T``
-    of a Householder QR ``K^(1/2) U = Q_1 T``, inverted by
-    :func:`~latsweep.linalg.triangular_inverse`.  The rows and columns of
-    ``U`` may be factored in any order: ``||T^-1||_F`` is then that of the
-    pseudoinverse of ``K^(1/2) U``, which no order moves.
+    of a Householder QR ``K^(1/2) U = Q_1 T``, inverted in its own place by
+    :func:`~latsweep.linalg.triangular_inverse`: the caller's triangle is
+    overwritten.  The rows and columns of ``U`` may be factored in any
+    order: ``||T^-1||_F`` is then that of the pseudoinverse of ``K^(1/2)
+    U``, which no order moves.
 
     ``T^-1 Q_1^T K^(1/2)`` is a left inverse of ``U``, so ``cond_2 U <=
     ||U||_F ||T^-1||_F sqrt(k_max)``.  A bound of at most half the inverse
@@ -341,13 +392,14 @@ def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
     return numerical_rank(U)
 
 
-def determinacy_ranks(definition: LatticeDefinition, compat: np.ndarray) -> tuple[int, int]:
+def determinacy_ranks(definition: LatticeDefinition) -> tuple[int, int]:
     """``rank R`` and ``rank U`` for ``U = C ker R``: ``rank [C; R] = rank R
     + rank U``, each under the relative cutoff of its own matrix.  The rule
     of :func:`validate_assumptions` and of ``latsweep generate``;
-    :func:`assemble` applies the same two tests to the factors it keeps."""
+    :func:`assemble` applies the same two tests to the factors it keeps.
+    ``U`` is built as assemble builds it, with no ``C`` formed."""
     rank_R, N, _ = constraint_factors(definition.constraint_matrix)
-    U = compat @ N
+    U, _ = _elongation_basis(definition, N, _directions(definition)[0])
     T, _, _ = _factor_elongations(definition, N, U)
     return rank_R, _elongation_rank(U, T, np.sqrt(definition.stiffness.max()))
 
@@ -360,7 +412,7 @@ def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
     rank_compat = numerical_rank(compat)
     zero_modes = nd - rank_compat
     self_stress = m - rank_compat
-    rank_R, rank_U = determinacy_ranks(definition, compat)
+    rank_R, rank_U = determinacy_ranks(definition)
     rank_enhanced = rank_R + rank_U
     constrained_zero_modes = nd - rank_enhanced
     constrained_self_stress = (m + q) - rank_enhanced
@@ -379,7 +431,7 @@ def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
 
 def assemble(definition: LatticeDefinition) -> AssembledSystem:
     """Build all time-independent matrices, checking the standing assumptions."""
-    compat, directions, lengths = compatibility_matrix(definition)
+    directions, lengths = _directions(definition)
     n, m, d = definition.n_nodes, definition.n_springs, definition.dimension
     nd = n * d
     q = definition.n_constraints
@@ -391,7 +443,7 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
             "external displacement constraint matrix is rank deficient "
             "(full row rank assumption fails)"
         )
-    U = compat @ N
+    U, C_S = _elongation_basis(definition, N, directions)
     dim_u = nd - q
     dim_v = m - nd + q
     T, Q, rows = _factor_elongations(definition, N, U)
@@ -419,11 +471,10 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     V /= root_k[:, None]
 
     P_V = V.T * k[None, :]
-    G = V @ (P_V @ (compat[:, N.support] @ R_pinv))
+    G = V @ (P_V @ (C_S @ R_pinv))
 
     return AssembledSystem(
         definition=definition,
-        compatibility=compat,
         directions=directions,
         reference_lengths=lengths,
         U_basis=U,

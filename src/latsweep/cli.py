@@ -14,7 +14,7 @@ import traceback
 import numpy as np
 
 from . import analysis
-from .assembly import assemble, compatibility_matrix, determinacy_ranks, validate_assumptions
+from .assembly import assemble, determinacy_ranks, validate_assumptions
 from .catchup import MAX_STEPS, TimePartition, catchup
 from .errors import (
     AssumptionError,
@@ -131,7 +131,7 @@ def _cmd_generate(args) -> int:
             args.cells_x, args.cells_y, strain_rate=args.rate, **horizon
         )
     # sizes from the command line, and no assemble: check once, as validate_assumptions does
-    rank_R, rank_U = determinacy_ranks(definition, compatibility_matrix(definition)[0])
+    rank_R, rank_U = determinacy_ranks(definition)
     if rank_R + rank_U != definition.n_dof:
         raise InvalidInputError("generated lattice is not kinematically determinate")
     if definition.n_springs + definition.n_constraints - definition.n_dof <= 0:
@@ -177,9 +177,12 @@ def _volume(definition) -> float:
     return vol if vol > 0 else 1.0
 
 
-def _read_stress(path: str) -> np.ndarray:
-    """The numbers of the text file ``path``, as ``np.loadtxt`` reads them;
-    none, or one that is no number, is an :class:`InitialConditionError`."""
+def _read_stress(path: str | None) -> np.ndarray | None:
+    """The numbers of the text file ``path``, as ``np.loadtxt`` reads them,
+    read-only; ``None`` for no file.  None, or one that is no number, is an
+    :class:`InitialConditionError`."""
+    if path is None:
+        return None
     try:
         with open(path) as file:
             lines = file.readlines()
@@ -188,15 +191,18 @@ def _read_stress(path: str) -> np.ndarray:
     if not any(line.split("#")[0].strip() for line in lines):
         raise InitialConditionError(f"initial stress file {path} holds no numbers")
     try:
-        return np.loadtxt(lines, ndmin=1)
+        sigma0 = np.loadtxt(lines, ndmin=1)
     except ValueError as exc:
         raise InitialConditionError(f"initial stress file {path} is unreadable: {exc}") from None
+    sigma0.flags.writeable = False  # shared by the networks of a batch
+    return sigma0
 
 
-def _solve_one(network, args, prefix) -> str:
-    # an unreadable stress file is refused before the network is read
-    sigma0 = None if args.sigma0 is None else _read_stress(args.sigma0)
+def _solve_one(network, args, prefix, sigma0) -> str:
     definition, loads = load_network(network)
+    m = definition.n_springs
+    if sigma0 is not None and sigma0.shape != (m,):  # refused before assemble
+        raise InitialConditionError(f"initial stress has shape {sigma0.shape}, expected ({m},)")
     if args.solver == "catchup":  # refused before any factorization
         steps = loads.horizon / args.mesh
         if steps > MAX_STEPS:
@@ -209,7 +215,7 @@ def _solve_one(network, args, prefix) -> str:
     space = Space(args.space)
     spec = build_moving_set(system, space, loads)
     if sigma0 is None:
-        sigma0 = np.zeros(system.dims.n_springs)
+        sigma0 = np.zeros(m)
     state0 = initial_state(system, sigma0, loads, space, spec)
     if args.solver == "leapfrog":
         traj = leapfrog(system, spec, state0, loads)
@@ -221,9 +227,21 @@ def _solve_one(network, args, prefix) -> str:
     return f"wrote {prefix}.csv and {prefix}.events.csv ({len(traj.events)} events)"
 
 
+def _report(network, exc: BaseException) -> int:
+    """Print one batch network's failure; its exit code."""
+    code = _exit_code(exc)
+    if code is None:  # not a named failure: keep its traceback
+        traceback.print_exception(exc)
+        code = RUNTIME_EXIT
+    print(f"{network}: {_ERROR_LABELS[code]}: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_solve(args) -> int:
+    # the stress file is read once, and an unreadable one is refused
+    # before any network is read
     if len(args.network) == 1:
-        print(_solve_one(args.network[0], args, args.out))
+        print(_solve_one(args.network[0], args, args.out, _read_stress(args.sigma0)))
         return 0
     # batch mode: one worker thread per trajectory, read-only shared inputs;
     # every network runs to its end and reports its own status
@@ -235,20 +253,19 @@ def _cmd_solve(args) -> int:
     if shared:  # refused before any solve: one output would overwrite another
         print(f"latsweep: error: several networks would write {shared[0]}.csv", file=sys.stderr)
         return USAGE_EXIT
+    try:
+        sigma0 = _read_stress(args.sigma0)
+    except (LatSweepError, OSError) as exc:  # every network fails with it
+        return max([_report(net, exc) for net in args.network])
     with ThreadPoolExecutor(max_workers=min(len(args.network), 8)) as pool:
-        futures = [pool.submit(_solve_one, n, args, p) for n, p in zip(args.network, prefixes)]
+        futures = [pool.submit(_solve_one, n, args, p, sigma0) for n, p in zip(args.network, prefixes)]
     worst = 0
     for net, future in zip(args.network, futures):
         exc = future.exception()
         if exc is None:
             print(f"{net}: {future.result()}")
-            continue
-        code = _exit_code(exc)
-        if code is None:  # not a named failure: keep its traceback
-            traceback.print_exception(exc)
-            code = RUNTIME_EXIT
-        print(f"{net}: {_ERROR_LABELS[code]}: {exc}", file=sys.stderr)
-        worst = max(worst, code)
+        else:
+            worst = max(worst, _report(net, exc))
     return worst
 
 

@@ -3,6 +3,7 @@ spring laws, and load schedules."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -15,6 +16,11 @@ def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _same(a, b) -> bool:
+    """Field equality: ``None`` only to ``None``, else by value and shape."""
+    return a is b if a is None or b is None else bool(np.array_equal(a, b))
 
 
 def _endpoints(incidence, coords, d) -> tuple[np.ndarray, np.ndarray]:
@@ -36,7 +42,7 @@ def _endpoints(incidence, coords, d) -> tuple[np.ndarray, np.ndarray]:
     return np.where(first, nodes[::2], nodes[1::2]), np.where(first, nodes[1::2], nodes[::2])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class LatticeDefinition:
     """A spring network: spring endpoints, reference geometry, and spring laws.
 
@@ -51,6 +57,10 @@ class LatticeDefinition:
     terminus, may be given in place of the endpoints, as
     ``dataclasses.replace(definition, incidence=Q)`` does: it is checked,
     turned into endpoints and not kept.
+
+    Two definitions are equal when every field is: arrays by value and
+    shape, and an optional field only to another that is also ``None``.
+    A definition is not hashable.
     """
 
     origins: np.ndarray
@@ -87,6 +97,16 @@ class LatticeDefinition:
         put("volume", volume)
         put("label", label)
         self.validate()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            _same(getattr(self, field.name), getattr(other, field.name))
+            for field in dataclasses.fields(self)
+        )
+
+    __hash__ = None  # compared by array value, so not hashable
 
     @property
     def n_nodes(self) -> int:

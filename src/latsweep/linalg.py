@@ -88,27 +88,30 @@ def inverse_cholesky_factor(S: np.ndarray) -> np.ndarray:
 
 
 def triangular_inverse(T: np.ndarray) -> np.ndarray:
-    """Inverse of a square upper triangular ``T``, by halves.
+    """Inverse of a square upper triangular ``T``, by halves, written over
+    ``T``, which is returned.
 
-    ``[A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1]``: the off-diagonal
-    block costs two matrix products, and only blocks at most :data:`PANEL`
-    wide go to ``numpy.linalg.inv``, whose LU factorization takes no pivots
-    on a triangle.  A zero on the diagonal raises ``LinAlgError`` there, as
-    does a ``T`` that is not square.
+    ``[A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1]``: each half is
+    inverted in its own place, the off-diagonal block costs two matrix
+    products, and only blocks at most :data:`PANEL` wide go to
+    ``numpy.linalg.inv``, whose LU factorization takes no pivots on a
+    triangle.  Above that width the largest temporaries are the two
+    products, each about a quarter of ``T``.  A zero on the diagonal raises
+    ``LinAlgError`` there, with ``T`` partly overwritten, and a ``T`` that
+    is not square raises it untouched.
     """
     n = T.shape[0]
     if T.ndim != 2 or T.shape[1] != n:
         raise np.linalg.LinAlgError(f"expected a square triangle, got shape {T.shape}")
     if n <= PANEL:
-        return np.linalg.inv(T)
+        T[...] = np.linalg.inv(T)
+        return T
     h = n // 2
     A_inv = triangular_inverse(T[:h, :h])
     D_inv = triangular_inverse(T[h:, h:])
-    out = np.zeros((n, n))
-    out[:h, :h] = A_inv
-    out[h:, h:] = D_inv
-    out[:h, h:] = -(A_inv @ T[:h, h:]) @ D_inv
-    return out
+    T[h:, :h] = 0.0
+    T[:h, h:] = -(A_inv @ T[:h, h:]) @ D_inv
+    return T
 
 
 class Reflectors(NamedTuple):

@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from latsweep import assembly
+from latsweep import assembly, cli
 from latsweep.assembly import (
     assemble,
     compatibility_matrix,
@@ -349,7 +350,7 @@ def _rule_matches_singular_values(definition):
     """The shared rule's ``rank U`` against ``numerical_rank(U)``."""
     compat, _, _ = compatibility_matrix(definition)
     U = compat @ constraint_factors(definition.constraint_matrix)[1]
-    rank_U = determinacy_ranks(definition, compat)[1]
+    rank_U = determinacy_ranks(definition)[1]
     assert (rank_U == U.shape[1]) == (numerical_rank(U) == U.shape[1])
     return rank_U == U.shape[1]
 
@@ -723,3 +724,71 @@ def test_band_gather_is_k_root_u_reordered_and_banded(case):
     assert not A[(column < first[:, None]) | (column > last[:, None])].any()
     if case == "relabelled grid":  # reverse Cuthill-McKee undoes the numbering
         assert (last - first).max() < PANEL
+
+
+def _dense_route_cases():
+    return {
+        "example1": build_example1()[0],
+        "grid": build_tri_grid_with_hole()[0],
+        "8x8 patch": build_triangular_periodic(8, 8)[0],
+        "dense constraint rows": _dense_constraint_lattice(),
+    }
+
+
+@pytest.mark.parametrize("case", ["example1", "grid", "8x8 patch", "dense constraint rows"])
+def test_assemble_matches_the_dense_compatibility_route_bit_for_bit(case):
+    # U and G come from C's support columns and endpoints, C itself only on
+    # first read: each equals what the dense C gives, bit for bit
+    definition = _dense_route_cases()[case]
+    system = assemble(definition)
+    assert "compatibility" not in vars(system)
+    compat = compatibility_matrix(definition)[0]
+    _, N, R_pinv = constraint_factors(definition.constraint_matrix)
+    V, P_V = system.V_basis, system.P_V
+    for built, dense in (
+        (system.compatibility, compat),
+        (system.U_basis, compat @ N),
+        (system.G, V @ (P_V @ (compat[:, N.support] @ R_pinv))),
+    ):
+        assert built.shape == dense.shape and built.tobytes() == dense.tobytes()
+    assert not system.compatibility.flags.writeable
+    assert system.compatibility is system.compatibility
+
+
+def test_solve_and_generate_never_form_the_dense_compatibility(tmp_path, monkeypatch):
+    def refuse(definition):
+        raise AssertionError("the dense compatibility matrix was formed")
+
+    monkeypatch.setattr(assembly, "compatibility_matrix", refuse)
+    net = tmp_path / "grid.json"
+    assert cli.main(["generate", "grid", "--out", str(net)]) == 0
+    for solver in ("leapfrog", "catchup"):
+        for space in ("full", "reduced"):
+            argv = ["solve", str(net), "--solver", solver, "--space", space, "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 0
+
+
+def test_rank_certificate_allocates_less_than_its_triangle():
+    # T is inverted in its own place: no second n x n array, and no n x n
+    # product, above what is alive on entry
+    definition = build_tri_grid_with_hole()[0]
+    _, N, _ = constraint_factors(definition.constraint_matrix)
+    U, _ = assembly._elongation_basis(definition, N, assembly._directions(definition)[0])
+    T, _, _ = assembly._factor_elongations(definition, N, U)
+    n = U.shape[1]
+    assert n == 340
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rank = assembly._elongation_rank(U, T, np.sqrt(definition.stiffness.max()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == n
+    assert peak - entry < n * n * np.dtype(float).itemsize
+
+
+def test_assembled_systems_compare_by_identity():
+    definition = build_example1()[0]
+    system = assemble(definition)
+    assert system == system and system != assemble(definition)

@@ -611,6 +611,47 @@ def test_cli_unreadable_initial_stress_is_refused_before_the_network_is_read(
     capsys.readouterr()
 
 
+def test_cli_initial_stress_of_the_wrong_length_is_refused_before_assemble(
+    tmp_path, monkeypatch, capsys
+):
+    # the spring count is known once the network is read: a stress file of
+    # another length fails there, alone and in a batch, with no assembly
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for net in (a, b):
+        save_network(net, *build_tri_grid_with_hole())
+    sig = tmp_path / "sigma0.txt"
+    sig.write_text("0\n0\n")
+
+    def refuse(definition):
+        raise AssertionError("assemble was called")
+
+    monkeypatch.setattr(cli, "assemble", refuse)
+    capsys.readouterr()
+    for networks in ([a], [a, b]):
+        argv = ["solve", *map(str, networks), "--sigma0", str(sig), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        _, err = capsys.readouterr()
+        assert err.count("initial stress has shape (2,), expected (496,)") == len(networks)
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_batch_reads_the_initial_stress_once(tmp_path, monkeypatch):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for net in (a, b):
+        main(["generate", "example1", "--out", str(net)])
+    sig = tmp_path / "sigma0.txt"
+    np.savetxt(sig, np.zeros(10))
+    reads, read = [], cli._read_stress
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read_stress", counted)
+    assert main(["solve", str(a), str(b), "--sigma0", str(sig), "--out", str(tmp_path / "out")]) == 0
+    assert reads == [str(sig)]
+
+
 def test_cli_batch_solve(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["generate", "example1", "--out", str(a)])

@@ -129,6 +129,23 @@ def test_replace_with_an_incidence_takes_the_place_of_the_endpoints():
     assert np.array_equal(stiffer.termini, definition.termini)
 
 
+def test_definitions_compare_by_value():
+    definition, _ = build_example1()
+    assert definition == build_example1()[0]
+    assert dataclasses.replace(definition, incidence=definition.incidence) == definition
+    stiffer = dataclasses.replace(definition, stiffness=2 * definition.stiffness)
+    upper = definition.upper_limits.copy()
+    upper[3] *= 2
+    higher = dataclasses.replace(definition, upper_limits=upper)
+    periodic = build_triangular_periodic(2, 2)[0]
+    for other in (stiffer, higher, periodic):
+        assert other != definition and definition != other
+    assert periodic == build_triangular_periodic(2, 2)[0]  # edge shifts and box lengths
+    assert definition != "example1"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(definition)
+
+
 @pytest.mark.parametrize("solver", ["leapfrog", "catchup"])
 @pytest.mark.parametrize("space", ["full", "reduced"])
 def test_solve_never_reads_the_dense_incidence(tmp_path, monkeypatch, solver, space):

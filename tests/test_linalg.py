@@ -285,8 +285,9 @@ def test_householder_qr_of_no_columns_and_reordered_rows():
 def test_triangular_inverse_matches_inverse(n):
     # the triangle of a random tall matrix's QR, well conditioned
     T = np.linalg.qr(np.random.default_rng(n).standard_normal((2 * n + 1, n)), mode="r")
-    inverse = triangular_inverse(T)
-    assert inverse.shape == (n, n)
+    work = T.copy()
+    inverse = triangular_inverse(work)
+    assert inverse is work and inverse.shape == (n, n)
     if n:
         reference = np.linalg.inv(T)
         assert np.abs(inverse - reference).max() <= 1e-13 * np.abs(reference).max()
