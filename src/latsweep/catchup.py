@@ -191,13 +191,15 @@ def catchup(
     ``t_{n+1}`` projects ``u_n - (c_{n+1} - c_n)`` onto the set of ``u =
     y - c``, which is ``static_set(spec, -F f)``: one set per force level.
     The solve runs in the coordinates ``y`` in ``V``, in a weight of ones,
-    whose whitening is the identity (``V`` is K-orthonormal), from those of
-    ``state0``'s elongations; states leave it through ``spec.view``.  Each
-    projection is hinted by the last one's active bounds.
+    whose whitening is the identity (``V`` is K-orthonormal), from ``u_0 =
+    reduce(epsilon_0 - F f(0))`` of ``state0``'s elongations, as leapfrog
+    does; states leave it through ``spec.view``.  Each projection is hinted
+    by the last one's active bounds.
     While the force stays, each step starts from ``u_n``, a point of that
     same set, and a block of steps on one face takes one projection (see
     the module docstring).  When the force changes, the start comes from
-    the spec's phase-1 linear program, and an empty set raises
+    the spec's phase-1 linear program, in stress units, the one
+    ``check-safe-load`` solves, and an empty set raises
     :class:`SafeLoadError`.  A state is ``y = u + c`` and ``epsilon =
     lift(u) + F f``.  The frames, states and events of a run of at most
     ``STACKED_ROWS`` time points are computed on stacked rows.
@@ -210,9 +212,9 @@ def catchup(
     times = partition.points
     lower, upper = system.lower_limits, system.upper_limits
     weight, active = np.ones(system.dims.dim_v), None
-    u = spec.coordinates(state0.epsilon, loads, 0.0) - spec.frame(loads, 0.0)
     f = loads.f(0.0)
     shift = spec.force_shift(f)
+    u = spec.reduce(state0.epsilon + shift)
     poly = static_set(spec, shift)
     face, phase_one = None, False
     states, events = [state0], []

@@ -3,9 +3,11 @@
 When the force load is constant and the displacement/strain rates are
 constant, the constraint set translates without changing shape, and the
 evolution is piecewise affine: the solver jumps directly from one yield
-event to the next.  Piecewise-constant rate schedules are run segment by
-segment; the bounds a segment's rate leaves at once, as on unloading, are
-released at its start.
+event to the next.  It runs in catch-up's frame ``u = y - c(t)``, where
+the set stays put and the drive sweeps ``u`` across it.  Piecewise-constant
+rate schedules are run segment by segment; a segment start is one more
+pass of the event loop, where the bounds the new rate leaves at once, as on
+unloading, are released.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ STABILIZATION_TOL = 1e-10
 TIE_TOL = 1e-12
 
 
-def _bound_status(spec: MovingSetSpec, z: np.ndarray, offset: np.ndarray | None):
+def _bound_status(spec: MovingSetSpec, z: np.ndarray, offset: np.ndarray | float | None):
     """Where ``lift(z)`` sits in the box shifted by ``offset``, per spring.
 
     Returns the room to the upper and to the lower bound, and the masks of
@@ -51,7 +53,7 @@ def _bound_status(spec: MovingSetSpec, z: np.ndarray, offset: np.ndarray | None)
 def tangent_cone(
     spec: MovingSetSpec,
     z: np.ndarray,
-    offset: np.ndarray | None = None,
+    offset: np.ndarray | float | None = None,
 ) -> PolyhedralSet:
     """Tangent cone of the frozen constraint set at ``z``: the set itself,
     with the bounds active at ``z`` moved to 0 and the others opened.
@@ -59,7 +61,8 @@ def tangent_cone(
     The cone is ``{v : V v <= 0 on the springs on their upper bound, V v >=
     0 on those on their lower bound}``, the spec's own map with bounds of 0
     or infinity, so no rows are built per event and the projection reads
-    a view of ``V`` as its whitened map.
+    a view of ``V`` as its whitened map.  ``offset`` is the box
+    translation: :func:`leapfrog` passes the force shift of its frame.
     """
     z = np.asarray(z, dtype=float)
     _, _, on_upper, on_lower, outside = _bound_status(spec, z, offset)
@@ -76,7 +79,7 @@ def event_velocity(
     spec: MovingSetSpec,
     z: np.ndarray,
     drive: np.ndarray,
-    offset: np.ndarray | None = None,
+    offset: np.ndarray | float | None = None,
 ) -> np.ndarray:
     """Velocity of the solution relative to the translating set.
 
@@ -118,8 +121,8 @@ def _departures(spec, candidates, zdot, drive_speed):
     (the velocity itself is 0 up to rounding once the stresses stabilize)."""
     speeds = spec.lift(zdot)
     scale = 1e-9 * drive_speed
-    return {(j, side) for j, side in candidates
-            if (speeds[j] < -scale if side == "upper" else speeds[j] > scale)}
+    return frozenset((j, side) for j, side in candidates
+                     if (speeds[j] < -scale if side == "upper" else speeds[j] > scale))
 
 
 def leapfrog(
@@ -133,18 +136,21 @@ def leapfrog(
 
     Requires a constant force load; displacement and strain rates may be
     piecewise constant (each segment satisfies the constant-rate
-    precondition on its own).  The solve starts from the coordinates of
-    ``state0``'s elongations and runs in ``V``; states and event velocities
-    leave it through ``spec.view``.
+    precondition on its own).  The solve runs in catch-up's frame, from
+    ``u = reduce(epsilon_0 + shift)`` in ``static_set(spec, shift)``, with
+    ``shift`` the force shift; a state is ``y = u + spec.frame(loads, t)``
+    and ``sigma = k (lift(u) - shift)``, and leaves through ``spec.view``.
+    Each pass of the event loop, at a segment start or an arrival, takes
+    the velocity there and releases the bounds it leaves among those held
+    and those just reached; a pass where a bound arrived or left is one
+    event.
     """
     if horizon is None:
         horizon = loads.horizon
     if horizon > loads.horizon * (1.0 + 1e-12):
         raise UnsupportedLoadError("horizon extends beyond the load schedule")
     if not loads.force_is_constant():
-        raise UnsupportedLoadError(
-            "event-based integration needs a constant force load"
-        )
+        raise UnsupportedLoadError("event-based integration needs a constant force load")
     if state0.time != 0.0:
         raise InvalidStateError("event-based integration must start at t = 0")
 
@@ -153,80 +159,54 @@ def leapfrog(
     breaks = sorted(set(breaks + [0.0]))
     segments = list(zip(breaks, breaks[1:] + [float(horizon)]))
 
+    shift = spec.force_shift(loads.f(0.0))
+    u = spec.reduce(state0.epsilon + shift)
+
+    def state(t):
+        sigma = k * (spec.lift(u) - shift)
+        return SweepingState(time=t, y=spec.view(u + spec.frame(loads, t)), sigma=sigma, epsilon=sigma / k)
+
     states = [state0]
     events: list[EventRecord] = []
-    y = spec.coordinates(state0.epsilon, loads, 0.0)
-
-    def sigma_of(z, offset0):
-        return k * (spec.lift(z) - offset0)
-
-    _, _, on_upper, on_lower, _ = _bound_status(spec, y, spec.offset(loads, 0.0))
+    _, _, on_upper, on_lower, _ = _bound_status(spec, u, shift)
     held: set = {(int(j), "upper") for j in np.flatnonzero(on_upper)}
     held |= {(int(j), "lower") for j in np.flatnonzero(on_lower)}
     zdot = None
     for t_start, t_end in segments:
-        offset0 = spec.offset(loads, t_start)
         drive = spec.reduce(spec.offset_rate(loads, t_start))
         drive_norm = float(np.sqrt(drive @ drive))
         drive_speed = float(np.abs(spec.lift(drive)).max(initial=0.0))
-        z = y
-        t = t_start
-        before, zdot = zdot, event_velocity(spec, z, drive, offset0)
-        gone = _departures(spec, held, zdot, drive_speed)
-        if gone:  # bounds the new rate leaves at once, as on unloading
-            held -= gone
-            events.append(
-                EventRecord(
-                    index=len(events),
-                    time=t,
-                    newly_active=frozenset(),
-                    newly_released=frozenset(gone),
-                    sigma=sigma_of(z, offset0),
-                    relative_velocity=None if before is None else spec.view(before).copy(),
-                )
-            )
+        t, arrivals = t_start, frozenset()
         for _ in range(50 * system.dims.n_springs + 100):
+            before, zdot = zdot, event_velocity(spec, u, drive, shift)
+            candidates = held | arrivals
+            gone = _departures(spec, candidates, zdot, drive_speed)
+            held = candidates - gone
+            if arrivals or gone:  # a release alone, as on unloading, at a segment start
+                now = state(t)
+                events.append(
+                    EventRecord(
+                        index=len(events),
+                        time=t,
+                        newly_active=arrivals,
+                        newly_released=gone,
+                        sigma=now.sigma.copy(),
+                        relative_velocity=None if before is None else spec.view(before).copy(),
+                    )
+                )
+                if arrivals:
+                    states.append(now)
             if float(np.sqrt(zdot @ zdot)) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
-            tau, hits = _event_candidates(spec, z, zdot, offset0)
-            t_next = t + tau if tau is not None else np.inf
-            if tau is None or t_next > t_end - 1e-15 * horizon:
-                z = z + zdot * (t_end - t)
-                t = t_end
+            tau, hits = _event_candidates(spec, u, zdot, shift)
+            if tau is None or t + tau > t_end - 1e-15 * horizon:
+                u = u + zdot * (t_end - t)
                 break
-            z = z + zdot * tau
-            t = t_next
-            arrivals = frozenset(hits)
-            candidates = set(held) | set(arrivals)
-            post_velocity = event_velocity(spec, z, drive, offset0)
-            gone = _departures(spec, candidates, post_velocity, drive_speed)
-            held = candidates - gone
-            sigma = sigma_of(z, offset0)
-            events.append(
-                EventRecord(
-                    index=len(events),
-                    time=t,
-                    newly_active=arrivals,
-                    newly_released=frozenset(gone),
-                    sigma=sigma.copy(),
-                    relative_velocity=spec.view(zdot).copy(),
-                )
-            )
-            states.append(
-                SweepingState(
-                    time=t,
-                    y=spec.view(z + spec.reduce(spec.offset(loads, t) - offset0)),
-                    sigma=sigma,
-                    epsilon=sigma / k,
-                )
-            )
-            zdot = post_velocity  # the next step starts from the same z
+            u = u + zdot * tau
+            t, arrivals = t + tau, frozenset(hits)
         else:
             raise LatSweepError("event iteration cap exceeded; check the model")
-
-        sigma = sigma_of(z, offset0)
-        y = z + spec.reduce(spec.offset(loads, t_end) - offset0)
-        states.append(SweepingState(time=t_end, y=spec.view(y).copy(), sigma=sigma, epsilon=sigma / k))
+        states.append(state(t_end))
 
     # Collapse duplicate time stamps produced by events landing exactly on
     # segment ends.

@@ -43,10 +43,18 @@ def _check_matrix(A: np.ndarray, rank_tol: float) -> np.ndarray:
 
 def fix_signs(N: np.ndarray) -> np.ndarray:
     """Flip columns of ``N`` in place so that each one's entry of largest
-    magnitude is positive (the first such entry on ties); returns ``N``."""
+    magnitude is positive (the first such entry on ties); returns ``N``.
+
+    The entry is told from each column's largest and smallest values, and
+    only a column where the two tie is searched, so no temporary is larger
+    than a column or a row."""
     if N.size:
-        top = N[np.argmax(np.abs(N), axis=0), np.arange(N.shape[1])]
-        N[:, top < 0] *= -1.0
+        high, low = N.max(axis=0), N.min(axis=0)
+        flip = -low > high
+        for j in np.flatnonzero((-low == high) & (high > 0)):
+            column = N[:, j]
+            flip[j] = np.argmax(column == low[j]) < np.argmax(column == high[j])
+        np.negative(N, out=N, where=flip)
     return N
 
 

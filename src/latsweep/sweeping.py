@@ -98,28 +98,30 @@ class MovingSetSpec:
         product per map.
 
         The offset splits into ``c(t)`` and the force shift ``-F f(t)``,
-        which is K-orthogonal to the plane.  In the frame ``u = y - c(t)``
-        the set is ``static_set(spec, force_shift(f))``: it moves only
-        when the force does.
+        which is K-orthogonal to the plane.  Both integrators run in the
+        frame ``u = y - c(t)``, where the set is ``static_set(spec,
+        force_shift(f))``: it moves only when the force does, and a state
+        is ``y = u + c(t)``.
         """
         return self.reduce(self._in_plane(loads, t))
 
     def force_shift(self, f: np.ndarray | None) -> np.ndarray | float:
         """The box translation ``-F f`` of the force load ``f`` (0 for
-        ``None``), the part of the offset that leaves the plane."""
+        ``None``), the part of the offset that leaves the plane and the
+        only motion of the set in the frame."""
         return 0.0 if f is None else -(self.system.F @ f)
 
     def feasible_point(self, shift: np.ndarray | float) -> np.ndarray:
         """A point of ``static_set(self, shift)``, or ``InfeasibleSetError``.
 
-        One phase-1 linear program in the full form: the shifted box is its
-        variable bounds and the plane its equality rows ``U^T K``.  Its
-        point is mapped by ``reduce``.  The phase 1 is looked up on its
-        module, where a caller may wrap it.
+        The phase-1 linear program :func:`safe_load_check` solves, in
+        stress units, so catch-up and ``check-safe-load`` give one verdict
+        on one force; its stresses ``sigma*`` are mapped by ``reduce(sigma*
+        / k)``.  The phase 1 is looked up on its module, where a caller may
+        wrap it.
         """
-        rows = self.system.equality_rows()
-        full = PolyhedralSet(A=None, b=self.box_upper + shift, A_eq=rows, lower=self.box_lower + shift)
-        return self.reduce(projection.find_feasible_point(full))
+        sigma = projection.find_feasible_point(_safe_load_set(self.system, shift))
+        return self.reduce(sigma / self.system.stiffness)
 
     def offset_rate(self, loads: LoadSchedule, t: float) -> np.ndarray:
         """Right derivative of the box translation (constant-force loads)."""
@@ -138,13 +140,6 @@ class MovingSetSpec:
         """Spring-space vector of the coordinates ``y``, or of each column
         of a matrix; compared to the box."""
         return self.system.V_basis @ y
-
-    def coordinates(self, epsilon: np.ndarray, loads: LoadSchedule, t: float) -> np.ndarray:
-        """The coordinates ``y`` of the elastic elongations ``epsilon`` at
-        time ``t``: ``reduce(epsilon + offset(loads, t))``.  An integrator
-        starts from its first state's elongations, so a state reported in
-        either space enters the same solve."""
-        return self.reduce(epsilon + self.offset(loads, t))
 
     def view(self, y: np.ndarray) -> np.ndarray:
         """The coordinates ``y``, or each column of a matrix of them, as a
@@ -238,27 +233,35 @@ def initial_state(
         )
 
     epsilon = sigma0 / sys.stiffness
-    y = spec.view(spec.coordinates(epsilon, loads, 0.0))
+    # the frame coordinates both integrators start from, moved by c(0)
+    y = spec.view(spec.reduce(epsilon + spec.force_shift(f0)) + spec.frame(loads, 0.0))
     return SweepingState(time=0.0, y=y, sigma=sigma0, epsilon=epsilon)
+
+
+def _safe_load_set(system: AssembledSystem, shift: np.ndarray | float) -> PolyhedralSet:
+    """The stresses the yield limits and the balance allow under the box
+    translation ``shift``: the limits moved by ``k shift`` as variable
+    bounds, and the zero-balance rows ``U^T``.  In stress units, phase 1's
+    absolute ``tau`` does not move with the stiffness."""
+    k = system.stiffness
+    return PolyhedralSet(
+        A=None,
+        b=system.upper_limits + k * shift,
+        A_eq=system.U_basis.T,
+        lower=system.lower_limits + k * shift,
+    )
 
 
 def safe_load_check(system: AssembledSystem, f: np.ndarray | None) -> bool:
     """Whether a force load can be balanced within the yield limits.
 
-    Feasibility of the shifted yield box intersected with the zero-balance
-    rows; solved as the feasibility phase of the projection kernel, with
-    the box as the variable bounds of its linear program.
+    Feasibility of the stresses that balance it within the limits, solved
+    as the feasibility phase of the projection kernel: the linear program
+    catch-up's phase 1 solves at each force level.
     """
-    m = system.dims.n_springs
-    shift = np.zeros(m) if f is None else system.stiffness * (system.F @ np.asarray(f, dtype=float))
-    poly = PolyhedralSet(
-        A=None,
-        b=system.upper_limits - shift,
-        A_eq=system.U_basis.T,
-        lower=system.lower_limits - shift,
-    )
+    shift = 0.0 if f is None else -(system.F @ np.asarray(f, dtype=float))
     try:
-        find_feasible_point(poly)
+        find_feasible_point(_safe_load_set(system, shift))
     except InfeasibleSetError:
         return False
     return True

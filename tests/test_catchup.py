@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -13,7 +14,7 @@ from latsweep.lattice import LoadSchedule
 from latsweep.leapfrog import leapfrog
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import PolyhedralSet, find_feasible_point, project
-from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
+from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_check, static_set
 
 from helpers import (
     abstract_catchup,
@@ -474,9 +475,11 @@ def test_relabelled_grid_catchup_matches_original_events(grid_with_hole, monkeyp
 def test_varying_force_phase_one_every_step_spaces_agree(example1, monkeypatch):
     # Under a force ramp no step has a feasible start, so every projection
     # starts from the phase-1 linear program, in both spaces in the set's
-    # full form: the box as variable bounds, the plane as equality rows.  Its
-    # point is mapped by P_V, which passes the projection's start check (no
-    # second phase 1 on rows V).  Both must give the same states.
+    # full form: the limits as variable bounds, the balance as equality
+    # rows.  Its point is mapped by P_V, which passes the projection's start
+    # check (no second phase 1 on rows V), at unit stiffness as at 1e-4 and
+    # 1e4: the program is written in stress units, which do not move with
+    # the stiffness.  Both spaces must give the same states.
     definition, base, system = example1
     loads = varying_force_loads(base, definition)
     part = TimePartition.uniform(loads.horizon, 50)
@@ -486,16 +489,86 @@ def test_varying_force_phase_one_every_step_spaces_agree(example1, monkeypatch):
         phase_one.append(poly.A is None)
         return find_feasible_point(poly, *args, **kwargs)
 
-    runs = {}
-    for space in (Space.REDUCED, Space.FULL):
-        spec = build_moving_set(system, space, loads)
-        state0 = initial_state(system, np.zeros(10), loads, space, spec)
-        phase_one.clear()
-        monkeypatch.setattr(projection, "find_feasible_point", counted)
-        runs[space] = catchup(system, spec, state0, loads, part)
-        monkeypatch.undo()
-        assert phase_one == [True] * 50
-    width = spec.box_upper - spec.box_lower
-    assert len(runs[Space.FULL].events) >= 2
-    for full, reduced in zip(runs[Space.FULL].states, runs[Space.REDUCED].states):
-        assert np.all(np.abs(full.y - system.V_basis @ reduced.y) <= 1e-10 * width)
+    for k in (1.0, 1e-4, 1e4):
+        if k != 1.0:
+            system = assemble(_with_stiffness(definition, k))
+        runs = {}
+        for space in (Space.REDUCED, Space.FULL):
+            spec = build_moving_set(system, space, loads)
+            state0 = initial_state(system, np.zeros(10), loads, space, spec)
+            phase_one.clear()
+            monkeypatch.setattr(projection, "find_feasible_point", counted)
+            runs[space] = catchup(system, spec, state0, loads, part)
+            monkeypatch.undo()
+            assert phase_one == [True] * 50
+        width = spec.box_upper - spec.box_lower
+        # the displacement load reaches the box at unit stiffness only
+        assert len(runs[Space.FULL].events) >= (2 if k == 1.0 else 0)
+        for full, reduced in zip(runs[Space.FULL].states, runs[Space.REDUCED].states):
+            assert np.all(np.abs(full.y - system.V_basis @ reduced.y) <= 1e-10 * width)
+
+
+def _with_stiffness(definition, k):
+    """``definition`` with every spring's stiffness ``k`` and its yield
+    limits, in stress units, unchanged."""
+    return dataclasses.replace(definition, stiffness=np.full(definition.n_springs, k))
+
+
+def _safe_load_ramp(definition, base, system, factor):
+    """A force ramp from 0 to ``factor`` times the largest multiple of a
+    fixed direction on example1's 8 free dofs that ``safe_load_check``
+    accepts, found by bisection."""
+    direction = np.zeros(definition.n_dof)
+    direction[:8] = np.random.default_rng(0).standard_normal(8)
+    lo, hi = 0.0, 1.0
+    while safe_load_check(system, hi * direction):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if safe_load_check(system, mid * direction) else (lo, mid)
+    return LoadSchedule(
+        displacement_offset=base.displacement_offset,
+        rate_times=base.rate_times,
+        rate_values=base.rate_values,
+        horizon=base.horizon,
+        force_times=np.array([0.0, base.horizon]),
+        force_values=np.vstack([np.zeros(definition.n_dof), factor * lo * direction]),
+    )
+
+
+def _catchup_on_safe_load_ramp(definition, base, k, factor, space=Space.REDUCED):
+    """``safe_load_check``'s verdict on the ramp's last force, and catch-up's
+    trajectory over the ramp in 8 steps (``None`` when it raises
+    :class:`SafeLoadError`)."""
+    definition = _with_stiffness(definition, k)
+    system = assemble(definition)
+    loads = _safe_load_ramp(definition, base, system, factor)
+    spec = build_moving_set(system, space, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+    verdict = safe_load_check(system, loads.f(loads.horizon))
+    try:
+        traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 8))
+    except SafeLoadError as exc:
+        assert exc.time == pytest.approx(loads.horizon)
+        traj = None
+    return verdict, traj
+
+
+@pytest.mark.parametrize("k", [1e-4, 1.0, 1e4])
+def test_safe_load_check_and_catchup_agree_across_stiffness(example1, k):
+    # At 0.9 times the limit check-safe-load finds both accept the force, at
+    # 1.001 times both refuse it.  With every stiffness 1e4 the box in
+    # elongations is 1e-4 of the stresses' elastic range: a phase 1 in
+    # elongation units, with its absolute tau of 1e-9, accepted the force
+    # 1.001 times past the limit, and catch-up ran to the end with stresses
+    # 5e-4 of the elastic range outside the box.
+    definition, base, _ = example1
+    width = definition.upper_limits - definition.lower_limits
+    for factor, safe in ((0.9, True), (1.001, False)):
+        for space in (Space.REDUCED, Space.FULL):
+            verdict, traj = _catchup_on_safe_load_ramp(definition, base, k, factor, space)
+            assert verdict is safe and (traj is not None) is safe
+            if safe:
+                sigma = traj.stresses()
+                outside = np.maximum(sigma - definition.upper_limits, definition.lower_limits - sigma)
+                assert np.all(outside <= 1e-9 * width)

@@ -261,6 +261,40 @@ def test_piecewise_constant_rates_run_segmentwise(example1):
         assert np.abs(lf.final.sigma - held).max() > 1e-5
 
 
+@pytest.mark.parametrize(
+    "rate_times", [[0.0], [0.0, 0.05, 0.06]], ids=["one-segment", "stretch-hold-unload"]
+)
+def test_constant_force_matches_catchup(example1, rate_times):
+    # Under a force the box leaves the plane by the force shift -F f, the
+    # set leapfrog's frame holds fixed; starting from sigma0 = K F f0, the
+    # stress that balances the force, leapfrog must meet catch-up's events
+    # and final stresses, on one rate segment and across three.
+    definition, base, system = example1
+    f0 = np.zeros(definition.n_dof)
+    f0[:8] = 2e-4 * np.random.default_rng(1).standard_normal(8)
+    rate = base.rate_values[0]
+    loads = LoadSchedule(
+        displacement_offset=base.displacement_offset,
+        rate_times=np.array(rate_times),
+        rate_values=np.vstack([rate, 0.0 * rate, -rate])[: len(rate_times)],
+        horizon=0.08,
+        force_times=np.array([0.0, 0.08]),
+        force_values=np.vstack([f0, f0]),
+    )
+    sigma0 = system.stiffness * (system.F @ f0)
+    width = definition.upper_limits - definition.lower_limits
+    for space in (Space.FULL, Space.REDUCED):
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, sigma0, loads, space, spec)
+        lf = leapfrog(system, spec, state0, loads)
+        cu = catchup(system, spec, state0, loads, TimePartition.uniform(0.08, 1600))
+        assert lf.events
+        assert [(e.newly_active, e.newly_released) for e in lf.events] == [
+            (e.newly_active, e.newly_released) for e in cu.events
+        ]
+        assert np.all(np.abs(lf.final.sigma - cu.final.sigma) <= 1e-9 * width)
+
+
 def test_event_sigma_on_bounds(example1):
     definition, loads, system = example1
     spec = build_moving_set(system, Space.REDUCED, loads)

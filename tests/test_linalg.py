@@ -5,6 +5,7 @@ from latsweep.errors import InvalidInputError
 from latsweep.linalg import (
     PANEL,
     Reflectors,
+    fix_signs,
     householder_columns,
     householder_qr,
     inverse_cholesky_factor,
@@ -292,6 +293,48 @@ def test_triangular_inverse_matches_inverse(n):
         reference = np.linalg.inv(T)
         assert np.abs(inverse - reference).max() <= 1e-13 * np.abs(reference).max()
         assert not np.tril(inverse, -1).any()
+
+
+def _fix_signs_by_abs(N):
+    """The sign rule written out: each column's first entry of largest
+    magnitude made positive, from ``np.abs`` and a copy of the flipped
+    columns."""
+    N = N.copy()
+    if N.size:
+        top = N[np.argmax(np.abs(N), axis=0), np.arange(N.shape[1])]
+        N[:, top < 0] *= -1.0
+    return N
+
+
+def test_fix_signs_matches_the_rule_on_ties_and_empty_arrays():
+    rng = np.random.default_rng(21)
+    cases = [rng.standard_normal((37, 2 * PANEL + 5))]
+    # small integers: columns whose largest magnitude is held by +a and -a,
+    # in either order, and columns of zeros and of signed zeros
+    ties = rng.integers(-2, 3, size=(9, 300)).astype(float)
+    ties[:, :4] = [[2.0, -2.0, 0.0, -0.0]] + [[-2.0, 2.0, 0.0, -0.0]] + [[0.0, 0.0, 0.0, -0.0]] * 7
+    cases += [ties, np.zeros((0, 5)), np.zeros((5, 0)), np.zeros((0, 0)), -np.ones((1, 1))]
+    assert np.any(np.abs(ties.min(axis=0)) == ties.max(axis=0))
+    for N in cases:
+        expected = _fix_signs_by_abs(N)
+        out = fix_signs(N)
+        assert out is N
+        assert np.array_equal(N, expected) and np.array_equal(np.signbit(N), np.signbit(expected))
+
+
+def test_fix_signs_allocates_less_than_a_quarter_of_its_argument():
+    import tracemalloc
+
+    N = np.random.default_rng(22).standard_normal((496, 156))
+    expected = _fix_signs_by_abs(N)
+    tracemalloc.start()
+    try:
+        fix_signs(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(N, expected)
+    assert peak < N.nbytes / 4
 
 
 def test_triangular_inverse_raises_on_a_zero_diagonal():
