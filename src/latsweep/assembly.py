@@ -36,12 +36,13 @@ QR gives the rest:
   K-orthonormal basis of the self-stress plane, ``V^T K V = I``, at any
   stiffness contrast.
 
-The K-orthogonal projector onto the plane is then ``V P_V`` with ``P_V =
-V^T K``, and the reduced space, coordinates in ``V``, is Euclidean: no Gram
-matrix of the plane is formed or factored.  The force map ``F`` is built on
-first use.  Every check of the assumptions reads ``rank [C; R]`` as ``rank
-R + rank U``, each under the relative cutoff of its own matrix: no verdict
-moves with the units of ``R``.
+``V`` is the only copy of the plane that is kept: the K-orthogonal
+projector onto it is ``v -> V V^T (K v)``, and the reduced space,
+coordinates in ``V``, is Euclidean, so no Gram matrix of the plane is formed
+or factored.  The force map ``F`` is built on first use.  Every check of
+the assumptions reads ``rank [C; R]`` as ``rank R + rank U``, each under
+the relative cutoff of its own matrix: no verdict moves with the units of
+``R``.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ class RigidityReport:
 class AssembledSystem:
     """All time-independent matrices of a validated lattice.
 
-    ``V_basis`` is K-orthonormal, so ``V_basis @ P_V`` is the K-orthogonal
-    projector onto the self-stress plane and ``P_V`` gives coordinates in
-    it.  Immutable after assembly; safe to share across threads.
+    ``V_basis`` is K-orthonormal, so ``V V^T (K v)`` is the K-orthogonal
+    projection of a spring vector ``v`` onto the self-stress plane and
+    ``V^T (K v)`` its coordinates.  Immutable after assembly; safe to share
+    across threads.
     """
 
     definition: LatticeDefinition
@@ -120,13 +122,12 @@ class AssembledSystem:
     V_basis: np.ndarray            # m x dim_v, K-orthonormal columns (V^T K V
                                    # = I) spanning K^-1 ker U^T, the spring
                                    # blocks of ker [C^T R^T] scaled by K^-1
-    P_V: np.ndarray                # dim_v x m, V^T K
-    G: np.ndarray                  # m x q, V P_V C pinv(R)
+    G: np.ndarray                  # m x q, V V^T K C pinv(R)
     dims: SystemDims
 
     def __post_init__(self):
         for name in (
-            "directions", "reference_lengths", "U_basis", "V_basis", "P_V", "G",
+            "directions", "reference_lengths", "U_basis", "V_basis", "G",
         ):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
@@ -143,7 +144,7 @@ class AssembledSystem:
 
     @functools.cached_property
     def F(self) -> np.ndarray:
-        """``(I - V P_V) K^-1 H`` (m x nd) for ``H`` the top ``m`` rows of
+        """``(I - V V^T K) K^-1 H`` (m x nd) for ``H`` the top ``m`` rows of
         ``pinv [C^T R^T]``: the elastic elongations under a unit force
         load, built on first use only: a solve reads it only under a force
         load.
@@ -172,21 +173,17 @@ class AssembledSystem:
     def upper_limits(self) -> np.ndarray:
         return self.definition.upper_limits
 
-    def equality_rows(self) -> np.ndarray:
-        """Rows ``U^T K`` whose kernel is the self-stress plane."""
-        return self.U_basis.T * self.stiffness[None, :]
-
 
 def _directions(definition: LatticeDefinition) -> tuple[np.ndarray, np.ndarray]:
     """Unit vectors from each spring's terminus to its origin, and the
     reference lengths."""
-    chords = definition.spring_vectors()
-    lengths = np.linalg.norm(chords, axis=1)
-    degenerate = np.flatnonzero(lengths <= 0)
+    with np.errstate(over="ignore"):  # a length out of range is refused below
+        chords = definition.spring_vectors()
+        lengths = np.linalg.norm(chords, axis=1)
+    degenerate = np.flatnonzero(~((0 < lengths) & (lengths < np.inf)))
     if degenerate.size:
-        raise DegenerateSpringError(
-            f"spring {int(degenerate[0])} has zero reference length"
-        )
+        j = int(degenerate[0])
+        raise DegenerateSpringError(f"spring {j} has a reference length of {lengths[j]:g}")
     return chords / lengths[:, None], lengths
 
 
@@ -470,8 +467,7 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     del Q
     V /= root_k[:, None]
 
-    P_V = V.T * k[None, :]
-    G = V @ (P_V @ (C_S @ R_pinv))
+    G = V @ (V.T @ (k[:, None] * (C_S @ R_pinv)))
 
     return AssembledSystem(
         definition=definition,
@@ -479,7 +475,6 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
         reference_lengths=lengths,
         U_basis=U,
         V_basis=V,
-        P_V=P_V,
         G=G,
         dims=SystemDims(n, m, d, q, dim_u, dim_v),
     )

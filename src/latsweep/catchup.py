@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
-from .lattice import LoadSchedule
-from .projection import _columns, _negative_multipliers, _on_bounds, project
+from .lattice import LoadSchedule, _same
+from .projection import DEFAULT_TOL, _columns, _negative_multipliers, _on_bounds, _working_set_solve, project
 from .sweeping import MovingSetSpec, SweepingState, static_set
 from .trajectory import STACKED_ROWS, EventRecord, Trajectory
 
@@ -132,23 +132,23 @@ class _Face:
     C: np.ndarray
 
 
-def _follow(poly, face: _Face, u: np.ndarray, g: np.ndarray, tol: float) -> np.ndarray:
+def _follow(poly, face: _Face, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The steps from ``u`` that end on ``face``, as points in columns.
 
     ``g`` holds each step's drive ``c_n - c_{n+1}``, one column each, in
     the coordinates of ``u``, which are the kernel's whitened ones.  A step
     from a point of the face onto the face is ``d = g - C lam`` with ``lam
-    = lstsq(C, g)``: all steps come from one least-squares solve and one
-    cumulative sum.  They are accepted up to the first whose point fails
-    the certificate: a bound off the face with slack within the activity
-    tolerance, a bound of the face with slack beyond it, or a negative
-    multiplier.
+    = lstsq(C, g)`` (:func:`projection._working_set_solve`): all steps come
+    from one least-squares solve and one cumulative sum.  They are accepted
+    up to the first whose point fails the kernel's certificate: a bound off
+    the face with slack within the activity tolerance, a bound of the face
+    with slack beyond it, or a negative multiplier.
     """
     ok = np.ones(g.shape[1], dtype=bool)
     if face.C.shape[1]:
-        lam = np.linalg.lstsq(face.C, g, rcond=None)[0]
+        lam = _working_set_solve(face.C, g)
         g = g - face.C @ lam
-        ok = ~np.any(_negative_multipliers(lam, tol), axis=0)
+        ok = ~np.any(_negative_multipliers(lam, DEFAULT_TOL), axis=0)
     points = np.cumsum(g, axis=1)
     points += u[:, None]
     values = poly.apply(points)
@@ -158,7 +158,7 @@ def _follow(poly, face: _Face, u: np.ndarray, g: np.ndarray, tol: float) -> np.n
         slack = bound[:, None] - values
         slack *= sign
         slack[on] = np.abs(slack[on])
-        ok &= np.all(_on_bounds(slack, bound[:, None], tol) == on[:, None], axis=0)
+        ok &= np.all(_on_bounds(slack, bound[:, None], DEFAULT_TOL) == on[:, None], axis=0)
     return points[:, : ok.size if ok.all() else int(np.argmin(ok))]
 
 
@@ -170,7 +170,7 @@ def _runs(loads: LoadSchedule, times: np.ndarray):
         f = loads.f(float(times[i]))
         j = min(i + STACKED_ROWS, times.size)
         if not loads.force_is_constant():
-            j = next((k for k in range(i + 1, j) if not _same_force(f, loads.f(float(times[k])))), j)
+            j = next((k for k in range(i + 1, j) if not _same(f, loads.f(float(times[k])))), j)
         yield i, j, f
         i = j
 
@@ -181,7 +181,6 @@ def catchup(
     state0: SweepingState,
     loads: LoadSchedule,
     partition: TimePartition,
-    tol: float = 1e-10,
 ) -> Trajectory:
     """Project step by step along the partition and recover stresses.
 
@@ -222,14 +221,14 @@ def catchup(
     for i, j, f_next in _runs(loads, times):
         frames = spec.frame(loads, times[i - 1 : j])
         drives = -np.diff(frames, axis=1)
-        if not _same_force(f, f_next):
+        if not _same(f, f_next):
             f, shift, face, phase_one = f_next, spec.force_shift(f_next), None, True
             poly = static_set(spec, shift)
         path = np.empty((j - i, u.size))  # u, one row per step
         s = 0
         while s < j - i:
             if face is not None:
-                points = _follow(poly, face, u, drives[:, s:], tol)
+                points = _follow(poly, face, u, drives[:, s:])
                 if points.shape[1]:
                     path[s : s + points.shape[1]] = points.T
                     s += points.shape[1]
@@ -240,7 +239,7 @@ def catchup(
             try:
                 start = spec.feasible_point(shift) if phase_one else u
                 target = u - (frames[:, s + 1] - frames[:, s])
-                result = project(weight, target, poly, tol=tol, start=start, active=active)
+                result = project(weight, target, poly, start=start, active=active)
             except InfeasibleSetError as exc:
                 raise SafeLoadError(f"safe load condition violated at t = {t}", time=t) from exc
             u, active, phase_one = result.point, result.active_inequalities, False
@@ -260,11 +259,3 @@ def catchup(
         events += found
 
     return Trajectory(states=states, solver="catchup", space=spec.space, events=events)
-
-
-def _same_force(f0, f1) -> bool:
-    if f0 is None and f1 is None:
-        return True
-    if f0 is None or f1 is None:
-        return False
-    return bool(np.array_equal(f0, f1))

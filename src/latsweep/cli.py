@@ -49,9 +49,15 @@ def _exit_code(exc: BaseException) -> int | None:
     """Exit code of a named failure; None for anything else."""
     if isinstance(exc, _VALIDATION_ERRORS):
         return VALIDATION_EXIT
-    if isinstance(exc, (LatSweepError, OSError)):
+    if isinstance(exc, (LatSweepError, OSError, FloatingPointError)):
         return RUNTIME_EXIT
     return None
+
+
+#: Arithmetic out of the floating-point range fails a command by name, exit
+#: 2, instead of reaching its output as inf or NaN.  NumPy keeps this state
+#: per thread, so each batch worker takes it too.
+_finite_arithmetic = np.errstate(over="raise", invalid="raise", divide="raise")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,6 +204,7 @@ def _read_stress(path: str | None) -> np.ndarray | None:
     return sigma0
 
 
+@_finite_arithmetic
 def _solve_one(network, args, prefix, sigma0) -> str:
     definition, loads = load_network(network)
     m = definition.n_springs
@@ -322,8 +329,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
-    except (LatSweepError, OSError) as exc:
+        return _finite_arithmetic(_COMMANDS[args.command])(args)
+    except (LatSweepError, OSError, FloatingPointError) as exc:
         code = _exit_code(exc)
         print(f"latsweep: {_ERROR_LABELS[code]}: {exc}", file=sys.stderr)
         return code

@@ -10,7 +10,8 @@ class InvalidInputError(LatSweepError, ValueError):
 
 
 class DegenerateSpringError(InvalidInputError):
-    """A spring has zero length in the reference configuration."""
+    """A spring has zero length in the reference configuration, or one
+    out of the floating-point range."""
 
 
 class AssumptionError(LatSweepError, ValueError):

@@ -104,9 +104,10 @@ def _event_candidates(spec, z, zdot, offset):
 
     taus = np.full(speeds.shape[0], np.inf)
     up = (speeds > thresh) & ~on_upper
-    taus[up] = room_up[up] / speeds[up]
     down = (speeds < -thresh) & ~on_lower
-    taus[down] = -room_down[down] / speeds[down]
+    with np.errstate(over="ignore"):  # a bound out of reach: tau is inf
+        taus[up] = room_up[up] / speeds[up]
+        taus[down] = -room_down[down] / speeds[down]
 
     tau = taus.min(initial=np.inf)
     if not np.isfinite(tau):

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import ConeProjectionError, InfeasibleSetError, InvalidInputError, LatSweepError
-from .linalg import inverse_cholesky_factor, nullspace_basis, pseudoinverse
+from .linalg import DEFAULT_RANK_TOL, inverse_cholesky_factor, nullspace_basis, pseudoinverse
 
 DEFAULT_TOL = 1e-10
 
@@ -381,6 +381,21 @@ def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return C
 
 
+def _working_set_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``lstsq(C, rhs)`` on the signed active columns ``C`` of a working set,
+    with singular values up to :data:`~latsweep.linalg.DEFAULT_RANK_TOL`
+    times the largest cut, the rule under which assembly counts columns as
+    dependent.  The columns are rows of the whitened map, such as ``V``,
+    known only to rounding: mirror-image springs have rows of ``V`` that
+    agree to it, a singular value near 1e-16 of the largest.  NumPy's
+    default cutoff, epsilon times the larger dimension, can keep it, and
+    the multipliers then grow as its inverse until ``e + C lam`` is lost to
+    cancellation; cut, the pair acts as one constraint.  A cut of a truly
+    independent column misses stationarity, which the KKT checks catch.
+    """
+    return np.linalg.lstsq(C, rhs, rcond=DEFAULT_RANK_TOL)[0]
+
+
 def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
     """The primal active-set loop of both projections, from the feasible ``y0``.
 
@@ -392,9 +407,10 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
     the target whitened once, ``g = -Z^T S (y0 - x)``, each
     working-set step of the whitened step ``d`` from ``y0`` is ``-r`` for
     ``r = e + C lam``, ``e = d - g``, ``C`` the signed active columns and
-    ``lam = lstsq(C, -e)``.  At the working-set optimum ``lam`` holds the
-    multipliers and ``||r||`` the stationarity residual; least squares keeps
-    dependent or duplicated active rows exact, and an empty working set
+    ``lam`` the least-squares solution of ``C lam = -e`` under the rank rule
+    of :func:`_working_set_solve`.  At the working-set optimum ``lam`` holds
+    the multipliers and ``||r||`` the stationarity residual; least squares
+    keeps dependent or duplicated active rows exact, and an empty working set
     takes no solve (``r = e``).  The ratio test reads the bounds the step
     moves toward alone and breaks ties by lowest bound index.  Returns the
     point ``y0 + Z d``, the final working set, its multipliers and
@@ -411,7 +427,7 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
             lam, r = np.zeros(0), e
         else:
             C = _columns(M, idx)
-            lam = np.linalg.lstsq(C, -e, rcond=None)[0] if known is None else known
+            lam = _working_set_solve(C, -e) if known is None else known
             r = e + C @ lam
         known = None
         if np.max(np.abs(r), initial=0.0) <= tol * scale:
@@ -429,7 +445,8 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
         blocking = -1
         candidates = np.flatnonzero(~active & (fall > 1e-14 * (1.0 + np.abs(fall).max(initial=0.0))))
         if candidates.size:
-            ratios = np.maximum(slack[candidates], 0.0) / fall[candidates]
+            with np.errstate(over="ignore"):  # a bound out of reach: inf, never blocking
+                ratios = np.maximum(slack[candidates], 0.0) / fall[candidates]
             amin = ratios.min()
             if amin < 1.0:
                 alpha = amin
@@ -449,7 +466,6 @@ def project_cone(
     S: np.ndarray,
     x: np.ndarray,
     cone: PolyhedralSet,
-    tol: float = DEFAULT_TOL,
 ) -> ProjectionResult:
     """S-weighted projection of ``x`` onto a cone, a set whose finite bounds are 0.
 
@@ -466,8 +482,8 @@ def project_cone(
     (A Z)^T``): primal feasibility, complementarity ``lam . A v = 0``,
     and stationarity, ``||Z^T S (v - x) + C lam||`` recomputed from
     the returned point, with ``C`` the signed columns of the final working
-    set and nonnegative multipliers ``lam``.  A residual above ``tol``
-    raises :class:`ConeProjectionError`.
+    set and nonnegative multipliers ``lam``.  A residual above
+    :data:`DEFAULT_TOL` raises :class:`ConeProjectionError`.
     """
     bounds = np.concatenate([cone.b, cone.lower])
     held = np.isfinite(bounds)
@@ -486,7 +502,7 @@ def project_cone(
     x = x / x_norm
     M = white.rows(cone.A)
     slack = np.where(held, 0.0, np.inf)
-    y, idx, lam, _ = _active_set(white, M, slack, x, np.zeros(n), held.copy(), tol)
+    y, idx, lam, _ = _active_set(white, M, slack, x, np.zeros(n), held.copy(), DEFAULT_TOL)
 
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0
@@ -500,10 +516,10 @@ def project_cone(
         float(np.linalg.norm(r)),           # stationarity
         -np.min(mu, initial=0.0),           # nonnegative multipliers
     )
-    if not kkt <= tol:
+    if not kkt <= DEFAULT_TOL:
         raise ConeProjectionError(
             f"cone projection missed its KKT conditions by {kkt:.3g} "
-            f"(tolerance {tol:.3g}, {int(held.sum())} bounds)"
+            f"(tolerance {DEFAULT_TOL:.3g}, {int(held.sum())} bounds)"
         )
-    active = tuple(int(j) for j in np.flatnonzero(excess >= -tol))
+    active = tuple(int(j) for j in np.flatnonzero(excess >= -DEFAULT_TOL))
     return ProjectionResult(point=x_norm * y, active_inequalities=active, kkt_residual=kkt)

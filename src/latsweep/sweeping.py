@@ -54,8 +54,8 @@ class MovingSetSpec:
 
     The set at time ``t`` holds the coordinates ``y`` whose spring-space
     image ``lift(y) = V y`` lies in the yield box (after Hooke scaling)
-    shifted by ``offset(loads, t)``.  ``space`` is read only by
-    :meth:`view`.
+    translated by its in-plane part, whose coordinates :meth:`frame` gives,
+    and by :meth:`force_shift`.  ``space`` is read only by :meth:`view`.
     """
 
     system: AssembledSystem
@@ -64,24 +64,13 @@ class MovingSetSpec:
     box_upper: np.ndarray          # K^-1 c^+
     strain_direction: np.ndarray | None  # box translation per unit strain
 
-    def offset(self, loads: LoadSchedule, t: float) -> np.ndarray:
-        """Translation of the yield box at time ``t`` (a vector in R^m).
-
-        The displacement load enters as its change ``r(t) - r(0)``: only
-        differences of the offset enter the process, and ``r(0) = -R xi0``
-        holds reference positions far larger than the box, whose rounding
-        would land on its bounds.
-        """
-        out = self._in_plane(loads, t)
-        f = loads.f(t)
-        if f is not None:
-            out = out - self.system.F @ f
-        return out
-
     def _in_plane(self, loads: LoadSchedule, t) -> np.ndarray:
         """``G (r(t) - r(0)) + strain_direction gamma(t)``: the part of the
-        offset that lies in the self-stress plane; at an array of times, one
-        column each."""
+        box translation that lies in the self-stress plane; at an array of
+        times, one column each.  The displacement load enters as its change
+        ``r(t) - r(0)``: only differences of the translation enter the
+        process, and ``r(0) = -R xi0`` holds reference positions far larger
+        than the box, whose rounding would land on its bounds."""
         out = self.system.G @ (loads.r(t) - loads.displacement_offset).T
         if loads.strain_times is not None:
             if self.strain_direction is None:
@@ -97,9 +86,9 @@ class MovingSetSpec:
         sweeping variable; at an array of times, one column each, from one
         product per map.
 
-        The offset splits into ``c(t)`` and the force shift ``-F f(t)``,
-        which is K-orthogonal to the plane.  Both integrators run in the
-        frame ``u = y - c(t)``, where the set is ``static_set(spec,
+        The box translation splits into ``c(t)`` and the force shift ``-F
+        f(t)``, which is K-orthogonal to the plane.  Both integrators run in
+        the frame ``u = y - c(t)``, where the set is ``static_set(spec,
         force_shift(f))``: it moves only when the force does, and a state
         is ``y = u + c(t)``.
         """
@@ -107,7 +96,7 @@ class MovingSetSpec:
 
     def force_shift(self, f: np.ndarray | None) -> np.ndarray | float:
         """The box translation ``-F f`` of the force load ``f`` (0 for
-        ``None``), the part of the offset that leaves the plane and the
+        ``None``), the part of the translation that leaves the plane and the
         only motion of the set in the frame."""
         return 0.0 if f is None else -(self.system.F @ f)
 
@@ -132,9 +121,10 @@ class MovingSetSpec:
         return out
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates in the basis ``V`` of a spring-space vector, or of
-        each column of a matrix."""
-        return self.system.P_V @ v
+        """Coordinates ``V^T (K v)`` in the basis ``V`` of the projection
+        of a spring-space vector, or of each column of a matrix."""
+        k = self.system.stiffness
+        return self.system.V_basis.T @ (k[:, None] * v if v.ndim == 2 else k * v)
 
     def lift(self, y: np.ndarray) -> np.ndarray:
         """Spring-space vector of the coordinates ``y``, or of each column
@@ -151,15 +141,15 @@ class MovingSetSpec:
 def build_moving_set(
     system: AssembledSystem, space: Space, loads: LoadSchedule | None = None
 ) -> MovingSetSpec:
+    k = system.stiffness
     strain_direction = None
     if loads is not None and loads.strain_times is not None:
         # Box strain adds elongations u*gamma to the geometric constraint, so
         # it translates the moving set opposite to the way r(t) enters: by
-        # -VP_V u per unit strain (stretching must load the springs in
+        # -V V^T K u per unit strain (stretching must load the springs in
         # tension during the elastic phase).
         elong = strain_elongations(system, loads.strain_axis)
-        strain_direction = -(system.V_basis @ (system.P_V @ elong))
-    k = system.stiffness
+        strain_direction = -(system.V_basis @ (system.V_basis.T @ (k * elong)))
     return MovingSetSpec(
         system=system,
         space=space,
@@ -196,9 +186,9 @@ def initial_state(
     loads: LoadSchedule,
     space: Space,
     spec: MovingSetSpec | None = None,
-    tol: float = INITIAL_TOL,
 ) -> SweepingState:
-    """State at t=0 from an admissible, self-equilibrated initial stress.
+    """State at t=0 from an admissible, self-equilibrated initial stress,
+    both held to :data:`INITIAL_TOL`.
 
     ``space`` is read only to build ``spec`` when none is given."""
     sigma0 = np.asarray(sigma0, dtype=float)
@@ -211,7 +201,7 @@ def initial_state(
     lo, hi = sys.lower_limits, sys.upper_limits
     width = hi - lo
     over = np.abs(np.maximum(sigma0 - hi, 0.0) + np.minimum(sigma0 - lo, 0.0)) / width
-    if not np.all(over <= tol):  # NaN fails too; argmax finds it first
+    if not np.all(over <= INITIAL_TOL):  # NaN fails too; argmax finds it first
         j = int(np.argmax(over))
         raise InitialConditionError(
             f"initial stress of spring {j} is outside its elastic range"
@@ -220,21 +210,19 @@ def initial_state(
 
     if spec is None:
         spec = build_moving_set(sys, space, loads)
-    f0 = loads.f(0.0)
-    balance = sys.U_basis.T @ sigma0
-    if f0 is not None:
-        balance = balance - sys.equality_rows() @ (sys.F @ f0)
+    shift = spec.force_shift(loads.f(0.0))
+    balance = sys.U_basis.T @ (sigma0 + sys.stiffness * shift)
     # each entry sums stresses over the springs, so it is held to the sum
     # of their elastic ranges, weighted by |U|: no verdict moves with units
     # (a zero balance, as of a zero stress, passes at any scale)
-    if balance.any() and np.any(np.abs(balance) > tol * (np.abs(sys.U_basis).T @ width)):
+    if balance.any() and np.any(np.abs(balance) > INITIAL_TOL * (np.abs(sys.U_basis).T @ width)):
         raise InitialConditionError(
             "initial stress is not self-equilibrated with the initial force load"
         )
 
     epsilon = sigma0 / sys.stiffness
     # the frame coordinates both integrators start from, moved by c(0)
-    y = spec.view(spec.reduce(epsilon + spec.force_shift(f0)) + spec.frame(loads, 0.0))
+    y = spec.view(spec.reduce(epsilon + shift) + spec.frame(loads, 0.0))
     return SweepingState(time=0.0, y=y, sigma=sigma0, epsilon=epsilon)
 
 

@@ -139,9 +139,17 @@ def enhanced_pinv_top(system):
     return (vt[:, : system.dims.n_springs].T / s) @ u.T
 
 
+def coordinate_rows(system) -> np.ndarray:
+    """``V^T K`` (dim_v x m): the coordinates in ``V`` of the K-orthogonal
+    projection of a spring vector onto the self-stress plane, so that ``V
+    @ coordinate_rows(system)`` is that projector.  Assembly keeps no copy
+    of it: a solve scales by ``K`` and multiplies by ``V^T``."""
+    return system.V_basis.T * system.stiffness
+
+
 def elongation_projector(system):
-    """``P_U = (U^T K U)^-1 U^T K`` (dim_u x m): ``U P_U = I - V P_V``."""
-    UK = system.equality_rows()
+    """``P_U = (U^T K U)^-1 U^T K`` (dim_u x m): ``U P_U = I - V V^T K``."""
+    UK = full_form_rows(system)
     return np.linalg.solve(UK @ system.U_basis, UK)
 
 
@@ -292,7 +300,7 @@ def random_small_lattice(rng, max_tries=50):
 def moving_set_at(spec: MovingSetSpec, t: float, loads: LoadSchedule) -> PolyhedralSet:
     """The constraint polyhedron at time ``t``: the static set at the whole
     box translation, frame and force shift together."""
-    return static_set(spec, spec.offset(loads, t))
+    return static_set(spec, box_offset(spec, loads, t))
 
 
 def abstract_catchup(S, set_provider, x0, partition: TimePartition, tol: float = 1e-10) -> np.ndarray:
@@ -325,12 +333,19 @@ def recover_stress(system, y, t: float, loads: LoadSchedule, space: Space, spec:
     a state of ``space`` reports it."""
     if spec is None:
         spec = build_moving_set(system, space, loads)
-    epsilon = spec.lift(coordinates_of(spec, y)) - spec.offset(loads, t)
+    epsilon = spec.lift(coordinates_of(spec, y)) - box_offset(spec, loads, t)
     return epsilon, system.stiffness * epsilon
 
 
+def box_offset(spec: MovingSetSpec, loads, t) -> np.ndarray:
+    """The translation of the yield box at time ``t``, a vector in R^m:
+    its in-plane part plus the force shift, the reference the full-form
+    sets are built on."""
+    return spec._in_plane(loads, t) + spec.force_shift(loads.f(t))
+
+
 def coordinates_of(spec: MovingSetSpec, y: np.ndarray) -> np.ndarray:
-    """The coordinates in ``V`` of a state's reported ``y``: ``P_V y`` in
+    """The coordinates in ``V`` of a state's reported ``y``: ``V^T K y`` in
     the full space, ``y`` itself in the reduced space."""
     return spec.reduce(y) if spec.space is Space.FULL else y
 
@@ -338,7 +353,7 @@ def coordinates_of(spec: MovingSetSpec, y: np.ndarray) -> np.ndarray:
 def full_form_rows(system) -> np.ndarray:
     """The equality rows ``U^T K`` of the self-stress plane, read-only, so
     that one array can serve every set of a run."""
-    rows = system.equality_rows()
+    rows = system.U_basis.T * system.stiffness
     rows.flags.writeable = False
     return rows
 

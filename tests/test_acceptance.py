@@ -26,6 +26,7 @@ from latsweep.sweeping import Space, build_moving_set, initial_state
 
 from helpers import (
     braced_square_frame,
+    coordinate_rows,
     projection_oracle,
     random_feasible_probe_anchor,
     random_projection_problem,
@@ -247,7 +248,7 @@ def test_criterion_9_linear_algebra_invariants(ex1, grid):
         # stiffness orthogonality and projector idempotence
         k = system.stiffness
         assert np.abs(system.U_basis.T @ (k[:, None] * system.V_basis)).max() <= 1e-8
-        P = system.V_basis @ system.P_V
+        P = system.V_basis @ coordinate_rows(system)
         assert np.abs(P @ P - P).max() <= 1e-10
     _report(9, f"invariants hold on {len(definitions)} lattices "
                "(3 built-in examples + 100 random)")

@@ -18,6 +18,7 @@ from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_
 
 from helpers import (
     abstract_catchup,
+    box_offset,
     full_form_rows,
     full_form_set,
     moving_set_at,
@@ -94,14 +95,14 @@ def test_states_satisfy_invariants(example1):
     spec = build_moving_set(system, Space.FULL, loads)
     state0 = initial_state(system, np.zeros(10), loads, Space.FULL, spec)
     traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 100))
-    eq = system.equality_rows()
+    eq = full_form_rows(system)
     for state in traj.states:
         assert np.allclose(state.sigma, system.stiffness * state.epsilon, atol=1e-12)
         assert np.all(state.sigma <= definition.upper_limits + 1e-8)
         assert np.all(state.sigma >= definition.lower_limits - 1e-8)
         assert np.abs(eq @ state.epsilon).max() <= 1e-8  # equilibrium, f = 0
         # the reported spring vector: in the shifted box and on the plane
-        assert full_form_set(system, spec.offset(loads, state.time)).contains(state.y, tol=1e-8)
+        assert full_form_set(system, box_offset(spec, loads, state.time)).contains(state.y, tol=1e-8)
 
 
 def test_full_reduced_equivalence_small_mesh(example1):
@@ -238,7 +239,7 @@ def test_catchup_matches_abstract_recursion(
 
         monkeypatch.setattr(projection, "nullspace_basis", counted)
         S, image = system.stiffness, lambda v: v
-        sets = lambda t: full_form_set(system, spec.offset(loads, t), rows)  # noqa: E731
+        sets = lambda t: full_form_set(system, box_offset(spec, loads, t), rows)  # noqa: E731
     else:
         S, image = np.eye(system.dims.dim_v), spec.lift
         sets = lambda t: moving_set_at(spec, t, loads)  # noqa: E731
@@ -476,7 +477,7 @@ def test_varying_force_phase_one_every_step_spaces_agree(example1, monkeypatch):
     # Under a force ramp no step has a feasible start, so every projection
     # starts from the phase-1 linear program, in both spaces in the set's
     # full form: the limits as variable bounds, the balance as equality
-    # rows.  Its point is mapped by P_V, which passes the projection's start
+    # rows.  Its point is mapped by V^T K, which passes the projection's start
     # check (no second phase 1 on rows V), at unit stiffness as at 1e-4 and
     # 1e4: the program is written in stress units, which do not move with
     # the stiffness.  Both spaces must give the same states.

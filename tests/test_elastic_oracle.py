@@ -17,7 +17,7 @@ from latsweep.generators import (
 )
 from latsweep.sweeping import strain_elongations
 
-from helpers import random_small_lattice
+from helpers import coordinate_rows, random_small_lattice
 
 
 def structural_rate(system, rdot, elongation_rate=None):
@@ -48,7 +48,7 @@ def structural_rate(system, rdot, elongation_rate=None):
 def sweeping_rate(system, rdot, elongation_rate=None):
     out = -(system.stiffness * (system.G @ rdot))
     if elongation_rate is not None:
-        P = system.V_basis @ system.P_V
+        P = system.V_basis @ coordinate_rows(system)
         out = out + system.stiffness * (P @ elongation_rate)
     return out
 

@@ -800,3 +800,72 @@ def test_cli_solve_factors_with_numpy_once_per_assembly(tmp_path, monkeypatch):
                          "--mesh", "1e-3", "--out", str(tmp_path / "run")])
             assert code == 0
             assert log == ["assemble", "assembled"], (net.name, solver, space)
+
+
+def _leaves(node, path=()):
+    """The paths to the leaves of a JSON document: values that are not
+    objects or arrays, and empty ones."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    children = list(children)
+    if not children:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaves(child, path + (key,))]
+
+
+_MUTANTS = (None, "x", [], 1, -1, 0, 0.5, 1e30, 1e308)
+
+
+def test_cli_exit_codes_under_schema_mutations(tmp_path, capsys):
+    # Seeded mutations of example1's document, each replacing one or two
+    # leaves: every command ends in a named exit code, never a traceback.
+    path, doc = example1_document(tmp_path)
+    leaves = _leaves(doc)
+    rng = np.random.default_rng(22)
+    runs = (
+        ["validate"],
+        ["solve", "--solver", "leapfrog", "--out", str(tmp_path / "run")],
+        ["solve", "--solver", "catchup", "--mesh", "1e-2", "--out", str(tmp_path / "run")],
+    )
+    codes = set()
+    for trial in range(60):
+        mutant = json.loads(json.dumps(doc))
+        changed = []
+        for leaf in rng.choice(len(leaves), size=int(rng.integers(1, 3)), replace=False):
+            *parents, key = leaves[leaf]
+            value = _MUTANTS[rng.integers(len(_MUTANTS))]
+            target = mutant
+            for step in parents:
+                target = target[step]
+            target[key] = value
+            changed.append((leaves[leaf], value))
+        path.write_text(json.dumps(mutant))
+        for run in runs:
+            argv = run[:1] + [str(path)] + run[1:]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 64), (changed, argv, code, err)
+            assert "Traceback" not in err, (changed, argv, err)
+            codes.add(code)
+    assert {0, 1} <= codes
+
+
+@pytest.mark.parametrize("solver", ["leapfrog", "catchup"])
+def test_cli_refuses_arithmetic_out_of_range(tmp_path, capsys, solver):
+    # a rate of 1e308 overflows the squared norm of the drive: leapfrog
+    # wrote NaN stresses and exited 0, where the solve must fail by name
+    path, doc = example1_document(tmp_path)
+    doc["constraints"]["rate"]["values"][0][1] = 1e308
+    path.write_text(json.dumps(doc))
+    code = main(["solve", str(path), "--solver", solver, "--mesh", "1e-2", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "latsweep: error: overflow encountered" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_cli_validate_refuses_a_spring_length_out_of_range(tmp_path, capsys):
+    # finite coordinates whose spring length overflows are an input error
+    path, doc = example1_document(tmp_path)
+    doc["nodes"][0]["coords"][0] = 1e308
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert "reference length of inf" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 from latsweep.catchup import TimePartition, catchup
 from latsweep.errors import InvalidStateError, UnsupportedLoadError
 from latsweep.generators import (
+    build_example1,
     build_tri_grid_with_hole,
     build_triangular_periodic,
     example1_prestressed_stress,
@@ -17,9 +18,10 @@ from latsweep import projection
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import project, project_cone
 from latsweep.sweeping import Space, build_moving_set, initial_state
-from latsweep.assembly import assemble
+from latsweep.assembly import assemble, validate_assumptions
 
 from helpers import (
+    box_offset,
     coordinates_of,
     full_form_cone,
     full_form_rows,
@@ -206,7 +208,7 @@ def test_termination_velocity_in_normal_cone(example1):
     t_end = loads.horizon
     poly = moving_set_at(spec, t_end, loads)
     y_end = traj.final.y
-    drive = system.P_V @ spec.offset_rate(loads, t_end)
+    drive = spec.reduce(spec.offset_rate(loads, t_end))
     S = np.eye(system.dims.dim_v)
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -352,7 +354,7 @@ def test_event_velocity_full_equals_reduced(network, request, monkeypatch):
     monkeypatch.setattr(projection, "nullspace_basis", counted)
     for event in traj.events:
         y = next(s.y for s in traj.states if s.time == event.time)
-        offset = reduced.offset(loads, event.time)
+        offset = box_offset(reduced, loads, event.time)
         rate = reduced.offset_rate(loads, event.time)
         v_red = event_velocity(reduced, y, reduced.reduce(rate), offset=offset)
         cone = full_form_cone(system, reduced.lift(y), offset, rows)
@@ -388,14 +390,14 @@ def test_event_velocity_carried_over_between_events(periodic_8x8, monkeypatch):
         # from the coordinates in V
         for event, start in zip(traj.events, starts):
             y = coordinates_of(spec, start.y)
-            fresh = spec.view(event_velocity(spec, y, drive, offset=spec.offset(loads, start.time)))
+            fresh = spec.view(event_velocity(spec, y, drive, offset=box_offset(spec, loads, start.time)))
             gap = np.linalg.norm(event.relative_velocity - fresh)
             assert gap <= 1e-12 * np.linalg.norm(drive)
         # after the last event the point moves with the set plus the carried
         # relative velocity up to the horizon
         last = starts[-1]
         y = coordinates_of(spec, last.y)
-        fresh = event_velocity(spec, y, drive, offset=spec.offset(loads, last.time))
+        fresh = event_velocity(spec, y, drive, offset=box_offset(spec, loads, last.time))
         expected = last.y + spec.view(fresh + drive) * (traj.final.time - last.time)
         assert np.linalg.norm(traj.final.y - expected) <= 1e-12 * (1 + np.linalg.norm(expected))
 
@@ -423,7 +425,7 @@ def test_whitened_bound_map_is_a_view_of_the_basis(periodic_8x8, monkeypatch):
     for space in (Space.REDUCED, Space.FULL):
         spec = build_moving_set(system, space, loads)
         state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, space, spec)
-        cone = tangent_cone(spec, coordinates_of(spec, state0.y), spec.offset(loads, 0.0))
+        cone = tangent_cone(spec, coordinates_of(spec, state0.y), box_offset(spec, loads, 0.0))
         assert cone.A is system.V_basis and cone.A_eq is None
         whitened.clear()
         cones.clear()
@@ -478,9 +480,9 @@ def test_grid_leapfrog_full_space_takes_no_nullspace(grid_with_hole, monkeypatch
 
 def test_spaces_agree_at_high_stiffness_contrast():
     # Stiffness over six decades: with a K-orthonormal V the two spaces'
-    # event times agree to 2e-15.  A Euclidean-orthonormal V, with P_V from
-    # a Cholesky factor of the ill-conditioned V^T K V, kept them 7e-11
-    # apart, and an LU solve for that P_V 5e-9 apart.
+    # event times agree to 2e-15.  A Euclidean-orthonormal V, with its
+    # coordinate map from a Cholesky factor of the ill-conditioned V^T K V,
+    # kept them 7e-11 apart, and an LU solve for that map 5e-9 apart.
     # The limits scale with k, so the yield strains are the grid's own.
     definition, loads = build_tri_grid_with_hole()
     k = 10 ** np.random.default_rng(11).uniform(-3, 3, definition.n_springs)
@@ -498,3 +500,41 @@ def test_spaces_agree_at_high_stiffness_contrast():
         assert a.newly_active == b.newly_active
         assert a.newly_released == b.newly_released
         assert abs(a.time - b.time) <= 2e-10 * b.time
+
+
+def _mirror_pair_case(case):
+    """Example1 with springs 0 and 1, mirror images, kept symmetric, and a
+    stiffness or a constrained node moved: each lattice validates."""
+    definition, loads = build_example1()
+    if case == "node 5 at x = 0.5":
+        coords = definition.reference_coords.copy()
+        coords[10] = 0.5
+        return dataclasses.replace(definition, reference_coords=coords), loads
+    spring, k = {"spring 7 at k = 0.5": (7, 0.5), "spring 4 at k = 0.9": (4, 0.9)}[case]
+    stiffness = definition.stiffness.copy()
+    stiffness[spring] = k
+    return dataclasses.replace(definition, stiffness=stiffness), loads
+
+
+@pytest.mark.parametrize("case", ["spring 7 at k = 0.5", "spring 4 at k = 0.9", "node 5 at x = 0.5"])
+def test_mirror_image_springs_give_one_event_set_in_both_solvers(case):
+    # Springs 0 and 1 reach their upper bounds together, and their rows of V
+    # agree up to rounding: the working set's singular value of rounding
+    # size must be cut, not inverted.  Kept, it made leapfrog miss its KKT
+    # conditions and catch-up flicker on those bounds, its event count
+    # doubling with each halving of the mesh.
+    definition, loads = _mirror_pair_case(case)
+    assert validate_assumptions(definition).kinematically_determinate
+    system = assemble(definition)
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    lf = leapfrog(system, spec, state0, loads)
+    expected = [(e.newly_active, e.newly_released) for e in lf.events]
+    assert len(expected) == 2 and expected[0][0] == {(0, "upper"), (1, "upper")}
+    width = definition.upper_limits - definition.lower_limits
+    for steps in (2000, 4000, 8000):
+        cu = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, steps))
+        assert [(e.newly_active, e.newly_released) for e in cu.events] == expected
+        mesh = loads.horizon / steps
+        assert all(abs(c.time - e.time) <= mesh for c, e in zip(cu.events, lf.events))
+        assert np.all(np.abs(cu.final.sigma - lf.final.sigma) <= 1e-9 * width)

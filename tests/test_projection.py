@@ -17,6 +17,8 @@ from latsweep.sweeping import Space, build_moving_set, initial_state, static_set
 
 from helpers import (
     abstract_catchup,
+    box_offset,
+    coordinate_rows,
     full_form_rows,
     full_form_set,
     polar_projection_oracle,
@@ -155,6 +157,12 @@ def test_cone_oracle_moreau_and_row_order(with_equalities, diagonal):
         shuffled = PolyhedralSet(A=cone.A[order], b=cone.b, A_eq=cone.A_eq)
         w = project_cone(S, x, shuffled).point
         assert np.linalg.norm(w - v) <= 1e-12 * (1 + np.linalg.norm(x))
+        # rows scaled to unit norm bound the same cone; a short row
+        # rows[i] - u rows[i] then becomes a duplicate of rows[i] up to
+        # rounding, whose singular value of rounding size the working-set
+        # solve must cut
+        unit = PolyhedralSet(A=cone.A / np.linalg.norm(cone.A, axis=1)[:, None], b=cone.b, A_eq=cone.A_eq)
+        assert np.linalg.norm(project_cone(S, x, unit).point - v) <= scale
 
 
 @pytest.mark.parametrize("with_equalities", [False, True])
@@ -190,7 +198,7 @@ def test_cone_degenerate_first_event_of_periodic_patch(periodic_8x8):
     traj = leapfrog(system, spec, state0, loads)
     t = traj.events[0].time
     y = next(s.y for s in traj.states if s.time == t)
-    opened = tangent_cone(spec, y, offset=spec.offset(loads, t))
+    opened = tangent_cone(spec, y, offset=box_offset(spec, loads, t))
     # the opened cone's 64 finite bounds as signed rows A v <= 0
     up, down = np.flatnonzero(opened.b == 0.0), np.flatnonzero(opened.lower == 0.0)
     cone = PolyhedralSet(A=np.vstack([opened.A[up], -opened.A[down]]), b=np.zeros(64))
@@ -457,7 +465,7 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
     rng = np.random.default_rng(5)
     hinted_counts = []
     for state in traj.states[10::20]:
-        offset = spec.offset(loads, state.time)
+        offset = box_offset(spec, loads, state.time)
         for scale in (0.05, 0.2):
             shift = V @ rng.standard_normal(V.shape[1]) * 0.02 * width
             poly = sets(offset + shift)
@@ -465,7 +473,7 @@ def test_two_sided_grid_set_oracle(grid_with_hole, space):
             x = start + coordinates(rng.standard_normal(definition.n_springs) * scale * width)
             hinted = tuple(np.flatnonzero(poly.slack(start) <= 1e-9 * np.tile(width, 2)))
             hinted_counts.append(len(hinted))
-            on_plane = V @ (system.P_V @ image(x))
+            on_plane = V @ (coordinate_rows(system) @ image(x))
             violated = np.flatnonzero(np.concatenate([
                 on_plane - (spec.box_upper + offset + shift),
                 spec.box_lower + offset + shift - on_plane,
