@@ -1,0 +1,106 @@
+"""Print the memory footprint of ``assemble`` on named networks.
+
+    python scripts/footprint.py [--src <src-dir>] grid periodic8x8 periodic32x32
+
+A name is ``example1``, ``grid`` (the 15 x 14 grid with a hole),
+``periodic<X>x<Y>`` (the periodic triangular patch of X by Y cells), or the
+path of a network file.  For each network it prints
+
+- the dimensions: nodes, springs, constraints, ``dim_u`` and ``dim_v``;
+- the peak of ``assemble``, traced by ``tracemalloc``, which sees NumPy's
+  arrays but not LAPACK's workspace;
+- the bytes of each array the ``AssembledSystem`` keeps, as assembled,
+  before any solve builds a cached one; the lattice definition is the
+  input and is not counted.
+
+``<src-dir>`` holds the ``latsweep`` package, by default this checkout's
+``src``: running the script on two trees compares their footprints.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import re
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+MB = 1e6
+
+
+def build(name: str):
+    """The lattice definition a name stands for."""
+    from latsweep.generators import build_example1, build_tri_grid_with_hole, build_triangular_periodic
+    from latsweep.io import load_network
+
+    if name == "example1":
+        return build_example1()[0]
+    if name == "grid":
+        return build_tri_grid_with_hole()[0]
+    cells = re.fullmatch(r"periodic(\d+)x(\d+)", name)
+    if cells:
+        return build_triangular_periodic(int(cells[1]), int(cells[2]))[0]
+    if Path(name).is_file():
+        return load_network(name)[0]
+    raise SystemExit(f"unknown network {name!r}: example1, grid, periodic<X>x<Y> or a network file")
+
+
+def kept_arrays(system) -> dict[str, int]:
+    """Bytes of each array the system keeps, by field name; the arrays of
+    a dataclass field (such as the constraint kernel ``N``) are summed under
+    its name."""
+    sizes = {}
+    for name, value in vars(system).items():
+        if name == "definition":
+            continue
+        if isinstance(value, np.ndarray):
+            sizes[name] = value.nbytes
+        elif dataclasses.is_dataclass(value):
+            parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+            arrays = [p for p in parts if isinstance(p, np.ndarray)]
+            if arrays:
+                sizes[name] = sum(a.nbytes for a in arrays)
+    return sizes
+
+
+def footprint(name: str) -> str:
+    from latsweep.assembly import assemble
+
+    definition = build(name)
+    tracemalloc.start()
+    try:
+        system = assemble(definition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dims = system.dims
+    sizes = sorted(kept_arrays(system).items(), key=lambda item: -item[1])
+    return "\n".join([
+        f"{name}: nodes {dims.n_nodes}, springs {dims.n_springs}, constraints {dims.n_constraints}, "
+        f"dim_u {dims.dim_u}, dim_v {dims.dim_v}",
+        f"  assemble peak {peak / MB:.3f} MB (tracemalloc)",
+        f"  kept {sum(size for _, size in sizes) / MB:.3f} MB: "
+        + ", ".join(f"{field} {size / MB:.3f}" for field, size in sizes),
+    ])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("networks", nargs="+", help="example1, grid, periodic<X>x<Y> or a network file")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory that holds the latsweep package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "latsweep" / "__init__.py").is_file():
+        parser.error(f"{src} holds no latsweep package")
+    sys.path.insert(0, str(src))
+    for name in args.networks:
+        print(footprint(name))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

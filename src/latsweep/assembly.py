@@ -16,21 +16,25 @@ nonzero (see :func:`constraint_factors`): the singular values of ``R_S``
 give ``rank R``, and a QR of ``R_S^T`` gives ``ker R_S`` and ``pinv R_S``.
 The other degrees of freedom, ``F``, are free, so ``N = blockdiag(ker R_S,
 I_F)`` spans ``ker R`` and ``U = C N = [C_S ker R_S, C_F]`` is one small
-product and the columns ``C_F``.  ``C_S`` and ``C_F`` are filled straight
-from the spring endpoints and directions, as :func:`compatibility_matrix`
-fills ``C``: the dense m x nd ``C`` is built only on request, on the first
-read of :attr:`AssembledSystem.compatibility`, and nothing on a solve
-reads it.  A spring's row of ``U`` holds at most ``2d`` nonzeros, so
-``K^(1/2) U`` is factored in a band: free dofs in a reverse Cuthill-McKee
-order of the node graph, ``ker R_S`` last and springs sorted by their first
-column (:func:`_band_gather`, from the spring endpoints alone).  That one
-QR gives the rest:
+product, ``U_kernel = C_S ker R_S``, and the columns ``C_F``.  ``C_S`` is
+filled straight from the spring endpoints and directions, as
+:func:`compatibility_matrix` fills ``C``, and ``C_F`` is never stored: its
+entries are ``+-directions`` at the free dofs of each spring's two nodes.
+So neither the dense m x nd ``C`` nor the dense m x dim_u ``U`` is formed
+on a solve: each is built only on request, on the first read of
+:attr:`AssembledSystem.compatibility` or :attr:`AssembledSystem.U_basis`.
+A spring's row of ``U`` holds at most ``2d`` nonzeros, so ``K^(1/2) U`` is
+factored in a band: free dofs in a reverse Cuthill-McKee order of the node
+graph, ``ker R_S`` last and springs sorted by their first column
+(:func:`_band_gather`, written from the spring endpoints and
+``U_kernel``).  That one QR gives the rest:
 
 - its triangle ``T`` certifies the determinacy check, that ``U`` has full
   column rank (see :func:`_elongation_rank`), through a blocked inverse of
   ``T`` taken in ``T``'s own place, as ``T`` is dropped right after, so no
-  second n x n array is allocated; ``||T^-1||_F`` does not depend on the
-  order of rows and columns;
+  second n x n array is allocated, and ``||U||_F`` summed from the entries
+  the band gather writes; ``||T^-1||_F`` does not depend on the order of
+  rows and columns;
 - the trailing columns ``W`` of its orthogonal factor, built in spring
   order, span ``ker (K^(1/2) U)^T``, so ``V = K^(-1/2) W`` is a
   K-orthonormal basis of the self-stress plane, ``V^T K V = I``, at any
@@ -39,10 +43,13 @@ QR gives the rest:
 ``V`` is the only copy of the plane that is kept: the K-orthogonal
 projector onto it is ``v -> V V^T (K v)``, and the reduced space,
 coordinates in ``V``, is Euclidean, so no Gram matrix of the plane is formed
-or factored.  The force map ``F`` is built on first use.  Every check of
-the assumptions reads ``rank [C; R]`` as ``rank R + rank U``, each under
-the relative cutoff of its own matrix: no verdict moves with the units of
-``R``.
+or factored.  Of ``U`` the system keeps ``N`` and ``U_kernel``: the
+balance ``U^T s`` of an initial stress is a sum per dof over the spring
+endpoints (:meth:`AssembledSystem.balance`), and the force map ``F``, the
+only solve-time reader of the dense ``U``, is built on first use.  Every
+check of the assumptions reads ``rank [C; R]`` as ``rank R + rank U``, each
+under the relative cutoff of its own matrix: no verdict moves with the
+units of ``R``.
 """
 
 from __future__ import annotations
@@ -110,15 +117,19 @@ class AssembledSystem:
 
     ``V_basis`` is K-orthonormal, so ``V V^T (K v)`` is the K-orthogonal
     projection of a spring vector ``v`` onto the self-stress plane and
-    ``V^T (K v)`` its coordinates.  Immutable after assembly; safe to share
-    across threads.
+    ``V^T (K v)`` its coordinates.  ``V_basis`` is the one large array
+    kept.  ``U = [U_kernel, C_F]`` is kept in pieces: ``N``, ``U_kernel``,
+    and the spring endpoints and ``directions`` that hold ``C_F``;
+    :attr:`U_basis` forms it densely on first read.  Immutable after
+    assembly; safe to share across threads.
     """
 
     definition: LatticeDefinition
     directions: np.ndarray         # m x d, unit vectors terminus -> origin
     reference_lengths: np.ndarray  # m
-    U_basis: np.ndarray            # m x dim_u, C N for N the kernel of R,
-                                   # [C_S ker R_S, C_F]
+    N: ConstraintKernel            # orthonormal basis of ker R, in blocks
+    U_kernel: np.ndarray           # m x k, C_S ker R_S: the columns of U =
+                                   # [C_S ker R_S, C_F] that C does not hold
     V_basis: np.ndarray            # m x dim_v, K-orthonormal columns (V^T K V
                                    # = I) spanning K^-1 ker U^T, the spring
                                    # blocks of ker [C^T R^T] scaled by K^-1
@@ -126,12 +137,12 @@ class AssembledSystem:
     dims: SystemDims
 
     def __post_init__(self):
-        for name in (
-            "directions", "reference_lengths", "U_basis", "V_basis", "G",
-        ):
+        for name in ("directions", "reference_lengths", "U_kernel", "V_basis", "G"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        for arr in (self.N.support, self.N.free, self.N.block):
+            arr.flags.writeable = False
 
     @functools.cached_property
     def compatibility(self) -> np.ndarray:
@@ -143,6 +154,15 @@ class AssembledSystem:
         return C
 
     @functools.cached_property
+    def U_basis(self) -> np.ndarray:
+        """The dense m x dim_u ``U = [U_kernel, C_F]`` of
+        :func:`_elongation_basis`, read-only, built on first read: only
+        :attr:`F`, the safe-load linear program and tests read it."""
+        U = _elongation_basis(self.definition, self.N, self.directions, self.U_kernel)
+        U.flags.writeable = False
+        return U
+
+    @functools.cached_property
     def F(self) -> np.ndarray:
         """``(I - V V^T K) K^-1 H`` (m x nd) for ``H`` the top ``m`` rows of
         ``pinv [C^T R^T]``: the elastic elongations under a unit force
@@ -151,15 +171,25 @@ class AssembledSystem:
 
         ``U^T H = N^T`` because ``R N = 0``, so the K-orthogonal projection
         onto the elongation space is ``F = U (U^T K U)^-1 N^T = (N (U^T K
-        U)^-1 U^T)^T``: one solve and one product with ``N``'s blocks, and
-        no ``H``.  ``N`` comes from the same factors of ``R`` that
-        assemble takes; it is not kept, as only force loads need it.
+        U)^-1 U^T)^T``: one solve and one product with the blocks of the
+        ``N`` assemble keeps, and no ``H``.
         """
-        _, N, _ = constraint_factors(self.definition.constraint_matrix)
         U = self.U_basis
-        F = (N @ np.linalg.solve(weighted_gram(U, self.stiffness), U.T)).T
+        F = (self.N @ np.linalg.solve(weighted_gram(U, self.stiffness), U.T)).T
         F.flags.writeable = False
         return F
+
+    def balance(self, s: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """``U^T s`` for spring stresses ``s``, or ``|U|^T s``, with no
+        ``U`` formed: ``U_kernel^T s``, then the free dofs of ``C^T s``, a
+        sum per dof over the spring endpoints."""
+        dofs, values = _endpoint_entries(self.definition, self.directions)
+        kernel = self.U_kernel
+        if absolute:
+            values, kernel = np.abs(values), np.abs(kernel)
+        n_dof = self.definition.n_dof
+        per_dof = np.bincount(dofs.ravel(), (values * s[:, None]).ravel(), minlength=n_dof)
+        return np.concatenate([kernel.T @ s, per_dof[self.N.free]])
 
     @property
     def stiffness(self) -> np.ndarray:
@@ -187,19 +217,29 @@ def _directions(definition: LatticeDefinition) -> tuple[np.ndarray, np.ndarray]:
     return chords / lengths[:, None], lengths
 
 
+def _endpoint_entries(
+    definition: LatticeDefinition, directions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of ``C`` by spring, read from the spring endpoints:
+    ``(dofs, values)``, each m x 2d, row ``i`` holding the dofs of the
+    origin of spring ``i`` and then those of its terminus, and
+    ``directions[i]`` and then ``-directions[i]``."""
+    origins, termini = definition.spring_endpoints()
+    d = definition.dimension
+    dofs = (np.stack([origins, termini], axis=1)[:, :, None] * d + np.arange(d)).reshape(-1, 2 * d)
+    return dofs, np.hstack([directions, -directions])
+
+
 def _fill_compatibility(
     out: np.ndarray, column: np.ndarray, definition: LatticeDefinition, directions: np.ndarray,
 ) -> np.ndarray:
-    """Write the entries of ``C`` into the zeros of ``out``: column ``j`` of
-    ``C`` goes to column ``column[j]`` of ``out``, and a dof with ``column[j]
-    < 0`` is left out.  Row ``i`` of ``C`` holds ``directions[i]`` in the
-    coordinates of the origin of spring ``i`` and ``-directions[i]`` in
-    those of its terminus, filled from the spring endpoints."""
-    d = definition.dimension
-    for ends, rows in zip(definition.spring_endpoints(), (directions, -directions)):
-        place = column[ends[:, None] * d + np.arange(d)]
-        i, a = np.nonzero(place >= 0)
-        out[i, place[i, a]] = rows[i, a]
+    """Write the entries of ``C`` (:func:`_endpoint_entries`) into the
+    zeros of ``out``: column ``j`` of ``C`` goes to column ``column[j]`` of
+    ``out``, and a dof with ``column[j] < 0`` is left out."""
+    dofs, values = _endpoint_entries(definition, directions)
+    place = column[dofs]
+    i, j = np.nonzero(place >= 0)
+    out[i, place[i, j]] = values[i, j]
     return out
 
 
@@ -291,43 +331,55 @@ def constraint_factors(R: np.ndarray) -> tuple[int, ConstraintKernel, np.ndarray
     return rank, ConstraintKernel(support, free, block), pinv
 
 
-def _elongation_basis(
+def _kernel_columns(
     definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``U = C N = [C_S ker R_S, C_F]`` and ``C_S``, each filled from the
+    """``C_S``, the columns of ``C`` on ``N``'s support, filled from the
     spring endpoints as :func:`compatibility_matrix` fills ``C``, which is
-    not formed: ``C_S`` is ``C``'s columns on ``N``'s support and ``C_F``
-    goes straight into ``U``."""
-    m, nd, k = definition.n_springs, definition.n_dof, N.block.shape[1]
-    column = np.full(nd, -1)
+    not formed, and ``U_kernel = C_S ker R_S`` (m x k): the leading columns
+    of ``U = [C_S ker R_S, C_F]``, the ones that are not columns of ``C``."""
+    column = np.full(definition.n_dof, -1)
     column[N.support] = np.arange(N.support.size)
-    C_S = _fill_compatibility(np.zeros((m, N.support.size)), column, definition, directions)
-    U = np.zeros((m, k + N.free.size))
-    U[:, :k] = C_S @ N.block
-    column[N.support] = -1
+    C_S = np.zeros((definition.n_springs, N.support.size))
+    _fill_compatibility(C_S, column, definition, directions)
+    return C_S, C_S @ N.block
+
+
+def _elongation_basis(
+    definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
+    U_kernel: np.ndarray,
+) -> np.ndarray:
+    """The dense ``U = [U_kernel, C_F]``, with ``C_F`` filled from the
+    spring endpoints.  Only :attr:`AssembledSystem.U_basis` and the rank
+    certificate's fallback form it."""
+    k = U_kernel.shape[1]
+    U = np.zeros((definition.n_springs, k + N.free.size))
+    U[:, :k] = U_kernel
+    column = np.full(definition.n_dof, -1)
     column[N.free] = np.arange(k, k + N.free.size)
-    return _fill_compatibility(U, column, definition, directions), C_S
+    return _fill_compatibility(U, column, definition, directions)
 
 
 def _band_gather(
-    definition: LatticeDefinition, N: ConstraintKernel, U: np.ndarray,
+    definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
+    U_kernel: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``K^(1/2) U`` with its rows and columns in a band order, read from
-    ``U`` only where it can hold a nonzero: ``(A, rows, first, last)``, with
-    row ``i`` of ``A`` spring ``rows[i]``, whose nonzeros lie in columns
-    ``first[i]`` to ``last[i]`` (``last[i] = -1`` for a zero row).
+    """``K^(1/2) U`` with its rows and columns in a band order, written
+    from the spring endpoints and ``U_kernel``, with no ``U`` formed: ``(A,
+    rows, first, last)``, with row ``i`` of ``A`` spring ``rows[i]``, whose
+    nonzeros lie in columns ``first[i]`` to ``last[i]`` (``last[i] = -1``
+    for a zero row).
 
     Free dofs follow a reverse Cuthill-McKee order of the node graph and
     the columns of ``ker R_S`` go last.  A spring's row of ``U = [C_S ker
-    R_S, C_F]`` holds the free dofs of its two nodes, and all of ``ker R_S``
-    if a node has a dof in ``S``.  Springs are sorted by their first and
-    then their last column.  The order comes from the spring endpoints and
-    ``N``'s support alone, and the gather reads O(m + n) entries of ``U``
-    besides the columns of ``ker R_S``.
+    R_S, C_F]`` holds ``+-directions`` in the free dofs of its two nodes,
+    and all of ``U_kernel`` if a node has a dof in ``S``.  Springs are
+    sorted by their first and then their last column.  The order comes from
+    the spring endpoints and ``N``'s support alone.
     """
     origins, termini = definition.spring_endpoints()
     n, d, m = definition.n_nodes, definition.dimension, definition.n_springs
-    k, n_free = N.block.shape[1], N.free.size
+    k, n_free = U_kernel.shape[1], N.free.size
     # the node graph, symmetric, as CSR arrays built by counting
     heads, tails = np.concatenate([origins, termini]), np.concatenate([termini, origins])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
@@ -335,36 +387,51 @@ def _band_gather(
     graph = scipy.sparse.csr_matrix((np.ones(2 * m), tails, indptr), shape=(n, n))
     node_rank = np.empty(n, dtype=int)
     node_rank[reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(n)
-    # column c < n_free of the band is column k + order[c] of U
     order = np.argsort(node_rank[N.free // d] * d + N.free % d, kind="stable")
-    column = np.full(n * d, -1)  # of each free dof; -1 for a dof in S
+    column = np.full(n * d, -1)  # the band column of each free dof; -1 for a dof in S
     column[N.free[order]] = np.arange(n_free)
-    dofs = (np.stack([origins, termini], axis=1)[:, :, None] * d + np.arange(d)).reshape(m, 2 * d)
+    dofs, values = _endpoint_entries(definition, directions)
     place = column[dofs]
     free = place >= 0
     first = np.where(free, place, n_free).min(axis=1)
     last = np.where(free, place, n_free + k - 1 if k else -1).max(axis=1)
     rows = np.lexsort((last, first))
-    place, root_k = place[rows], np.sqrt(definition.stiffness)[rows]
+    place, values, root_k = place[rows], values[rows], np.sqrt(definition.stiffness)[rows]
     A = np.zeros((m, n_free + k))
     i, j = np.nonzero(free[rows])
-    A[i, place[i, j]] = U[rows[i], k + order[place[i, j]]] * root_k[i]
-    A[:, n_free:] = U[rows, :k] * root_k[:, None]
+    A[i, place[i, j]] = values[i, j] * root_k[i]
+    A[:, n_free:] = U_kernel[rows] * root_k[:, None]
     return A, rows, first[rows], last[rows]
 
 
 def _factor_elongations(
-    definition: LatticeDefinition, N: ConstraintKernel, U: np.ndarray,
+    definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
+    U_kernel: np.ndarray,
 ) -> tuple[np.ndarray, Reflectors, np.ndarray]:
     """Householder QR of ``K^(1/2) U`` in the band of :func:`_band_gather`:
     the triangle, the reflectors, and the springs in band order (row ``i``
     of the QR is spring ``rows[i]``).  The QR overwrites the gathered
     array."""
-    A, rows, first, last = _band_gather(definition, N, U)
+    A, rows, first, last = _band_gather(definition, N, directions, U_kernel)
     return *householder_qr(A, first, last), rows
 
 
-def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
+def _elongation_norm(
+    definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
+    U_kernel: np.ndarray,
+) -> float:
+    """``||U||_F`` from the entries :func:`_band_gather` writes:
+    ``+-directions`` on the free dofs, and ``U_kernel``."""
+    is_free = np.zeros(definition.n_dof, dtype=bool)
+    is_free[N.free] = True
+    dofs, values = _endpoint_entries(definition, directions)
+    return float(np.hypot(np.linalg.norm(values[is_free[dofs]]), np.linalg.norm(U_kernel)))
+
+
+def _elongation_rank(
+    definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
+    U_kernel: np.ndarray, T: np.ndarray,
+) -> int:
     """``rank U`` under :data:`DEFAULT_RANK_TOL`, given the triangle ``T``
     of a Householder QR ``K^(1/2) U = Q_1 T``, inverted in its own place by
     :func:`~latsweep.linalg.triangular_inverse`: the caller's triangle is
@@ -376,17 +443,22 @@ def _elongation_rank(U: np.ndarray, T: np.ndarray, root_k_max: float) -> int:
     ||U||_F ||T^-1||_F sqrt(k_max)``.  A bound of at most half the inverse
     cutoff certifies full column rank under the rule of
     :func:`numerical_rank`; otherwise that rule decides on the singular
-    values of ``U``.  Both give the same verdict where the bound holds.
+    values of ``U``, formed densely for it alone.  Both give the same
+    verdict where the bound holds.
     """
-    n = U.shape[1]
+    n = U_kernel.shape[1] + N.free.size
     with np.errstate(all="ignore"):
         try:
-            bound = np.linalg.norm(U) * np.linalg.norm(triangular_inverse(T[:n])) * root_k_max
+            bound = (
+                _elongation_norm(definition, N, directions, U_kernel)
+                * np.linalg.norm(triangular_inverse(T[:n]))
+                * np.sqrt(definition.stiffness.max())
+            )
         except np.linalg.LinAlgError:  # singular or short triangle
             bound = np.inf
     if bound <= 0.5 / DEFAULT_RANK_TOL:
         return n
-    return numerical_rank(U)
+    return numerical_rank(_elongation_basis(definition, N, directions, U_kernel))
 
 
 def determinacy_ranks(definition: LatticeDefinition) -> tuple[int, int]:
@@ -394,11 +466,13 @@ def determinacy_ranks(definition: LatticeDefinition) -> tuple[int, int]:
     + rank U``, each under the relative cutoff of its own matrix.  The rule
     of :func:`validate_assumptions` and of ``latsweep generate``;
     :func:`assemble` applies the same two tests to the factors it keeps.
-    ``U`` is built as assemble builds it, with no ``C`` formed."""
+    ``U`` is read as assemble reads it, from the spring endpoints and
+    ``U_kernel``, with no ``C`` or ``U`` formed."""
     rank_R, N, _ = constraint_factors(definition.constraint_matrix)
-    U, _ = _elongation_basis(definition, N, _directions(definition)[0])
-    T, _, _ = _factor_elongations(definition, N, U)
-    return rank_R, _elongation_rank(U, T, np.sqrt(definition.stiffness.max()))
+    directions = _directions(definition)[0]
+    _, U_kernel = _kernel_columns(definition, N, directions)
+    T, _, _ = _factor_elongations(definition, N, directions, U_kernel)
+    return rank_R, _elongation_rank(definition, N, directions, U_kernel, T)
 
 
 def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
@@ -440,13 +514,12 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
             "external displacement constraint matrix is rank deficient "
             "(full row rank assumption fails)"
         )
-    U, C_S = _elongation_basis(definition, N, directions)
+    C_S, U_kernel = _kernel_columns(definition, N, directions)
     dim_u = nd - q
     dim_v = m - nd + q
-    T, Q, rows = _factor_elongations(definition, N, U)
-    root_k = np.sqrt(k)
+    T, Q, rows = _factor_elongations(definition, N, directions, U_kernel)
     # [C; R] has a trivial kernel exactly when U = C ker(R) has full column rank
-    determinate = _elongation_rank(U, T, root_k.max()) == dim_u
+    determinate = _elongation_rank(definition, N, directions, U_kernel, T) == dim_u
     del T
     if not determinate:
         raise AssumptionError(
@@ -465,7 +538,7 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     # place, is K-orthonormal.
     V = fix_signs(householder_columns(Q, dim_u, m, rows))
     del Q
-    V /= root_k[:, None]
+    V /= np.sqrt(k)[:, None]
 
     G = V @ (V.T @ (k[:, None] * (C_S @ R_pinv)))
 
@@ -473,7 +546,8 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
         definition=definition,
         directions=directions,
         reference_lengths=lengths,
-        U_basis=U,
+        N=N,
+        U_kernel=U_kernel,
         V_basis=V,
         G=G,
         dims=SystemDims(n, m, d, q, dim_u, dim_v),

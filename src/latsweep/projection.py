@@ -381,6 +381,14 @@ def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return C
 
 
+def _norm(r: np.ndarray) -> float:
+    """``||r||`` of a finite ``r``, scaled by the power of two of its
+    largest entry: no square overflows, and the value is ``np.linalg.norm``'s
+    bit for bit wherever that one stays in range."""
+    _, exponent = np.frexp(np.max(np.abs(r), initial=0.0))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(r, -exponent)), exponent))
+
+
 def _working_set_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``lstsq(C, rhs)`` on the signed active columns ``C`` of a working set,
     with singular values up to :data:`~latsweep.linalg.DEFAULT_RANK_TOL`
@@ -434,7 +442,7 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
             # At the working-set optimum: check multipliers of active rows.
             neg = _negative_multipliers(lam, tol)
             if not np.any(neg):
-                return y0 + white.back(d), idx, lam, float(np.linalg.norm(r))
+                return y0 + white.back(d), idx, lam, _norm(r)
             active[idx[np.flatnonzero(neg)[np.argmin(lam[neg])]]] = False
             continue
         # Line search toward the working-set optimum: along -r the slacks of
@@ -513,7 +521,7 @@ def project_cone(
     kkt = max(
         np.max(excess[held], initial=0.0),  # primal feasibility
         abs(float(mu @ excess[idx])),       # complementarity
-        float(np.linalg.norm(r)),           # stationarity
+        _norm(r),                           # stationarity
         -np.min(mu, initial=0.0),           # nonnegative multipliers
     )
     if not kkt <= DEFAULT_TOL:

@@ -211,11 +211,11 @@ def initial_state(
     if spec is None:
         spec = build_moving_set(sys, space, loads)
     shift = spec.force_shift(loads.f(0.0))
-    balance = sys.U_basis.T @ (sigma0 + sys.stiffness * shift)
+    balance = sys.balance(sigma0 + sys.stiffness * shift)
     # each entry sums stresses over the springs, so it is held to the sum
     # of their elastic ranges, weighted by |U|: no verdict moves with units
     # (a zero balance, as of a zero stress, passes at any scale)
-    if balance.any() and np.any(np.abs(balance) > INITIAL_TOL * (np.abs(sys.U_basis).T @ width)):
+    if balance.any() and np.any(np.abs(balance) > INITIAL_TOL * sys.balance(width, absolute=True)):
         raise InitialConditionError(
             "initial stress is not self-equilibrated with the initial force load"
         )

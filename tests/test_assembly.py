@@ -23,7 +23,7 @@ from latsweep.generators import (
 )
 from latsweep.lattice import LatticeDefinition
 from latsweep.leapfrog import leapfrog
-from latsweep.linalg import PANEL, nullspace_basis, numerical_rank
+from latsweep.linalg import PANEL, nullspace_basis, numerical_rank, weighted_gram
 from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_check
 
 from helpers import (
@@ -614,10 +614,15 @@ def test_elongation_projector_is_lazy_and_read_only():
         state0 = initial_state(system, np.zeros(10), loads, space, spec)
         leapfrog(system, spec, state0, loads)
         catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 50))
+    # no solve without a force load reads the dense U
+    assert "U_basis" not in vars(system)
     safe_load_check(system, np.ones(system.dims.n_nodes * system.dims.dimension))
-    # the elongation projector and H are test oracles: only F is ever cached
+    # the elongation projector and H are test oracles: only F, and the dense
+    # U that F and a force load's safe-load set read, are ever cached
     fields = {f.name for f in dataclasses.fields(system)}
-    assert set(vars(system)) - fields <= {"F"}
+    assert "U_basis" not in fields
+    assert set(vars(system)) - fields <= {"F", "U_basis"}
+    assert not system.U_basis.flags.writeable and system.U_basis is system.U_basis
     assert not hasattr(system, "P_U") and not hasattr(system, "H")
 
 
@@ -680,9 +685,14 @@ def _certificate_bound(monkeypatch, definition):
     bounds = []
     certify = assembly._elongation_rank
 
-    def recorded(U, T, root_k_max):
+    def recorded(definition, N, directions, U_kernel, T):
+        U = assembly._elongation_basis(definition, N, directions, U_kernel)
+        root_k_max = np.sqrt(definition.stiffness.max())
         bounds.append(np.linalg.norm(U) * np.linalg.norm(np.linalg.inv(T)) * root_k_max)
-        return certify(U, T, root_k_max)
+        assert assembly._elongation_norm(definition, N, directions, U_kernel) == pytest.approx(
+            np.linalg.norm(U), rel=1e-14
+        )
+        return certify(definition, N, directions, U_kernel, T)
 
     monkeypatch.setattr(assembly, "_elongation_rank", recorded)
     system = assemble(definition)
@@ -705,13 +715,15 @@ def test_certificate_bound_does_not_depend_on_numbering(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["relabelled grid", "8x8 patch", "dense constraint rows"])
 def test_band_gather_is_k_root_u_reordered_and_banded(case):
-    # read only where U can hold a nonzero, the gather still holds all of
-    # K^(1/2) U, with its rows and columns permuted and no nonzero outside
-    # each row's span
+    # written from the spring endpoints and U_kernel alone, the gather
+    # holds all of K^(1/2) U, with its rows and columns permuted and no
+    # nonzero outside each row's span
     definition = _band_cases()[case]
     N = constraint_factors(definition.constraint_matrix)[1]
     U = compatibility_matrix(definition)[0] @ N
-    A, rows, first, last = assembly._band_gather(definition, N, U)
+    directions = assembly._directions(definition)[0]
+    U_kernel = assembly._kernel_columns(definition, N, directions)[1]
+    A, rows, first, last = assembly._band_gather(definition, N, directions, U_kernel)
     assert np.array_equal(np.sort(rows), np.arange(U.shape[0]))
     B = (np.sqrt(definition.stiffness)[:, None] * U)[rows]
     by_bytes = {B[:, j].tobytes(): j for j in range(B.shape[1])}
@@ -754,10 +766,11 @@ def test_assemble_matches_the_dense_compatibility_route_bit_for_bit(case):
 
 
 def test_solve_and_generate_never_form_the_dense_compatibility(tmp_path, monkeypatch):
-    def refuse(definition):
-        raise AssertionError("the dense compatibility matrix was formed")
+    def refuse(*args):
+        raise AssertionError("a dense compatibility matrix or U was formed")
 
     monkeypatch.setattr(assembly, "compatibility_matrix", refuse)
+    monkeypatch.setattr(assembly, "_elongation_basis", refuse)
     net = tmp_path / "grid.json"
     assert cli.main(["generate", "grid", "--out", str(net)]) == 0
     for solver in ("leapfrog", "catchup"):
@@ -771,19 +784,63 @@ def test_rank_certificate_allocates_less_than_its_triangle():
     # product, above what is alive on entry
     definition = build_tri_grid_with_hole()[0]
     _, N, _ = constraint_factors(definition.constraint_matrix)
-    U, _ = assembly._elongation_basis(definition, N, assembly._directions(definition)[0])
-    T, _, _ = assembly._factor_elongations(definition, N, U)
-    n = U.shape[1]
+    directions = assembly._directions(definition)[0]
+    U_kernel = assembly._kernel_columns(definition, N, directions)[1]
+    T, _, _ = assembly._factor_elongations(definition, N, directions, U_kernel)
+    n = T.shape[1]
     assert n == 340
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        rank = assembly._elongation_rank(U, T, np.sqrt(definition.stiffness.max()))
+        rank = assembly._elongation_rank(definition, N, directions, U_kernel, T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rank == n
     assert peak - entry < n * n * np.dtype(float).itemsize
+
+
+def test_assemble_peak_holds_no_dense_u_beside_its_band_gather():
+    # the band gather, its triangle and the triangle's in-place inverse set
+    # the peak, with no dense U beside them: one would add m x dim_u to it
+    # (4.55 MB against 3.19 MB)
+    definition = build_tri_grid_with_hole()[0]
+    m, dim_u = definition.n_springs, definition.n_dof - definition.n_constraints
+    tracemalloc.start()
+    try:
+        system = assemble(definition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.dims.dim_u == dim_u == 340
+    assert peak < 2.5 * m * dim_u * np.dtype(float).itemsize
+
+
+def test_force_map_and_safe_load_check_read_the_kept_constraint_kernel(monkeypatch, grid_with_hole):
+    # F and the safe-load set read the N that assemble keeps, with no second
+    # factorization of R, and F is what that factorization gave, bit for bit
+    definition = grid_with_hole[0]
+    system = assemble(definition)
+    N = constraint_factors(definition.constraint_matrix)[1]
+
+    def refuse(R):
+        raise AssertionError("R was factored again")
+
+    monkeypatch.setattr(assembly, "constraint_factors", refuse)
+    U, k = system.U_basis, system.stiffness
+    reference = (N @ np.linalg.solve(weighted_gram(U, k), U.T)).T
+    assert system.F.tobytes() == reference.tobytes()
+    assert safe_load_check(system, np.zeros(definition.n_dof))
+    assert not safe_load_check(system, np.full(definition.n_dof, 1e6))
+
+
+def test_balance_is_u_transpose_without_u(example1, grid_with_hole):
+    rng = np.random.default_rng(8)
+    for system in (example1[2], grid_with_hole[2], assemble(_dense_constraint_lattice())):
+        s = rng.standard_normal(system.dims.n_springs)
+        U = system.U_basis
+        assert np.allclose(system.balance(s), U.T @ s, rtol=0, atol=1e-13)
+        assert np.allclose(system.balance(s, absolute=True), np.abs(U).T @ s, rtol=0, atol=1e-13)
 
 
 def test_assembled_systems_compare_by_identity():

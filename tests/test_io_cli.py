@@ -849,10 +849,11 @@ def test_cli_exit_codes_under_schema_mutations(tmp_path, capsys):
     assert {0, 1} <= codes
 
 
-@pytest.mark.parametrize("solver", ["leapfrog", "catchup"])
+@pytest.mark.parametrize("solver", ["leapfrog"])
 def test_cli_refuses_arithmetic_out_of_range(tmp_path, capsys, solver):
     # a rate of 1e308 overflows the squared norm of the drive: leapfrog
     # wrote NaN stresses and exited 0, where the solve must fail by name
+    # (catch-up runs through it: see the test below)
     path, doc = example1_document(tmp_path)
     doc["constraints"]["rate"]["values"][0][1] = 1e308
     path.write_text(json.dumps(doc))
@@ -860,6 +861,22 @@ def test_cli_refuses_arithmetic_out_of_range(tmp_path, capsys, solver):
     assert code == 2
     assert "latsweep: error: overflow encountered" in capsys.readouterr().err
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_cli_catchup_runs_through_a_rate_of_1e308(tmp_path, capsys):
+    # the kernel's residual norms are scaled by their largest entry, so a
+    # finite residual with entries near 1e154 and above does not overflow:
+    # catch-up finds example1's first event in both spaces
+    path, doc = example1_document(tmp_path)
+    doc["constraints"]["rate"]["values"][0][1] = 1e308
+    path.write_text(json.dumps(doc))
+    for space in ("full", "reduced"):
+        out = tmp_path / space
+        argv = ["solve", str(path), "--solver", "catchup", "--space", space, "--mesh", "0.125", "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert "(1 events)" in capsys.readouterr().out
+        events = (tmp_path / f"{space}.events.csv").read_text().splitlines()
+        assert events[1:] == ["0,0.08,0,lower", "0,0.08,1,lower", "0,0.08,2,upper", "0,0.08,3,upper"]
 
 
 def test_cli_validate_refuses_a_spring_length_out_of_range(tmp_path, capsys):
