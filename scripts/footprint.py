@@ -1,4 +1,5 @@
-"""Print the memory footprint of ``assemble`` on named networks.
+"""Print the memory footprint of ``assemble`` and of catch-up's states on
+named networks.
 
     python scripts/footprint.py [--src <src-dir>] grid periodic8x8 periodic32x32
 
@@ -11,7 +12,11 @@ path of a network file.  For each network it prints
   arrays but not LAPACK's workspace;
 - the bytes of each array the ``AssembledSystem`` keeps, as assembled,
   before any solve builds a cached one; the lattice definition is the
-  input and is not counted.
+  input and is not counted;
+- the bytes a catch-up trajectory keeps per state in each space, traced
+  by ``tracemalloc`` around a run of :data:`STEPS` steps of the network's
+  own loads from zero stress, as ``latsweep solve`` starts, divided by its
+  states after the first, and in units of one m-vector.
 
 ``<src-dir>`` holds the ``latsweep`` package, by default this checkout's
 ``src``: running the script on two trees compares their footprints.
@@ -30,21 +35,24 @@ import numpy as np
 
 MB = 1e6
 
+#: Steps of the catch-up run whose kept bytes are counted per state.
+STEPS = 20
+
 
 def build(name: str):
-    """The lattice definition a name stands for."""
+    """The lattice definition and the loads a name stands for."""
     from latsweep.generators import build_example1, build_tri_grid_with_hole, build_triangular_periodic
     from latsweep.io import load_network
 
     if name == "example1":
-        return build_example1()[0]
+        return build_example1()
     if name == "grid":
-        return build_tri_grid_with_hole()[0]
+        return build_tri_grid_with_hole()
     cells = re.fullmatch(r"periodic(\d+)x(\d+)", name)
     if cells:
-        return build_triangular_periodic(int(cells[1]), int(cells[2]))[0]
+        return build_triangular_periodic(int(cells[1]), int(cells[2]))
     if Path(name).is_file():
-        return load_network(name)[0]
+        return load_network(name)
     raise SystemExit(f"unknown network {name!r}: example1, grid, periodic<X>x<Y> or a network file")
 
 
@@ -66,10 +74,28 @@ def kept_arrays(system) -> dict[str, int]:
     return sizes
 
 
+def bytes_per_state(system, loads, space) -> float:
+    """Bytes a :data:`STEPS`-step catch-up run keeps per state it adds."""
+    from latsweep.catchup import TimePartition, catchup
+    from latsweep.sweeping import build_moving_set, initial_state
+
+    spec = build_moving_set(system, space, loads)
+    state0 = initial_state(system, np.zeros(system.dims.n_springs), loads, space, spec)
+    partition = TimePartition.uniform(loads.horizon, STEPS)
+    tracemalloc.start()
+    try:
+        trajectory = catchup(system, spec, state0, loads, partition)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return kept / (len(trajectory.states) - 1)
+
+
 def footprint(name: str) -> str:
     from latsweep.assembly import assemble
+    from latsweep.sweeping import Space
 
-    definition = build(name)
+    definition, loads = build(name)
     tracemalloc.start()
     try:
         system = assemble(definition)
@@ -78,12 +104,17 @@ def footprint(name: str) -> str:
         tracemalloc.stop()
     dims = system.dims
     sizes = sorted(kept_arrays(system).items(), key=lambda item: -item[1])
+    vector = 8 * dims.n_springs
+    per_state = {space.value: bytes_per_state(system, loads, space) for space in Space}
     return "\n".join([
         f"{name}: nodes {dims.n_nodes}, springs {dims.n_springs}, constraints {dims.n_constraints}, "
         f"dim_u {dims.dim_u}, dim_v {dims.dim_v}",
         f"  assemble peak {peak / MB:.3f} MB (tracemalloc)",
         f"  kept {sum(size for _, size in sizes) / MB:.3f} MB: "
         + ", ".join(f"{field} {size / MB:.3f}" for field, size in sizes),
+        f"  catch-up keeps per state ({STEPS} steps): "
+        + ", ".join(f"{space} {size / 1e3:.2f} kB ({size / vector:.2f} m-vectors)"
+                    for space, size in per_state.items()),
     ])
 
 

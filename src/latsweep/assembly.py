@@ -157,7 +157,7 @@ class AssembledSystem:
     def U_basis(self) -> np.ndarray:
         """The dense m x dim_u ``U = [U_kernel, C_F]`` of
         :func:`_elongation_basis`, read-only, built on first read: only
-        :attr:`F`, the safe-load linear program and tests read it."""
+        the safe-load linear program and tests read it."""
         U = _elongation_basis(self.definition, self.N, self.directions, self.U_kernel)
         U.flags.writeable = False
         return U
@@ -172,9 +172,9 @@ class AssembledSystem:
         ``U^T H = N^T`` because ``R N = 0``, so the K-orthogonal projection
         onto the elongation space is ``F = U (U^T K U)^-1 N^T = (N (U^T K
         U)^-1 U^T)^T``: one solve and one product with the blocks of the
-        ``N`` assemble keeps, and no ``H``.
+        ``N`` assemble keeps, and no ``H``; this ``U`` is not kept.
         """
-        U = self.U_basis
+        U = _elongation_basis(self.definition, self.N, self.directions, self.U_kernel)
         F = (self.N @ np.linalg.solve(weighted_gram(U, self.stiffness), U.T)).T
         F.flags.writeable = False
         return F
@@ -350,8 +350,8 @@ def _elongation_basis(
     U_kernel: np.ndarray,
 ) -> np.ndarray:
     """The dense ``U = [U_kernel, C_F]``, with ``C_F`` filled from the
-    spring endpoints.  Only :attr:`AssembledSystem.U_basis` and the rank
-    certificate's fallback form it."""
+    spring endpoints.  Only ``U_basis``, ``F`` and the rank certificate's
+    fallback form it."""
     k = U_kernel.shape[1]
     U = np.zeros((definition.n_springs, k + N.free.size))
     U[:, :k] = U_kernel

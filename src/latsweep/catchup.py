@@ -191,7 +191,7 @@ def catchup(
     y - c``, which is ``static_set(spec, -F f)``: one set per force level.
     The solve runs in the coordinates ``y`` in ``V``, in a weight of ones,
     whose whitening is the identity (``V`` is K-orthonormal), from ``u_0 =
-    reduce(epsilon_0 - F f(0))`` of ``state0``'s elongations, as leapfrog
+    reduce(sigma_0 / k - F f(0))`` of ``state0``'s stresses, as leapfrog
     does; states leave it through ``spec.view``.  Each projection is hinted
     by the last one's active bounds.
     While the force stays, each step starts from ``u_n``, a point of that
@@ -199,8 +199,8 @@ def catchup(
     the module docstring).  When the force changes, the start comes from
     the spec's phase-1 linear program, in stress units, the one
     ``check-safe-load`` solves, and an empty set raises
-    :class:`SafeLoadError`.  A state is ``y = u + c`` and ``epsilon =
-    lift(u) + F f``.  The frames, states and events of a run of at most
+    :class:`SafeLoadError`.  A state is ``y = u + c`` and ``sigma = k
+    (lift(u) + F f)``.  The frames, states and events of a run of at most
     ``STACKED_ROWS`` time points are computed on stacked rows.
     """
     if partition.points[-1] > loads.horizon * (1.0 + 1e-12):
@@ -213,7 +213,7 @@ def catchup(
     weight, active = np.ones(system.dims.dim_v), None
     f = loads.f(0.0)
     shift = spec.force_shift(f)
-    u = spec.reduce(state0.epsilon + shift)
+    u = spec.reduce(state0.sigma / system.stiffness + shift)
     poly = static_set(spec, shift)
     face, phase_one = None, False
     states, events = [state0], []
@@ -248,13 +248,13 @@ def catchup(
             on = np.zeros(poly.n_inequalities, dtype=bool)
             on[list(active)] = True
             face = _Face(on, _columns(poly.A.T, np.flatnonzero(on)))
-        epsilon = np.empty((j - i, lower.size))
-        np.subtract(spec.lift(path.T).T, shift, out=epsilon)
-        sigma = system.stiffness * epsilon
+        sigma = np.empty((j - i, lower.size))
+        np.subtract(spec.lift(path.T).T, shift, out=sigma)
+        sigma *= system.stiffness
         path += frames[:, 1:].T  # now y = u + c
         ys = spec.view(path.T).T
         for row, t in enumerate(times[i:j]):
-            states.append(SweepingState(time=float(t), y=ys[row], sigma=sigma[row], epsilon=epsilon[row]))
+            states.append(SweepingState(time=float(t), y=ys[row], sigma=sigma[row]))
         found, activity = detect_events(times[i:j], sigma, lower, upper, activity, len(events))
         events += found
 

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedLoadError,
 )
 from .lattice import LoadSchedule
-from .projection import PolyhedralSet, project_cone
+from .projection import PolyhedralSet, _norm, project_cone
 from .sweeping import MovingSetSpec, SweepingState
 from .trajectory import EventRecord, Trajectory
 
@@ -138,7 +138,7 @@ def leapfrog(
     Requires a constant force load; displacement and strain rates may be
     piecewise constant (each segment satisfies the constant-rate
     precondition on its own).  The solve runs in catch-up's frame, from
-    ``u = reduce(epsilon_0 + shift)`` in ``static_set(spec, shift)``, with
+    ``u = reduce(sigma_0 / k + shift)`` in ``static_set(spec, shift)``, with
     ``shift`` the force shift; a state is ``y = u + spec.frame(loads, t)``
     and ``sigma = k (lift(u) - shift)``, and leaves through ``spec.view``.
     Each pass of the event loop, at a segment start or an arrival, takes
@@ -161,11 +161,11 @@ def leapfrog(
     segments = list(zip(breaks, breaks[1:] + [float(horizon)]))
 
     shift = spec.force_shift(loads.f(0.0))
-    u = spec.reduce(state0.epsilon + shift)
+    u = spec.reduce(state0.sigma / k + shift)
 
     def state(t):
         sigma = k * (spec.lift(u) - shift)
-        return SweepingState(time=t, y=spec.view(u + spec.frame(loads, t)), sigma=sigma, epsilon=sigma / k)
+        return SweepingState(time=t, y=spec.view(u + spec.frame(loads, t)), sigma=sigma)
 
     states = [state0]
     events: list[EventRecord] = []
@@ -175,7 +175,7 @@ def leapfrog(
     zdot = None
     for t_start, t_end in segments:
         drive = spec.reduce(spec.offset_rate(loads, t_start))
-        drive_norm = float(np.sqrt(drive @ drive))
+        drive_norm = _norm(drive)
         drive_speed = float(np.abs(spec.lift(drive)).max(initial=0.0))
         t, arrivals = t_start, frozenset()
         for _ in range(50 * system.dims.n_springs + 100):
@@ -197,7 +197,7 @@ def leapfrog(
                 )
                 if arrivals:
                     states.append(now)
-            if float(np.sqrt(zdot @ zdot)) <= STABILIZATION_TOL * drive_norm:
+            if _norm(zdot) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
             tau, hits = _event_candidates(spec, u, zdot, shift)
             if tau is None or t + tau > t_end - 1e-15 * horizon:

@@ -30,14 +30,12 @@ DEFAULT_RANK_TOL = 1e-10
 PANEL = 64
 
 
-def _check_matrix(A: np.ndarray, rank_tol: float) -> np.ndarray:
+def _check_matrix(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InvalidInputError(f"expected a 2-d array, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix has non-finite entries")
-    if not rank_tol > 0:
-        raise InvalidInputError("rank_tol must be positive")
     return A
 
 
@@ -58,33 +56,33 @@ def fix_signs(N: np.ndarray) -> np.ndarray:
     return N
 
 
-def _rank(s: np.ndarray, rank_tol: float) -> int:
-    return int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
+def _rank(s: np.ndarray) -> int:
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size else 0
 
 
-def pseudoinverse(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular-value cutoff."""
-    A = _check_matrix(A, rank_tol)
+def pseudoinverse(A: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, cut at :data:`DEFAULT_RANK_TOL`."""
+    A = _check_matrix(A)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    r = _rank(s, rank_tol)
+    r = _rank(s)
     return (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
-def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rank_tol`` times the largest one."""
-    A = _check_matrix(A, rank_tol)
-    return _rank(np.linalg.svd(A, compute_uv=False), rank_tol)
+def numerical_rank(A: np.ndarray) -> int:
+    """Number of singular values above ``DEFAULT_RANK_TOL`` times the largest."""
+    A = _check_matrix(A)
+    return _rank(np.linalg.svd(A, compute_uv=False))
 
 
-def nullspace_basis(A: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nullspace_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel of ``A`` as columns.
 
     Returns an ``n x 0`` array when the kernel is trivial.  Columns carry a
     deterministic sign: the entry of largest magnitude is positive.
     """
-    A = _check_matrix(A, rank_tol)
+    A = _check_matrix(A)
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    return fix_signs(vt[_rank(s, rank_tol):].T.copy())
+    return fix_signs(vt[_rank(s):].T.copy())
 
 
 def inverse_cholesky_factor(S: np.ndarray) -> np.ndarray:

@@ -184,8 +184,8 @@ class Whitening:
         return v if self.Z is None else self.Z.T @ _weight_apply(self.S, v)
 
     def norm(self, v: np.ndarray) -> float:
-        """``||v||_S``, with no product for the identity."""
-        return float(np.sqrt(max(v @ (v if self.Z is None else _weight_apply(self.S, v)), 0.0)))
+        """``||v||_S`` by :func:`_norm`, with no product for the identity."""
+        return _norm(v, None if self.Z is None else self.S)
 
     def back(self, w: np.ndarray) -> np.ndarray:
         """``Z w``: a whitened step back as a step in ``y`` (``w`` itself
@@ -381,12 +381,14 @@ def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return C
 
 
-def _norm(r: np.ndarray) -> float:
-    """``||r||`` of a finite ``r``, scaled by the power of two of its
-    largest entry: no square overflows, and the value is ``np.linalg.norm``'s
-    bit for bit wherever that one stays in range."""
+def _norm(r: np.ndarray, S: np.ndarray | None = None) -> float:
+    """``||r||``, or ``||r||_S`` in a weight ``S``, of a finite ``r``, scaled
+    by the power of two of its largest entry: no square overflows, and the
+    value is the unscaled one bit for bit wherever that stays in range."""
     _, exponent = np.frexp(np.max(np.abs(r), initial=0.0))
-    return float(np.ldexp(np.linalg.norm(np.ldexp(r, -exponent)), exponent))
+    r = np.ldexp(r, -exponent)
+    norm = np.linalg.norm(r) if S is None else np.sqrt(max(r @ _weight_apply(S, r), 0.0))
+    return float(np.ldexp(norm, exponent))
 
 
 def _working_set_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -172,12 +172,12 @@ def static_set(spec: MovingSetSpec, offset: np.ndarray) -> PolyhedralSet:
 
 @dataclass(frozen=True)
 class SweepingState:
-    """One sample of the evolution: sweeping variable plus recovered stresses."""
+    """One sample of the evolution: sweeping variable and stresses; the
+    elastic elongations are ``sigma / k``."""
 
     time: float
-    y: np.ndarray        # sweeping variable, as MovingSetSpec.view reports it
-    sigma: np.ndarray    # spring stresses
-    epsilon: np.ndarray  # elastic elongations
+    y: np.ndarray      # sweeping variable, as MovingSetSpec.view reports it
+    sigma: np.ndarray  # spring stresses
 
 
 def initial_state(
@@ -220,10 +220,9 @@ def initial_state(
             "initial stress is not self-equilibrated with the initial force load"
         )
 
-    epsilon = sigma0 / sys.stiffness
     # the frame coordinates both integrators start from, moved by c(0)
-    y = spec.view(spec.reduce(epsilon + shift) + spec.frame(loads, 0.0))
-    return SweepingState(time=0.0, y=y, sigma=sigma0, epsilon=epsilon)
+    y = spec.view(spec.reduce(sigma0 / sys.stiffness + shift) + spec.frame(loads, 0.0))
+    return SweepingState(time=0.0, y=y, sigma=sigma0)
 
 
 def _safe_load_set(system: AssembledSystem, shift: np.ndarray | float) -> PolyhedralSet:

@@ -618,7 +618,7 @@ def test_elongation_projector_is_lazy_and_read_only():
     assert "U_basis" not in vars(system)
     safe_load_check(system, np.ones(system.dims.n_nodes * system.dims.dimension))
     # the elongation projector and H are test oracles: only F, and the dense
-    # U that F and a force load's safe-load set read, are ever cached
+    # U that a force load's safe-load set reads, are ever cached
     fields = {f.name for f in dataclasses.fields(system)}
     assert "U_basis" not in fields
     assert set(vars(system)) - fields <= {"F", "U_basis"}
@@ -827,9 +827,11 @@ def test_force_map_and_safe_load_check_read_the_kept_constraint_kernel(monkeypat
         raise AssertionError("R was factored again")
 
     monkeypatch.setattr(assembly, "constraint_factors", refuse)
+    F = system.F
+    assert "U_basis" not in vars(system)  # F forms its own dense U and drops it
     U, k = system.U_basis, system.stiffness
     reference = (N @ np.linalg.solve(weighted_gram(U, k), U.T)).T
-    assert system.F.tobytes() == reference.tobytes()
+    assert F.tobytes() == reference.tobytes()
     assert safe_load_check(system, np.zeros(definition.n_dof))
     assert not safe_load_check(system, np.full(definition.n_dof, 1e6))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from latsweep.lattice import LoadSchedule
 from latsweep.leapfrog import leapfrog
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import PolyhedralSet, find_feasible_point, project
-from latsweep.sweeping import Space, build_moving_set, initial_state, safe_load_check, static_set
+from latsweep.sweeping import Space, SweepingState, build_moving_set, initial_state, safe_load_check, static_set
 
 from helpers import (
     abstract_catchup,
@@ -97,12 +98,33 @@ def test_states_satisfy_invariants(example1):
     traj = catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 100))
     eq = full_form_rows(system)
     for state in traj.states:
-        assert np.allclose(state.sigma, system.stiffness * state.epsilon, atol=1e-12)
         assert np.all(state.sigma <= definition.upper_limits + 1e-8)
         assert np.all(state.sigma >= definition.lower_limits - 1e-8)
-        assert np.abs(eq @ state.epsilon).max() <= 1e-8  # equilibrium, f = 0
+        assert np.abs(eq @ (state.sigma / system.stiffness)).max() <= 1e-8  # equilibrium, f = 0
         # the reported spring vector: in the shifted box and on the plane
         assert full_form_set(system, box_offset(spec, loads, state.time)).contains(state.y, tol=1e-8)
+
+
+def test_a_state_keeps_its_stresses_once(grid_with_hole):
+    # a state holds time, y and sigma; the elastic elongations are sigma / k
+    assert [f.name for f in dataclasses.fields(SweepingState)] == ["time", "y", "sigma"]
+    _, loads, system = grid_with_hole
+    m, steps = system.dims.n_springs, 200
+    part = TimePartition.uniform(loads.horizon, steps)
+    # bytes kept per step, in units of one m-vector: sigma, the frame's y
+    # (V y, m more, in the full space) and the bookkeeping of a state
+    for space, budget in ((Space.FULL, 2.5), (Space.REDUCED, 1.75)):
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, np.zeros(m), loads, space, spec)
+        catchup(system, spec, state0, loads, part)
+        tracemalloc.start()
+        try:
+            traj = catchup(system, spec, state0, loads, part)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == steps + 1
+        assert kept <= budget * 8 * m * steps, (space, kept / (8 * m * steps))
 
 
 def test_full_reduced_equivalence_small_mesh(example1):

@@ -479,7 +479,7 @@ def test_cli_spaces_agree(tmp_path):
             assert len(full.states) == len(reduced.states)
             for a, b in zip(full.states, reduced.states):
                 assert a.time == b.time and a.y.shape == (definition.n_springs,)
-                assert np.array_equal(a.sigma, b.sigma) and np.array_equal(a.epsilon, b.epsilon)
+                assert np.array_equal(a.sigma, b.sigma)
                 assert np.linalg.norm(a.y - V @ b.y) <= 1e-15 * np.linalg.norm(V @ b.y)
             assert len(full.events) == len(reduced.events) >= 2
             for a, b in zip(full.events, reduced.events):
@@ -849,13 +849,14 @@ def test_cli_exit_codes_under_schema_mutations(tmp_path, capsys):
     assert {0, 1} <= codes
 
 
-@pytest.mark.parametrize("solver", ["leapfrog"])
+@pytest.mark.parametrize("solver", ["leapfrog", "catchup"])
 def test_cli_refuses_arithmetic_out_of_range(tmp_path, capsys, solver):
-    # a rate of 1e308 overflows the squared norm of the drive: leapfrog
-    # wrote NaN stresses and exited 0, where the solve must fail by name
-    # (catch-up runs through it: see the test below)
+    # a rate of 1e308 run to t = 10 overflows the displacement r(t) itself:
+    # the solve must fail by name, not write inf or NaN stresses (to the
+    # example's own horizon both solvers run through it: see below)
     path, doc = example1_document(tmp_path)
     doc["constraints"]["rate"]["values"][0][1] = 1e308
+    doc["horizon"] = 10
     path.write_text(json.dumps(doc))
     code = main(["solve", str(path), "--solver", solver, "--mesh", "1e-2", "--out", str(tmp_path / "run")])
     assert code == 2
@@ -877,6 +878,30 @@ def test_cli_catchup_runs_through_a_rate_of_1e308(tmp_path, capsys):
         assert "(1 events)" in capsys.readouterr().out
         events = (tmp_path / f"{space}.events.csv").read_text().splitlines()
         assert events[1:] == ["0,0.08,0,lower", "0,0.08,1,lower", "0,0.08,2,upper", "0,0.08,3,upper"]
+
+
+def test_cli_leapfrog_runs_through_a_rate_of_1e308(tmp_path, capsys):
+    # the drive's and the velocity's norms are scaled by their largest
+    # entry, so a finite drive near 1e308 does not overflow: leapfrog
+    # finds example1's three events in both spaces and ends where one-step
+    # catch-up does
+    path, doc = example1_document(tmp_path)
+    doc["constraints"]["rate"]["values"][0][1] = 1e308
+    path.write_text(json.dumps(doc))
+    for space in ("full", "reduced"):
+        runs = {}
+        for solver, extra in (("leapfrog", []), ("catchup", ["--mesh", "0.125"])):
+            out = tmp_path / f"{solver}-{space}"
+            argv = ["solve", str(path), "--solver", solver, "--space", space, "--out", str(out)] + extra
+            assert main(argv) == 0, capsys.readouterr().err
+            runs[solver] = out
+        assert "(3 events)" in capsys.readouterr().out
+        rows = (tmp_path / f"leapfrog-{space}.events.csv").read_text().splitlines()[1:]
+        assert [(e, j, side) for e, _, j, side in (row.split(",") for row in rows)] == [
+            ("0", "4", "lower"), ("0", "5", "lower"), ("1", "2", "upper"),
+            ("1", "3", "upper"), ("2", "0", "lower"), ("2", "1", "lower")]
+        last = {solver: out.with_suffix(".csv").read_text().splitlines()[-1] for solver, out in runs.items()}
+        assert last["leapfrog"] == last["catchup"]
 
 
 def test_cli_validate_refuses_a_spring_length_out_of_range(tmp_path, capsys):

@@ -522,5 +522,6 @@ def test_reduced_grid_solve_multiplies_by_no_weight(grid_with_hole, monkeypatch)
     assert products == [] and factors == []
     # the general kernel still weighs and factors where the whitening is
     # not the identity
-    project(system.stiffness, state0.epsilon, full_form_set(system, 0.0), start=state0.epsilon)
+    epsilon0 = state0.sigma / system.stiffness
+    project(system.stiffness, epsilon0, full_form_set(system, 0.0), start=epsilon0)
     assert products and factors == ["nullspace_basis", "inverse_cholesky_factor"]

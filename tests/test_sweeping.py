@@ -33,7 +33,7 @@ def test_initial_state_prestressed_is_valid(example1):
     sigma0 = example1_prestressed_stress()
     state = initial_state(system, sigma0, loads, Space.FULL)
     assert np.allclose(state.sigma, sigma0)
-    assert np.allclose(state.epsilon, sigma0)  # unit stiffness
+    assert np.allclose(state.sigma / system.stiffness, sigma0)  # unit stiffness
 
 
 def test_initial_state_rejects_inadmissible(example1):
@@ -174,7 +174,7 @@ def test_recover_stress_round_trip(example1):
         state = initial_state(system, sigma0, loads, space, spec)
         eps, sigma = recover_stress(system, state.y, 0.0, loads, space, spec)
         assert np.allclose(sigma, sigma0, atol=1e-14)
-        assert np.allclose(eps, state.epsilon, atol=1e-14)
+        assert np.allclose(eps, state.sigma / system.stiffness, atol=1e-14)
 
 
 def test_zero_displacement_gives_zero_stress(example1):
