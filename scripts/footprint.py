@@ -1,5 +1,5 @@
-"""Print the memory footprint of ``assemble`` and of catch-up's states on
-named networks.
+"""Print the memory footprint of ``assemble``, ``validate_assumptions`` and
+catch-up's states on named networks.
 
     python scripts/footprint.py [--src <src-dir>] grid periodic8x8 periodic32x32
 
@@ -8,8 +8,9 @@ A name is ``example1``, ``grid`` (the 15 x 14 grid with a hole),
 path of a network file.  For each network it prints
 
 - the dimensions: nodes, springs, constraints, ``dim_u`` and ``dim_v``;
-- the peak of ``assemble``, traced by ``tracemalloc``, which sees NumPy's
-  arrays but not LAPACK's workspace;
+- the peaks of ``assemble`` and of ``validate_assumptions`` (what
+  ``latsweep validate`` runs), each traced on its own by ``tracemalloc``,
+  which sees NumPy's arrays but not LAPACK's workspace;
 - the bytes of each array the ``AssembledSystem`` keeps, as assembled,
   before any solve builds a cached one; the lattice definition is the
   input and is not counted;
@@ -91,17 +92,24 @@ def bytes_per_state(system, loads, space) -> float:
     return kept / (len(trajectory.states) - 1)
 
 
-def footprint(name: str) -> str:
-    from latsweep.assembly import assemble
-    from latsweep.sweeping import Space
-
-    definition, loads = build(name)
+def traced_peak(function, *args):
+    """``function(*args)`` and the peak bytes ``tracemalloc`` saw it take."""
     tracemalloc.start()
     try:
-        system = assemble(definition)
+        result = function(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def footprint(name: str) -> str:
+    from latsweep.assembly import assemble, validate_assumptions
+    from latsweep.sweeping import Space
+
+    definition, loads = build(name)
+    system, peak = traced_peak(assemble, definition)
+    _, validate_peak = traced_peak(validate_assumptions, definition)
     dims = system.dims
     sizes = sorted(kept_arrays(system).items(), key=lambda item: -item[1])
     vector = 8 * dims.n_springs
@@ -109,7 +117,8 @@ def footprint(name: str) -> str:
     return "\n".join([
         f"{name}: nodes {dims.n_nodes}, springs {dims.n_springs}, constraints {dims.n_constraints}, "
         f"dim_u {dims.dim_u}, dim_v {dims.dim_v}",
-        f"  assemble peak {peak / MB:.3f} MB (tracemalloc)",
+        f"  assemble peak {peak / MB:.3f} MB, validate_assumptions peak {validate_peak / MB:.3f} MB"
+        " (tracemalloc)",
         f"  kept {sum(size for _, size in sizes) / MB:.3f} MB: "
         + ", ".join(f"{field} {size / MB:.3f}" for field, size in sizes),
         f"  catch-up keeps per state ({STEPS} steps): "

@@ -26,14 +26,16 @@ on a solve: each is built only on request, on the first read of
 A spring's row of ``U`` holds at most ``2d`` nonzeros, so ``K^(1/2) U`` is
 factored in a band: free dofs in a reverse Cuthill-McKee order of the node
 graph, ``ker R_S`` last and springs sorted by their first column
-(:func:`_band_gather`, written from the spring endpoints and
-``U_kernel``).  That one QR gives the rest:
+(:func:`_band_gather`, which reads the nonzeros from the spring endpoints
+and ``U_kernel``).  The QR takes those nonzeros, not a dense m x dim_u
+array: each panel scatters the rows that start in it into a front of the
+rows and columns it can reach.  That one QR gives the rest:
 
 - its triangle ``T`` certifies the determinacy check, that ``U`` has full
   column rank (see :func:`_elongation_rank`), through a blocked inverse of
   ``T`` taken in ``T``'s own place, as ``T`` is dropped right after, so no
   second n x n array is allocated, and ``||U||_F`` summed from the entries
-  the band gather writes; ``||T^-1||_F`` does not depend on the order of
+  the band gather reads; ``||T^-1||_F`` does not depend on the order of
   rows and columns;
 - the trailing columns ``W`` of its orthogonal factor, built in spring
   order, span ``ker (K^(1/2) U)^T``, so ``V = K^(-1/2) W`` is a
@@ -49,7 +51,10 @@ endpoints (:meth:`AssembledSystem.balance`), and the force map ``F``, the
 only solve-time reader of the dense ``U``, is built on first use.  Every
 check of the assumptions reads ``rank [C; R]`` as ``rank R + rank U``, each
 under the relative cutoff of its own matrix: no verdict moves with the
-units of ``R``.
+units of ``R``.  :func:`validate_assumptions` counts the bare lattice's
+zero modes from one more band QR, of ``C`` gathered with every dof free:
+its triangle has the singular values of ``C``, and no m x nd ``C`` is
+formed.
 """
 
 from __future__ import annotations
@@ -325,7 +330,8 @@ def constraint_factors(R: np.ndarray) -> tuple[int, ConstraintKernel, np.ndarray
     rank = numerical_rank(R_S)
     if rank < q:
         return rank, ConstraintKernel(support, free, nullspace_basis(R_S)), None
-    T, Q = householder_qr(R_S.T)
+    i, j = np.nonzero(R_S.T)
+    T, Q = householder_qr((i, j, R_S.T[i, j]), R_S.T.shape)
     pinv = householder_columns(Q, 0, q) @ triangular_inverse(T).T
     block = fix_signs(householder_columns(Q, q, support.size))
     return rank, ConstraintKernel(support, free, block), pinv
@@ -362,13 +368,13 @@ def _elongation_basis(
 
 def _band_gather(
     definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
-    U_kernel: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``K^(1/2) U`` with its rows and columns in a band order, written
-    from the spring endpoints and ``U_kernel``, with no ``U`` formed: ``(A,
-    rows, first, last)``, with row ``i`` of ``A`` spring ``rows[i]``, whose
-    nonzeros lie in columns ``first[i]`` to ``last[i]`` (``last[i] = -1``
-    for a zero row).
+    U_kernel: np.ndarray, weights: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of ``diag(weights) U`` with its rows and columns in a
+    band order, read from the spring endpoints and ``U_kernel``, with no
+    ``U`` formed: ``((i, j, v), rows, first, last)``, entries sorted by row
+    ``i``, with row ``i`` spring ``rows[i]``, whose nonzeros lie in columns
+    ``first[i]`` to ``last[i]`` (``last[i] = -1`` for a zero row).
 
     Free dofs follow a reverse Cuthill-McKee order of the node graph and
     the columns of ``ker R_S`` go last.  A spring's row of ``U = [C_S ker
@@ -396,31 +402,35 @@ def _band_gather(
     first = np.where(free, place, n_free).min(axis=1)
     last = np.where(free, place, n_free + k - 1 if k else -1).max(axis=1)
     rows = np.lexsort((last, first))
-    place, values, root_k = place[rows], values[rows], np.sqrt(definition.stiffness)[rows]
-    A = np.zeros((m, n_free + k))
-    i, j = np.nonzero(free[rows])
-    A[i, place[i, j]] = values[i, j] * root_k[i]
-    A[:, n_free:] = U_kernel[rows] * root_k[:, None]
-    return A, rows, first[rows], last[rows]
+    position = np.empty(m, dtype=int)  # the band row of each spring
+    position[rows] = np.arange(m)
+    s, c = np.nonzero(free)
+    s_k, c_k = np.nonzero(U_kernel)
+    i = position[np.concatenate([s, s_k])]
+    j = np.concatenate([place[s, c], n_free + c_k])
+    v = np.concatenate([values[s, c] * weights[s], U_kernel[s_k, c_k] * weights[s_k]])
+    by_row = np.argsort(i, kind="stable")
+    return (i[by_row], j[by_row], v[by_row]), rows, first[rows], last[rows]
 
 
 def _factor_elongations(
     definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
-    U_kernel: np.ndarray,
+    U_kernel: np.ndarray, weights: np.ndarray,
 ) -> tuple[np.ndarray, Reflectors, np.ndarray]:
-    """Householder QR of ``K^(1/2) U`` in the band of :func:`_band_gather`:
-    the triangle, the reflectors, and the springs in band order (row ``i``
-    of the QR is spring ``rows[i]``).  The QR overwrites the gathered
-    array."""
-    A, rows, first, last = _band_gather(definition, N, directions, U_kernel)
-    return *householder_qr(A, first, last), rows
+    """Householder QR of ``diag(weights) U`` in the band of
+    :func:`_band_gather`, from its nonzeros: the triangle, the reflectors,
+    and the springs in band order (row ``i`` of the QR is spring
+    ``rows[i]``)."""
+    entries, rows, first, last = _band_gather(definition, N, directions, U_kernel, weights)
+    shape = (definition.n_springs, N.free.size + U_kernel.shape[1])
+    return *householder_qr(entries, shape, first, last), rows
 
 
 def _elongation_norm(
     definition: LatticeDefinition, N: ConstraintKernel, directions: np.ndarray,
     U_kernel: np.ndarray,
 ) -> float:
-    """``||U||_F`` from the entries :func:`_band_gather` writes:
+    """``||U||_F`` from the entries :func:`_band_gather` reads:
     ``+-directions`` on the free dofs, and ``U_kernel``."""
     is_free = np.zeros(definition.n_dof, dtype=bool)
     is_free[N.free] = True
@@ -471,16 +481,22 @@ def determinacy_ranks(definition: LatticeDefinition) -> tuple[int, int]:
     rank_R, N, _ = constraint_factors(definition.constraint_matrix)
     directions = _directions(definition)[0]
     _, U_kernel = _kernel_columns(definition, N, directions)
-    T, _, _ = _factor_elongations(definition, N, directions, U_kernel)
+    T = _factor_elongations(definition, N, directions, U_kernel, np.sqrt(definition.stiffness))[0]
     return rank_R, _elongation_rank(definition, N, directions, U_kernel, T)
 
 
 def validate_assumptions(definition: LatticeDefinition) -> RigidityReport:
-    """Rigidity diagnostics; never raises on a failed assumption."""
-    compat, _, _ = compatibility_matrix(definition)
-    m, nd, q = definition.n_springs, definition.n_dof, definition.n_constraints
+    """Rigidity diagnostics; never raises on a failed assumption.
 
-    rank_compat = numerical_rank(compat)
+    ``rank C`` is that of the triangle of a band QR of ``C``, gathered as
+    :func:`_band_gather` gathers ``U`` with every dof free, no ``U_kernel``
+    and unit weights: ``C = Q T`` with ``Q`` orthogonal, so ``T`` has the
+    singular values of ``C``, and the dense m x nd ``C`` is not formed."""
+    m, nd, q = definition.n_springs, definition.n_dof, definition.n_constraints
+    every_dof = ConstraintKernel(np.empty(0, dtype=int), np.arange(nd), np.zeros((0, 0)))
+    directions = _directions(definition)[0]
+    T = _factor_elongations(definition, every_dof, directions, np.zeros((m, 0)), np.ones(m))[0]
+    rank_compat = numerical_rank(T)
     zero_modes = nd - rank_compat
     self_stress = m - rank_compat
     rank_R, rank_U = determinacy_ranks(definition)
@@ -517,7 +533,7 @@ def assemble(definition: LatticeDefinition) -> AssembledSystem:
     C_S, U_kernel = _kernel_columns(definition, N, directions)
     dim_u = nd - q
     dim_v = m - nd + q
-    T, Q, rows = _factor_elongations(definition, N, directions, U_kernel)
+    T, Q, rows = _factor_elongations(definition, N, directions, U_kernel, np.sqrt(k))
     # [C; R] has a trivial kernel exactly when U = C ker(R) has full column rank
     determinate = _elongation_rank(definition, N, directions, U_kernel, T) == dim_u
     del T

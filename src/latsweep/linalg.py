@@ -5,12 +5,14 @@ triangular inverse.
 The pseudoinverse, rank and nullspaces are SVD-based, so rank-deficient
 matrices are handled uniformly.  The QR and triangle helpers work in blocks
 of :data:`PANEL` columns with NumPy's LAPACK and BLAS alone, and no square
-orthogonal factor is formed.  :func:`householder_qr` takes a raw
-``numpy.linalg.qr`` of each panel on the rows the panel can reach and
-applies its reflectors in compact-WY form (Schreiber & Van Loan, 1989) to
-the columns those rows can fill, so a banded matrix is factored in its band
-and a dense one is the case where every row reaches every column.
-Matrices are plain 2-d ``numpy`` arrays; vectors are 1-d arrays.
+orthogonal factor is formed.  :func:`householder_qr` takes its matrix as
+nonzeros in row order and factors each panel on a dense front: the rows
+the panel can reach, and the columns those rows can fill.  The front takes
+a raw ``numpy.linalg.qr`` of the panel's columns and the panel's
+reflectors in compact-WY form (Schreiber & Van Loan, 1989) update the rest
+of it, so a banded matrix is factored in its band with no dense copy of
+it, and a dense one is the case where every row reaches every column.
+Other matrices are plain 2-d ``numpy`` arrays; vectors are 1-d arrays.
 """
 
 from __future__ import annotations
@@ -131,54 +133,93 @@ class Reflectors(NamedTuple):
 
 
 def householder_qr(
-    A: np.ndarray, first: np.ndarray | None = None, last: np.ndarray | None = None,
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, int],
+    first: np.ndarray | None = None, last: np.ndarray | None = None,
 ) -> tuple[np.ndarray, Reflectors]:
-    """Householder QR ``A = Q R`` in panels of :data:`PANEL` columns, with only
-    the rows and columns each panel can reach touched: ``R`` (``min(m, n) x
-    n``, upper triangular) and the :class:`Reflectors` of ``Q``.  ``A`` is
-    overwritten, and holds the reflectors.
+    """Householder QR ``A = Q R`` in panels of :data:`PANEL` columns, of an
+    ``A`` given by its nonzeros and never formed: ``R`` (``min(m, n) x n``,
+    upper triangular) and the :class:`Reflectors` of ``Q``.
 
-    ``first[i]`` and ``last[i]`` bound the columns of row ``i`` that may
-    hold a nonzero (``last[i] = -1`` for a zero row), and ``first`` must not
-    decrease down the rows; by default every row spans every column, as a
-    dense matrix does.  A panel on columns ``j0:j1`` takes a raw
-    ``numpy.linalg.qr`` of rows ``j0`` to the last row with ``first < j1``,
-    and its update touches the columns up to the largest ``last`` of those
-    rows and the rows above them, which bounds the fill.  Each panel's
-    reflectors ``Y`` are kept in ``A`` in the panel's place, with ``T^-1 = striu(Y^T Y)
-    + diag(1/tau)`` (Joffrain et al., 2006) inverted by
-    :func:`triangular_inverse`; a reflector with ``tau = 0`` is the
+    ``entries`` is ``(i, j, v)``, ``A[i, j] = v``, sorted by row ``i``, and
+    ``shape`` is ``(m, n)``.  ``first[i]`` and ``last[i]`` bound the columns
+    of row ``i`` that may hold a nonzero (``last[i] = -1`` for a zero row),
+    and ``first`` must not decrease down the rows; by default every row spans
+    every column, as a dense matrix does.  A panel on columns ``j0:j1`` works
+    on a dense front: rows ``j0`` to ``r1``, the last row with ``first <
+    j1``, and columns ``j0`` to ``j1`` or up to the largest ``last`` of
+    those rows, which bounds the fill.  The front holds the rows the
+    previous panel left, with its update, and the rows that start in this
+    panel, scattered in from ``entries``; it takes a raw
+    ``numpy.linalg.qr`` of its first ``j1 - j0`` columns and applies the
+    reflectors ``Y`` to the rest in compact-WY form, with ``T^-1 =
+    striu(Y^T Y) + diag(1/tau)`` (Joffrain et al., 2006) inverted by
+    :func:`triangular_inverse`.  A reflector with ``tau = 0`` is the
     identity, as a column already zero below its diagonal gives, and is
-    kept as a zero column of ``Y``.
+    kept as a zero column of ``Y``.  A row no panel reaches (its ``first``
+    is past the panel that holds its diagonal) keeps its entries in ``R``.
+    Beside ``R`` and the panels' ``Y`` and ``T``, one front is held at a
+    time, and what it leaves to the next panel is copied out before the
+    next front is allocated.
     """
-    m, n = A.shape
+    i, j, v = entries
+    m, n = shape
+    p = min(m, n)
     if first is None:
         first, last = np.zeros(m, dtype=int), np.full(m, n - 1)
     reach = np.maximum.accumulate(last) + 1  # columns rows 0..i can fill
-    panels, diagonal = [], []
-    for j0 in range(0, min(m, n), PANEL):
+    start = np.searchsorted(i, np.arange(m + 1))  # row r's entries: start[r]:start[r + 1]
+
+    def scatter(out, r0, r1, origin):
+        """Rows ``r0:r1`` of ``A`` into ``out``, whose entry ``(0, 0)`` is
+        ``A``'s ``(origin, origin)``."""
+        rows = slice(start[r0], start[r1])
+        out[i[rows] - origin, j[rows] - origin] = v[rows]
+
+    R = np.zeros((p, n))
+    panels = []
+    front, loaded = np.zeros((0, 0)), 0  # rows j0:loaded of the next panel, from column j0
+    for j0 in range(0, p, PANEL):
         j1 = min(j0 + PANEL, n)
         r1 = max(int(np.searchsorted(first, j1)), j0)
+        if loaded < j0:  # rows loaded:j0 reach no panel: their entries lie right of their diagonal
+            scatter(R, loaded, j0, 0)
+            front, loaded = np.zeros((0, 0)), j0
         if r1 == j0:
             continue
-        h, tau = np.linalg.qr(A[j0:r1, j0:j1], mode="raw")
-        w = tau.size
-        diagonal.append((j0, np.triu(h[:, :w].T)))
-        Y = A[j0:r1, j0:j0 + w]
-        Y[...] = np.tril(h[:w].T, -1)
-        Y[np.arange(w), np.arange(w)] = 1.0
-        Y[:, tau == 0] = 0.0
-        T_inv = np.triu(Y.T @ Y, 1)
-        T_inv[np.diag_indices(w)] = np.divide(1.0, tau, out=np.ones(w), where=tau != 0)
-        T = triangular_inverse(T_inv)
-        trailing = A[j0:r1, j1:reach[r1 - 1]]
-        if trailing.size:
-            trailing -= Y @ (T.T @ (Y.T @ trailing))
+        c1 = max(reach[r1 - 1], j1)
+        F = np.zeros((r1 - j0, c1 - j0))
+        F[:front.shape[0], :front.shape[1]] = front
+        del front
+        scatter(F, loaded, r1, j0)
+        loaded = r1
+        block, Y, T = _panel(F, j1 - j0)
+        w = block.shape[0]
+        R[j0:j0 + w, j0:j1] = block
+        R[j0:j0 + w, j1:c1] = F[:w, j1 - j0:]
         panels.append((j0, Y, T))
-    R = np.triu(A[:min(m, n)])
-    for j0, block in diagonal:
-        R[j0:j0 + block.shape[0], j0:j0 + block.shape[1]] = block
+        front = F[w:, j1 - j0:].copy()
+        del F  # before the next front is allocated
+    scatter(R, loaded, max(loaded, p), 0)
     return R, Reflectors(tuple(panels), m)
+
+
+def _panel(F: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor the first ``width`` columns of the front ``F`` and apply the
+    reflectors to the rest of ``F`` in place: the panel's rows of ``R`` on
+    those columns, and its compact-WY ``Y`` and ``T``."""
+    h, tau = np.linalg.qr(F[:, :width], mode="raw")
+    w = tau.size
+    block = np.triu(h[:, :w].T)
+    Y = np.tril(h[:w].T, -1)
+    del h
+    Y[np.arange(w), np.arange(w)] = 1.0
+    Y[:, tau == 0] = 0.0
+    T_inv = np.triu(Y.T @ Y, 1)
+    T_inv[np.diag_indices(w)] = np.divide(1.0, tau, out=np.ones(w), where=tau != 0)
+    T = triangular_inverse(T_inv)
+    if F.shape[1] > width:
+        F[:, width:] -= Y @ (T.T @ (Y.T @ F[:, width:]))
+    return block, Y, T
 
 
 def householder_columns(

@@ -715,17 +715,21 @@ def test_certificate_bound_does_not_depend_on_numbering(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["relabelled grid", "8x8 patch", "dense constraint rows"])
 def test_band_gather_is_k_root_u_reordered_and_banded(case):
-    # written from the spring endpoints and U_kernel alone, the gather
-    # holds all of K^(1/2) U, with its rows and columns permuted and no
-    # nonzero outside each row's span
+    # written from the spring endpoints and U_kernel alone, the gathered
+    # entries hold all of K^(1/2) U, with its rows and columns permuted and
+    # no nonzero outside each row's span
     definition = _band_cases()[case]
     N = constraint_factors(definition.constraint_matrix)[1]
     U = compatibility_matrix(definition)[0] @ N
     directions = assembly._directions(definition)[0]
     U_kernel = assembly._kernel_columns(definition, N, directions)[1]
-    A, rows, first, last = assembly._band_gather(definition, N, directions, U_kernel)
+    root_k = np.sqrt(definition.stiffness)
+    (i, j, v), rows, first, last = assembly._band_gather(definition, N, directions, U_kernel, root_k)
+    assert np.all(np.diff(i) >= 0)  # entries in row order
+    A = np.zeros(U.shape)
+    A[i, j] = v
     assert np.array_equal(np.sort(rows), np.arange(U.shape[0]))
-    B = (np.sqrt(definition.stiffness)[:, None] * U)[rows]
+    B = (root_k[:, None] * U)[rows]
     by_bytes = {B[:, j].tobytes(): j for j in range(B.shape[1])}
     cols = [by_bytes.get(A[:, c].tobytes(), -1) for c in range(A.shape[1])]
     assert sorted(cols) == list(range(U.shape[1]))
@@ -786,7 +790,7 @@ def test_rank_certificate_allocates_less_than_its_triangle():
     _, N, _ = constraint_factors(definition.constraint_matrix)
     directions = assembly._directions(definition)[0]
     U_kernel = assembly._kernel_columns(definition, N, directions)[1]
-    T, _, _ = assembly._factor_elongations(definition, N, directions, U_kernel)
+    T = assembly._factor_elongations(definition, N, directions, U_kernel, np.sqrt(definition.stiffness))[0]
     n = T.shape[1]
     assert n == 340
     tracemalloc.start()
@@ -801,19 +805,48 @@ def test_rank_certificate_allocates_less_than_its_triangle():
 
 
 def test_assemble_peak_holds_no_dense_u_beside_its_band_gather():
-    # the band gather, its triangle and the triangle's in-place inverse set
-    # the peak, with no dense U beside them: one would add m x dim_u to it
-    # (4.55 MB against 3.19 MB)
-    definition = build_tri_grid_with_hole()[0]
-    m, dim_u = definition.n_springs, definition.n_dof - definition.n_constraints
-    tracemalloc.start()
-    try:
-        system = assemble(definition)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert system.dims.dim_u == dim_u == 340
-    assert peak < 2.5 * m * dim_u * np.dtype(float).itemsize
+    # the band QR works on one front at a time from the gathered entries:
+    # its triangle, the reflectors and the front set the peak, with no
+    # dense m x dim_u gather or U beside them (a dense gather read 2.37 and
+    # 2.09 m x dim_u arrays)
+    for build, dim_u, bound in (
+        (build_tri_grid_with_hole, 340, 2.0),
+        (lambda: build_triangular_periodic(16, 16), 510, 1.75),
+    ):
+        definition = build()[0]
+        m = definition.n_springs
+        tracemalloc.start()
+        try:
+            system = assemble(definition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.dims.dim_u == definition.n_dof - definition.n_constraints == dim_u
+        assert peak < bound * m * dim_u * np.dtype(float).itemsize
+
+
+def test_rigidity_report_counts_zero_modes_as_the_dense_svd_does():
+    # validate_assumptions reads rank C from the triangle of C's band QR:
+    # the singular values of C, so the same count as a values-only SVD of
+    # the dense C, on grids, periodic patches and lattices with mechanisms
+    rng = np.random.default_rng(123)
+    braced = braced_square_frame()
+    open_square = dataclasses.replace(  # the braced square without its diagonals: one mechanism
+        braced, incidence=braced.incidence[:, :4], stiffness=np.ones(4),
+        lower_limits=-np.ones(4), upper_limits=np.ones(4),
+    )
+    lattices = [build_example1()[0], triangle(), braced, open_square, single_spring()]
+    lattices += [build_tri_grid_with_hole(rows, cols)[0] for rows, cols in ((15, 14), (20, 19), (30, 28))]
+    lattices += [build_triangular_periodic(cells, cells)[0] for cells in (2, 4, 8, 16, 24)]
+    lattices += [random_small_lattice(rng) for _ in range(10)]
+    mechanisms = 0
+    for definition in lattices:
+        rank_C = numerical_rank(compatibility_matrix(definition)[0])
+        report = validate_assumptions(definition)
+        assert report.zero_modes == definition.n_dof - rank_C
+        assert report.self_stress_states == definition.n_springs - rank_C
+        mechanisms += report.mechanisms > 0
+    assert mechanisms
 
 
 def test_force_map_and_safe_load_check_read_the_kept_constraint_kernel(monkeypatch, grid_with_hole):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,11 +137,17 @@ def test_weighted_gram_dimension_mismatch():
         weighted_gram(np.eye(3), np.ones(2))
 
 
+def _qr(A, first=None, last=None):
+    """``householder_qr`` of a dense ``A``, handed over as its nonzeros."""
+    i, j = np.nonzero(A)
+    return householder_qr((i, j, A[i, j]), A.shape, first, last)
+
+
 def _complete_and_raw(A):
     """``Q`` of the complete QR of ``A`` and the blocks the reflectors give."""
     m, n = A.shape
     Q = np.linalg.qr(A, mode="complete")[0]
-    _, reflectors = householder_qr(A.copy())
+    _, reflectors = _qr(A)
     return Q, householder_columns(reflectors, 0, n), householder_columns(reflectors, n, m)
 
 
@@ -204,7 +212,7 @@ def _check_band_qr(A, first=None, last=None):
     m, n = A.shape
     p = min(m, n)
     Q, R = np.linalg.qr(A, mode="complete")
-    T, reflectors = householder_qr(A.copy(), first, last)
+    T, reflectors = _qr(A, first, last)
     assert T.shape == (p, n)
     signs = np.where(np.diag(T) * np.diag(R[:p]) < 0, -1.0, 1.0)[:, None]
     assert np.abs(signs * T - R[:p]).max() <= 1e-13 * max(np.abs(R).max(), 1.0)
@@ -269,17 +277,47 @@ def test_householder_qr_of_panels_that_share_no_rows():
 
 def test_householder_qr_of_no_columns_and_reordered_rows():
     # dim_u = 0, as in a chain of two pinned nodes: Q is the identity
-    T, reflectors = householder_qr(np.zeros((3, 0)), np.zeros(3, dtype=int), np.full(3, -1))
+    T, reflectors = _qr(np.zeros((3, 0)), np.zeros(3, dtype=int), np.full(3, -1))
     assert T.shape == (0, 0) and not reflectors.panels
     rows = np.array([2, 0, 1])
     assert np.array_equal(householder_columns(reflectors, 0, 3, rows), np.eye(3)[rows].T)
     # with rows, row i of Q lands in row rows[i]
     rng = np.random.default_rng(4)
     A, first, last = _band(rng, 200, 130, 25)
-    _, reflectors = householder_qr(A, first, last)
+    _, reflectors = _qr(A, first, last)
     rows = rng.permutation(200)
     placed = householder_columns(reflectors, 130, 200, rows)
     assert np.array_equal(placed[rows], householder_columns(reflectors, 130, 200))
+
+
+def test_householder_qr_of_a_tall_narrow_band_holds_no_dense_matrix():
+    # 3000 x 1000 with at most 8 nonzeros a row, handed over as entries:
+    # beyond the R and the reflectors it returns, the QR holds one front
+    # and its panel's temporaries, under a quarter of the m x n array a
+    # dense gather would be; R and the Y of the reflectors are a third
+    # each, so all of it stays below that array
+    rng = np.random.default_rng(17)
+    m, n = 3000, 1000
+    first = np.sort(rng.integers(0, n, m))
+    last = np.minimum(first + rng.integers(0, 8, m), n - 1)
+    i = np.repeat(np.arange(m), last - first + 1)
+    j = np.concatenate([np.arange(a, b + 1) for a, b in zip(first, last)])
+    v = rng.standard_normal(i.size)
+    tracemalloc.start()
+    try:
+        R, reflectors = householder_qr((i, j, v), (m, n), first, last)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense = m * n * np.dtype(float).itemsize
+    kept = R.nbytes + sum(Y.nbytes + T.nbytes for _, Y, T in reflectors.panels)
+    assert peak - kept < dense / 4
+    assert peak < dense
+    A = np.zeros((m, n))
+    A[i, j] = v
+    reference = np.linalg.qr(A, mode="r")
+    signs = np.where(np.diag(R) * np.diag(reference) < 0, -1.0, 1.0)[:, None]
+    assert np.abs(signs * R - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("n", [0, 1, PANEL, PANEL + 1, 340])
