@@ -17,7 +17,11 @@ path of a network file.  For each network it prints
 - the bytes a catch-up trajectory keeps per state in each space, traced
   by ``tracemalloc`` around a run of :data:`STEPS` steps of the network's
   own loads from zero stress, as ``latsweep solve`` starts, divided by its
-  states after the first, and in units of one m-vector.
+  states after the first, and in units of one m-vector;
+- the peak of an in-process ``latsweep solve --solver catchup`` in each
+  space, at :data:`STEPS` steps and at ten times as many, and their ratio.
+  The CLI folds each state into its curve row as it is made: past one
+  block of ``STACKED_ROWS`` steps, its peak grows by those rows alone.
 
 ``<src-dir>`` holds the ``latsweep`` package, by default this checkout's
 ``src``: running the script on two trees compares their footprints.
@@ -26,9 +30,12 @@ path of a network file.  For each network it prints
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import re
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -103,6 +110,28 @@ def traced_peak(function, *args):
     return result, peak
 
 
+def cli_catchup_peaks(definition, loads, space) -> tuple[int, int]:
+    """Peak bytes of an in-process ``latsweep solve --solver catchup`` of
+    the network in ``space``, at :data:`STEPS` steps and at ten times as
+    many."""
+    from latsweep.cli import main
+    from latsweep.io import save_network
+
+    peaks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        network = f"{tmp}/network.json"
+        save_network(network, definition, loads)
+        for steps in (STEPS, 10 * STEPS):
+            argv = ["solve", network, "--solver", "catchup", "--space", space.value,
+                    "--mesh", repr(loads.horizon / steps), "--out", f"{tmp}/out"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code, peak = traced_peak(main, argv)
+            if code != 0:
+                raise SystemExit(f"latsweep {' '.join(argv)} exited {code}")
+            peaks.append(peak)
+    return peaks[0], peaks[1]
+
+
 def footprint(name: str) -> str:
     from latsweep.assembly import assemble, validate_assumptions
     from latsweep.sweeping import Space
@@ -114,6 +143,7 @@ def footprint(name: str) -> str:
     sizes = sorted(kept_arrays(system).items(), key=lambda item: -item[1])
     vector = 8 * dims.n_springs
     per_state = {space.value: bytes_per_state(system, loads, space) for space in Space}
+    cli_peaks = {space.value: cli_catchup_peaks(definition, loads, space) for space in Space}
     return "\n".join([
         f"{name}: nodes {dims.n_nodes}, springs {dims.n_springs}, constraints {dims.n_constraints}, "
         f"dim_u {dims.dim_u}, dim_v {dims.dim_v}",
@@ -124,6 +154,9 @@ def footprint(name: str) -> str:
         f"  catch-up keeps per state ({STEPS} steps): "
         + ", ".join(f"{space} {size / 1e3:.2f} kB ({size / vector:.2f} m-vectors)"
                     for space, size in per_state.items()),
+        f"  CLI catch-up peak at {STEPS} and {10 * STEPS} steps (tracemalloc): "
+        + ", ".join(f"{space} {small / MB:.3f} and {large / MB:.3f} MB ({large / small:.2f}x)"
+                    for space, (small, large) in cli_peaks.items()),
     ])
 
 

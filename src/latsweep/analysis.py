@@ -48,14 +48,19 @@ def strain_series(
     use the displacement of the fastest constraint row divided by the
     reference span between the moving and fixed constrained node groups.
     """
-    traj_times = np.asarray(traj_times, dtype=float)
+    return _strain_map(loads, definition)(np.asarray(traj_times, dtype=float))
+
+
+def _strain_map(loads: LoadSchedule, definition):
+    """The map from an array of times to their strains, for
+    :func:`strain_series`; it works on each time alone."""
     if loads.strain_times is not None:
-        return loads.gamma(traj_times)
+        return loads.gamma
     r0 = loads.r(0.0)
     rT = loads.r(loads.horizon)
     j = int(np.argmax(np.abs(rT - r0)))
     span = _constraint_span(definition, loads)
-    return np.abs(loads.r(traj_times)[:, j] - r0[j]) / span
+    return lambda times: np.abs(loads.r(times)[:, j] - r0[j]) / span
 
 
 def _constraint_span(definition, loads: LoadSchedule) -> float:
@@ -80,6 +85,56 @@ def _constraint_span(definition, loads: LoadSchedule) -> float:
     return span if span > 0 else 1.0
 
 
+class CurveFold:
+    """A sink for an integrator's states that keeps the curve row of each,
+    ``(time, strain, sigma11, sigma22, sigma12)``.
+
+    The stress components of :func:`total_stress` are linear in the
+    stresses: each is one product of the stacked stresses with the spring
+    weights ``L_i D_ia D_ib / V``.  The fold holds the stresses of at most
+    ``STACKED_ROWS`` states, and takes one product per group ``[0:32],
+    [32:64], ...`` of the states in the order they come: the same products
+    however the states reach it.  :func:`stress_strain_curve` reads it.
+    """
+
+    def __init__(self, system: AssembledSystem, loads: LoadSchedule, volume: float):
+        if not volume > 0:
+            raise InvalidInputError("volume must be positive")
+        D = system.directions
+        pairs = ((0, 0), (1, 1), (0, 1)) if system.dims.dimension >= 2 else ((0, 0),)
+        self._weights = np.column_stack([system.reference_lengths * D[:, a] * D[:, b] for a, b in pairs]) / volume
+        self.system, self.loads, self.volume = system, loads, volume
+        self._strain = _strain_map(loads, system.definition)
+        self._times, self._stresses = [], []  # of the group being filled
+        self._groups = []  # the rows of each full group
+
+    def append(self, state) -> None:
+        self._times.append(state.time)
+        self._stresses.append(state.sigma)
+        if len(self._times) == STACKED_ROWS:
+            self._groups.append(self._rows())
+            self._times, self._stresses = [], []
+
+    def __len__(self) -> int:
+        return STACKED_ROWS * len(self._groups) + len(self._times)
+
+    def _rows(self) -> np.ndarray:
+        """The curve rows of the group being filled; a 1-D lattice's
+        sigma22 and sigma12 are 0."""
+        times = np.array(self._times)
+        components = np.array(self._stresses) @ self._weights
+        rows = np.zeros((times.size, 5))
+        rows[:, 0] = times
+        rows[:, 1] = self._strain(times)
+        rows[:, 2 : 2 + components.shape[1]] = components
+        return rows
+
+    def curve(self) -> dict[str, np.ndarray]:
+        """The curve of the states so far, by column."""
+        rows = np.vstack(self._groups + ([self._rows()] if self._times else []))
+        return {key: rows[:, i] for i, key in enumerate(CURVE_HEADER.split(","))}
+
+
 def stress_strain_curve(
     traj: Trajectory,
     system: AssembledSystem,
@@ -88,30 +143,20 @@ def stress_strain_curve(
 ) -> dict[str, np.ndarray]:
     """Sampled (time, strain, total-stress components) along a trajectory.
 
-    The components of :func:`total_stress` are linear in the stresses: each
-    is one product of the stacked stresses with the spring weights ``L_i
-    D_ia D_ib / V``, taken ``STACKED_ROWS`` states at a time so that no
-    copy of all the stresses is held at once.
+    The states pass through a :class:`CurveFold`, which takes its products
+    ``STACKED_ROWS`` states at a time, so that no copy of all the stresses
+    is held at once.  A trajectory whose states went into a fold as they
+    were made, as the CLI runs, is read from that fold, which must have been
+    made for the same system, loads and volume.
     """
-    if not volume > 0:
-        raise InvalidInputError("volume must be positive")
-    times = traj.times()
-    D = system.directions
-    pairs = ((0, 0), (1, 1), (0, 1)) if system.dims.dimension >= 2 else ((0, 0),)
-    weights = np.column_stack([system.reference_lengths * D[:, a] * D[:, b] for a, b in pairs]) / volume
-    states = traj.states
-    components = np.vstack([
-        np.array([state.sigma for state in states[k : k + STACKED_ROWS]]) @ weights
-        for k in range(0, len(states), STACKED_ROWS)
-    ])
-    zeros = np.zeros(times.size)
-    return {
-        "time": times,
-        "strain": strain_series(times, loads, system.definition),
-        "sigma11": components[:, 0],
-        "sigma22": components[:, 1] if len(pairs) > 1 else zeros,
-        "sigma12": components[:, 2] if len(pairs) > 1 else zeros,
-    }
+    fold = traj.states
+    if not isinstance(fold, CurveFold):
+        fold = CurveFold(system, loads, volume)
+        for state in traj.states:
+            fold.append(state)
+    elif not (fold.system is system and fold.loads is loads and fold.volume == volume):
+        raise InvalidInputError("the trajectory's states were folded for another system, loads or volume")
+    return fold.curve()
 
 
 @dataclass(frozen=True)
@@ -236,15 +281,14 @@ EVENTS_HEADER = "event,time,spring,side"
 
 
 def write_curve_csv(path, curve: dict) -> None:
-    rows = [CURVE_HEADER]
-    for i in range(len(curve["time"])):
-        rows.append(
-            ",".join(
-                _fmt(curve[key][i])
-                for key in ("time", "strain", "sigma11", "sigma22", "sigma12")
-            )
-        )
-    _write_text(path, "\n".join(rows) + "\n")
+    """Write the curve ``STACKED_ROWS`` rows at a time; ``repr`` of a float
+    is its shortest round-trip form."""
+    columns = [curve[key] for key in CURVE_HEADER.split(",")]
+    with _open_text(path) as fh:
+        fh.write(CURVE_HEADER + "\n")
+        for k in range(0, len(columns[0]), STACKED_ROWS):
+            rows = np.column_stack([column[k : k + STACKED_ROWS] for column in columns]).tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def write_events_csv(path, events) -> None:
@@ -285,6 +329,10 @@ def read_events_csv(path) -> np.ndarray:
     return np.array(times)
 
 
+def _open_text(path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(text)

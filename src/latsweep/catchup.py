@@ -39,7 +39,7 @@ from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from .lattice import LoadSchedule, _same
 from .projection import DEFAULT_TOL, _columns, _negative_multipliers, _on_bounds, _working_set_solve, project
 from .sweeping import MovingSetSpec, SweepingState, static_set
-from .trajectory import STACKED_ROWS, EventRecord, Trajectory
+from .trajectory import STACKED_ROWS, EventRecord, StateSink, Trajectory
 
 #: Fraction of the elastic range within which a stress counts as sitting
 #: on a yield bound during a posteriori event detection.
@@ -181,6 +181,7 @@ def catchup(
     state0: SweepingState,
     loads: LoadSchedule,
     partition: TimePartition,
+    states: StateSink | None = None,
 ) -> Trajectory:
     """Project step by step along the partition and recover stresses.
 
@@ -202,6 +203,11 @@ def catchup(
     :class:`SafeLoadError`.  A state is ``y = u + c`` and ``sigma = k
     (lift(u) + F f)``.  The frames, states and events of a run of at most
     ``STACKED_ROWS`` time points are computed on stacked rows.
+
+    Each state, ``state0`` first, is appended to ``states`` once its run is
+    done: a new list by default, which keeps them all, or any sink with
+    ``append`` and ``len``, such as the CLI's ``analysis.CurveFold``, which
+    keeps five numbers each.  The returned trajectory holds that sink.
     """
     if partition.points[-1] > loads.horizon * (1.0 + 1e-12):
         raise InvalidInputError("partition extends beyond the load horizon")
@@ -216,7 +222,9 @@ def catchup(
     u = spec.reduce(state0.sigma / system.stiffness + shift)
     poly = static_set(spec, shift)
     face, phase_one = None, False
-    states, events = [state0], []
+    states = [] if states is None else states
+    states.append(state0)
+    events = []
     activity = bound_activity(state0.sigma, lower, upper)
     for i, j, f_next in _runs(loads, times):
         frames = spec.frame(loads, times[i - 1 : j])

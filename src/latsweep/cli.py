@@ -224,11 +224,14 @@ def _solve_one(network, args, prefix, sigma0) -> str:
     if sigma0 is None:
         sigma0 = np.zeros(m)
     state0 = initial_state(system, sigma0, loads, space, spec)
+    # the states stream into curve rows: nothing else is kept per state
+    volume = _volume(definition)
+    rows = analysis.CurveFold(system, loads, volume)
     if args.solver == "leapfrog":
-        traj = leapfrog(system, spec, state0, loads)
+        traj = leapfrog(system, spec, state0, loads, states=rows)
     else:
-        traj = catchup(system, spec, state0, loads, partition)
-    curve = analysis.stress_strain_curve(traj, system, loads, _volume(definition))
+        traj = catchup(system, spec, state0, loads, partition, states=rows)
+    curve = analysis.stress_strain_curve(traj, system, loads, volume)
     analysis.write_curve_csv(f"{prefix}.csv", curve)
     analysis.write_events_csv(f"{prefix}.events.csv", traj.events)
     return f"wrote {prefix}.csv and {prefix}.events.csv ({len(traj.events)} events)"

@@ -22,7 +22,7 @@ from .errors import (
 from .lattice import LoadSchedule
 from .projection import PolyhedralSet, _norm, project_cone
 from .sweeping import MovingSetSpec, SweepingState
-from .trajectory import EventRecord, Trajectory
+from .trajectory import EventRecord, StateSink, Trajectory
 
 #: Bound-activity tolerance, as a fraction of each spring's elastic range:
 #: events land points on bounds up to arithmetic noise.
@@ -132,6 +132,7 @@ def leapfrog(
     state0: SweepingState,
     loads: LoadSchedule,
     horizon: float | None = None,
+    states: StateSink | None = None,
 ) -> Trajectory:
     """Integrate by jumping between yield events.
 
@@ -145,6 +146,14 @@ def leapfrog(
     the velocity there and releases the bounds it leaves among those held
     and those just reached; a pass where a bound arrived or left is one
     event.
+
+    The states, ``state0``, each arrival and each segment end, are appended
+    to ``states`` in time order: a new list by default, or any sink with
+    ``append`` and ``len``, such as the CLI's ``analysis.CurveFold``.  An
+    arrival within ``1e-15 * horizon`` of a segment end gives two states one
+    time stamp: the state last made is held back until a later one comes,
+    and one at its time replaces it, so the sink takes the last of them and
+    never has to replace a state.  The returned trajectory holds that sink.
     """
     if horizon is None:
         horizon = loads.horizon
@@ -167,7 +176,15 @@ def leapfrog(
         sigma = k * (spec.lift(u) - shift)
         return SweepingState(time=t, y=spec.view(u + spec.frame(loads, t)), sigma=sigma)
 
-    states = [state0]
+    states = [] if states is None else states
+    pending = state0  # the last state, held back until a later time comes
+
+    def keep(new: SweepingState):
+        nonlocal pending
+        if new.time > pending.time + 1e-15 * horizon:
+            states.append(pending)
+        pending = new
+
     events: list[EventRecord] = []
     _, _, on_upper, on_lower, _ = _bound_status(spec, u, shift)
     held: set = {(int(j), "upper") for j in np.flatnonzero(on_upper)}
@@ -196,7 +213,7 @@ def leapfrog(
                     )
                 )
                 if arrivals:
-                    states.append(now)
+                    keep(now)
             if _norm(zdot) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
             tau, hits = _event_candidates(spec, u, zdot, shift)
@@ -207,14 +224,7 @@ def leapfrog(
             t, arrivals = t + tau, frozenset(hits)
         else:
             raise LatSweepError("event iteration cap exceeded; check the model")
-        states.append(state(t_end))
+        keep(state(t_end))
 
-    # Collapse duplicate time stamps produced by events landing exactly on
-    # segment ends.
-    deduped = [states[0]]
-    for s in states[1:]:
-        if s.time > deduped[-1].time + 1e-15 * horizon:
-            deduped.append(s)
-        else:
-            deduped[-1] = s
-    return Trajectory(states=deduped, solver="leapfrog", space=spec.space, events=events)
+    states.append(pending)
+    return Trajectory(states=states, solver="leapfrog", space=spec.space, events=events)

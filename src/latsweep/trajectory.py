@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -25,9 +26,27 @@ class EventRecord:
     relative_velocity: np.ndarray | None = None  # set-relative velocity before the event
 
 
+class StateSink(Protocol):
+    """Where an integrator puts its states, in time order, as it makes
+    them: a list keeps them all; ``analysis.CurveFold`` keeps the curve row
+    of each."""
+
+    def append(self, state: SweepingState) -> None: ...
+
+    def __len__(self) -> int: ...
+
+
 @dataclass
 class Trajectory:
-    states: list[SweepingState]
+    """The states and events of a run.
+
+    ``states`` is the sink the integrator appended its states to: a list of
+    :class:`SweepingState` by default, which the methods below read.  A run
+    into another sink, such as the CLI's ``analysis.CurveFold``, keeps only
+    what that sink keeps, and the methods that read states do not apply.
+    """
+
+    states: StateSink
     solver: str
     space: Space
     events: list[EventRecord] = field(default_factory=list)

@@ -5,6 +5,7 @@ import pytest
 
 from latsweep.analysis import (
     AnalysisReport,
+    CurveFold,
     macro_metrics,
     read_curve_csv,
     read_events_csv,
@@ -13,13 +14,16 @@ from latsweep.analysis import (
     write_curve_csv,
     write_events_csv,
     write_report,
+    strain_series,
 )
 from latsweep.catchup import TimePartition, catchup
 from latsweep.errors import DegenerateMetricsError, InvalidInputError
 from latsweep.generators import build_triangular_periodic
+from latsweep.lattice import LoadSchedule
 from latsweep.assembly import assemble
 from latsweep.leapfrog import leapfrog
 from latsweep.sweeping import Space, build_moving_set, initial_state
+from latsweep.trajectory import STACKED_ROWS
 
 
 def run_periodic(space=Space.REDUCED, solver="leapfrog", cells=(4, 4), **kwargs):
@@ -167,3 +171,103 @@ def test_report_text_format(tmp_path):
     assert text.startswith("label = patch\n")
     assert "stiffness = " in text
     assert "histogram_counts = " in text
+
+
+CURVE_KEYS = ("time", "strain", "sigma11", "sigma22", "sigma12")
+
+
+def curve_by_groups(traj, system, loads, volume):
+    """The curve of a trajectory that kept its states: the total-stress
+    components as one product per ``STACKED_ROWS`` states, ``[0:32],
+    [32:64], ...``, and the strains of all the times at once."""
+    D = system.directions
+    weights = np.column_stack([system.reference_lengths * D[:, a] * D[:, b] for a, b in ((0, 0), (1, 1), (0, 1))])
+    weights /= volume
+    states = traj.states
+    components = np.vstack([
+        np.array([state.sigma for state in states[k : k + STACKED_ROWS]]) @ weights
+        for k in range(0, len(states), STACKED_ROWS)
+    ])
+    times = traj.times()
+    strains = strain_series(times, loads, system.definition)
+    return dict(zip(CURVE_KEYS, (times, strains, *components.T)))
+
+
+def assert_same_bits(curve, expected):
+    for key in CURVE_KEYS:
+        assert curve[key].dtype == expected[key].dtype == np.float64, key
+        assert curve[key].tobytes() == np.ascontiguousarray(expected[key]).tobytes(), key
+
+
+def assert_same_events(events, expected):
+    assert len(events) == len(expected)
+    for a, b in zip(events, expected):
+        assert (a.index, a.time, a.newly_active, a.newly_released) == (b.index, b.time, b.newly_active, b.newly_released)
+        assert np.array_equal(a.sigma, b.sigma)
+
+
+@pytest.mark.parametrize("space", list(Space))
+@pytest.mark.parametrize("steps", [1, 31, 32, 33, 200])
+def test_curve_fold_matches_stress_strain_curve_on_catchup(grid_with_hole, space, steps):
+    # the states streamed into a fold as catch-up makes them give the curve
+    # of the run that kept them, bit for bit: the same 32-state products
+    # whether the groups end inside a run of catch-up's blocks or not
+    definition, loads, system = grid_with_hole
+    volume = definition.volume
+    spec = build_moving_set(system, space, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+    part = TimePartition.uniform(loads.horizon, steps)
+    kept = catchup(system, spec, state0, loads, part)
+    fold = CurveFold(system, loads, volume)
+    streamed = catchup(system, spec, state0, loads, part, states=fold)
+    assert streamed.states is fold and len(fold) == len(kept.states) == steps + 1
+    curve = stress_strain_curve(streamed, system, loads, volume)
+    assert_same_bits(curve, stress_strain_curve(kept, system, loads, volume))
+    assert_same_bits(curve, curve_by_groups(kept, system, loads, volume))
+    assert_same_events(streamed.events, kept.events)
+
+
+def test_curve_fold_matches_stress_strain_curve_when_leapfrog_collapses_a_time(example1):
+    # a rate breakpoint 1e-15 of the horizon after the first arrival: the
+    # arrival's state and the segment end's carry one time stamp, and the
+    # later one replaces the earlier before any sink takes it
+    definition, loads, system = example1
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    t1 = leapfrog(system, spec, state0, loads).events[0].time
+    t_break = t1 + 1e-15 * loads.horizon
+    assert t1 <= t_break - 1e-15 * loads.horizon and t_break <= t1 + 1e-15 * loads.horizon
+    rate = loads.rate_values[0]
+    stepped = LoadSchedule(
+        displacement_offset=loads.displacement_offset,
+        rate_times=np.array([0.0, t_break]),
+        rate_values=np.vstack([rate, 2 * rate]),
+        horizon=loads.horizon,
+    )
+    for space in Space:
+        spec = build_moving_set(system, space, stepped)
+        state0 = initial_state(system, np.zeros(definition.n_springs), stepped, space, spec)
+        kept = leapfrog(system, spec, state0, stepped)
+        # the arrival at t1 is an event, but its state gave way to the segment end's
+        assert kept.events[0].time == t1 < t_break == kept.states[1].time
+        assert t1 not in kept.times()
+        assert np.all(np.diff(kept.times()) > 0)
+        fold = CurveFold(system, stepped, definition.volume)
+        streamed = leapfrog(system, spec, state0, stepped, states=fold)
+        assert streamed.states is fold and len(fold) == len(kept.states)
+        curve = stress_strain_curve(streamed, system, stepped, definition.volume)
+        assert_same_bits(curve, stress_strain_curve(kept, system, stepped, definition.volume))
+        assert_same_bits(curve, curve_by_groups(kept, system, stepped, definition.volume))
+        assert_same_events(streamed.events, kept.events)
+
+
+def test_stress_strain_curve_refuses_a_fold_made_for_another_volume(periodic_patch):
+    definition, loads, system = periodic_patch
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    traj = leapfrog(system, spec, state0, loads, states=CurveFold(system, loads, definition.volume))
+    assert stress_strain_curve(traj, system, loads, definition.volume)["time"].size == len(traj.states)
+    with pytest.raises(InvalidInputError):
+        stress_strain_curve(traj, system, loads, 2 * definition.volume)
+    with pytest.raises(InvalidInputError):
+        CurveFold(system, loads, 0.0)

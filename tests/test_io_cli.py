@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,32 @@ def test_cli_grid_catchup_does_not_depend_on_blas_threads(tmp_path):
     for key, column in default.items():
         scale = stress_scale if key.startswith("sigma") else np.abs(column).max()
         assert np.abs(one[key] - column).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("space", ["full", "reduced"])
+def test_cli_catchup_memory_does_not_grow_with_the_horizon(tmp_path, capsys, space):
+    # The states stream into the curve rows as catch-up makes them, so the
+    # tracemalloc peak of an in-process grid solve at 2000 steps stays within
+    # 1.2 times the peak at 200 steps; keeping every state to the end made
+    # it 6.4 times in the full space and 5.5 times in the reduced one.
+    net = tmp_path / "grid.json"
+    main(["generate", "grid", "--out", str(net)])
+
+    def solve(mesh):
+        return main(["solve", str(net), "--solver", "catchup", "--space", space, "--mesh", mesh,
+                     "--out", str(tmp_path / mesh)])
+
+    assert solve("1e-4") == 0  # untraced: lazy imports and caches are not the solve's
+    peaks = {}
+    for mesh in ("1e-4", "1e-5"):
+        tracemalloc.start()
+        try:
+            assert solve(mesh) == 0
+            peaks[mesh] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert read_curve_csv(tmp_path / "1e-5.csv")["time"].size == 2001
+    assert peaks["1e-5"] <= 1.2 * peaks["1e-4"], peaks
 
 
 def test_cli_solve_with_initial_stress(tmp_path):
