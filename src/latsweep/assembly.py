@@ -21,8 +21,8 @@ filled straight from the spring endpoints and directions, as
 :func:`compatibility_matrix` fills ``C``, and ``C_F`` is never stored: its
 entries are ``+-directions`` at the free dofs of each spring's two nodes.
 So neither the dense m x nd ``C`` nor the dense m x dim_u ``U`` is formed
-on a solve: each is built only on request, on the first read of
-:attr:`AssembledSystem.compatibility` or :attr:`AssembledSystem.U_basis`.
+on a solve: ``C`` only by :func:`compatibility_matrix`, on request, and
+``U`` on the first read of :attr:`AssembledSystem.U_basis`.
 A spring's row of ``U`` holds at most ``2d`` nonzeros, so ``K^(1/2) U`` is
 factored in a band: free dofs in a reverse Cuthill-McKee order of the node
 graph, ``ker R_S`` last and springs sorted by their first column
@@ -148,15 +148,6 @@ class AssembledSystem:
             object.__setattr__(self, name, arr)
         for arr in (self.N.support, self.N.free, self.N.block):
             arr.flags.writeable = False
-
-    @functools.cached_property
-    def compatibility(self) -> np.ndarray:
-        """The m x nd linearized elongation map ``C`` of
-        :func:`compatibility_matrix`, read-only, built on first read:
-        nothing on a solve reads it."""
-        C = compatibility_matrix(self.definition)[0]
-        C.flags.writeable = False
-        return C
 
     @functools.cached_property
     def U_basis(self) -> np.ndarray:

@@ -39,7 +39,7 @@ from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from .lattice import LoadSchedule, _same
 from .projection import DEFAULT_TOL, _columns, _negative_multipliers, _on_bounds, _working_set_solve, project
 from .sweeping import MovingSetSpec, SweepingState, static_set
-from .trajectory import STACKED_ROWS, EventRecord, StateSink, Trajectory
+from .trajectory import STACKED_ROWS, EventRecord, StateSink, Trajectory, bound_pairs
 
 #: Fraction of the elastic range within which a stress counts as sitting
 #: on a yield bound during a posteriori event detection.
@@ -109,18 +109,12 @@ def detect_events(
             EventRecord(
                 index=first + len(events),
                 time=float(times[row]),
-                newly_active=_bound_pairs(gained[row]),
-                newly_released=_bound_pairs(released[row]),
+                newly_active=bound_pairs(gained[row]),
+                newly_released=bound_pairs(released[row]),
                 sigma=sigma[row].copy(),
             )
         )
     return events, active[-1]
-
-
-def _bound_pairs(mask: np.ndarray) -> frozenset:
-    """The (spring, side) pairs of an activity row."""
-    m = mask.size // 2
-    return frozenset((int(j % m), "upper" if j < m else "lower") for j in np.flatnonzero(mask))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,17 @@ When the force load is constant and the displacement/strain rates are
 constant, the constraint set translates without changing shape, and the
 evolution is piecewise affine: the solver jumps directly from one yield
 event to the next.  It runs in catch-up's frame ``u = y - c(t)``, where
-the set stays put and the drive sweeps ``u`` across it.  Piecewise-constant
-rate schedules are run segment by segment; a segment start is one more
-pass of the event loop, where the bounds the new rate leaves at once, as on
-unloading, are released.
+the set stays put and the drive sweeps ``u`` across it.  Between events the
+velocity is the projection of the drive's opposite onto the tangent cone of
+the bounds ``u`` sits on (Moreau's sweeping process).  One rule decides what
+is held: a bound is in contact when ``u`` sits on it, as the cone has it,
+and the new velocity does not leave it.  The events are the changes of that
+contact set, arrivals and releases; a bound reached and left at one instant
+is never held, so no event names it: no plastic flow happens there.
+Piecewise-constant rate schedules are run segment by segment; a segment
+start is one more pass of the event loop, where the bounds the new rate
+leaves at once, as on unloading, are released, and those an arrival at the
+segment end put ``u`` on arrive.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .errors import (
 from .lattice import LoadSchedule
 from .projection import PolyhedralSet, _norm, project_cone
 from .sweeping import MovingSetSpec, SweepingState
-from .trajectory import EventRecord, StateSink, Trajectory
+from .trajectory import EventRecord, StateSink, Trajectory, bound_pairs
 
 #: Bound-activity tolerance, as a fraction of each spring's elastic range:
 #: events land points on bounds up to arithmetic noise.
@@ -31,9 +38,6 @@ ACTIVE_TOL = 1e-9
 #: Scale-free threshold on the set-relative speed below which the
 #: stresses count as stabilized.
 STABILIZATION_TOL = 1e-10
-
-#: Events closer than this (relative) count as simultaneous.
-TIE_TOL = 1e-12
 
 
 def _bound_status(spec: MovingSetSpec, z: np.ndarray, offset: np.ndarray | float | None):
@@ -92,12 +96,9 @@ def event_velocity(
     return project_cone(np.ones(cone.dim), -np.asarray(drive, dtype=float), cone).point
 
 
-def _event_candidates(spec, z, zdot, offset):
-    """Earliest time a currently inactive bound is reached, with ties.
-
-    Returns ``(tau, [(spring, side), ...])`` or ``(None, [])`` when no
-    bound lies ahead.
-    """
+def _next_event_time(spec, z, zdot, offset) -> float | None:
+    """Time until the first bound that ``z`` is not on is reached along
+    ``zdot``, or None when no bound lies ahead."""
     room_up, room_down, on_upper, on_lower, _ = _bound_status(spec, z, offset)
     speeds = spec.lift(zdot)
     thresh = 1e-13 * np.abs(speeds).max(initial=0.0)
@@ -110,20 +111,19 @@ def _event_candidates(spec, z, zdot, offset):
         taus[down] = -room_down[down] / speeds[down]
 
     tau = taus.min(initial=np.inf)
-    if not np.isfinite(tau):
-        return None, []
-    tied = np.flatnonzero(taus <= tau * (1.0 + TIE_TOL))
-    return float(tau), [(int(j), "upper" if up[j] else "lower") for j in tied]
+    return float(tau) if np.isfinite(tau) else None
 
 
-def _departures(spec, candidates, zdot, drive_speed):
-    """Active bounds the new velocity immediately moves away from, faster
+def _contact(spec, z, zdot, offset, drive_speed) -> np.ndarray:
+    """The bounds the solution holds at ``z``, upper bounds first, then the
+    lower ones: those ``z`` sits on (:func:`_bound_status`, the rule of
+    :func:`tangent_cone`) that the velocity ``zdot`` does not leave faster
     than 1e-9 of ``drive_speed``, the largest elongation rate of the drive
     (the velocity itself is 0 up to rounding once the stresses stabilize)."""
+    _, _, on_upper, on_lower, _ = _bound_status(spec, z, offset)
     speeds = spec.lift(zdot)
     scale = 1e-9 * drive_speed
-    return frozenset((j, side) for j, side in candidates
-                     if (speeds[j] < -scale if side == "upper" else speeds[j] > scale))
+    return np.concatenate([on_upper & (speeds >= -scale), on_lower & (speeds <= scale)])
 
 
 def leapfrog(
@@ -143,9 +143,12 @@ def leapfrog(
     ``shift`` the force shift; a state is ``y = u + spec.frame(loads, t)``
     and ``sigma = k (lift(u) - shift)``, and leaves through ``spec.view``.
     Each pass of the event loop, at a segment start or an arrival, takes
-    the velocity there and releases the bounds it leaves among those held
-    and those just reached; a pass where a bound arrived or left is one
-    event.
+    the velocity there and the contact set (:func:`_contact`): the bounds
+    ``u`` sits on, as :func:`tangent_cone` decides, that the velocity does
+    not leave.  Its bounds not held before arrive, the held ones outside it
+    are released, and it becomes the held set; a pass where a bound arrived
+    or left is one event.  A bound reached and left in one pass is neither,
+    as no plastic flow happens on it.
 
     The states, ``state0``, each arrival and each segment end, are appended
     to ``states`` in time order: a new list by default, or any sink with
@@ -187,41 +190,39 @@ def leapfrog(
 
     events: list[EventRecord] = []
     _, _, on_upper, on_lower, _ = _bound_status(spec, u, shift)
-    held: set = {(int(j), "upper") for j in np.flatnonzero(on_upper)}
-    held |= {(int(j), "lower") for j in np.flatnonzero(on_lower)}
+    held = np.concatenate([on_upper, on_lower])  # the start's bounds are no arrivals
     zdot = None
     for t_start, t_end in segments:
         drive = spec.reduce(spec.offset_rate(loads, t_start))
         drive_norm = _norm(drive)
         drive_speed = float(np.abs(spec.lift(drive)).max(initial=0.0))
-        t, arrivals = t_start, frozenset()
+        t = t_start
         for _ in range(50 * system.dims.n_springs + 100):
             before, zdot = zdot, event_velocity(spec, u, drive, shift)
-            candidates = held | arrivals
-            gone = _departures(spec, candidates, zdot, drive_speed)
-            held = candidates - gone
-            if arrivals or gone:  # a release alone, as on unloading, at a segment start
+            contact = _contact(spec, u, zdot, shift, drive_speed)
+            arrivals, released, held = contact & ~held, held & ~contact, contact
+            if arrivals.any() or released.any():  # a release alone, as on unloading
                 now = state(t)
                 events.append(
                     EventRecord(
                         index=len(events),
                         time=t,
-                        newly_active=arrivals,
-                        newly_released=gone,
+                        newly_active=bound_pairs(arrivals),
+                        newly_released=bound_pairs(released),
                         sigma=now.sigma.copy(),
                         relative_velocity=None if before is None else spec.view(before).copy(),
                     )
                 )
-                if arrivals:
+                if arrivals.any():
                     keep(now)
             if _norm(zdot) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
-            tau, hits = _event_candidates(spec, u, zdot, shift)
+            tau = _next_event_time(spec, u, zdot, shift)
             if tau is None or t + tau > t_end - 1e-15 * horizon:
                 u = u + zdot * (t_end - t)
                 break
             u = u + zdot * tau
-            t, arrivals = t + tau, frozenset(hits)
+            t = t + tau
         else:
             raise LatSweepError("event iteration cap exceeded; check the model")
         keep(state(t_end))

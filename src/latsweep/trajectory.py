@@ -16,7 +16,11 @@ STACKED_ROWS = 32
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One yielding event: springs arriving at (or leaving) their bounds."""
+    """One yielding event: springs arriving at (or leaving) their bounds,
+    as (spring, side) pairs (:func:`bound_pairs`).  Leapfrog's events are
+    the changes of the bounds its cones hold, so a bound reached and left at
+    one instant is in none; catch-up's are the changes of the bounds its
+    stresses sit on from one step to the next."""
 
     index: int
     time: float
@@ -24,6 +28,13 @@ class EventRecord:
     newly_released: frozenset
     sigma: np.ndarray
     relative_velocity: np.ndarray | None = None  # set-relative velocity before the event
+
+
+def bound_pairs(mask: np.ndarray) -> frozenset:
+    """The (spring, side) pairs of a mask over the 2m yield bounds: the
+    upper bounds in the first ``m`` entries, the lower ones after them."""
+    m = mask.size // 2
+    return frozenset((int(j % m), "upper" if j < m else "lower") for j in np.flatnonzero(mask))
 
 
 class StateSink(Protocol):

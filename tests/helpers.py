@@ -6,10 +6,11 @@ import numpy as np
 import scipy.linalg
 import scipy.spatial
 
+from latsweep.assembly import compatibility_matrix
 from latsweep.catchup import TimePartition
 from latsweep.errors import InvalidInputError
 from latsweep.lattice import LatticeDefinition, LoadSchedule
-from latsweep.leapfrog import ACTIVE_TOL, _event_candidates
+from latsweep.leapfrog import ACTIVE_TOL, _next_event_time
 from latsweep.projection import PolyhedralSet, project
 from latsweep.sweeping import MovingSetSpec, Space, build_moving_set, static_set
 
@@ -133,7 +134,7 @@ def counted_svd(monkeypatch) -> list:
 def enhanced_pinv_top(system):
     """``H``, the top ``m`` rows of ``pinv [C^T R^T]`` (m x nd), from its
     SVD: no solve reads it."""
-    A = np.hstack([system.compatibility.T, system.definition.constraint_matrix.T])
+    A = np.hstack([compatibility_matrix(system.definition)[0].T, system.definition.constraint_matrix.T])
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     # a kinematically determinate lattice: A has full row rank, no value is cut
     return (vt[:, : system.dims.n_springs].T / s) @ u.T
@@ -391,4 +392,4 @@ def full_form_cone(system, z, offset, rows=None) -> PolyhedralSet:
 
 def next_event_time(spec: MovingSetSpec, z, zdot, offset=None) -> float | None:
     """Time until a currently inactive bound becomes active along ``zdot``."""
-    return _event_candidates(spec, np.asarray(z, float), np.asarray(zdot, float), offset)[0]
+    return _next_event_time(spec, np.asarray(z, float), np.asarray(zdot, float), offset)

@@ -60,9 +60,10 @@ def test_single_spring_hand_linearization():
 def test_rigid_translation_is_zero_mode(example1):
     _, _, system = example1
     translation = np.tile([1.0, 0.0], 6)
-    assert np.abs(system.compatibility @ translation).max() <= 1e-12
+    compat = compatibility_matrix(system.definition)[0]
+    assert np.abs(compat @ translation).max() <= 1e-12
     translation_y = np.tile([0.0, 1.0], 6)
-    assert np.abs(system.compatibility @ translation_y).max() <= 1e-12
+    assert np.abs(compat @ translation_y).max() <= 1e-12
 
 
 def test_degenerate_spring_raises():
@@ -160,7 +161,7 @@ def test_load_images_live_in_fundamental_spaces(example1, grid_with_hole):
 
 def test_h_is_top_block_of_enhanced_pseudoinverse(example1):
     definition, _, system = example1
-    stacked = np.hstack([system.compatibility.T, definition.constraint_matrix.T])
+    stacked = np.hstack([compatibility_matrix(definition)[0].T, definition.constraint_matrix.T])
     # right inverse on a kinematically determinate lattice
     full_pinv = np.linalg.pinv(stacked)
     assert np.abs(enhanced_pinv_top(system) - full_pinv[:10]).max() <= 1e-10
@@ -465,7 +466,7 @@ def test_support_factors_match_the_definitions_on_all_of_r(build):
     definition, loads = build()
     R = definition.constraint_matrix
     system = assemble(definition)
-    C, k = system.compatibility, system.stiffness
+    C, k = compatibility_matrix(definition)[0], system.stiffness
     N = nullspace_basis(R)
     assert system.dims.dim_u == N.shape[1]
     assert np.max(scipy.linalg.subspace_angles(system.U_basis, C @ N)) <= 1e-12
@@ -670,7 +671,7 @@ def test_band_ordered_projector_matches_a_dense_nullspace_reference(case):
     # plane is K^-1 of their span: its K-orthogonal projector, from one SVD
     definition = _band_cases()[case]
     system = assemble(definition)
-    compat, k = system.compatibility, system.stiffness
+    compat, k = compatibility_matrix(definition)[0], system.stiffness
     m = definition.n_springs
     stresses = nullspace_basis(np.hstack([compat.T, definition.constraint_matrix.T]))[:m]
     plane = stresses / k[:, None]
@@ -751,22 +752,21 @@ def _dense_route_cases():
 
 @pytest.mark.parametrize("case", ["example1", "grid", "8x8 patch", "dense constraint rows"])
 def test_assemble_matches_the_dense_compatibility_route_bit_for_bit(case):
-    # U and G come from C's support columns and endpoints, C itself only on
+    # U and G come from C's support columns and endpoints, U itself only on
     # first read: each equals what the dense C gives, bit for bit
     definition = _dense_route_cases()[case]
     system = assemble(definition)
-    assert "compatibility" not in vars(system)
+    assert "U_basis" not in vars(system)
     compat = compatibility_matrix(definition)[0]
     _, N, R_pinv = constraint_factors(definition.constraint_matrix)
     V, k = system.V_basis, system.stiffness
     for built, dense in (
-        (system.compatibility, compat),
         (system.U_basis, compat @ N),
         (system.G, V @ (V.T @ (k[:, None] * (compat[:, N.support] @ R_pinv)))),
     ):
         assert built.shape == dense.shape and built.tobytes() == dense.tobytes()
-    assert not system.compatibility.flags.writeable
-    assert system.compatibility is system.compatibility
+    assert not system.U_basis.flags.writeable
+    assert system.U_basis is system.U_basis
 
 
 def test_solve_and_generate_never_form_the_dense_compatibility(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ validates the basis, projector, and coupling-matrix assembly.
 
 import numpy as np
 
-from latsweep.assembly import assemble
+from latsweep.assembly import assemble, compatibility_matrix
 from latsweep.generators import (
     build_example1,
     build_tri_grid_with_hole,
@@ -26,7 +26,7 @@ def structural_rate(system, rdot, elongation_rate=None):
     Solves the saddle system for nodal velocities under R zeta_dot = -rdot
     plus an optional imposed elongation rate, then applies Hooke's law.
     """
-    compat = system.compatibility
+    compat = compatibility_matrix(system.definition)[0]
     k = system.stiffness
     R = system.definition.constraint_matrix
     nd = compat.shape[1]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ from latsweep.generators import (
     example1_prestressed_stress,
 )
 from latsweep.lattice import LatticeDefinition, LoadSchedule
-from latsweep.leapfrog import event_velocity, leapfrog, tangent_cone
+from latsweep.leapfrog import ACTIVE_TOL, event_velocity, leapfrog, tangent_cone
 from latsweep import projection
 from latsweep.linalg import nullspace_basis
 from latsweep.projection import project, project_cone
@@ -538,3 +539,96 @@ def test_mirror_image_springs_give_one_event_set_in_both_solvers(case):
         mesh = loads.horizon / steps
         assert all(abs(c.time - e.time) <= mesh for c, e in zip(cu.events, lf.events))
         assert np.all(np.abs(cu.final.sigma - lf.final.sigma) <= 1e-9 * width)
+
+
+def _event_sets(traj):
+    return [(e.newly_active, e.newly_released) for e in traj.events]
+
+
+@pytest.mark.parametrize(
+    "where", ["at", "one ulp before", "one ulp after", "1e-12 before", "1e-12 after"]
+)
+def test_an_arrival_on_a_rate_breakpoint_is_an_event(example1, where):
+    # The rate doubles at t_b, at or next to example1's first arrival: the
+    # arrival lands on the segment end or just before or after it.  Springs
+    # 0 and 1 arrive there in both spaces, as in catch-up on the same
+    # schedule, however the segment end cuts the arrival.
+    definition, base, system = example1
+    t1 = _run_leapfrog(system, base, Space.REDUCED).events[0].time
+    assert t1 == pytest.approx(0.04214285714285713, rel=1e-12)
+    t_b = {
+        "at": t1,
+        "one ulp before": np.nextafter(t1, 0.0),
+        "one ulp after": np.nextafter(t1, 1.0),
+        "1e-12 before": t1 * (1 - 1e-12),
+        "1e-12 after": t1 * (1 + 1e-12),
+    }[where]
+    rate = base.rate_values[0]
+    loads = LoadSchedule(
+        displacement_offset=base.displacement_offset,
+        rate_times=np.array([0.0, t_b]),
+        rate_values=np.vstack([rate, 2 * rate]),
+        horizon=base.horizon,
+    )
+    expected = [({(0, "upper"), (1, "upper")}, set()), ({(2, "lower"), (3, "lower")}, set())]
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    assert _event_sets(catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 800))) == expected
+    for space in Space:
+        lf = _run_leapfrog(system, loads, space)
+        assert _event_sets(lf) == expected
+        assert lf.events[0].time == pytest.approx(t1, rel=1e-11)
+
+
+@functools.lru_cache(maxsize=None)
+def _random_stiffness_patch(cells, seed):
+    """The periodic patch of ``cells`` x ``cells`` cells with its spring
+    stiffnesses drawn from ``uniform(0.5, 2)``: springs arrive one or a few
+    at a time, as in the paper's disordered networks."""
+    definition, loads = build_triangular_periodic(cells, cells)
+    stiffness = np.random.default_rng(seed).uniform(0.5, 2, definition.n_springs)
+    definition = dataclasses.replace(definition, stiffness=stiffness)
+    return definition, loads, assemble(definition)
+
+
+def _bounds_held(definition, sigma):
+    """The (spring, side) bounds ``sigma`` sits on within ``ACTIVE_TOL`` of
+    each spring's elastic range."""
+    upper, lower = definition.upper_limits, definition.lower_limits
+    tol = ACTIVE_TOL * (upper - lower)
+    on = {(int(j), "upper") for j in np.flatnonzero(upper - sigma <= tol)}
+    return on | {(int(j), "lower") for j in np.flatnonzero(sigma - lower <= tol)}
+
+
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.name.lower())
+@pytest.mark.parametrize("cells, seed", [(6, 3), (6, 5), (8, 5)], ids=["6x6 s3", "6x6 s5", "8x8 s5"])
+def test_event_replay_names_every_bound_the_stresses_reach(cells, seed, space):
+    # Replaying the events from the start gives the bounds the solution
+    # holds: at each event they and its arrivals are the bounds its
+    # stresses sit on, and at the end they are the final state's.  A bound
+    # that the cones hold but no event names breaks the replay.
+    definition, loads, system = _random_stiffness_patch(cells, seed)
+    traj = _run_leapfrog(system, loads, space)
+    held = _bounds_held(definition, traj.states[0].sigma)
+    assert len(traj.events) > 40
+    for event in traj.events:
+        assert held | event.newly_active == _bounds_held(definition, event.sigma), event.index
+        assert event.newly_released <= held
+        held = (held | event.newly_active) - event.newly_released
+    assert held == _bounds_held(definition, traj.final.sigma)
+
+
+def test_first_arrivals_match_catchup_on_a_random_stiffness_patch():
+    # Each bound that leapfrog reaches, catch-up reaches too, within two
+    # mesh widths of leapfrog's time, and no other.
+    definition, loads, system = _random_stiffness_patch(6, 3)
+    steps = 400
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    runs = _run_leapfrog(system, loads, Space.REDUCED), catchup(
+        system, spec, state0, loads, TimePartition.uniform(loads.horizon, steps)
+    )
+    lf, cu = ({pair: e.time for e in reversed(traj.events) for pair in e.newly_active} for traj in runs)
+    assert len(lf) == 108 and lf.keys() == cu.keys()
+    mesh = loads.horizon / steps
+    assert all(abs(cu[pair] - lf[pair]) <= 2 * mesh for pair in lf)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latsweep.assembly import compatibility_matrix
 from latsweep.errors import InvalidInputError
 from latsweep.linalg import (
     PANEL,
@@ -105,15 +106,15 @@ def test_numerical_rank_identity():
 
 
 def test_enhanced_equilibrium_rank_example1(example1):
-    definition, _, system = example1
-    stacked = np.hstack([system.compatibility.T, definition.constraint_matrix.T])
+    definition, _, _ = example1
+    stacked = np.hstack([compatibility_matrix(definition)[0].T, definition.constraint_matrix.T])
     assert stacked.shape == (12, 14)
     assert numerical_rank(stacked) == 12
 
 
 def test_example1_enhanced_compatibility_trivial_kernel(example1):
-    definition, _, system = example1
-    stacked = np.vstack([system.compatibility, definition.constraint_matrix])
+    definition, _, _ = example1
+    stacked = np.vstack([compatibility_matrix(definition)[0], definition.constraint_matrix])
     assert nullspace_basis(stacked).shape == (12, 0)
 
 
