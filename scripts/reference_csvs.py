@@ -3,14 +3,18 @@
     python scripts/reference_csvs.py <src-dir> <out-dir>
 
 ``<src-dir>`` is the directory that holds the ``latsweep`` package (a
-checkout's ``src``); ``<out-dir>`` receives 32 files, one curve and one
+checkout's ``src``); ``<out-dir>`` receives 36 files, one curve and one
 events CSV for each of
 
 - the networks: example1 with zero stress, example1 prestressed, the
   15 x 14 grid and the periodic 8 x 8 patch, as ``latsweep generate``
   writes them;
 - the solvers: leapfrog, and catch-up with ``--mesh 1e-4``;
-- the spaces: full and reduced.
+- the spaces: full and reduced;
+
+and for the grid under a force ramp (``grid-ramp``), solved by catch-up
+alone with ``--mesh 1e-3`` (20 steps) in both spaces: every step of it
+starts from a phase-1 point, hinted by the last step's active bounds.
 
 Every network is written and solved through ``latsweep.cli.main`` of
 ``<src-dir>``, so two trees are compared end to end by running this script
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import sys
 import tempfile
@@ -34,6 +39,9 @@ NETWORKS = {
 }
 SOLVERS = {"leapfrog": [], "catchup": ["--mesh", "1e-4"]}
 SPACES = ("full", "reduced")
+#: The grid's force ramp: from 0 to this norm over the horizon, in a
+#: direction drawn from ``default_rng(RAMP_SEED)``; leapfrog refuses it.
+RAMP_NORM, RAMP_SEED, RAMP_MESH = 4e-4, 99, "1e-3"
 
 
 def _run(main, argv: list[str]) -> None:
@@ -45,8 +53,25 @@ def _run(main, argv: list[str]) -> None:
         raise SystemExit(f"latsweep {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
 
 
+def _save_ramped(src: str, dst: str) -> None:
+    """The network ``src`` under the force ramp, saved as ``dst``."""
+    import numpy as np
+
+    from latsweep.io import load_network, save_network
+
+    definition, loads = load_network(src)
+    direction = np.random.default_rng(RAMP_SEED).standard_normal(definition.n_dof)
+    direction *= RAMP_NORM / np.linalg.norm(direction)
+    ramp = dataclasses.replace(
+        loads,
+        force_times=np.array([0.0, loads.horizon]),
+        force_values=np.vstack([np.zeros_like(direction), direction]),
+    )
+    save_network(dst, definition, ramp)
+
+
 def write_references(out_dir: Path) -> list[Path]:
-    """Write the 32 CSVs into ``out_dir`` with the ``latsweep`` on
+    """Write the 36 CSVs into ``out_dir`` with the ``latsweep`` on
     ``sys.path``; the paths written."""
     import numpy as np
 
@@ -62,10 +87,13 @@ def write_references(out_dir: Path) -> list[Path]:
             _run(main, ["generate", *kind, "--out", inputs[name]])
         prestress = Path(tmp, "example1.sigma0")
         np.savetxt(prestress, example1_prestressed_stress())
-        cases = [(name, path, []) for name, path in inputs.items()]
-        cases.insert(1, ("example1-prestressed", inputs["example1"], ["--sigma0", str(prestress)]))
-        for name, network, extra in cases:
-            for solver, options in SOLVERS.items():
+        ramped = str(Path(tmp, "grid-ramp.json"))
+        _save_ramped(inputs["grid"], ramped)
+        cases = [(name, path, [], SOLVERS) for name, path in inputs.items()]
+        cases.insert(1, ("example1-prestressed", inputs["example1"], ["--sigma0", str(prestress)], SOLVERS))
+        cases.append(("grid-ramp", ramped, [], {"catchup": ["--mesh", RAMP_MESH]}))
+        for name, network, extra, solvers in cases:
+            for solver, options in solvers.items():
                 for space in SPACES:
                     prefix = out_dir / f"{name}-{solver}-{space}"
                     _run(main, ["solve", network, "--solver", solver, *options,

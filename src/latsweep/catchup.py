@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InfeasibleSetError, InvalidInputError, SafeLoadError
 from .lattice import LoadSchedule, _same
-from .projection import DEFAULT_TOL, _columns, _negative_multipliers, _on_bounds, _working_set_solve, project
+from .projection import _columns, _negative_multipliers, _on_bounds, _working_set_solve, project
 from .sweeping import MovingSetSpec, SweepingState, static_set
 from .trajectory import STACKED_ROWS, EventRecord, StateSink, Trajectory, bound_pairs
 
@@ -142,7 +142,7 @@ def _follow(poly, face: _Face, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     if face.C.shape[1]:
         lam = _working_set_solve(face.C, g)
         g = g - face.C @ lam
-        ok = ~np.any(_negative_multipliers(lam, DEFAULT_TOL), axis=0)
+        ok = ~np.any(_negative_multipliers(lam), axis=0)
     points = np.cumsum(g, axis=1)
     points += u[:, None]
     values = poly.apply(points)
@@ -152,7 +152,7 @@ def _follow(poly, face: _Face, u: np.ndarray, g: np.ndarray) -> np.ndarray:
         slack = bound[:, None] - values
         slack *= sign
         slack[on] = np.abs(slack[on])
-        ok &= np.all(_on_bounds(slack, bound[:, None], DEFAULT_TOL) == on[:, None], axis=0)
+        ok &= np.all(_on_bounds(slack, bound[:, None]) == on[:, None], axis=0)
     return points[:, : ok.size if ok.all() else int(np.argmin(ok))]
 
 
@@ -188,7 +188,9 @@ def catchup(
     whose whitening is the identity (``V`` is K-orthonormal), from ``u_0 =
     reduce(sigma_0 / k - F f(0))`` of ``state0``'s stresses, as leapfrog
     does; states leave it through ``spec.view``.  Each projection is hinted
-    by the last one's active bounds.
+    by the last one's active bounds, which matters after a force change:
+    the phase-1 start there is a vertex on many bounds the projection
+    leaves, and the hint keeps them out of its first working set.
     While the force stays, each step starts from ``u_n``, a point of that
     same set, and a block of steps on one face takes one projection (see
     the module docstring).  When the force changes, the start comes from

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    InvalidInputError,
     InvalidStateError,
     LatSweepError,
     UnsupportedLoadError,
@@ -96,34 +97,28 @@ def event_velocity(
     return project_cone(np.ones(cone.dim), -np.asarray(drive, dtype=float), cone).point
 
 
-def _next_event_time(spec, z, zdot, offset) -> float | None:
-    """Time until the first bound that ``z`` is not on is reached along
-    ``zdot``, or None when no bound lies ahead."""
+def _scan(spec, z, zdot, offset, drive_speed) -> tuple[np.ndarray, float | None]:
+    """One look at the box from ``z`` along the velocity ``zdot``.
+
+    Returns the contact set, the bounds the solution holds at ``z``, upper
+    bounds first, then the lower ones: those ``z`` sits on
+    (:func:`_bound_status`, the rule of :func:`tangent_cone`) that ``zdot``
+    does not leave faster than 1e-9 of ``drive_speed``, the largest
+    elongation rate of the drive (the velocity itself is 0 up to rounding
+    once the stresses stabilize).  And the time until the first bound ``z``
+    is not on is reached along ``zdot``, or None when no bound lies ahead.
+    """
     room_up, room_down, on_upper, on_lower, _ = _bound_status(spec, z, offset)
     speeds = spec.lift(zdot)
+    scale = 1e-9 * drive_speed
+    contact = np.concatenate([on_upper & (speeds >= -scale), on_lower & (speeds <= scale)])
     thresh = 1e-13 * np.abs(speeds).max(initial=0.0)
-
-    taus = np.full(speeds.shape[0], np.inf)
     up = (speeds > thresh) & ~on_upper
     down = (speeds < -thresh) & ~on_lower
     with np.errstate(over="ignore"):  # a bound out of reach: tau is inf
-        taus[up] = room_up[up] / speeds[up]
-        taus[down] = -room_down[down] / speeds[down]
-
+        taus = np.concatenate([room_up[up] / speeds[up], -room_down[down] / speeds[down]])
     tau = taus.min(initial=np.inf)
-    return float(tau) if np.isfinite(tau) else None
-
-
-def _contact(spec, z, zdot, offset, drive_speed) -> np.ndarray:
-    """The bounds the solution holds at ``z``, upper bounds first, then the
-    lower ones: those ``z`` sits on (:func:`_bound_status`, the rule of
-    :func:`tangent_cone`) that the velocity ``zdot`` does not leave faster
-    than 1e-9 of ``drive_speed``, the largest elongation rate of the drive
-    (the velocity itself is 0 up to rounding once the stresses stabilize)."""
-    _, _, on_upper, on_lower, _ = _bound_status(spec, z, offset)
-    speeds = spec.lift(zdot)
-    scale = 1e-9 * drive_speed
-    return np.concatenate([on_upper & (speeds >= -scale), on_lower & (speeds <= scale)])
+    return contact, (float(tau) if np.isfinite(tau) else None)
 
 
 def leapfrog(
@@ -143,12 +138,14 @@ def leapfrog(
     ``shift`` the force shift; a state is ``y = u + spec.frame(loads, t)``
     and ``sigma = k (lift(u) - shift)``, and leaves through ``spec.view``.
     Each pass of the event loop, at a segment start or an arrival, takes
-    the velocity there and the contact set (:func:`_contact`): the bounds
-    ``u`` sits on, as :func:`tangent_cone` decides, that the velocity does
-    not leave.  Its bounds not held before arrive, the held ones outside it
-    are released, and it becomes the held set; a pass where a bound arrived
-    or left is one event.  A bound reached and left in one pass is neither,
-    as no plastic flow happens on it.
+    the velocity there and, in one scan of the box (:func:`_scan`), the
+    time to the next arrival and the contact set: the bounds ``u`` sits on,
+    as :func:`tangent_cone` decides, that the velocity does not leave.  Its
+    bounds not held before arrive, the held ones outside it are released,
+    and it becomes the held set; a pass where a bound arrived or left is one
+    event.  A bound reached and left in one pass is neither, as no plastic
+    flow happens on it.  ``horizon``, the schedule's by default, must be a
+    positive finite number no later than the schedule's.
 
     The states, ``state0``, each arrival and each segment end, are appended
     to ``states`` in time order: a new list by default, or any sink with
@@ -160,6 +157,8 @@ def leapfrog(
     """
     if horizon is None:
         horizon = loads.horizon
+    if not 0.0 < horizon < np.inf:
+        raise InvalidInputError(f"horizon must be a positive finite number, not {horizon}")
     if horizon > loads.horizon * (1.0 + 1e-12):
         raise UnsupportedLoadError("horizon extends beyond the load schedule")
     if not loads.force_is_constant():
@@ -168,8 +167,7 @@ def leapfrog(
         raise InvalidStateError("event-based integration must start at t = 0")
 
     k = system.stiffness
-    breaks = [t for t in loads.rate_breakpoints() if t < horizon]
-    breaks = sorted(set(breaks + [0.0]))
+    breaks = [t for t in loads.rate_breakpoints() if t < horizon]  # from 0, sorted
     segments = list(zip(breaks, breaks[1:] + [float(horizon)]))
 
     shift = spec.force_shift(loads.f(0.0))
@@ -199,7 +197,7 @@ def leapfrog(
         t = t_start
         for _ in range(50 * system.dims.n_springs + 100):
             before, zdot = zdot, event_velocity(spec, u, drive, shift)
-            contact = _contact(spec, u, zdot, shift, drive_speed)
+            contact, tau = _scan(spec, u, zdot, shift, drive_speed)
             arrivals, released, held = contact & ~held, held & ~contact, contact
             if arrivals.any() or released.any():  # a release alone, as on unloading
                 now = state(t)
@@ -217,7 +215,6 @@ def leapfrog(
                     keep(now)
             if _norm(zdot) <= STABILIZATION_TOL * drive_norm:
                 break  # the stresses have stabilized for this segment
-            tau = _next_event_time(spec, u, zdot, shift)
             if tau is None or t + tau > t_end - 1e-15 * horizon:
                 u = u + zdot * (t_end - t)
                 break

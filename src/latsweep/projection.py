@@ -16,9 +16,11 @@ between the two thread pools pays each time for waking the idle one; scipy
 serves only HiGHS, for phase 1.
 
 One kernel, a primal active-set method on two-sided bounds, serves both
-integrators: finite on these small dense problems, deterministic (ties
-broken by lowest bound index, upper bounds before lower ones), and
-hinted by the last active set across time steps, where it changes slowly.
+integrators: finite on these small dense problems and deterministic (ties
+broken by lowest bound index, upper bounds before lower ones).  A hint, the
+last result's active bounds, keeps every other bound out of the start's
+working set.  It matters where the start is a phase-1 vertex, after a
+force change, which sits on many bounds the projection leaves.
 Every set has the one form ``lower <= A x <= b``, where an infinite bound
 is no bound and never enters a working set.  The kernel runs in whitened
 coordinates on the whitened rows ``M = (A Z)^T`` and the start's
@@ -123,13 +125,13 @@ class PolyhedralSet:
 
     def violation(self, x: np.ndarray, slack: np.ndarray | None = None) -> float:
         """Largest constraint violation at ``x`` (0 when inside); ``slack``
-        is ``self.slack(x)`` when the caller already has it."""
-        v = 0.0
-        if self.b.shape[0]:
-            v = max(v, float(-np.min(self.slack(x) if slack is None else slack)))
-        if self.A_eq is not None and self.A_eq.shape[0]:
-            v = max(v, float(np.max(np.abs(self.A_eq @ x - self.b_eq))))
-        return v
+        is ``self.slack(x)`` when the caller already has it.  NaN at a point
+        with a NaN entry, which no tolerance admits."""
+        # 0.0 - min: +0.0, not -0.0, inside; np.min and np.max keep a NaN
+        v = 0.0 - np.min(self.slack(x) if slack is None else slack, initial=0.0)
+        if self.A_eq is not None:
+            v = np.max(np.abs(self.A_eq @ x - self.b_eq), initial=v)
+        return float(v)
 
     def contains(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.violation(np.asarray(x, dtype=float)) <= tol
@@ -306,69 +308,57 @@ def project(
     S: np.ndarray,
     x: np.ndarray,
     poly: PolyhedralSet,
-    tol: float = DEFAULT_TOL,
     start: np.ndarray | None = None,
     active: tuple[int, ...] | None = None,
 ) -> ProjectionResult:
     """S-weighted projection of ``x`` onto ``poly``.
 
-    ``start``, when given and feasible within tolerance, skips the phase-1
-    solve.  ``active``, a previous result's ``active_inequalities``, keeps
-    out of the start's working set every bound it does not name.  The
-    whitening and its rows ``M`` are built on every call: for a moving set,
-    in a weight of ones, a read-only view of ``V^T``.
+    ``start``, when given, is checked as ``x`` is, a finite point of the
+    set's dimension, and skips the phase-1 solve when it lies in the set
+    within 1e-9.  ``active``, a previous result's ``active_inequalities``,
+    keeps out of the start's working set every bound it does not name: after
+    a phase-1 start, a vertex on many bounds, it saves the kernel dropping
+    them one by one.  The whitening and its rows ``M`` are built on every
+    call: for a moving set, in a weight of ones, a read-only view of
+    ``V^T``.
     """
     n = poly.dim
     x = _check_point(x, n)
     white = Whitening.build(S, poly.A_eq, n)
     M = white.rows(poly.A)
 
-    act_tol = max(tol, 1e-12)
-    y, slack = None, None
-    if start is not None:
-        y, slack = _checked_start(poly, start, 10 * act_tol)
-    if y is None:
-        y = find_feasible_point(poly, tol)
+    y = None if start is None else _check_point(start, n)
+    slack = None if y is None else poly.slack(y)
+    if y is None or poly.violation(y, slack) > 1e-9:
+        y = find_feasible_point(poly)
         slack = poly.slack(y)
 
-    working = slack <= act_tol
+    working = slack <= DEFAULT_TOL
     if active is not None:
         keep = np.zeros(poly.n_inequalities, dtype=bool)
         keep[[j for j in active if 0 <= j < keep.size]] = True
         working &= keep
-    y, _, _, kkt_stat = _active_set(white, M, slack, x, y, working, tol)
+    y, _, _, kkt_stat = _active_set(white, M, slack, x, y, working)
 
     slack = poly.slack(y)
     bound = np.concatenate([poly.b, poly.lower])
-    act_idx = tuple(int(j) for j in np.flatnonzero(_on_bounds(slack, bound, tol)))
+    act_idx = tuple(int(j) for j in np.flatnonzero(_on_bounds(slack, bound)))
     kkt = max(kkt_stat, poly.violation(y, slack))
     return ProjectionResult(point=y, active_inequalities=act_idx, kkt_residual=kkt)
 
 
-def _on_bounds(slack: np.ndarray, bound: np.ndarray, tol: float) -> np.ndarray:
+def _on_bounds(slack: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Which finite bounds a point sits on: those whose slack is at most
-    ``max(tol, 1e-12) (1 + |bound|)``, the activity test of
-    :func:`project`'s result.  ``slack`` may hold one column per point,
-    with ``bound`` as a column."""
-    act_tol = max(tol, 1e-12)
-    return (slack <= act_tol * (1.0 + np.abs(bound))) & np.isfinite(bound)
+    ``DEFAULT_TOL (1 + |bound|)``, the activity test of :func:`project`'s
+    result.  ``slack`` may hold one column per point, with ``bound`` as a
+    column."""
+    return (slack <= DEFAULT_TOL * (1.0 + np.abs(bound))) & np.isfinite(bound)
 
 
-def _negative_multipliers(lam: np.ndarray, tol: float) -> np.ndarray:
+def _negative_multipliers(lam: np.ndarray) -> np.ndarray:
     """The multipliers the kernel drops from its working set: those below
-    ``-max(tol, 1e-9) (1 + max |lam|)``, per column when ``lam`` has
-    several."""
-    return lam < -max(tol, 1e-9) * (1.0 + np.abs(lam).max(axis=0, initial=0.0))
-
-
-def _checked_start(poly: PolyhedralSet, start, tol: float):
-    """``start`` and its slack when it lies in ``poly`` within ``tol``, else
-    ``(None, None)``."""
-    start = np.asarray(start, dtype=float)
-    if start.shape != (poly.dim,):
-        return None, None
-    slack = poly.slack(start)
-    return (start, slack) if poly.violation(start, slack) <= tol else (None, None)
+    ``-1e-9 (1 + max |lam|)``, per column when ``lam`` has several."""
+    return lam < -1e-9 * (1.0 + np.abs(lam).max(axis=0, initial=0.0))
 
 
 def _columns(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -406,7 +396,7 @@ def _working_set_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(C, rhs, rcond=DEFAULT_RANK_TOL)[0]
 
 
-def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
+def _active_set(white: Whitening, M, slack, x, y0, active):
     """The primal active-set loop of both projections, from the feasible ``y0``.
 
     It reads only the whitened rows ``M = (A Z)^T``, as columns, the
@@ -440,9 +430,9 @@ def _active_set(white: Whitening, M, slack, x, y0, active, tol: float):
             lam = _working_set_solve(C, -e) if known is None else known
             r = e + C @ lam
         known = None
-        if np.max(np.abs(r), initial=0.0) <= tol * scale:
+        if np.max(np.abs(r), initial=0.0) <= DEFAULT_TOL * scale:
             # At the working-set optimum: check multipliers of active rows.
-            neg = _negative_multipliers(lam, tol)
+            neg = _negative_multipliers(lam)
             if not np.any(neg):
                 return y0 + white.back(d), idx, lam, _norm(r)
             active[idx[np.flatnonzero(neg)[np.argmin(lam[neg])]]] = False
@@ -512,7 +502,7 @@ def project_cone(
     x = x / x_norm
     M = white.rows(cone.A)
     slack = np.where(held, 0.0, np.inf)
-    y, idx, lam, _ = _active_set(white, M, slack, x, np.zeros(n), held.copy(), DEFAULT_TOL)
+    y, idx, lam, _ = _active_set(white, M, slack, x, np.zeros(n), held.copy())
 
     col = np.linalg.norm(M, axis=0)
     col[col == 0.0] = 1.0

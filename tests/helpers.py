@@ -10,7 +10,7 @@ from latsweep.assembly import compatibility_matrix
 from latsweep.catchup import TimePartition
 from latsweep.errors import InvalidInputError
 from latsweep.lattice import LatticeDefinition, LoadSchedule
-from latsweep.leapfrog import ACTIVE_TOL, _next_event_time
+from latsweep.leapfrog import ACTIVE_TOL, _scan
 from latsweep.projection import PolyhedralSet, project
 from latsweep.sweeping import MovingSetSpec, Space, build_moving_set, static_set
 
@@ -304,7 +304,7 @@ def moving_set_at(spec: MovingSetSpec, t: float, loads: LoadSchedule) -> Polyhed
     return static_set(spec, box_offset(spec, loads, t))
 
 
-def abstract_catchup(S, set_provider, x0, partition: TimePartition, tol: float = 1e-10) -> np.ndarray:
+def abstract_catchup(S, set_provider, x0, partition: TimePartition) -> np.ndarray:
     """The bare catch-up recursion for an arbitrary moving polyhedron.
 
     ``set_provider`` maps a time to a :class:`PolyhedralSet`.  Every step is
@@ -315,7 +315,7 @@ def abstract_catchup(S, set_provider, x0, partition: TimePartition, tol: float =
     """
     x0 = np.asarray(x0, dtype=float)
     first = set_provider(float(partition.points[0]))
-    if not first.contains(x0, tol=max(tol, 1e-9)):
+    if not first.contains(x0, tol=1e-9):
         raise InvalidInputError("initial point is outside the set at t = 0")
     points = [x0]
     x, active = x0, None
@@ -323,7 +323,7 @@ def abstract_catchup(S, set_provider, x0, partition: TimePartition, tol: float =
         poly = set_provider(float(t))
         if not isinstance(poly, PolyhedralSet):
             raise InvalidInputError("set provider must return PolyhedralSet values")
-        result = project(S, x, poly, tol=tol, active=active)
+        result = project(S, x, poly, active=active)
         x, active = result.point, result.active_inequalities
         points.append(x)
     return np.vstack(points)
@@ -391,5 +391,6 @@ def full_form_cone(system, z, offset, rows=None) -> PolyhedralSet:
 
 
 def next_event_time(spec: MovingSetSpec, z, zdot, offset=None) -> float | None:
-    """Time until a currently inactive bound becomes active along ``zdot``."""
-    return _next_event_time(spec, np.asarray(z, float), np.asarray(zdot, float), offset)
+    """Time until a currently inactive bound becomes active along ``zdot``:
+    the second half of leapfrog's scan of the box."""
+    return _scan(spec, np.asarray(z, float), np.asarray(zdot, float), offset, 0.0)[1]

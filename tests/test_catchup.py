@@ -330,6 +330,28 @@ def test_catchup_projects_once_per_working_set_change(example1, grid_with_hole, 
                 assert len(traj.events) >= 3
 
 
+def test_active_hint_bounds_the_working_set_solves(grid_with_hole, monkeypatch):
+    # Under a force ramp every step starts from a phase-1 vertex, on many
+    # bounds the projection leaves; the last step's active bounds keep them
+    # out of the first working set.  The 20-step grid ramp takes 234
+    # working-set solves per space with the hint and about 4600 without.
+    solves, working_set_solve = [], projection._working_set_solve
+
+    def counted(C, rhs):
+        solves.append(C.shape[1])
+        return working_set_solve(C, rhs)
+
+    monkeypatch.setattr(projection, "_working_set_solve", counted)
+    definition, base, system = grid_with_hole
+    loads = varying_force_loads(base, definition)
+    for space in Space:
+        spec = build_moving_set(system, space, loads)
+        state0 = initial_state(system, np.zeros(definition.n_springs), loads, space, spec)
+        solves.clear()
+        catchup(system, spec, state0, loads, TimePartition.uniform(loads.horizon, 20))
+        assert 20 <= len(solves) <= 470
+
+
 def test_one_static_set_per_force_level(example1, grid_with_hole, monkeypatch):
     # Under a frozen force the moving frame needs one set for the whole
     # run; under a force ramp each step is a new force level.

@@ -500,7 +500,7 @@ def test_cli_cone_projection_failure_exits_2(tmp_path, capsys, monkeypatch):
     main(["generate", "example1", "--out", str(net)])
     monkeypatch.setattr(
         "latsweep.projection._active_set",
-        lambda white, M, slack, x, y0, active, tol: (x, np.zeros(0, dtype=int), np.zeros(0), 0.0),
+        lambda white, M, slack, x, y0, active: (x, np.zeros(0, dtype=int), np.zeros(0), 0.0),
     )
     code = main(["solve", str(net), "--solver", "leapfrog", "--out", str(tmp_path / "run")])
     assert code == 2

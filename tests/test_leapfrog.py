@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latsweep.catchup import TimePartition, catchup
-from latsweep.errors import InvalidStateError, UnsupportedLoadError
+from latsweep.errors import InvalidInputError, InvalidStateError, UnsupportedLoadError
 from latsweep.generators import (
     build_example1,
     build_tri_grid_with_hole,
@@ -45,6 +45,28 @@ def chain_1d():
         constraint_matrix=np.eye(2),
     )
     return definition, assemble(definition)
+
+
+def test_horizon_must_be_positive_and_finite(example1):
+    definition, loads, system = example1
+    spec = build_moving_set(system, Space.REDUCED, loads)
+    state0 = initial_state(system, np.zeros(definition.n_springs), loads, Space.REDUCED, spec)
+    for horizon in (-0.05, 0.0, np.nan, -np.inf, np.inf):
+        with pytest.raises(InvalidInputError, match="horizon"):
+            leapfrog(system, spec, state0, loads, horizon=horizon)
+    traj = leapfrog(system, spec, state0, loads, horizon=0.05)
+    assert traj.states[0] is state0 and traj.states[-1].time == 0.05
+
+
+def test_event_scan_passes_the_arithmetic_guard(chain_1d):
+    # The scan times the next arrival on every pass, also on the one where
+    # the stresses have stabilized: a velocity that is 0 up to rounding
+    # puts every bound out of reach, with no floating-point error raised.
+    _, system = chain_1d
+    spec = build_moving_set(system, Space.REDUCED)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert next_event_time(spec, np.zeros(1), np.array([1e-310])) is None
+        assert next_event_time(spec, np.zeros(1), np.zeros(1)) is None
 
 
 def test_next_event_time_ratio(chain_1d):

@@ -74,6 +74,27 @@ def test_weighted_halfplane_matches_grid_search():
     assert np.linalg.norm(res.point - best) < 2e-2  # grid resolution
 
 
+def test_start_is_checked_as_the_target_is():
+    # A start of the wrong shape or with a NaN entry is a named error, not
+    # a silent phase 1 or a NaN counted as feasible.
+    box = unit_box(2)
+    for start in (np.zeros(3), np.zeros((2, 1)), np.array([np.nan, 0.0]), np.array([np.inf, 0.0])):
+        with pytest.raises(InvalidInputError):
+            project(np.ones(2), np.array([2.0, 0.5]), box, start=start)
+    # a finite start outside the set still falls back on phase 1
+    res = project(np.ones(2), np.array([2.0, 0.5]), box, start=np.array([5.0, 0.0]))
+    assert np.allclose(res.point, [1.0, 0.5], atol=1e-10)
+
+
+def test_violation_propagates_nan():
+    box = unit_box(2)
+    assert np.isnan(box.violation(np.array([np.nan, 0.0])))
+    assert not box.contains([np.nan, 0.0])
+    plane = PolyhedralSet(A=np.zeros((0, 2)), b=np.zeros(0), A_eq=np.array([[1.0, 1.0]]))
+    assert np.isnan(plane.violation(np.array([0.0, np.nan])))
+    assert box.violation(np.array([0.5, 0.0])) == 0.0
+
+
 def test_infeasible_set_raises():
     poly = PolyhedralSet(
         A=np.array([[1.0, 0.0], [-1.0, 0.0]]), b=np.array([0.0, -1.0])
@@ -241,8 +262,8 @@ def test_cone_solve_missing_kkt_raises(monkeypatch):
     assert np.allclose(res.point, 0.0, atol=1e-12) and res.kkt_residual <= 1e-12
     none = np.zeros(0, dtype=int), np.zeros(0)
     for wrong in (
-        lambda white, M, slack, x, y0, active, tol: (x, *none, 0.0),
-        lambda white, M, slack, x, y0, active, tol: (y0, *none, 0.0),
+        lambda white, M, slack, x, y0, active: (x, *none, 0.0),
+        lambda white, M, slack, x, y0, active: (y0, *none, 0.0),
     ):
         monkeypatch.setattr(projection, "_active_set", wrong)
         with pytest.raises(ConeProjectionError):
